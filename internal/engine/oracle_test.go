@@ -1,0 +1,242 @@
+package engine
+
+// Oracle suite: every query of the paper's experimental set is executed
+// on every execution surface of the engine — Run, Prepared.Exec and
+// Prepared.ExecShared over the flat base relations, RunOnView over the
+// materialised views R1/R3 — and its answer is checked against the flat
+// relational baseline (internal/rdb) evaluating the same query on the
+// flat join. The baseline shares no code with the factorised path, so
+// agreement pins the semantics the paper defines, not one
+// implementation against another.
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/factordb/fdb/internal/fops"
+	"github.com/factordb/fdb/internal/query"
+	"github.com/factordb/fdb/internal/rdb"
+	"github.com/factordb/fdb/internal/relation"
+	"github.com/factordb/fdb/internal/values"
+	"github.com/factordb/fdb/internal/workload"
+)
+
+// checkOracle asserts that got answers q as the flat baseline does over
+// flat: the same rows (over the baseline's columns — a factorised view
+// flattens merged classes to one column per member), in an order the
+// query's ORDER BY admits, and under LIMIT/OFFSET exactly the page whose
+// sort keys the baseline's sorted answer puts there. Rows that tie on
+// every ORDER BY key may appear in either order, as in SQL.
+func checkOracle(t *testing.T, q *query.Query, got *relation.Relation, flat rdb.DB) {
+	t.Helper()
+	unpaged := *q
+	unpaged.Limit, unpaged.Offset = 0, 0
+	want, err := rdb.New().Run(&unpaged, flat)
+	if err != nil {
+		t.Fatalf("rdb: %v", err)
+	}
+	cols, err := columnIndices(got.Attrs, want.Attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := q.Offset, len(want.Tuples)
+	if lo > hi {
+		lo = hi
+	}
+	if q.Limit > 0 && lo+q.Limit < hi {
+		hi = lo + q.Limit
+	}
+	if len(got.Tuples) != hi-lo {
+		t.Fatalf("%d rows, baseline page [%d,%d) has %d", len(got.Tuples), lo, hi, hi-lo)
+	}
+	keys := make([]int, len(q.OrderBy))
+	for i, o := range q.OrderBy {
+		if keys[i] = want.ColIndex(o.Attr); keys[i] < 0 {
+			t.Fatalf("order attribute %q not in baseline schema %v", o.Attr, want.Attrs)
+		}
+	}
+	left := map[string]int{}
+	for _, w := range want.Tuples {
+		left[w.Key()]++
+	}
+	row := make(relation.Tuple, len(cols))
+	for i, g := range got.Tuples {
+		for c, j := range cols {
+			row[c] = g[j]
+		}
+		for _, k := range keys {
+			if w := want.Tuples[lo+i][k]; values.Compare(row[k], w) != 0 {
+				t.Fatalf("row %d: sort key %s = %v, baseline has %v", i, want.Attrs[k], row[k], w)
+			}
+		}
+		if left[row.Key()]--; left[row.Key()] < 0 {
+			t.Fatalf("row %d: %v is not in the baseline answer (or repeats)", i, row)
+		}
+	}
+}
+
+// paperQueries returns the view queries Q1–Q13, the ORD family with and
+// without LIMIT 10. r3 marks queries over the view R3.
+func paperQueries() []struct {
+	name string
+	mk   func() *query.Query
+	r3   bool
+} {
+	type tc = struct {
+		name string
+		mk   func() *query.Query
+		r3   bool
+	}
+	cases := []tc{
+		{name: "Q1", mk: workload.Q1}, {name: "Q2", mk: workload.Q2},
+		{name: "Q3", mk: workload.Q3}, {name: "Q4", mk: workload.Q4},
+		{name: "Q5", mk: workload.Q5}, {name: "Q6", mk: workload.Q6},
+		{name: "Q7", mk: workload.Q7}, {name: "Q8", mk: workload.Q8},
+		{name: "Q9", mk: workload.Q9},
+	}
+	for _, limit := range []int{0, 10} {
+		limit := limit
+		cases = append(cases,
+			tc{name: fmt.Sprintf("Q10/limit=%d", limit), mk: func() *query.Query { return workload.Q10(limit) }},
+			tc{name: fmt.Sprintf("Q11/limit=%d", limit), mk: func() *query.Query { return workload.Q11(limit) }},
+			tc{name: fmt.Sprintf("Q12/limit=%d", limit), mk: func() *query.Query { return workload.Q12(limit) }},
+			tc{name: fmt.Sprintf("Q13/limit=%d", limit), mk: func() *query.Query { return workload.Q13(limit) }, r3: true},
+		)
+	}
+	return cases
+}
+
+// flatViews returns the flat relations the baseline evaluates the view
+// queries on.
+func flatViews(t *testing.T, ds *workload.Dataset) rdb.DB {
+	t.Helper()
+	r1, err := ds.FlatR1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := ds.FlatR2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3, err := ds.R3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rdb.DB{"R1": r1, "R2": r2, "R3": r3}
+}
+
+// TestOracleFlatQueries runs Q1–Q5 with the R1 join inlined through
+// Run, Exec and (repeatedly, from one Prepared) ExecShared.
+func TestOracleFlatQueries(t *testing.T) {
+	ds := workload.Generate(workload.Config{Scale: 1})
+	db := DB(ds.DB())
+	for _, legacy := range []bool{false, true} {
+		eng := &Engine{PartialAgg: true, Legacy: legacy}
+		for i := 1; i <= 5; i++ {
+			q, err := workload.FlatAggQuery(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prep, err := eng.Prepare(q, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			surfaces := map[string]func() (*Result, error){
+				"Run":         func() (*Result, error) { return eng.Run(q, db) },
+				"Exec":        func() (*Result, error) { return prep.Exec(db) },
+				"ExecShared1": func() (*Result, error) { return prep.ExecShared(db) },
+				"ExecShared2": func() (*Result, error) { return prep.ExecShared(db) },
+			}
+			for name, run := range surfaces {
+				t.Run(fmt.Sprintf("legacy=%v/Q%d/%s", legacy, i, name), func(t *testing.T) {
+					checkOracle(t, q, collectRows(t, run), rdb.DB(db))
+				})
+			}
+		}
+	}
+}
+
+// TestOracleViewQueries runs Q1–Q13 (ORD with and without LIMIT)
+// through RunOnView over the materialised views.
+func TestOracleViewQueries(t *testing.T) {
+	ds := workload.Generate(workload.Config{Scale: 1})
+	cat := ds.Catalog()
+	flat := flatViews(t, ds)
+	r1, err := ds.FactorisedR1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3, err := ds.FactorisedR3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1a, err := ds.FactorisedR1Arena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3a, err := ds.FactorisedR3Arena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New()
+	for _, c := range paperQueries() {
+		view, aview := r1, r1a
+		if c.r3 {
+			view, aview = r3, r3a
+		}
+		for name, run := range map[string]func() (*Result, error){
+			"legacy": func() (*Result, error) { return eng.RunOnView(c.mk(), view, cat) },
+			"arena":  func() (*Result, error) { return eng.RunOnARel(c.mk(), aview, cat) },
+		} {
+			t.Run(c.name+"/"+name, func(t *testing.T) {
+				checkOracle(t, c.mk(), collectRows(t, run), flat)
+			})
+		}
+	}
+}
+
+// TestViewsRepresentFlatJoins anchors the materialised views themselves:
+// each flattens to exactly the flat relation the baseline joins.
+func TestViewsRepresentFlatJoins(t *testing.T) {
+	ds := workload.Generate(workload.Config{Scale: 1})
+	flat := flatViews(t, ds)
+	r1, err := ds.FactorisedR1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3, err := ds.FactorisedR3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1a, err := ds.FactorisedR1Arena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r3a, err := ds.FactorisedR3Arena()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]struct {
+		rel  fops.Rel
+		want *relation.Relation
+	}{
+		"R1/legacy": {r1, flat["R1"]}, "R1/arena": {r1a, flat["R1"]},
+		"R3/legacy": {r3, flat["R3"]}, "R3/arena": {r3a, flat["R3"]},
+	} {
+		if err := v.rel.Check(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := v.rel.Flatten()
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj, err := got.Project(v.want.Attrs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Tuples) != len(v.want.Tuples) || !relation.EqualAsSets(proj, v.want) {
+			t.Fatalf("%s: view flattens to %d tuples, flat relation has %d (or contents differ)",
+				name, len(got.Tuples), len(v.want.Tuples))
+		}
+	}
+}
