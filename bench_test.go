@@ -49,13 +49,13 @@ func sweepScales() []int {
 // fixture caches the per-scale dataset and materialised views.
 type fixture struct {
 	ds     *workload.Dataset
-	view   *fops.FRel // factorised R1 over the paper's f-tree T
+	view   *fops.ARel // factorised R1 over the paper's f-tree T
 	cat    []ftree.CatalogRelation
 	flatMu sync.Mutex
 	flatR1 *relation.Relation
 	flatR2 *relation.Relation
 	r3     *relation.Relation
-	fr3    *fops.FRel
+	fr3    *fops.ARel
 }
 
 var (
@@ -320,7 +320,7 @@ func BenchmarkFig8(b *testing.B) {
 	cases := []struct {
 		name string
 		mk   func(limit int) *query.Query
-		view *fops.FRel
+		view *fops.ARel
 	}{
 		{"Q10", workload.Q10, f.view},
 		{"Q11", workload.Q11, f.view},
@@ -423,11 +423,12 @@ func BenchmarkAblationRestructure(b *testing.B) {
 			// order, then enumerate.
 			t := ftree.New()
 			t.NewRelationPath("date", "package", "item", "customer", "price")
-			roots, err := frep.BuildUnchecked(flatR2, t)
+			st := frep.NewStore()
+			roots, err := frep.BuildStoreUnchecked(st, flatR2, t)
 			if err != nil {
 				b.Fatal(err)
 			}
-			en, err := frep.NewEnumerator(t, roots, nil)
+			en, err := frep.NewStoreEnumerator(t, st, roots, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

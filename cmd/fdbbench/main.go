@@ -50,6 +50,7 @@ import (
 
 	"github.com/factordb/fdb/internal/engine"
 	"github.com/factordb/fdb/internal/fops"
+	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/plan"
 	"github.com/factordb/fdb/internal/query"
@@ -66,7 +67,7 @@ type bench struct {
 	par          int
 	jsonOut      bool
 	ds           map[int]*workload.Dataset
-	views        map[int]*fops.FRel
+	views        map[int]*fops.ARel
 	flats        map[int]rdb.DB
 	results      []benchResult
 }
@@ -164,7 +165,7 @@ func main() {
 		par:          *par,
 		jsonOut:      *jsonOut,
 		ds:           map[int]*workload.Dataset{},
-		views:        map[int]*fops.FRel{},
+		views:        map[int]*fops.ARel{},
 		flats:        map[int]rdb.DB{},
 	}
 	run := map[string]func(){
@@ -201,7 +202,7 @@ func (b *bench) dataset(s int) *workload.Dataset {
 	return d
 }
 
-func (b *bench) view(s int) *fops.FRel {
+func (b *bench) view(s int) *fops.ARel {
 	if v, ok := b.views[s]; ok {
 		return v
 	}
@@ -445,7 +446,7 @@ func (b *bench) expFig8() {
 	cases := []struct {
 		name string
 		mk   func(int) *query.Query
-		view *fops.FRel
+		view *fops.ARel
 	}{
 		{"Q10", workload.Q10, b.view(b.scale)},
 		{"Q11", workload.Q11, b.view(b.scale)},
@@ -532,7 +533,7 @@ func (b *bench) expAblation() {
 	rebuildT := b.timeIt(func() {
 		t := ftree.New()
 		t.NewRelationPath("date", "package", "item", "customer", "price")
-		fr, err := fops.FromRelationUnchecked(flatR2, t)
+		fr, err := fops.FromRelationStoreUnchecked(frep.NewStore(), flatR2, t)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -66,7 +66,7 @@ func (b *bench) expOffset() {
 		eng := &engine.Engine{PartialAgg: true}
 		return b.timeIt(func() {
 			q := &query.Query{Relations: []string{"Deep"}, Offset: off, Limit: 10}
-			res, err := eng.RunOnARel(q, view, nil)
+			res, err := eng.RunOnView(q, view, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -57,7 +57,7 @@ func (b *bench) expParallel() {
 
 	d := b.dataset(b.scale)
 	cat := d.Catalog()
-	view, err := d.FactorisedR1Arena()
+	view, err := d.FactorisedR1()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func (b *bench) expParallel() {
 			for i := 0; i < parallelSamples; i++ {
 				q := wl.mk()
 				start := time.Now()
-				res, err := eng.RunOnARel(q, view, cat)
+				res, err := eng.RunOnView(q, view, cat)
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -94,7 +94,7 @@ func (b *bench) expScale() {
 			continue
 		}
 		d := b.dataset(s)
-		ar, err := d.FactorisedR1Arena()
+		ar, err := d.FactorisedR1()
 		if err != nil {
 			log.Fatal(err)
 		}

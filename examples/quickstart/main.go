@@ -59,7 +59,7 @@ pineapple,2
 	fmt.Println("f-tree chosen by the optimiser for the factorised view:")
 	fmt.Println(view.Tree)
 	fmt.Printf("factorisation (%d singletons for %d tuples):\n  %s\n\n",
-		view.Singletons(), mustCount(view), frep.Format(view.Tree, view.Roots))
+		view.Singletons(), mustCount(view), frep.Format(view.Tree, view.Store, view.Roots))
 
 	// Query S: the price of each ordered pizza.
 	qs, err := fdb.ParseSQL(`SELECT customer, date, pizza, SUM(price) AS total

@@ -128,8 +128,11 @@ var ParseSQL = sql.Parse
 // Database is a catalogue of named flat relations.
 type Database = engine.DB
 
-// Engine is the FDB query engine. The zero value disables partial
-// aggregation; use NewEngine for the paper's default configuration.
+// Engine is the FDB query engine: it plans and executes queries over
+// flat relations (Run, Prepare) or materialised factorised views
+// (RunOnView), always on the arena-backed factorised representation.
+// The zero value disables partial aggregation; use NewEngine for the
+// paper's default configuration.
 type Engine = engine.Engine
 
 // NewEngine returns an engine with eager partial aggregation enabled and
@@ -138,9 +141,9 @@ func NewEngine() *Engine { return engine.New() }
 
 // Result is an evaluated query; stream it with Rows (the cursor API),
 // enumerate it with ForEach, or materialise it with Relation. The
-// factorised output ("FDB f/o") lives in an arena store (Result.ARel)
-// by default; Result.Factorisation returns the pointer-based view of
-// it. Call Result.Close when done to recycle the query's arena store;
+// factorised output ("FDB f/o") is Result.ARel; its store is pooled, so
+// it is valid only until Close (Clone it to keep it — MaterialiseView
+// does). Call Result.Close when done to recycle the query's store;
 // Close is idempotent, and using a Result after Close returns
 // ErrResultClosed.
 type Result = engine.Result
@@ -192,12 +195,13 @@ type OffsetStats = engine.OffsetStats
 // (fdbserver surfaces them at /stats).
 var SeekSkipStats = engine.SeekSkipStats
 
-// Factorisation is a factorised relation: an f-tree plus a
-// pointer-based representation over it. Obtain one with Factorise or
-// Result.Factorisation, and query it with Engine.RunOnView. (Engine
-// execution itself runs on the arena-backed store representation,
-// fops.ARel; see ARCHITECTURE.md's "Storage layout".)
-type Factorisation = fops.FRel
+// Factorisation is a factorised relation: an f-tree (Tree) plus the
+// representation over it, held in one arena store (Store) and addressed
+// by one root node per f-tree root (Roots); see ARCHITECTURE.md's
+// "Storage layout". Obtain one with Factorise, MaterialiseView or
+// ReadView, and query it with Engine.RunOnView, which never modifies
+// it.
+type Factorisation = fops.ARel
 
 // FTree is a factorisation tree: the schema and nesting structure of a
 // factorisation (Definition 2 of the paper).
@@ -212,18 +216,21 @@ func NewFTree() *FTree { return ftree.New() }
 // f-tree, verifying the tree's independence assumptions against the data.
 // A linear-path f-tree (NewFTree + AddRelationPath) is always valid.
 func Factorise(rel *Relation, tree *FTree) (*Factorisation, error) {
-	return fops.FromRelation(rel, tree)
+	return fops.FromRelationStore(frep.NewStore(), rel, tree)
 }
 
 // MaterialiseView runs a join query and returns its factorised result for
-// reuse as a read-optimised view. It is shorthand for Run +
-// Result.Factorisation.
+// reuse as a read-optimised view. The view owns its store: it is a copy
+// of the query's pooled result, which is closed before returning, so the
+// view stays valid however many queries run afterwards.
 func MaterialiseView(e *Engine, q *Query, db Database) (*Factorisation, error) {
 	res, err := e.Run(q, db)
 	if err != nil {
 		return nil, err
 	}
-	return res.Factorisation(), nil
+	defer res.Close()
+	view, _ := res.ARel.Clone()
+	return view, nil
 }
 
 // Catalog is a database loaded from a catalogue snapshot: the flat
@@ -305,15 +312,15 @@ var ErrCompactionRunning = engine.ErrCompactionRunning
 // so materialised views can be stored and reloaded without
 // re-factorising.
 func WriteView(w io.Writer, v *Factorisation) error {
-	return frep.WriteTo(w, v.Tree, v.Roots)
+	return frep.WriteStoreTo(w, v.Tree, v.Store, v.Roots)
 }
 
 // ReadView deserialises a factorised view written by WriteView,
 // validating the f-tree and representation invariants.
 func ReadView(r io.Reader) (*Factorisation, error) {
-	tree, roots, err := frep.ReadFrom(r)
+	tree, store, roots, err := frep.ReadStoreFrom(r)
 	if err != nil {
 		return nil, err
 	}
-	return &Factorisation{Tree: tree, Roots: roots}, nil
+	return &Factorisation{Tree: tree, Store: store, Roots: roots}, nil
 }

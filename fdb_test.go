@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"github.com/factordb/fdb"
+	"github.com/factordb/fdb/internal/rdb"
+	"github.com/factordb/fdb/internal/relation"
 )
 
 func pizzeria(t *testing.T) fdb.Database {
@@ -89,6 +91,57 @@ func TestMaterialiseAndReuseView(t *testing.T) {
 	// Capricciosa: 2 orders × 3 items = 6 rows, min price 1.
 	if rel.Tuples[0][1].Int() != 6 || rel.Tuples[0][2].Int() != 1 {
 		t.Errorf("Capricciosa group = %v", rel.Tuples[0])
+	}
+}
+
+// TestMaterialisedViewOwnsItsStore pins that MaterialiseView returns a
+// view with its own slabs, not an alias of the pooled store its query
+// ran in: after a few hundred unrelated queries have run and closed —
+// recycling every pooled store many times over — the view must still
+// represent the join, as the flat baseline computes it.
+func TestMaterialisedViewOwnsItsStore(t *testing.T) {
+	db := pizzeria(t)
+	e := fdb.NewEngine()
+	join, err := fdb.ParseSQL(`SELECT * FROM Orders, Pizzas, Items WHERE pizza = pizza2 AND item = item2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := fdb.ParallelStats().StoreReturns
+	view, err := fdb.MaterialiseView(e, join, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fdb.ParallelStats().StoreReturns - before; got != 1 {
+		t.Fatalf("MaterialiseView returned %d pooled stores, want exactly 1", got)
+	}
+	other, err := fdb.ParseSQL(`SELECT item, COUNT(*) AS n FROM Pizzas GROUP BY item`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		res, err := e.Run(other, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := res.Count(); err != nil {
+			t.Fatal(err)
+		}
+		res.Close()
+	}
+	want, err := rdb.New().Run(join, rdb.DB(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := view.Check(); err != nil {
+		t.Fatalf("view invariants after pool recycling: %v", err)
+	}
+	got, err := view.Flatten()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Tuples) != len(want.Tuples) || !relation.EqualAsSets(got, want) {
+		t.Fatalf("view flattens to %d tuples after pool recycling, the join has %d (or contents differ)",
+			len(got.Tuples), len(want.Tuples))
 	}
 }
 

@@ -90,7 +90,7 @@ func TestWorkloadAllEnginesScale2(t *testing.T) {
 	// the ordered enumeration tests in internal packages.
 	for name, tc := range map[string]struct {
 		q *query.Query
-		v *fops.FRel
+		v *fops.ARel
 	}{
 		"Q10": {workload.Q10(0), view},
 		"Q11": {workload.Q11(0), view},

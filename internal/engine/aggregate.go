@@ -143,9 +143,9 @@ func (r *Result) newSortedCursor() (rowCursor, error) {
 	}
 	var runs [][]relation.Tuple
 	par := enumFanout(r.parallelism())
-	se := asSegmentable(probe.ge)
+	se := probe.ge
 	var segs [][2]int
-	if par >= 2 && se != nil && se.SegmentUniverse() >= MinParallelEnumRows {
+	if par >= 2 && se.SegmentUniverse() >= MinParallelEnumRows {
 		segs = segmentsFor(se, se.SegmentUniverse(), par)
 	}
 	if len(segs) >= 2 {
@@ -159,7 +159,7 @@ func (r *Result) newSortedCursor() (rowCursor, error) {
 			if err != nil {
 				return nil, err
 			}
-			asSegmentable(c.ge).Restrict(segs[w][0], segs[w][1])
+			c.ge.Restrict(segs[w][0], segs[w][1])
 			curs[w] = c
 		}
 		runs = make([][]relation.Tuple, len(segs))
@@ -265,7 +265,7 @@ func mergeSortedRuns(runs [][]relation.Tuple, cmp func(a, b relation.Tuple) int)
 // assembling group columns and aggregate outputs (finalising avg from
 // its (sum, count) vector) and applying HAVING.
 type matCursor struct {
-	en       frep.TupleEnum
+	en       *frep.StoreEnumerator
 	groupIdx []int
 	aggCols  []int
 	avgPairs []int
@@ -354,7 +354,7 @@ func (r *Result) newMaterialisedCursor() (rowCursor, error) {
 		return r.newSortedCursor()
 	}
 	if !(u.IsLeaf() && u.IsAgg() && fieldsEqual(u.Agg.Fields, fields)) {
-		if err := r.rel().GammaNode(u, fields); err != nil {
+		if err := r.ARel.GammaNode(u, fields); err != nil {
 			return nil, err
 		}
 		if u2, err2 := r.singleNonGroupSubtree(inG); err2 == nil {
@@ -370,7 +370,7 @@ func (r *Result) newMaterialisedCursor() (rowCursor, error) {
 	avgOnly := len(q.Aggregates) == 1 && q.Aggregates[0].Fn == query.Avg
 	if avgOnly {
 		alias := q.Aggregates[0].OutName()
-		if err := r.rel().ComputeScalar(aggNodeName, alias, func(v values.Value) values.Value {
+		if err := r.ARel.ComputeScalar(aggNodeName, alias, func(v values.Value) values.Value {
 			return values.Div(v.VecAt(0), v.VecAt(1))
 		}); err != nil {
 			return nil, err
@@ -378,7 +378,7 @@ func (r *Result) newMaterialisedCursor() (rowCursor, error) {
 		aggNodeName = alias
 	} else if len(q.Aggregates) == 1 {
 		alias := q.Aggregates[0].OutName()
-		if err := r.rel().Rename(aggNodeName, alias); err != nil {
+		if err := r.ARel.Rename(aggNodeName, alias); err != nil {
 			return nil, err
 		}
 		aggNodeName = alias
@@ -404,13 +404,13 @@ func (r *Result) newMaterialisedCursor() (rowCursor, error) {
 		if v == nil {
 			break
 		}
-		if err := r.rel().SwapNode(v); err != nil {
+		if err := r.ARel.SwapNode(v); err != nil {
 			return nil, err
 		}
 	}
 
 	build := func() (rowCursor, error) {
-		en, err := r.rel().Enumerator(specs)
+		en, err := r.ARel.Enumerator(specs)
 		if err != nil {
 			return nil, err
 		}
@@ -443,8 +443,8 @@ func (r *Result) newMaterialisedCursor() (rowCursor, error) {
 		}, nil
 	}
 	desc := len(specs) > 0 && specs[0].Desc
-	return r.maybeParallelEnum(build, func(c rowCursor) segmentable {
-		return asSegmentable(c.(*matCursor).en)
+	return r.maybeParallelEnum(build, func(c rowCursor) storeEnum {
+		return c.(*matCursor).en
 	}, desc, MinParallelEnumRows)
 }
 

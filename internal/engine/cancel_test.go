@@ -178,7 +178,7 @@ func TestCancelMidEnumeration(t *testing.T) {
 	}
 }
 
-// TestCancelMidEnumerationView covers a view-backed (RunOnARel) result:
+// TestCancelMidEnumerationView covers a view-backed (RunOnView) result:
 // not pooled, but the stream must still stop on cancellation.
 func TestCancelMidEnumerationView(t *testing.T) {
 	db := bigDB(t, 20000)
@@ -193,7 +193,7 @@ func TestCancelMidEnumerationView(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	q := &query.Query{Relations: []string{"Big"}, OrderBy: []query.OrderItem{{Attr: "k"}}}
-	res, err := eng.RunOnARel(q, view, cat)
+	res, err := eng.RunOnView(q, view, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,12 +275,13 @@ func TestCancelConcurrent(t *testing.T) {
 	}
 }
 
-// TestRunOnARelContextCancelled pins the ctxflow fix from the fdbvet
-// PR: view execution (RunOnARelContext / RunOnViewContext) must honour
-// the caller's context instead of minting a fresh root internally. A
-// pre-cancelled context has to stop the plan before the first
-// operator runs.
-func TestRunOnARelContextCancelled(t *testing.T) {
+// TestRunOnViewContextCancelled pins the ctxflow fix from the fdbvet
+// PR: view execution (RunOnViewContext) must honour the caller's
+// context instead of minting a fresh root internally — in the plan
+// search as well as between operators. A pre-cancelled context has to
+// stop the query before the first operator runs, on the greedy and the
+// exhaustive planner alike.
+func TestRunOnViewContextCancelled(t *testing.T) {
 	db := bigDB(t, 20000)
 	f := ftree.New()
 	f.NewRelationPath("k", "v")
@@ -289,37 +290,41 @@ func TestRunOnARelContextCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat := []ftree.CatalogRelation{{Name: "Big", Attrs: []string{"k", "v"}, Size: 20000}}
-	eng := New()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	// groupedQuery carries a γ aggregation, so the plan has at least one
-	// operator and the pre-operator context check must fire.
-	if _, err := eng.RunOnARelContext(ctx, groupedQuery(), view, cat); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunOnARelContext(cancelled) = %v, want context.Canceled", err)
-	}
-	// The uncancelled path through the same API still works.
-	res, err := eng.RunOnARelContext(context.Background(), groupedQuery(), view, cat)
+	// A view the second query needs no operator on: grouping by its only
+	// attribute is already supported, so nothing but the planner can
+	// notice the cancellation.
+	keys, err := db["Big"].Project("k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Close()
-}
-
-// TestRunOnViewContextCancelled is the pointer-representation twin of
-// TestRunOnARelContextCancelled.
-func TestRunOnViewContextCancelled(t *testing.T) {
-	db := bigDB(t, 20000)
-	f := ftree.New()
-	f.NewRelationPath("k", "v")
-	view, err := fops.FromRelation(db["Big"], f)
+	kf := ftree.New()
+	kf.NewRelationPath("k")
+	keyView, err := fops.FromRelationStore(frep.NewStore(), keys, kf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := []ftree.CatalogRelation{{Name: "Big", Attrs: []string{"k", "v"}, Size: 20000}}
-	eng := New()
+	countPerKey := &query.Query{
+		Relations:  []string{"Big"},
+		GroupBy:    []string{"k"},
+		Aggregates: []query.Aggregate{{Fn: query.Count, As: "n"}},
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.RunOnViewContext(ctx, groupedQuery(), view, cat); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunOnViewContext(cancelled) = %v, want context.Canceled", err)
+	for _, eng := range []*Engine{{PartialAgg: true}, {PartialAgg: true, Exhaustive: true}} {
+		// groupedQuery carries a γ aggregation, so the plan has at least
+		// one operator and the pre-operator context check backs the
+		// planner's up.
+		if _, err := eng.RunOnViewContext(ctx, groupedQuery(), view, cat); !errors.Is(err, context.Canceled) {
+			t.Fatalf("exhaustive=%v: RunOnViewContext(cancelled) = %v, want context.Canceled", eng.Exhaustive, err)
+		}
+		if _, err := eng.RunOnViewContext(ctx, countPerKey, keyView, cat); !errors.Is(err, context.Canceled) {
+			t.Fatalf("exhaustive=%v: operator-free RunOnViewContext(cancelled) = %v, want context.Canceled", eng.Exhaustive, err)
+		}
+		// The uncancelled path through the same API still works.
+		res, err := eng.RunOnViewContext(context.Background(), groupedQuery(), view, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Close()
 	}
 }

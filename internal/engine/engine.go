@@ -34,21 +34,14 @@ type Engine struct {
 	// single attribute even when on-the-fly combination at enumeration
 	// time (Example 1, scenario 3) would avoid it.
 	Materialise bool
-	// Legacy executes queries on the pointer-based *frep.Union
-	// representation instead of the arena store. It exists so the two
-	// representations can be diffed (the golden equivalence tests) and
-	// as an escape hatch during the transition; the arena is the
-	// default.
-	Legacy bool
 	// Parallelism bounds the intra-query parallelism: f-plan operators
 	// fan their occurrence loops over contiguous segments of root
 	// unions, aggregate evaluations merge per-segment partial results,
 	// and the enumeration cursors drain per-segment workers in root
 	// order — so results are identical to serial execution at any
-	// setting. 0 means GOMAXPROCS; 1 disables intra-query parallelism
-	// (the pre-parallel behaviour); values apply only to arena
-	// execution (Legacy stays serial). Small inputs execute serially
-	// regardless (see frep.MinParallelEvalValues and friends).
+	// setting. 0 means GOMAXPROCS; 1 disables intra-query parallelism.
+	// Small inputs execute serially regardless (see
+	// frep.MinParallelEvalValues and friends).
 	Parallelism int
 }
 
@@ -71,16 +64,10 @@ func New() *Engine { return &Engine{PartialAgg: true} }
 // needed to enumerate flat tuples in the requested order.
 type Result struct {
 	Query *query.Query
-	// FRel is the pointer-based factorised result ("FDB f/o" output).
-	// It is populated when the query executed on the legacy
-	// representation (Engine.Legacy, or a RunOnView over a pointer-based
-	// view); nil when the arena representation was used — see ARel and
-	// Factorisation.
-	FRel *fops.FRel
-	// ARel is the arena-backed factorised result, populated when the
-	// query executed on the arena representation (the default for
-	// Exec/Run). For aggregation queries it contains the group-by
-	// attributes and (possibly several) partial-aggregate leaves.
+	// ARel is the factorised result ("FDB f/o" output). For aggregation
+	// queries it contains the group-by attributes and (possibly several)
+	// partial-aggregate leaves. When the store is pooled it is valid only
+	// until Close; Clone it to keep it longer.
 	ARel *fops.ARel
 	// Plan is the executed f-plan.
 	Plan *plan.Plan
@@ -112,36 +99,17 @@ func (r *Result) dropCloser(c rowCloser) {
 	}
 }
 
-// rel returns the factorised result behind its representation-neutral
-// operator surface.
-func (r *Result) rel() fops.Rel {
-	if r.ARel != nil {
-		return r.ARel
-	}
-	return r.FRel
-}
-
 // Tree returns the f-tree of the factorised result.
-func (r *Result) Tree() *ftree.Forest { return r.rel().Forest() }
+func (r *Result) Tree() *ftree.Forest { return r.ARel.Tree }
 
 // Singletons returns the factorised result's size in singletons.
-func (r *Result) Singletons() int { return r.rel().Singletons() }
-
-// Factorisation returns the pointer-based view of the factorised result,
-// materialising it from the arena when necessary (for APIs that still
-// speak *frep.Union, such as view serialisation).
-func (r *Result) Factorisation() *fops.FRel {
-	if r.FRel != nil {
-		return r.FRel
-	}
-	return r.ARel.ToFRel()
-}
+func (r *Result) Singletons() int { return r.ARel.Singletons() }
 
 // Close releases pooled per-query resources (the arena store backing
 // ARel, when it came from the engine's pool). The Result — including
-// ARel, open Rows, and anything obtained from rel() — must not be used
-// afterwards: enumeration APIs return ErrClosed once Close has run,
-// because the recycled store may already back another query. Close is
+// ARel and open Rows — must not be used afterwards: enumeration APIs
+// return ErrClosed once Close has run, because the recycled store may
+// already back another query. Close is
 // idempotent — any call after the first is a no-op — and optional: an
 // unclosed Result is reclaimed by the garbage collector like any other
 // value; closing merely recycles the slabs for the next query.
@@ -293,72 +261,39 @@ func pathCandidates(attrs []string, joinAttr map[string]bool) [][]string {
 }
 
 // RunOnView evaluates a query (no joins) against a materialised
-// pointer-based factorised view. The view itself is never modified:
-// operators build new structure and share untouched subtrees, so
-// repeated queries against one view are cheap. cat supplies relation
-// sizes for the cost model and may be nil.
-func (e *Engine) RunOnView(q *query.Query, view *fops.FRel, cat []ftree.CatalogRelation) (*Result, error) {
+// factorised view. The view's store is snapshotted in O(1); operators
+// append into the private snapshot, so the view is shared untouched
+// across any number of concurrent queries. cat supplies relation sizes
+// for the cost model and may be nil.
+func (e *Engine) RunOnView(q *query.Query, view *fops.ARel, cat []ftree.CatalogRelation) (*Result, error) {
 	return e.RunOnViewContext(context.Background(), q, view, cat)
 }
 
 // RunOnViewContext is RunOnView with cancellation: the context is
-// checked between f-plan operators, so a long view query can be
-// abandoned mid-execution.
-func (e *Engine) RunOnViewContext(ctx context.Context, q *query.Query, view *fops.FRel, cat []ftree.CatalogRelation) (*Result, error) {
+// honoured by the f-plan optimiser and checked between f-plan
+// operators, so a long view query can be abandoned mid-search or
+// mid-execution.
+func (e *Engine) RunOnViewContext(ctx context.Context, q *query.Query, view *fops.ARel, cat []ftree.CatalogRelation) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	if len(q.Equalities) > 0 {
 		return nil, fmt.Errorf("engine: RunOnView does not support equality selections; materialise them into the view")
 	}
-	tree, _ := view.Tree.Clone()
-	fr := &fops.FRel{Tree: tree, Roots: append([]*frep.Union{}, view.Roots...)}
-	return e.execute(ctx, q, fr, cat)
-}
-
-// RunOnARel evaluates a query (no joins) against a materialised arena
-// view. The view's store is snapshotted in O(1); operators append into
-// the private snapshot, so the view is shared untouched across any
-// number of concurrent queries.
-func (e *Engine) RunOnARel(q *query.Query, view *fops.ARel, cat []ftree.CatalogRelation) (*Result, error) {
-	return e.RunOnARelContext(context.Background(), q, view, cat)
-}
-
-// RunOnARelContext is RunOnARel with cancellation; see
-// RunOnViewContext.
-func (e *Engine) RunOnARelContext(ctx context.Context, q *query.Query, view *fops.ARel, cat []ftree.CatalogRelation) (*Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if len(q.Equalities) > 0 {
-		return nil, fmt.Errorf("engine: RunOnARel does not support equality selections; materialise them into the view")
-	}
-	return e.execute(ctx, q, view.Snapshot(), cat)
-}
-
-func (e *Engine) execute(ctx context.Context, q *query.Query, fr fops.Rel, cat []ftree.CatalogRelation) (*Result, error) {
-	pl := &plan.Planner{Catalog: cat, PartialAgg: e.PartialAgg, Exhaustive: e.Exhaustive}
-	fplan, err := pl.Plan(fr.Forest(), q)
+	ar := view.Snapshot()
+	pl := &plan.Planner{Catalog: cat, PartialAgg: e.PartialAgg, Exhaustive: e.Exhaustive, Ctx: ctx}
+	fplan, err := pl.Plan(ar.Tree, q)
 	if err != nil {
 		return nil, err
 	}
-	if ar, ok := fr.(*fops.ARel); ok {
-		if n, ok := fastCountValue(q, ar); ok {
-			return &Result{Query: q, ARel: ar, Plan: fplan, eng: e, fastCount: &n}, nil
-		}
+	if n, ok := fastCountValue(q, ar); ok {
+		return &Result{Query: q, ARel: ar, Plan: fplan, eng: e, fastCount: &n}, nil
 	}
-	if err := fplan.ExecuteParallel(ctx, fr, e.par()); err != nil {
+	if err := fplan.ExecuteParallel(ctx, ar, e.par()); err != nil {
 		return nil, err
 	}
-	res := &Result{Query: q, Plan: fplan, eng: e}
-	switch v := fr.(type) {
-	case *fops.ARel:
-		res.ARel = v
-		noteParallelExec(v)
-	case *fops.FRel:
-		res.FRel = v
-	}
-	return res, nil
+	noteParallelExec(ar)
+	return &Result{Query: q, ARel: ar, Plan: fplan, eng: e}, nil
 }
 
 // orderOnAggregate reports whether some order item references an

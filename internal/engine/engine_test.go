@@ -52,7 +52,7 @@ func pizzeriaEqualities() []query.Equality {
 
 // pizzeriaView materialises R = Orders ⋈ Pizzas ⋈ Items as a factorised
 // view over T1 by running the identity SPJ query through the engine.
-func pizzeriaView(t *testing.T) (*fops.FRel, []ftree.CatalogRelation) {
+func pizzeriaView(t *testing.T) (*fops.ARel, []ftree.CatalogRelation) {
 	t.Helper()
 	db := pizzeriaDB()
 	q := &query.Query{
@@ -67,7 +67,9 @@ func pizzeriaView(t *testing.T) (*fops.FRel, []ftree.CatalogRelation) {
 	for name, rel := range db {
 		cat = append(cat, ftree.CatalogRelation{Name: name, Attrs: rel.Attrs, Size: rel.Cardinality()})
 	}
-	return res.Factorisation(), cat
+	defer res.Close()
+	view, _ := res.ARel.Clone()
+	return view, cat
 }
 
 func TestRunRevenuePerCustomer(t *testing.T) {
@@ -264,11 +266,7 @@ func TestSPJOrderOnView(t *testing.T) {
 		t.Log("materialised via Relation() not used for identity query (schema empty)")
 	}
 	// Check sortedness by locating columns in the enumeration schema.
-	en, err := frep.NewEnumerator(res.Factorisation().Tree, res.Factorisation().Roots, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sch := en.Schema()
+	sch := frep.FlatSchema(res.Tree())
 	ci := index(sch, "customer")
 	pi := index(sch, "pizza")
 	ii := index(sch, "item")
@@ -511,7 +509,7 @@ func TestDifferentialOrderProperty(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		got, err := res.Factorisation().Flatten()
+		got, err := res.ARel.Flatten()
 		if err != nil {
 			return false
 		}
@@ -528,12 +526,9 @@ func TestDifferentialOrderProperty(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		en, err := frep.NewEnumerator(res.Factorisation().Tree, res.Factorisation().Roots, nil)
-		if err != nil {
-			return false
-		}
-		di := index(en.Schema(), "d")
-		ai := index(en.Schema(), "a")
+		sch := frep.FlatSchema(res.Tree())
+		di := index(sch, "d")
+		ai := index(sch, "a")
 		for i := 1; i < len(rows); i++ {
 			c := values.Compare(rows[i-1][di], rows[i][di])
 			if q.OrderBy[0].Desc {

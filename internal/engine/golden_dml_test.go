@@ -122,7 +122,7 @@ func TestGoldenDMLInterleaving(t *testing.T) {
 	view := m.View()
 
 	// 2. Flat queries: every execution path over the mutated view must
-	// equal the arena path over a from-scratch clone of the same data.
+	// equal a serial run over a from-scratch clone of the same data.
 	ref := cloneDB(view)
 	refEng := New()
 	for i := 1; i <= 5; i++ {
@@ -134,10 +134,6 @@ func TestGoldenDMLInterleaving(t *testing.T) {
 
 		runs := map[string]func() (*Result, error){
 			"arena": func() (*Result, error) { q, _ := workload.FlatAggQuery(i); return New().Run(q, view) },
-			"legacy": func() (*Result, error) {
-				q, _ := workload.FlatAggQuery(i)
-				return (&Engine{PartialAgg: true, Legacy: true}).Run(q, view)
-			},
 			"par2": func() (*Result, error) {
 				q, _ := workload.FlatAggQuery(i)
 				e := New()
@@ -170,19 +166,19 @@ func TestGoldenDMLInterleaving(t *testing.T) {
 	mds := &workload.Dataset{Scale: 1, Orders: view["Orders"], Packages: view["Packages"], Items: view["Items"]}
 	rds := &workload.Dataset{Scale: 1, Orders: ref["Orders"], Packages: ref["Packages"], Items: ref["Items"]}
 	cat := mds.Catalog()
-	mr1, err := mds.FactorisedR1Arena()
+	mr1, err := mds.FactorisedR1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr1, err := rds.FactorisedR1Arena()
+	rr1, err := rds.FactorisedR1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr3, err := mds.FactorisedR3Arena()
+	mr3, err := mds.FactorisedR3()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr3, err := rds.FactorisedR3Arena()
+	rr3, err := rds.FactorisedR3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +215,8 @@ func TestGoldenDMLInterleaving(t *testing.T) {
 	eng := New()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := collectRows(t, func() (*Result, error) { return eng.RunOnARel(c.mk(), c.view, cat) })
-			wantR := collectRows(t, func() (*Result, error) { return eng.RunOnARel(c.mk(), c.rview, cat) })
+			got := collectRows(t, func() (*Result, error) { return eng.RunOnView(c.mk(), c.view, cat) })
+			wantR := collectRows(t, func() (*Result, error) { return eng.RunOnView(c.mk(), c.rview, cat) })
 			diffOrdered(t, c.name, wantR, got)
 		})
 	}

@@ -49,11 +49,11 @@ func TestGoldenKernelVsScalar(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 1})
 	cat := ds.Catalog()
 	db := DB(ds.DB())
-	r1a, err := ds.FactorisedR1Arena()
+	r1a, err := ds.FactorisedR1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3a, err := ds.FactorisedR3Arena()
+	r3a, err := ds.FactorisedR3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestGoldenKernelVsScalar(t *testing.T) {
 			for _, c := range cases {
 				run := func() (*Result, error) {
 					if c.view != nil {
-						return eng.RunOnARel(c.mk(), c.view, cat)
+						return eng.RunOnView(c.mk(), c.view, cat)
 					}
 					return eng.Run(c.mk(), db)
 				}

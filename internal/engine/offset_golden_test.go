@@ -136,7 +136,7 @@ func TestOffsetPastEndCursorNotStuck(t *testing.T) {
 	}
 }
 
-// TestOffsetPastEndView covers the view path (RunOnARel) including a
+// TestOffsetPastEndView covers the view path (RunOnView) including a
 // skip that spans the grouped enumerator's global-group case.
 func TestOffsetPastEndView(t *testing.T) {
 	db, _ := offsetDB(t, 50)
@@ -152,7 +152,7 @@ func TestOffsetPastEndView(t *testing.T) {
 		{Relations: []string{"Big"}, OrderBy: []query.OrderItem{{Attr: "k"}}, Offset: 100},
 		{Relations: []string{"Big"}, Aggregates: []query.Aggregate{{Fn: query.Sum, Arg: "v", As: "s"}}, Offset: 5},
 	} {
-		res, err := eng.RunOnARel(q, view, cat)
+		res, err := eng.RunOnView(q, view, cat)
 		if err != nil {
 			t.Fatal(err)
 		}

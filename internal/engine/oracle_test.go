@@ -21,6 +21,34 @@ import (
 	"github.com/factordb/fdb/internal/workload"
 )
 
+// collectRows runs a query and materialises its result, closing it.
+func collectRows(t *testing.T, run func() (*Result, error)) *relation.Relation {
+	t.Helper()
+	res, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	rel, err := res.Relation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// diffOrdered asserts two results are identical, including row order.
+func diffOrdered(t *testing.T, name string, want, got *relation.Relation) {
+	t.Helper()
+	if len(want.Tuples) != len(got.Tuples) {
+		t.Fatalf("%s: %d rows, want %d", name, len(got.Tuples), len(want.Tuples))
+	}
+	for i := range want.Tuples {
+		if relation.Compare(want.Tuples[i], got.Tuples[i]) != 0 {
+			t.Fatalf("%s: row %d = %v, want %v", name, i, got.Tuples[i], want.Tuples[i])
+		}
+	}
+}
+
 // checkOracle asserts that got answers q as the flat baseline does over
 // flat: the same rows (over the baseline's columns — a factorised view
 // flattens merged classes to one column per member), in an order the
@@ -75,18 +103,18 @@ func checkOracle(t *testing.T, q *query.Query, got *relation.Relation, flat rdb.
 	}
 }
 
-// paperQueries returns the view queries Q1–Q13, the ORD family with and
-// without LIMIT 10. r3 marks queries over the view R3.
-func paperQueries() []struct {
+// paperQuery is one query of the paper's experimental set; r3 marks
+// queries over the view R3 (the rest run on R1).
+type paperQuery struct {
 	name string
 	mk   func() *query.Query
 	r3   bool
-} {
-	type tc = struct {
-		name string
-		mk   func() *query.Query
-		r3   bool
-	}
+}
+
+// paperQueries returns the view queries Q1–Q13, the ORD family with and
+// without LIMIT 10.
+func paperQueries() []paperQuery {
+	type tc = paperQuery
 	cases := []tc{
 		{name: "Q1", mk: workload.Q1}, {name: "Q2", mk: workload.Q2},
 		{name: "Q3", mk: workload.Q3}, {name: "Q4", mk: workload.Q4},
@@ -130,34 +158,33 @@ func flatViews(t *testing.T, ds *workload.Dataset) rdb.DB {
 func TestOracleFlatQueries(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 1})
 	db := DB(ds.DB())
-	for _, legacy := range []bool{false, true} {
-		eng := &Engine{PartialAgg: true, Legacy: legacy}
-		for i := 1; i <= 5; i++ {
-			q, err := workload.FlatAggQuery(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prep, err := eng.Prepare(q, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			surfaces := map[string]func() (*Result, error){
-				"Run":         func() (*Result, error) { return eng.Run(q, db) },
-				"Exec":        func() (*Result, error) { return prep.Exec(db) },
-				"ExecShared1": func() (*Result, error) { return prep.ExecShared(db) },
-				"ExecShared2": func() (*Result, error) { return prep.ExecShared(db) },
-			}
-			for name, run := range surfaces {
-				t.Run(fmt.Sprintf("legacy=%v/Q%d/%s", legacy, i, name), func(t *testing.T) {
-					checkOracle(t, q, collectRows(t, run), rdb.DB(db))
-				})
-			}
+	eng := New()
+	for i := 1; i <= 5; i++ {
+		q, err := workload.FlatAggQuery(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := eng.Prepare(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, run := range map[string]func() (*Result, error){
+			"Run":         func() (*Result, error) { return eng.Run(q, db) },
+			"Exec":        func() (*Result, error) { return prep.Exec(db) },
+			"ExecShared1": func() (*Result, error) { return prep.ExecShared(db) },
+			"ExecShared2": func() (*Result, error) { return prep.ExecShared(db) },
+		} {
+			t.Run(fmt.Sprintf("Q%d/%s", i, name), func(t *testing.T) {
+				checkOracle(t, q, collectRows(t, run), rdb.DB(db))
+			})
 		}
 	}
 }
 
 // TestOracleViewQueries runs Q1–Q13 (ORD with and without LIMIT)
-// through RunOnView over the materialised views.
+// through RunOnView over the materialised views, after anchoring the
+// views themselves: each must flatten to exactly the flat relation the
+// baseline evaluates on.
 func TestOracleViewQueries(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 1})
 	cat := ds.Catalog()
@@ -170,73 +197,32 @@ func TestOracleViewQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1a, err := ds.FactorisedR1Arena()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3a, err := ds.FactorisedR3Arena()
-	if err != nil {
-		t.Fatal(err)
+	for name, v := range map[string]*fops.ARel{"R1": r1, "R3": r3} {
+		if err := v.Check(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := v.Flatten()
+		if err != nil {
+			t.Fatal(err)
+		}
+		proj, err := got.Project(flat[name].Attrs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Tuples) != len(flat[name].Tuples) || !relation.EqualAsSets(proj, flat[name]) {
+			t.Fatalf("%s: view flattens to %d tuples, flat relation has %d (or contents differ)",
+				name, len(got.Tuples), len(flat[name].Tuples))
+		}
 	}
 	eng := New()
 	for _, c := range paperQueries() {
-		view, aview := r1, r1a
+		view := r1
 		if c.r3 {
-			view, aview = r3, r3a
+			view = r3
 		}
-		for name, run := range map[string]func() (*Result, error){
-			"legacy": func() (*Result, error) { return eng.RunOnView(c.mk(), view, cat) },
-			"arena":  func() (*Result, error) { return eng.RunOnARel(c.mk(), aview, cat) },
-		} {
-			t.Run(c.name+"/"+name, func(t *testing.T) {
-				checkOracle(t, c.mk(), collectRows(t, run), flat)
-			})
-		}
-	}
-}
-
-// TestViewsRepresentFlatJoins anchors the materialised views themselves:
-// each flattens to exactly the flat relation the baseline joins.
-func TestViewsRepresentFlatJoins(t *testing.T) {
-	ds := workload.Generate(workload.Config{Scale: 1})
-	flat := flatViews(t, ds)
-	r1, err := ds.FactorisedR1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3, err := ds.FactorisedR3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1a, err := ds.FactorisedR1Arena()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3a, err := ds.FactorisedR3Arena()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, v := range map[string]struct {
-		rel  fops.Rel
-		want *relation.Relation
-	}{
-		"R1/legacy": {r1, flat["R1"]}, "R1/arena": {r1a, flat["R1"]},
-		"R3/legacy": {r3, flat["R3"]}, "R3/arena": {r3a, flat["R3"]},
-	} {
-		if err := v.rel.Check(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := v.rel.Flatten()
-		if err != nil {
-			t.Fatal(err)
-		}
-		proj, err := got.Project(v.want.Attrs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Tuples) != len(v.want.Tuples) || !relation.EqualAsSets(proj, v.want) {
-			t.Fatalf("%s: view flattens to %d tuples, flat relation has %d (or contents differ)",
-				name, len(got.Tuples), len(v.want.Tuples))
-		}
+		t.Run(c.name, func(t *testing.T) {
+			got := collectRows(t, func() (*Result, error) { return eng.RunOnView(c.mk(), view, cat) })
+			checkOracle(t, c.mk(), got, flat)
+		})
 	}
 }

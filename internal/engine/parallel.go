@@ -86,16 +86,15 @@ func StorePoolReturns() int64 { return storeReturns.Load() }
 // noteParallelExec records one query executed with a parallelism
 // budget above 1, for /stats accounting.
 func noteParallelExec(ar *fops.ARel) {
-	if ar != nil && ar.Par > 1 {
+	if ar.Par > 1 {
 		parQueries.Add(1)
 	}
 }
 
 // parallelism returns the result's effective intra-query parallelism:
-// the budget recorded on the arena relation at execution time, or 1 for
-// legacy results.
+// the budget recorded on the relation at execution time.
 func (r *Result) parallelism() int {
-	if r.ARel != nil && r.ARel.Par > 1 {
+	if r.ARel.Par > 1 {
 		return r.ARel.Par
 	}
 	return 1
@@ -116,13 +115,6 @@ func enumFanout(par int) int {
 		return MaxEnumFanout
 	}
 	return par
-}
-
-// segmentable is the window surface of the arena enumerators
-// (frep.StoreEnumerator / frep.StoreGroupEnumerator).
-type segmentable interface {
-	SegmentUniverse() int
-	Restrict(lo, hi int)
 }
 
 // rowCloser is implemented by cursors that own background workers;
@@ -261,14 +253,14 @@ func (pc *parCursor) close() {
 
 // maybeParallelEnum decides whether to fan an enumeration out: build
 // returns one cursor over the full stream (the probe, also the serial
-// fallback) whose inner enumerator must satisfy segmentable; when the
-// universe is at least floor, fresh per-segment cursors are built with
-// Restrict windows and merged by a parCursor. seg extracts the
-// segmentable from a built cursor, and desc reports whether the outer
-// loop runs descending (drain order reverses). floor is
-// MinParallelEnumRows for row-universe cursors and MinParallelGroupRows
-// for the grouped cursor, whose universe counts groups.
-func (r *Result) maybeParallelEnum(build func() (rowCursor, error), seg func(rowCursor) segmentable, desc bool, floor int) (rowCursor, error) {
+// fallback); when the universe is at least floor, fresh per-segment
+// cursors are built with Restrict windows and merged by a parCursor.
+// seg extracts the enumerator from a built cursor, and desc reports
+// whether the outer loop runs descending (drain order reverses). floor
+// is MinParallelEnumRows for row-universe cursors and
+// MinParallelGroupRows for the grouped cursor, whose universe counts
+// groups.
+func (r *Result) maybeParallelEnum(build func() (rowCursor, error), seg func(rowCursor) storeEnum, desc bool, floor int) (rowCursor, error) {
 	probe, err := build()
 	if err != nil {
 		return nil, err
@@ -278,9 +270,6 @@ func (r *Result) maybeParallelEnum(build func() (rowCursor, error), seg func(row
 		return probe, nil
 	}
 	se := seg(probe)
-	if se == nil {
-		return probe, nil
-	}
 	n := se.SegmentUniverse()
 	if n < floor {
 		return probe, nil
@@ -302,14 +291,4 @@ func (r *Result) maybeParallelEnum(build func() (rowCursor, error), seg func(row
 		curs[w] = c
 	}
 	return newParCursor(curs, desc), nil
-}
-
-// asSegmentable type-asserts an enumerator to the window surface,
-// returning nil for the pointer-based (legacy) enumerators.
-func asSegmentable(v any) segmentable {
-	se, ok := v.(segmentable)
-	if !ok {
-		return nil
-	}
-	return se
 }

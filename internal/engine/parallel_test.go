@@ -47,11 +47,11 @@ func TestGoldenParallelMatchesSerialView(t *testing.T) {
 	forceParallelThresholds(t)
 	ds := workload.Generate(workload.Config{Scale: 1})
 	cat := ds.Catalog()
-	r1, err := ds.FactorisedR1Arena()
+	r1, err := ds.FactorisedR1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3, err := ds.FactorisedR3Arena()
+	r3, err := ds.FactorisedR3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +93,10 @@ func TestGoldenParallelMatchesSerialView(t *testing.T) {
 	serial := &Engine{PartialAgg: true, Parallelism: 1}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want := collectRows(t, func() (*Result, error) { return serial.RunOnARel(c.mk(), c.aview, cat) })
+			want := collectRows(t, func() (*Result, error) { return serial.RunOnView(c.mk(), c.aview, cat) })
 			for _, par := range []int{2, 8} {
 				eng := &Engine{PartialAgg: true, Parallelism: par}
-				got := collectRows(t, func() (*Result, error) { return eng.RunOnARel(c.mk(), c.aview, cat) })
+				got := collectRows(t, func() (*Result, error) { return eng.RunOnView(c.mk(), c.aview, cat) })
 				diffOrdered(t, fmt.Sprintf("%s/P=%d", c.name, par), want, got)
 			}
 		})

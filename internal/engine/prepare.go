@@ -177,9 +177,6 @@ func (p *Prepared) buildForest(ctx context.Context, db DB, st *frep.Store) (*ftr
 // optimisation. Exec may be called concurrently from multiple
 // goroutines. Call Result.Close when done with the result to recycle
 // its store.
-//
-// With Engine.Legacy set, execution uses the pointer-based
-// representation instead (and Result.FRel is populated).
 func (p *Prepared) Exec(db DB) (*Result, error) {
 	return p.ExecContext(context.Background(), db)
 }
@@ -189,9 +186,6 @@ func (p *Prepared) Exec(db DB) (*Result, error) {
 // the pooled store is returned before the error surfaces, so a
 // cancelled execution leaks nothing.
 func (p *Prepared) ExecContext(ctx context.Context, db DB) (*Result, error) {
-	if p.eng.Legacy {
-		return p.execLegacy(ctx, db)
-	}
 	st := getStore()
 	f, roots, err := p.buildForest(ctx, db, st)
 	if err != nil {
@@ -221,9 +215,6 @@ func (p *Prepared) ExecShared(db DB) (*Result, error) {
 // cancellation during that build is not cached, so the next call
 // rebuilds it.
 func (p *Prepared) ExecSharedContext(ctx context.Context, db DB) (*Result, error) {
-	if p.eng.Legacy {
-		return p.execLegacy(ctx, db)
-	}
 	p.shared.mu.Lock()
 	if p.shared.built {
 		// Stale-plan guard: if any relation in db is a different pointer
@@ -296,36 +287,4 @@ func (p *Prepared) finish(ctx context.Context, ar *fops.ARel) (*Result, error) {
 	}
 	noteParallelExec(ar)
 	return &Result{Query: p.Query, ARel: ar, Plan: p.Plan, eng: p.eng, pooled: true}, nil
-}
-
-// execLegacy is the pointer-based execution path, kept for old-vs-new
-// equivalence testing.
-func (p *Prepared) execLegacy(ctx context.Context, db DB) (*Result, error) {
-	f := ftree.New()
-	var roots []*frep.Union
-	for i, name := range p.Query.Relations {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rel, ok := db[name]
-		if !ok {
-			return nil, fmt.Errorf("engine: unknown relation %q", name)
-		}
-		f.NewRelationPath(p.Orders[i]...)
-		sub := ftree.New()
-		sub.NewRelationPath(p.Orders[i]...)
-		rs, err := frep.BuildUnchecked(rel, sub)
-		if err != nil {
-			return nil, err
-		}
-		roots = append(roots, rs[0])
-	}
-	fr := &fops.FRel{Tree: f, Roots: roots}
-	if fr.IsEmpty() {
-		fr.MakeEmpty()
-	}
-	if err := p.Plan.ExecuteContext(ctx, fr); err != nil {
-		return nil, err
-	}
-	return &Result{Query: p.Query, FRel: fr, Plan: p.Plan, eng: p.eng}, nil
 }

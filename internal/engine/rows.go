@@ -325,7 +325,7 @@ func (r *Result) newCursor() (rowCursor, error) {
 // SPJ path. Skipping delegates to the enumerator, so no skipped tuple
 // is ever assembled.
 type projCursor struct {
-	en  frep.TupleEnum
+	en  *frep.StoreEnumerator
 	idx []int
 	out relation.Tuple
 }
@@ -349,7 +349,7 @@ func (r *Result) newSPJCursor() (rowCursor, error) {
 		specs = append(specs, frep.OrderSpec{Attr: o.Attr, Desc: o.Desc})
 	}
 	build := func() (rowCursor, error) {
-		en, err := r.rel().Enumerator(specs)
+		en, err := r.ARel.Enumerator(specs)
 		if err != nil {
 			return nil, err
 		}
@@ -364,8 +364,8 @@ func (r *Result) newSPJCursor() (rowCursor, error) {
 		return &projCursor{en: en, idx: idx, out: make(relation.Tuple, len(idx))}, nil
 	}
 	desc := len(specs) > 0 && specs[0].Desc
-	return r.maybeParallelEnum(build, func(c rowCursor) segmentable {
-		return asSegmentable(c.(*projCursor).en)
+	return r.maybeParallelEnum(build, func(c rowCursor) storeEnum {
+		return c.(*projCursor).en
 	}, desc, MinParallelEnumRows)
 }
 
@@ -374,7 +374,7 @@ func (r *Result) newSPJCursor() (rowCursor, error) {
 // no HAVING, skipping delegates to the group enumerator and therefore
 // never evaluates the skipped groups' aggregates.
 type groupCursor struct {
-	ge       frep.GroupEnum
+	ge       *frep.StoreGroupEnumerator
 	groupIdx []int
 	aggOuts  []aggOutput
 	nGroup   int
@@ -435,8 +435,8 @@ func skipBySteps(c rowCursor, n int) (int, error) {
 func (r *Result) newGroupedCursor(applyOrder bool) (rowCursor, error) {
 	build := func() (rowCursor, error) { return r.buildGroupedCursor(applyOrder) }
 	desc := applyOrder && len(r.Query.OrderBy) > 0 && r.Query.OrderBy[0].Desc
-	return r.maybeParallelEnum(build, func(c rowCursor) segmentable {
-		return asSegmentable(c.(*groupCursor).ge)
+	return r.maybeParallelEnum(build, func(c rowCursor) storeEnum {
+		return c.(*groupCursor).ge
 	}, desc, MinParallelGroupRows)
 }
 
@@ -470,17 +470,15 @@ func (r *Result) buildGroupedCursor(applyOrder bool) (*groupCursor, error) {
 			}
 		}
 	}
-	ge, err := r.rel().GroupEnumerator(specs, fields)
+	ge, err := r.ARel.GroupEnumerator(specs, fields)
 	if err != nil {
 		return nil, err
 	}
-	if sge, ok := ge.(*frep.StoreGroupEnumerator); ok {
-		// Global aggregates (no group loops) evaluate each part once
-		// over a whole root subtree; parallelism lives inside that
-		// evaluation rather than in windowing the (absent) group loop.
-		if par := r.parallelism(); par > 1 {
-			sge.SetParallelEval(par)
-		}
+	// Global aggregates (no group loops) evaluate each part once over a
+	// whole root subtree; parallelism lives inside that evaluation
+	// rather than in windowing the (absent) group loop.
+	if par := r.parallelism(); par > 1 {
+		ge.SetParallelEval(par)
 	}
 	schema := ge.Schema()
 	nGroupCols := len(schema) - len(fields)

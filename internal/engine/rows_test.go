@@ -2,8 +2,8 @@ package engine
 
 // Cursor-path golden suite: for every query of the workload's
 // experimental set, the streaming Rows cursor must produce exactly the
-// rows of ForEach/Relation, on both representations, and OFFSET must
-// slice the stream without changing its contents.
+// rows of ForEach/Relation, and OFFSET must slice the stream without
+// changing its contents.
 
 import (
 	"context"
@@ -45,8 +45,8 @@ func collectCursor(t *testing.T, run func() (*Result, error)) *relation.Relation
 }
 
 // TestGoldenCursorMatchesForEach runs the workload view queries through
-// ForEach (via Relation) and through the Rows cursor, on both the
-// legacy and arena representations, and requires identical rows.
+// ForEach (via Relation) and through the Rows cursor and requires
+// identical rows.
 func TestGoldenCursorMatchesForEach(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 1})
 	cat := ds.Catalog()
@@ -54,102 +54,44 @@ func TestGoldenCursorMatchesForEach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1a, err := ds.FactorisedR1Arena()
-	if err != nil {
-		t.Fatal(err)
-	}
 	r3, err := ds.FactorisedR3()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3a, err := ds.FactorisedR3Arena()
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyEng := &Engine{PartialAgg: true, Legacy: true}
-	arenaEng := &Engine{PartialAgg: true}
-
-	type runner struct {
-		name string
-		run  func(mk func() *query.Query) func() (*Result, error)
-	}
-	mkView := func(i int) func() *query.Query {
-		return func() *query.Query {
-			q, err := workload.AggQuery(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return q
+	eng := New()
+	for _, c := range paperQueries() {
+		view := r1
+		if c.r3 {
+			view = r3
 		}
-	}
-	cases := []struct {
-		name string
-		mk   func() *query.Query
-		r3q  bool
-	}{
-		{name: "Q1", mk: mkView(1)}, {name: "Q2", mk: mkView(2)},
-		{name: "Q3", mk: mkView(3)}, {name: "Q4", mk: mkView(4)},
-		{name: "Q5", mk: mkView(5)},
-		{name: "Q6", mk: workload.Q6}, {name: "Q7", mk: workload.Q7},
-		{name: "Q8", mk: workload.Q8}, {name: "Q9", mk: workload.Q9},
-		{name: "Q10", mk: func() *query.Query { return workload.Q10(10) }},
-		{name: "Q11", mk: func() *query.Query { return workload.Q11(0) }},
-		{name: "Q12", mk: func() *query.Query { return workload.Q12(10) }},
-		{name: "Q13", mk: func() *query.Query { return workload.Q13(0) }, r3q: true},
-	}
-	for _, c := range cases {
-		runners := []runner{
-			{"legacy", func(mk func() *query.Query) func() (*Result, error) {
-				view := r1
-				if c.r3q {
-					view = r3
-				}
-				return func() (*Result, error) { return legacyEng.RunOnView(mk(), view, cat) }
-			}},
-			{"arena", func(mk func() *query.Query) func() (*Result, error) {
-				view := r1a
-				if c.r3q {
-					view = r3a
-				}
-				return func() (*Result, error) { return arenaEng.RunOnARel(mk(), view, cat) }
-			}},
-		}
-		for _, rn := range runners {
-			t.Run(c.name+"/"+rn.name, func(t *testing.T) {
-				viaForEach := collectRows(t, rn.run(c.mk))
-				viaCursor := collectCursor(t, rn.run(c.mk))
-				diffOrdered(t, c.name, viaForEach, viaCursor)
-			})
-		}
+		run := func() (*Result, error) { return eng.RunOnView(c.mk(), view, cat) }
+		t.Run(c.name, func(t *testing.T) {
+			diffOrdered(t, c.name, collectRows(t, run), collectCursor(t, run))
+		})
 	}
 }
 
 // TestGoldenCursorFlatQueries covers the Prepare/Exec join path through
-// the cursor on both representations.
+// the cursor.
 func TestGoldenCursorFlatQueries(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 1})
 	db := DB(ds.DB())
-	for _, eng := range []*Engine{{PartialAgg: true}, {PartialAgg: true, Legacy: true}} {
-		name := "arena"
-		if eng.Legacy {
-			name = "legacy"
+	eng := New()
+	for i := 1; i <= 5; i++ {
+		q, err := workload.FlatAggQuery(i)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 1; i <= 5; i++ {
-			q, err := workload.FlatAggQuery(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			viaForEach := collectRows(t, func() (*Result, error) { return eng.Run(q, db) })
-			q2, _ := workload.FlatAggQuery(i)
-			viaCursor := collectCursor(t, func() (*Result, error) { return eng.Run(q2, db) })
-			diffOrdered(t, fmt.Sprintf("%s/flat-Q%d", name, i), viaForEach, viaCursor)
-		}
+		viaForEach := collectRows(t, func() (*Result, error) { return eng.Run(q, db) })
+		q2, _ := workload.FlatAggQuery(i)
+		viaCursor := collectCursor(t, func() (*Result, error) { return eng.Run(q2, db) })
+		diffOrdered(t, fmt.Sprintf("flat-Q%d", i), viaForEach, viaCursor)
 	}
 }
 
 // TestOffsetSlicesStream asserts that LIMIT n OFFSET m yields exactly
 // rows [m, m+n) of the unpaged stream, for SPJ, grouped and
-// aggregate-ordered queries, on both representations.
+// aggregate-ordered queries.
 func TestOffsetSlicesStream(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 1})
 	db := DB(ds.DB())
@@ -168,45 +110,40 @@ func TestOffsetSlicesStream(t *testing.T) {
 		{"grouped", func() *query.Query { q, _ := workload.FlatAggQuery(2); return q }},
 		{"agg-ordered", func() *query.Query { q, _ := workload.FlatAggQuery(4); return q }},
 	}
-	for _, eng := range []*Engine{{PartialAgg: true}, {PartialAgg: true, Legacy: true}} {
-		engName := "arena"
-		if eng.Legacy {
-			engName = "legacy"
+	eng := New()
+	for _, c := range cases {
+		base := c.mk()
+		base.Limit = 0
+		base.Offset = 0
+		full := collectCursor(t, func() (*Result, error) { return eng.Run(base, db) })
+		n := len(full.Tuples)
+		if n < 4 {
+			t.Fatalf("%s: only %d rows; test needs more", c.name, n)
 		}
-		for _, c := range cases {
-			base := c.mk()
-			base.Limit = 0
-			base.Offset = 0
-			full := collectCursor(t, func() (*Result, error) { return eng.Run(base, db) })
-			n := len(full.Tuples)
-			if n < 4 {
-				t.Fatalf("%s/%s: only %d rows; test needs more", engName, c.name, n)
+		for _, page := range []struct{ limit, offset int }{
+			{0, 1}, {2, 0}, {2, 2}, {3, n - 2}, {2, n}, {2, n + 5},
+		} {
+			q := c.mk()
+			q.Limit = page.limit
+			q.Offset = page.offset
+			got := collectCursor(t, func() (*Result, error) { return eng.Run(q, db) })
+			lo := page.offset
+			if lo > n {
+				lo = n
 			}
-			for _, page := range []struct{ limit, offset int }{
-				{0, 1}, {2, 0}, {2, 2}, {3, n - 2}, {2, n}, {2, n + 5},
-			} {
-				q := c.mk()
-				q.Limit = page.limit
-				q.Offset = page.offset
-				got := collectCursor(t, func() (*Result, error) { return eng.Run(q, db) })
-				lo := page.offset
-				if lo > n {
-					lo = n
-				}
-				hi := n
-				if page.limit > 0 && lo+page.limit < hi {
-					hi = lo + page.limit
-				}
-				want := full.Tuples[lo:hi]
-				if len(got.Tuples) != len(want) {
-					t.Fatalf("%s/%s limit=%d offset=%d: %d rows, want %d",
-						engName, c.name, page.limit, page.offset, len(got.Tuples), len(want))
-				}
-				for i := range want {
-					if relation.Compare(got.Tuples[i], want[i]) != 0 {
-						t.Fatalf("%s/%s limit=%d offset=%d row %d: %v, want %v",
-							engName, c.name, page.limit, page.offset, i, got.Tuples[i], want[i])
-					}
+			hi := n
+			if page.limit > 0 && lo+page.limit < hi {
+				hi = lo + page.limit
+			}
+			want := full.Tuples[lo:hi]
+			if len(got.Tuples) != len(want) {
+				t.Fatalf("%s limit=%d offset=%d: %d rows, want %d",
+					c.name, page.limit, page.offset, len(got.Tuples), len(want))
+			}
+			for i := range want {
+				if relation.Compare(got.Tuples[i], want[i]) != 0 {
+					t.Fatalf("%s limit=%d offset=%d row %d: %v, want %v",
+						c.name, page.limit, page.offset, i, got.Tuples[i], want[i])
 				}
 			}
 		}

@@ -47,17 +47,17 @@ func SeekSkipStats() OffsetStats {
 	}
 }
 
-// directSeeker is the ranked direct-access surface of the arena
-// enumerators (frep.StoreEnumerator / frep.StoreGroupEnumerator); the
-// pointer-based legacy enumerators do not implement it.
-type directSeeker interface {
+// storeEnum is the ranked direct-access, counting and windowing surface
+// that frep.StoreEnumerator and frep.StoreGroupEnumerator share; the
+// cursors below route OFFSET, TotalCount and segment fan-out through it.
+type storeEnum interface {
 	Seek(k int) int
 	SeekRanked() bool
+	Total() int64
+	SegmentUniverse() int
+	Restrict(lo, hi int)
+	WeightedSegments(p int) [][2]int
 }
-
-// enumTotaler is the pre-enumeration counting surface of the arena
-// enumerators.
-type enumTotaler interface{ Total() int64 }
 
 // rowSeeker is implemented by cursors that can apply an OFFSET by
 // direct positioning. seekRows returns (skipped, true) when it handled
@@ -76,28 +76,15 @@ type rowTotaler interface {
 // enumSeek routes a skip through an enumerator's Seek when profitable:
 // always on the ranked path, only past SeekFallbackMin on the memoized
 // fallback.
-func enumSeek(en any, n int) (int, bool) {
-	ds, ok := en.(directSeeker)
-	if !ok {
+func enumSeek(en storeEnum, n int) (int, bool) {
+	if !en.SeekRanked() && n < SeekFallbackMin {
 		return 0, false
 	}
-	if !ds.SeekRanked() && n < SeekFallbackMin {
-		return 0, false
-	}
-	return ds.Seek(n), true
-}
-
-// enumTotal reads an enumerator's stream count when available.
-func enumTotal(en any) (int64, bool) {
-	tt, ok := en.(enumTotaler)
-	if !ok {
-		return 0, false
-	}
-	return tt.Total(), true
+	return en.Seek(n), true
 }
 
 func (c *projCursor) seekRows(n int) (int, bool) { return enumSeek(c.en, n) }
-func (c *projCursor) totalRows() (int64, bool)   { return enumTotal(c.en) }
+func (c *projCursor) totalRows() (int64, bool)   { return c.en.Total(), true }
 func (c *sliceCursor) totalRows() (int64, bool)  { return int64(len(c.rows)), true }
 
 // A HAVING filter makes output positions diverge from enumerator
@@ -114,7 +101,7 @@ func (c *groupCursor) totalRows() (int64, bool) {
 	if c.having != nil {
 		return 0, false
 	}
-	return enumTotal(c.ge)
+	return c.ge.Total(), true
 }
 
 func (c *matCursor) seekRows(n int) (int, bool) {
@@ -128,12 +115,12 @@ func (c *matCursor) totalRows() (int64, bool) {
 	if c.having != nil {
 		return 0, false
 	}
-	return enumTotal(c.en)
+	return c.en.Total(), true
 }
 
 // TotalCount returns the number of rows the query yields before OFFSET
 // and LIMIT are applied (HAVING included) — the denominator a paginating
-// caller needs. On ranked arena results it is answered from the
+// caller needs. On ranked results it is answered from the
 // subtree-count index without enumerating; otherwise the stream is
 // counted. It does not advance any open Rows.
 func (r *Result) TotalCount() (int64, error) {
@@ -176,7 +163,7 @@ func fastCountQuery(q *query.Query) bool {
 }
 
 // fastCountValue answers a bare COUNT(*) from the ranked root counts of
-// the (unexecuted) arena input: the flat result of a forest is the
+// the (unexecuted) input: the flat result of a forest is the
 // product of its root subtree counts. It declines — and the normal
 // aggregation plan runs — when any root lacks the index or the product
 // overflows.
@@ -206,11 +193,9 @@ func fastCountValue(q *query.Query, ar *fops.ARel) (int64, bool) {
 // out: count-balanced via the ranked index when the enumerator offers
 // it (so a hot outer value no longer serialises the merge behind one
 // worker), uniform otherwise.
-func segmentsFor(se segmentable, n, par int) [][2]int {
-	if ws, ok := se.(interface{ WeightedSegments(p int) [][2]int }); ok {
-		if segs := ws.WeightedSegments(par); segs != nil {
-			return segs
-		}
+func segmentsFor(se storeEnum, n, par int) [][2]int {
+	if segs := se.WeightedSegments(par); segs != nil {
+		return segs
 	}
 	return frep.Segments(n, par)
 }

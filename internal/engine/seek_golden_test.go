@@ -5,7 +5,7 @@ package engine
 // relations) runs with OFFSET at the boundaries the issue pins — 0, 1,
 // deep inside the stream, and past the end — and the output must be
 // byte-identical between the linear-skip path (unranked store, serial)
-// and the ranked-seek path at every parallelism level, on Run/RunOnARel
+// and the ranked-seek path at every parallelism level, on Run/RunOnView
 // and on the shared-snapshot execution path. Bare COUNT(*) answered
 // from the ranked index must match the enumerated count on every
 // workload relation, and TotalCount must equal the pre-OFFSET stream
@@ -78,11 +78,11 @@ func rankedViewCases(t *testing.T, r1a, r3a *fops.ARel) []struct {
 func TestGoldenRankedSeekViewQueries(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 1})
 	cat := ds.Catalog()
-	r1a, err := ds.FactorisedR1Arena()
+	r1a, err := ds.FactorisedR1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3a, err := ds.FactorisedR3Arena()
+	r3a, err := ds.FactorisedR3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestGoldenRankedSeekViewQueries(t *testing.T) {
 		for _, off := range seekOffsetsUnderTest {
 			c, off := c, off
 			baseline[fmt.Sprintf("%s/offset=%d", c.name, off)] = collectRows(t, func() (*Result, error) {
-				return serial.RunOnARel(c.mk(off, limit), c.aview, cat)
+				return serial.RunOnView(c.mk(off, limit), c.aview, cat)
 			})
 		}
 	}
@@ -120,7 +120,7 @@ func TestGoldenRankedSeekViewQueries(t *testing.T) {
 				c, off := c, off
 				name := fmt.Sprintf("P=%d/%s/offset=%d", par, c.name, off)
 				got := collectRows(t, func() (*Result, error) {
-					return eng.RunOnARel(c.mk(off, limit), c.aview, cat)
+					return eng.RunOnView(c.mk(off, limit), c.aview, cat)
 				})
 				diffOrdered(t, name, baseline[fmt.Sprintf("%s/offset=%d", c.name, off)], got)
 			}
@@ -285,7 +285,7 @@ func TestTotalCountMatchesEnumeration(t *testing.T) {
 func TestSeekOffsetCountersAdvance(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 1})
 	cat := ds.Catalog()
-	r1a, err := ds.FactorisedR1Arena()
+	r1a, err := ds.FactorisedR1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestSeekOffsetCountersAdvance(t *testing.T) {
 	q.Offset = 3
 
 	before := SeekSkipStats()
-	res, err := New().RunOnARel(q, r1a, cat)
+	res, err := New().RunOnView(q, r1a, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestSeekOffsetCountersAdvance(t *testing.T) {
 	if err := r1a.Store.BuildRanks(); err != nil {
 		t.Fatal(err)
 	}
-	res, err = New().RunOnARel(workloadWithOffset(3), r1a, cat)
+	res, err = New().RunOnView(workloadWithOffset(3), r1a, cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func pageCost(t *testing.T, view *fops.ARel, off, reps int) time.Duration {
 	for i := 0; i < reps; i++ {
 		q := &query.Query{Relations: []string{"Deep"}, Offset: off, Limit: 10}
 		start := time.Now()
-		res, err := eng.RunOnARel(q, view, nil)
+		res, err := eng.RunOnView(q, view, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,11 @@
 package fops
 
-// ARel is the arena-backed factorised relation: the same coupled
-// (f-tree, representation) pair as FRel, but with all unions living in
-// one frep.Store and addressed by node indices. Operators are
-// arena-to-arena transforms: they append new nodes that reference
-// untouched subtrees in place, so there are no per-node allocations and
-// no deep clones — a whole-forest clone is three slab copies and a
-// snapshot is O(1).
+// ARel is the factorised relation the operators work on: a coupled
+// (f-tree, representation) pair with all unions living in one
+// frep.Store and addressed by node indices. Operators are arena-to-arena
+// transforms: they append new nodes that reference untouched subtrees in
+// place, so there are no per-node allocations and no deep clones — a
+// whole-forest clone is three slab copies and a snapshot is O(1).
 
 import (
 	"fmt"
@@ -15,40 +14,6 @@ import (
 	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/relation"
 	"github.com/factordb/fdb/internal/values"
-)
-
-// Rel is the operator surface shared by the pointer-based FRel and the
-// arena-backed ARel: everything an f-plan (and the engine's enumeration
-// paths) needs, independent of the representation.
-type Rel interface {
-	// Forest returns the f-tree of the factorised relation.
-	Forest() *ftree.Forest
-	IsEmpty() bool
-	MakeEmpty()
-	Singletons() int
-	Check() error
-	Flatten() (*relation.Relation, error)
-	SelectConst(attr string, op CmpOp, c values.Value) error
-	Merge(attrA, attrB string) error
-	Absorb(attrAnc, attrDesc string) error
-	RemoveLeaf(attr string) error
-	Rename(attr, to string) error
-	Swap(attr string) error
-	SwapNode(n *ftree.Node) error
-	Gamma(attr string, fields []ftree.AggField) error
-	GammaNode(n *ftree.Node, fields []ftree.AggField) error
-	ComputeScalar(attr, newName string, fn func(values.Value) values.Value) error
-	// Enumerator returns a constant-delay enumerator over the
-	// representation, nil order for document order.
-	Enumerator(order []frep.OrderSpec) (frep.TupleEnum, error)
-	// GroupEnumerator returns a grouped enumerator computing the fields
-	// per combination of the group attributes.
-	GroupEnumerator(g []frep.OrderSpec, fields []ftree.AggField) (frep.GroupEnum, error)
-}
-
-var (
-	_ Rel = (*FRel)(nil)
-	_ Rel = (*ARel)(nil)
 )
 
 // ARel couples an f-tree with an arena representation over it: one store
@@ -85,26 +50,6 @@ func FromRelationStoreUnchecked(s *frep.Store, rel *relation.Relation, f *ftree.
 	}
 	return &ARel{Tree: f, Store: s, Roots: roots}, nil
 }
-
-// FromFRel copies a pointer-based factorised relation into a fresh arena
-// store. The input is unchanged; the f-tree is cloned, since operators
-// mutate their tree and the two relations must stay independent.
-func FromFRel(fr *FRel) *ARel {
-	s := frep.NewStore()
-	t, _ := fr.Tree.Clone()
-	return &ARel{Tree: t, Store: s, Roots: s.FromUnions(fr.Roots)}
-}
-
-// ToFRel materialises the pointer-based compatibility view of the arena
-// relation (for diffing old against new, and for APIs that still speak
-// *frep.Union). The f-tree is cloned so the two views stay independent.
-func (ar *ARel) ToFRel() *FRel {
-	t, _ := ar.Tree.Clone()
-	return &FRel{Tree: t, Roots: ar.Store.ToUnions(ar.Roots)}
-}
-
-// Forest implements Rel.
-func (ar *ARel) Forest() *ftree.Forest { return ar.Tree }
 
 // Clone deep-copies the factorised relation — three slab copies plus the
 // f-tree, regardless of node count. The returned ARel's tree nodes
@@ -160,13 +105,15 @@ func (ar *ARel) Flatten() (*relation.Relation, error) {
 // Singletons returns the representation size in singletons.
 func (ar *ARel) Singletons() int { return ar.Store.SingletonsAll(ar.Roots) }
 
-// Enumerator implements Rel.
-func (ar *ARel) Enumerator(order []frep.OrderSpec) (frep.TupleEnum, error) {
+// Enumerator returns a constant-delay enumerator over the
+// representation, nil order for document order.
+func (ar *ARel) Enumerator(order []frep.OrderSpec) (*frep.StoreEnumerator, error) {
 	return frep.NewStoreEnumerator(ar.Tree, ar.Store, ar.Roots, order)
 }
 
-// GroupEnumerator implements Rel.
-func (ar *ARel) GroupEnumerator(g []frep.OrderSpec, fields []ftree.AggField) (frep.GroupEnum, error) {
+// GroupEnumerator returns a grouped enumerator computing the fields per
+// combination of the group attributes.
+func (ar *ARel) GroupEnumerator(g []frep.OrderSpec, fields []ftree.AggField) (*frep.StoreGroupEnumerator, error) {
 	return frep.NewStoreGroupEnumerator(ar.Tree, ar.Store, ar.Roots, g, fields)
 }
 
@@ -236,12 +183,12 @@ func rebuildIn(st *frep.Store, id frep.NodeID, path []int, fn rebuildFn) (frep.N
 	return st.Add(vals, arity, kids), nil
 }
 
-// Product combines two arena factorised relations into one representing
-// their Cartesian product: the forests are concatenated (with b's
-// dependency tokens shifted to stay disjoint from a's) and b's store
-// contents are grafted into a's when the two differ. The inputs are
-// consumed.
-func ProductArena(a, b *ARel) *ARel {
+// Product combines two factorised relations into one representing their
+// Cartesian product: the forests are concatenated (with b's dependency
+// tokens shifted to stay disjoint from a's), the root unions appended,
+// and b's store contents grafted into a's when the two differ. The
+// inputs are consumed.
+func Product(a, b *ARel) *ARel {
 	b.Tree.ShiftTokens(a.Tree.TokenBound())
 	a.Tree.Concat(b.Tree)
 	if a.Store == b.Store {
@@ -258,23 +205,17 @@ func ProductArena(a, b *ARel) *ARel {
 	return a
 }
 
-// pathFromRoot returns the index of n's root tree and the child-index
-// path from that root down to n (shared with FRel).
+// pathFromRoot locates node n in the relation's forest: the index of its
+// root and the child-index path from that root down to n (empty when n
+// is a root).
 func (ar *ARel) pathFromRoot(n *ftree.Node) (int, []int, error) {
-	return pathFromRoot(ar.Tree, n)
-}
-
-// pathFromRoot locates node n in the forest: the index of its root and
-// the child-index path from that root down to n (empty when n is a
-// root).
-func pathFromRoot(t *ftree.Forest, n *ftree.Node) (int, []int, error) {
 	var rev []int
 	top := n
 	for top.Parent != nil {
 		rev = append(rev, top.Parent.ChildIndex(top))
 		top = top.Parent
 	}
-	ri := t.RootIndex(top)
+	ri := ar.Tree.RootIndex(top)
 	if ri < 0 {
 		return 0, nil, fmt.Errorf("fops: node %s not in this forest", n.Label())
 	}

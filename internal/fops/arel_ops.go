@@ -1,13 +1,12 @@
 package fops
 
-// Arena ports of the f-plan operators. Each is the same algorithm as its
-// pointer-based counterpart in select.go / gamma.go, but reads and
-// writes store slabs: new nodes are appended, untouched subtrees are
-// referenced by id, and no per-node heap objects are created. Operators
-// express their per-occurrence transform as a rebuildFn factory so the
-// occurrence loop can fan across segment workers (arel_parallel.go):
-// the factory runs once per executing store and binds that instance's
-// builder and evaluator scratch to it.
+// The f-plan operators. Each reads and writes store slabs: new nodes are
+// appended, untouched subtrees are referenced by id, and no per-node
+// heap objects are created. Operators express their per-occurrence
+// transform as a rebuildFn factory so the occurrence loop can fan across
+// segment workers (arel_parallel.go): the factory runs once per
+// executing store and binds that instance's builder and evaluator
+// scratch to it.
 
 import (
 	"fmt"
@@ -60,7 +59,10 @@ func (ar *ARel) SelectConst(attr string, op CmpOp, c values.Value) error {
 }
 
 // Merge implements the equality selection attrA = attrB when the two
-// attributes' nodes are siblings; see FRel.Merge.
+// attributes' nodes are siblings (children of the same node, or both
+// roots): the sorted value lists are intersected, the two nodes' children
+// are concatenated, and the two classes become one (the paper's merge
+// operator).
 func (ar *ARel) Merge(attrA, attrB string) error {
 	x := ar.Tree.ResolveAttr(attrA)
 	y := ar.Tree.ResolveAttr(attrB)
@@ -202,8 +204,10 @@ func intersectUnionsIn(st *frep.Store, b *frep.UnionBuilder, pairs *[][2]int32, 
 }
 
 // Absorb implements the equality selection attrAnc = attrDesc when
-// attrDesc's node is a strict descendant of attrAnc's node; see
-// FRel.Absorb.
+// attrDesc's node is a strict descendant of attrAnc's node: within each
+// ancestor value's context the descendant union is restricted to that
+// value, the descendant node's class is absorbed into the ancestor's, and
+// its children are hoisted to its parent (the paper's absorb operator).
 func (ar *ARel) Absorb(attrAnc, attrDesc string) error {
 	a := ar.Tree.ResolveAttr(attrAnc)
 	d := ar.Tree.ResolveAttr(attrDesc)
@@ -306,8 +310,10 @@ func absorbRowIn(st *frep.Store, row []frep.NodeID, path []int, v values.Value, 
 	return out, true
 }
 
-// RemoveLeaf implements projection away of a leaf node; see
-// FRel.RemoveLeaf.
+// RemoveLeaf implements projection away of a leaf node: the node's unions
+// disappear from their containing rows. Set semantics — no duplicates
+// arise because the remaining factors of each product are untouched. Use
+// the aggregation operator instead when multiplicities matter.
 func (ar *ARel) RemoveLeaf(attr string) error {
 	n := ar.Tree.ResolveAttr(attr)
 	if n == nil {
@@ -366,8 +372,9 @@ func (ar *ARel) RemoveLeaf(attr string) error {
 	return nil
 }
 
-// Rename renames an attribute: names live in the f-tree, so this is
-// identical to FRel.Rename and constant time.
+// Rename renames an attribute: for an atomic attribute the class member is
+// renamed; for an aggregate node (referenced by its label or current
+// alias) the alias is set. Constant time — names live in the f-tree.
 func (ar *ARel) Rename(attr, to string) error {
 	n := ar.Tree.ResolveAttr(attr)
 	if n == nil {
@@ -386,8 +393,13 @@ func (ar *ARel) Rename(attr, to string) error {
 	return fmt.Errorf("fops: rename: attribute %q not found in class %s", attr, n.Label())
 }
 
-// Gamma applies the aggregation operator γ_F(U) of Section 3; see
-// FRel.Gamma.
+// Gamma applies the aggregation operator γ_F(U) of Section 3: the subtree
+// rooted at the node carrying attr is replaced — in the f-tree by a new
+// aggregate node F(U), and in the representation by a singleton holding
+// the value of F on each occurrence's represented relation, computed by
+// the linear-time algorithms of Section 3.2. fields may hold several
+// aggregation functions (composite aggregates, Section 3.2.4); their
+// values are stored as a vector.
 func (ar *ARel) Gamma(attr string, fields []ftree.AggField) error {
 	n := ar.Tree.ResolveAttr(attr)
 	if n == nil {
@@ -460,8 +472,12 @@ func (ar *ARel) GammaNode(u *ftree.Node, fields []ftree.AggField) error {
 }
 
 // ComputeScalar converts a leaf aggregate node into an atomic node named
-// newName whose values are fn applied to the stored aggregates,
-// re-sorted and deduplicated; see FRel.ComputeScalar.
+// newName whose values are fn applied to the stored aggregates, re-sorted
+// and deduplicated. It is used to finalise derived aggregates — for
+// example avg, stored as the composite (sum, count) vector, becomes the
+// scalar quotient so that the result can be ordered and enumerated by it.
+// The converted node loses its aggregate interpretation and must not be
+// aggregated over again.
 func (ar *ARel) ComputeScalar(attr, newName string, fn func(values.Value) values.Value) error {
 	n := ar.Tree.ResolveAttr(attr)
 	if n == nil {

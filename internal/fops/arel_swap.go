@@ -1,7 +1,7 @@
 package fops
 
-// Arena port of the χ restructuring operator; same regrouping algorithm
-// as swap.go, with kid rows assembled directly into the store slabs.
+// The χ restructuring operator, with kid rows assembled directly into
+// the store slabs.
 
 import (
 	"fmt"
@@ -12,8 +12,19 @@ import (
 	"github.com/factordb/fdb/internal/values"
 )
 
-// Swap applies the restructuring operator χ_{A,B} (Section 4.2); see
-// FRel.Swap for the regrouping semantics.
+// Swap applies the restructuring operator χ_{A,B} (Section 4.2): node B
+// (carrying attr) is exchanged with its parent A. On the data side every
+// occurrence
+//
+//	⋃_a ⟨A:a⟩ × E_a × ⋃_b (⟨B:b⟩ × F_b × G_ab)
+//
+// is regrouped into
+//
+//	⋃_b ⟨B:b⟩ × F_b × ⋃_a (⟨A:a⟩ × E_a × G_ab)
+//
+// where F_b are the children of B independent of A (they move up with B)
+// and G_ab the dependent ones (they stay below A). The cost is linear in
+// the size of the restructured fragment.
 func (ar *ARel) Swap(attr string) error {
 	b := ar.Tree.ResolveAttr(attr)
 	if b == nil {

@@ -1,8 +1,14 @@
 package fops
 
-// Equivalence tests for the arena operator set: every operator is run on
-// both representations of the same data and the results are diffed
-// structurally (via the compatibility view) and as relations.
+// Relation-anchored checks of the operators on cases the semantic suite
+// in fops_test.go does not reach: every selection operator kind on
+// every level of the pizzeria f-tree, γ composed over stored aggregate
+// vectors, projection of leaves from two branches, absorb at both
+// depths, and the Product + Merge + Swap cascade the engine's join path
+// and the workload's view R1 are built with. Each result must satisfy
+// the representation invariants and flatten to what the same operation
+// yields on the flat relation; over a fixed f-tree the factorisation of
+// a relation is unique, so that pins the structure too.
 
 import (
 	"testing"
@@ -13,37 +19,7 @@ import (
 	"github.com/factordb/fdb/internal/values"
 )
 
-// diffReps asserts the arena relation is structurally identical to the
-// legacy one (same trees assumed) and that both satisfy their
-// invariants.
-func diffReps(t *testing.T, fr *FRel, ar *ARel) {
-	t.Helper()
-	if err := fr.Check(); err != nil {
-		t.Fatalf("legacy invariants: %v", err)
-	}
-	if err := ar.Check(); err != nil {
-		t.Fatalf("arena invariants: %v", err)
-	}
-	if len(fr.Roots) != len(ar.Roots) {
-		t.Fatalf("root count: legacy %d, arena %d", len(fr.Roots), len(ar.Roots))
-	}
-	for i := range fr.Roots {
-		if !frep.EqualStoreUnion(ar.Store, ar.Roots[i], fr.Roots[i]) {
-			t.Fatalf("root %d: representations diverged", i)
-		}
-	}
-}
-
-// bothReps builds the pizzeria view in both representations.
-func bothReps(t *testing.T) (*FRel, *ARel, *relation.Relation) {
-	t.Helper()
-	fr, r := pizzeriaFRel(t)
-	ar := FromFRel(fr)
-	diffReps(t, fr, ar)
-	return fr, ar, r
-}
-
-func TestARelSelectConstMatchesLegacy(t *testing.T) {
+func TestARelSelectConstCases(t *testing.T) {
 	for _, tc := range []struct {
 		attr string
 		op   CmpOp
@@ -53,157 +29,162 @@ func TestARelSelectConstMatchesLegacy(t *testing.T) {
 		{"item", EQ, sv("ham")},
 		{"customer", NE, sv("Mario")},
 		{"pizza", GT, sv("Capricciosa")},
+		{"date", GE, sv("Monday")},
+		{"price", LT, iv(6)},
 		{"price", GT, iv(99)}, // empties the relation
 	} {
-		fr, ar, _ := bothReps(t)
-		if err := fr.SelectConst(tc.attr, tc.op, tc.c); err != nil {
-			t.Fatal(err)
-		}
+		ar, r := pizzeriaARel(t)
 		if err := ar.SelectConst(tc.attr, tc.op, tc.c); err != nil {
 			t.Fatal(err)
 		}
-		diffReps(t, fr, ar)
+		col := r.ColIndex(tc.attr)
+		want := r.Select(func(tp relation.Tuple) bool { return tc.op.Holds(tp[col], tc.c) })
+		if !relation.EqualAsSets(mustFlatten(t, ar), want) {
+			t.Errorf("σ(%s%s%v) differs from the flat selection", tc.attr, tc.op, tc.c)
+		}
+		if ar.IsEmpty() != (want.Cardinality() == 0) {
+			t.Errorf("σ(%s%s%v): IsEmpty = %v with %d flat rows", tc.attr, tc.op, tc.c, ar.IsEmpty(), want.Cardinality())
+		}
 	}
 }
 
-func TestARelSwapMatchesLegacy(t *testing.T) {
-	fr, ar, r := bothReps(t)
+func TestARelSwapSequencePreservesRelation(t *testing.T) {
+	ar, r := pizzeriaARel(t)
 	for _, attr := range []string{"date", "pizza", "item"} {
-		if err := fr.Swap(attr); err != nil {
-			t.Fatal(err)
-		}
 		if err := ar.Swap(attr); err != nil {
 			t.Fatal(err)
 		}
-		diffReps(t, fr, ar)
-	}
-	flat, err := ar.Flatten()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relation.EqualAsSets(flat, r) {
-		t.Fatal("arena swaps changed the represented relation")
-	}
-}
-
-func TestARelGammaMatchesLegacy(t *testing.T) {
-	fr, ar, _ := bothReps(t)
-	fields := []ftree.AggField{{Fn: ftree.Sum, Arg: "price"}, {Fn: ftree.Count}}
-	if err := fr.Gamma("item", fields); err != nil {
-		t.Fatal(err)
-	}
-	if err := ar.Gamma("item", fields); err != nil {
-		t.Fatal(err)
-	}
-	diffReps(t, fr, ar)
-	// Aggregate once more up the tree (composition over the stored
-	// vector) and compare again.
-	f2 := []ftree.AggField{{Fn: ftree.Count}}
-	if err := fr.Gamma("date", f2); err != nil {
-		t.Fatal(err)
-	}
-	if err := ar.Gamma("date", f2); err != nil {
-		t.Fatal(err)
-	}
-	diffReps(t, fr, ar)
-}
-
-func TestARelComputeScalarMatchesLegacy(t *testing.T) {
-	fr, ar, _ := bothReps(t)
-	fields := []ftree.AggField{{Fn: ftree.Sum, Arg: "price"}, {Fn: ftree.Count}}
-	if err := fr.Gamma("item", fields); err != nil {
-		t.Fatal(err)
-	}
-	if err := ar.Gamma("item", fields); err != nil {
-		t.Fatal(err)
-	}
-	avg := func(v values.Value) values.Value { return values.Div(v.VecAt(0), v.VecAt(1)) }
-	name := fr.Tree.Roots[0].Children[1].Label()
-	if err := fr.ComputeScalar(name, "avgprice", avg); err != nil {
-		t.Fatal(err)
-	}
-	name2 := ar.Tree.Roots[0].Children[1].Label()
-	if err := ar.ComputeScalar(name2, "avgprice", avg); err != nil {
-		t.Fatal(err)
-	}
-	diffReps(t, fr, ar)
-}
-
-func TestARelRemoveLeafMatchesLegacy(t *testing.T) {
-	fr, ar, _ := bothReps(t)
-	for _, attr := range []string{"price", "customer"} {
-		if err := fr.RemoveLeaf(attr); err != nil {
-			t.Fatal(err)
+		if !relation.EqualAsSets(mustFlatten(t, ar), r) {
+			t.Fatalf("swap(%s) changed the represented relation", attr)
 		}
+		if ar.Tree.Roots[0].Label() != attr {
+			t.Fatalf("swap(%s): root is %s", attr, ar.Tree.Roots[0].Label())
+		}
+	}
+}
+
+// TestARelGammaComposesOverVectors aggregates the item subtree into a
+// (sum, count) vector, then counts over the date subtree, and checks
+// both stored aggregates against per-pizza folds of the flat relation.
+func TestARelGammaComposesOverVectors(t *testing.T) {
+	ar, r := pizzeriaARel(t)
+	if err := ar.Gamma("item", []ftree.AggField{{Fn: ftree.Sum, Arg: "price"}, {Fn: ftree.Count}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ar.Gamma("date", []ftree.AggField{{Fn: ftree.Count}}); err != nil {
+		t.Fatal(err)
+	}
+	// Per pizza: distinct (date, customer) pairs, and the sum and count
+	// of its distinct (item, price) pairs.
+	type agg struct {
+		orders, items map[string]bool
+		sum           int64
+	}
+	ref := map[string]*agg{}
+	pi, di, ci, ii, pr := r.ColIndex("pizza"), r.ColIndex("date"), r.ColIndex("customer"), r.ColIndex("item"), r.ColIndex("price")
+	for _, tp := range r.Tuples {
+		g := ref[tp[pi].Str()]
+		if g == nil {
+			g = &agg{orders: map[string]bool{}, items: map[string]bool{}}
+			ref[tp[pi].Str()] = g
+		}
+		g.orders[tp[di].Str()+"|"+tp[ci].Str()] = true
+		if !g.items[tp[ii].Str()] {
+			g.items[tp[ii].Str()] = true
+			g.sum += tp[pr].Int()
+		}
+	}
+	flat := mustFlatten(t, ar)
+	if flat.Cardinality() != len(ref) {
+		t.Fatalf("%d rows, want one per pizza (%d)", flat.Cardinality(), len(ref))
+	}
+	// Flat schema: pizza, count(date,customer), then the vector's fields.
+	for _, tp := range flat.Tuples {
+		g := ref[tp[0].Str()]
+		if g == nil || tp[1].Int() != int64(len(g.orders)) || tp[2].Int() != g.sum || tp[3].Int() != int64(len(g.items)) {
+			t.Errorf("row %v, want orders=%d sum=%d items=%d", tp, len(g.orders), g.sum, len(g.items))
+		}
+	}
+}
+
+func TestARelRemoveLeavesFromBothBranches(t *testing.T) {
+	ar, r := pizzeriaARel(t)
+	keep := []string{"pizza", "date", "customer", "item", "price"}
+	for _, attr := range []string{"price", "customer"} {
 		if err := ar.RemoveLeaf(attr); err != nil {
 			t.Fatal(err)
 		}
-		diffReps(t, fr, ar)
+		for i, a := range keep {
+			if a == attr {
+				keep = append(keep[:i], keep[i+1:]...)
+				break
+			}
+		}
+		want, err := r.Project(keep...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !relation.EqualAsSets(mustFlatten(t, ar), want) {
+			t.Fatalf("π-(%s) differs from the flat projection", attr)
+		}
 	}
 }
 
-func TestARelRenameMatchesLegacy(t *testing.T) {
-	_, ar, _ := bothReps(t)
-	if err := ar.Rename("customer", "buyer"); err != nil {
-		t.Fatal(err)
-	}
-	if ar.Tree.ResolveAttr("buyer") == nil {
-		t.Fatal("rename did not take")
-	}
-}
-
-// TestARelMergeAndProductMatchesLegacy joins the three pizzeria base
-// relations bottom-up with Product + Merge in both representations, the
-// way the engine's Exec path does.
-func TestARelMergeAndProductMatchesLegacy(t *testing.T) {
-	mk := func(rel *relation.Relation, attrs ...string) (*FRel, *ARel) {
+// TestARelProductMergeCascade joins the three pizzeria base relations
+// bottom-up — Product, merge at the roots, swap the join attribute up,
+// merge again — the way the engine's Exec path and the workload's R1
+// build do, checking each step against the flat join so far.
+func TestARelProductMergeCascade(t *testing.T) {
+	s := frep.NewStore()
+	mk := func(rel *relation.Relation, attrs ...string) *ARel {
 		f := ftree.New()
 		f.NewRelationPath(attrs...)
-		fr, err := FromRelationUnchecked(rel, f)
+		ar, err := FromRelationStoreUnchecked(s, rel, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f2 := ftree.New()
-		f2.NewRelationPath(attrs...)
-		ar, err := FromRelationStoreUnchecked(frep.NewStore(), rel, f2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fr, ar
+		return ar
 	}
 	// Rename the join copies so attributes stay globally unique.
 	pz := relation.MustNew("Pizzas", []string{"pizza2", "item"}, pizzasRel().Tuples)
 	it := relation.MustNew("Items", []string{"item2", "price"}, itemsRel().Tuples)
-
-	of, oa := mk(ordersRel(), "pizza", "date", "customer")
-	pf, pa := mk(pz, "item", "pizza2")
-	itf, ita := mk(it, "item2", "price")
-
-	fr := Product(Product(of, pf), itf)
-	ar := ProductArena(ProductArena(oa, pa), ita)
-	diffReps(t, fr, ar)
-
-	// The same cascade the workload's FactorisedR1 uses: merge at the
-	// roots, swap the join attribute up, merge again.
-	steps := []func(r Rel) error{
-		func(r Rel) error { return r.Merge("item", "item2") },
-		func(r Rel) error { return r.Swap("pizza2") },
-		func(r Rel) error { return r.Merge("pizza2", "pizza") },
+	ar := Product(Product(mk(ordersRel(), "pizza", "date", "customer"), mk(pz, "item", "pizza2")), mk(it, "item2", "price"))
+	if got, want := mustFlatten(t, ar).Cardinality(), 5*7*4; got != want {
+		t.Fatalf("product has %d tuples, want %d", got, want)
 	}
-	for i, step := range steps {
-		if err := step(fr); err != nil {
-			t.Fatalf("step %d (legacy): %v", i, err)
+
+	eq := func(a, b string) func(*relation.Relation) *relation.Relation {
+		return func(r *relation.Relation) *relation.Relation {
+			i, j := r.ColIndex(a), r.ColIndex(b)
+			return r.Select(func(tp relation.Tuple) bool { return values.Compare(tp[i], tp[j]) == 0 })
 		}
-		if err := step(ar); err != nil {
-			t.Fatalf("step %d (arena): %v", i, err)
+	}
+	want := mustFlatten(t, ar) // the flat Cartesian product, narrowed step by step
+	for _, step := range []struct {
+		name   string
+		apply  func() error
+		narrow func(*relation.Relation) *relation.Relation
+	}{
+		{"merge(item=item2)", func() error { return ar.Merge("item", "item2") }, eq("item", "item2")},
+		{"swap(pizza2)", func() error { return ar.Swap("pizza2") }, func(r *relation.Relation) *relation.Relation { return r }},
+		{"merge(pizza2=pizza)", func() error { return ar.Merge("pizza2", "pizza") }, eq("pizza2", "pizza")},
+	} {
+		if err := step.apply(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
 		}
-		diffReps(t, fr, ar)
+		want = step.narrow(want)
+		if !relation.EqualAsSets(mustFlatten(t, ar), want) {
+			t.Fatalf("%s differs from the flat selection", step.name)
+		}
+	}
+	if want.Cardinality() != 13 {
+		t.Fatalf("cascade ends with %d tuples, the pizzeria join has 13", want.Cardinality())
 	}
 }
 
-// TestARelAbsorbMatchesLegacy exercises absorb at depth > 1: the
-// descendant is two levels below the ancestor.
-func TestARelAbsorbMatchesLegacy(t *testing.T) {
+// TestARelAbsorbDepths absorbs a grandchild and a direct child into
+// their ancestor.
+func TestARelAbsorbDepths(t *testing.T) {
 	rel := relation.MustNew("R", []string{"a", "b", "c"}, []relation.Tuple{
 		{iv(1), iv(1), iv(1)},
 		{iv(1), iv(2), iv(1)},
@@ -211,42 +192,26 @@ func TestARelAbsorbMatchesLegacy(t *testing.T) {
 		{iv(3), iv(1), iv(3)},
 		{iv(3), iv(3), iv(1)},
 	})
-	mkPair := func() (*FRel, *ARel) {
+	for _, desc := range []string{"c", "b"} {
 		f := ftree.New()
 		f.NewRelationPath("a", "b", "c")
-		fr, err := FromRelationUnchecked(rel, f)
+		ar, err := FromRelationStoreUnchecked(frep.NewStore(), rel, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f2 := ftree.New()
-		f2.NewRelationPath("a", "b", "c")
-		ar, err := FromRelationStoreUnchecked(frep.NewStore(), rel, f2)
-		if err != nil {
+		if err := ar.Absorb("a", desc); err != nil {
 			t.Fatal(err)
 		}
-		return fr, ar
+		col := rel.ColIndex(desc)
+		want := rel.Select(func(tp relation.Tuple) bool { return values.Compare(tp[0], tp[col]) == 0 })
+		if !relation.EqualAsSets(mustFlatten(t, ar), want) {
+			t.Errorf("absorb(a,%s) differs from σ(a=%s)", desc, desc)
+		}
 	}
-	fr, ar := mkPair()
-	if err := fr.Absorb("a", "c"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ar.Absorb("a", "c"); err != nil {
-		t.Fatal(err)
-	}
-	diffReps(t, fr, ar)
-	// Direct-child absorb too.
-	fr, ar = mkPair()
-	if err := fr.Absorb("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ar.Absorb("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	diffReps(t, fr, ar)
 }
 
 func TestARelCloneAndSnapshotIsolation(t *testing.T) {
-	_, ar, _ := bothReps(t)
+	ar, _ := pizzeriaARel(t)
 	before := ar.Singletons()
 	cl, _ := ar.Clone()
 	snap := ar.Snapshot()
@@ -261,15 +226,5 @@ func TestARelCloneAndSnapshotIsolation(t *testing.T) {
 	}
 	if cl.Singletons() >= before || snap.Singletons() >= before {
 		t.Fatal("selections on copies had no effect")
-	}
-}
-
-func TestARelRoundTripThroughFRel(t *testing.T) {
-	fr, ar, _ := bothReps(t)
-	back := ar.ToFRel()
-	for i := range fr.Roots {
-		if !frep.Equal(back.Roots[i], fr.Roots[i]) {
-			t.Fatalf("root %d: ToFRel differs from original", i)
-		}
 	}
 }

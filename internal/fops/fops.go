@@ -11,9 +11,11 @@
 package fops
 
 import (
+	"fmt"
+
 	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/ftree"
-	"github.com/factordb/fdb/internal/relation"
+	"github.com/factordb/fdb/internal/values"
 )
 
 // Paranoid enables expensive internal consistency checks inside operators
@@ -22,127 +24,64 @@ import (
 // with it off.
 var Paranoid = false
 
-// FRel is a factorised relation: an f-tree together with a representation
-// over it (one Union per f-tree root).
-type FRel struct {
-	Tree  *ftree.Forest
-	Roots []*frep.Union
-}
+// CmpOp is a comparison operator for selections with constants.
+type CmpOp uint8
 
-// FromRelation factorises a relation over the f-tree, verifying the
-// decomposition (frep.Build).
-func FromRelation(rel *relation.Relation, f *ftree.Forest) (*FRel, error) {
-	roots, err := frep.Build(rel, f)
-	if err != nil {
-		return nil, err
-	}
-	return &FRel{Tree: f, Roots: roots}, nil
-}
+// Supported comparison operators.
+const (
+	EQ CmpOp = iota
+	NE
+	LT
+	LE
+	GT
+	GE
+)
 
-// FromRelationUnchecked factorises without verifying the decomposition;
-// use only for f-trees known to be valid (for example linear paths).
-func FromRelationUnchecked(rel *relation.Relation, f *ftree.Forest) (*FRel, error) {
-	roots, err := frep.BuildUnchecked(rel, f)
-	if err != nil {
-		return nil, err
-	}
-	return &FRel{Tree: f, Roots: roots}, nil
-}
-
-// Clone deep-copies the factorised relation. The returned FRel's tree
-// nodes correspond to the original's via the second return value.
-func (fr *FRel) Clone() (*FRel, map[*ftree.Node]*ftree.Node) {
-	t, corr := fr.Tree.Clone()
-	return &FRel{Tree: t, Roots: frep.CloneAll(fr.Roots)}, corr
-}
-
-// Forest implements Rel.
-func (fr *FRel) Forest() *ftree.Forest { return fr.Tree }
-
-// Enumerator implements Rel.
-func (fr *FRel) Enumerator(order []frep.OrderSpec) (frep.TupleEnum, error) {
-	return frep.NewEnumerator(fr.Tree, fr.Roots, order)
-}
-
-// GroupEnumerator implements Rel.
-func (fr *FRel) GroupEnumerator(g []frep.OrderSpec, fields []ftree.AggField) (frep.GroupEnum, error) {
-	return frep.NewGroupEnumerator(fr.Tree, fr.Roots, g, fields)
-}
-
-// IsEmpty reports whether the represented relation is empty (some root
-// union has no values).
-func (fr *FRel) IsEmpty() bool {
-	for _, r := range fr.Roots {
-		if r.IsEmpty() {
-			return true
-		}
-	}
-	return false
-}
-
-// MakeEmpty canonicalises an empty representation: every root union
-// becomes empty.
-func (fr *FRel) MakeEmpty() {
-	for i := range fr.Roots {
-		fr.Roots[i] = &frep.Union{}
+// String returns the SQL spelling of the operator.
+func (op CmpOp) String() string {
+	switch op {
+	case EQ:
+		return "="
+	case NE:
+		return "<>"
+	case LT:
+		return "<"
+	case LE:
+		return "<="
+	case GT:
+		return ">"
+	case GE:
+		return ">="
+	default:
+		return fmt.Sprintf("op(%d)", uint8(op))
 	}
 }
 
-// Check verifies the representation invariants against the f-tree;
-// intended for tests and Paranoid mode.
-func (fr *FRel) Check() error {
-	if err := fr.Tree.Validate(); err != nil {
-		return err
-	}
-	return frep.CheckInvariantsAll(fr.Tree, fr.Roots)
-}
-
-// Flatten materialises the represented relation (plain values; aggregate
-// nodes contribute their stored values).
-func (fr *FRel) Flatten() (*relation.Relation, error) {
-	return frep.Flatten(fr.Tree, fr.Roots)
-}
-
-// Singletons returns the representation size in singletons.
-func (fr *FRel) Singletons() int { return frep.SingletonsAll(fr.Roots) }
-
-// pathFromRoot returns the index of n's root tree and the child-index
-// path from that root down to n (empty when n is a root).
-func (fr *FRel) pathFromRoot(n *ftree.Node) (int, []int, error) {
-	return pathFromRoot(fr.Tree, n)
-}
-
-// rebuildAt applies fn to every occurrence of the node identified by
-// (rootIdx, path), pruning values whose transformed subtree became empty.
-// fn receives an occurrence union and returns its replacement (which may
-// be empty to delete the context).
-func (fr *FRel) rebuildAt(rootIdx int, path []int, fn func(*frep.Union) *frep.Union) {
-	fr.Roots[rootIdx] = rebuild(fr.Roots[rootIdx], path, fn)
-	if fr.IsEmpty() {
-		fr.MakeEmpty()
+// Holds reports whether "a op b" holds under the total value order.
+func (op CmpOp) Holds(a, b values.Value) bool {
+	c := values.Compare(a, b)
+	switch op {
+	case EQ:
+		return c == 0
+	case NE:
+		return c != 0
+	case LT:
+		return c < 0
+	case LE:
+		return c <= 0
+	case GT:
+		return c > 0
+	case GE:
+		return c >= 0
+	default:
+		return false
 	}
 }
 
-func rebuild(u *frep.Union, path []int, fn func(*frep.Union) *frep.Union) *frep.Union {
-	if len(path) == 0 {
-		return fn(u)
-	}
-	p := path[0]
-	out := &frep.Union{}
-	if u.Kids != nil {
-		out.Kids = [][]*frep.Union{}
-	}
-	for i := range u.Vals {
-		row := u.Kids[i]
-		nk := rebuild(row[p], path[1:], fn)
-		if nk.IsEmpty() {
-			continue // prune this value
-		}
-		newRow := make([]*frep.Union, len(row))
-		copy(newRow, row)
-		newRow[p] = nk
-		out.Vals = append(out.Vals, u.Vals[i])
-		out.Kids = append(out.Kids, newRow)
-	}
-	return out
+// CanGamma reports whether γ_fields over the subtree rooted at u composes
+// with the aggregates already present inside it (Proposition 2): it
+// attempts to compile the evaluator.
+func CanGamma(u *ftree.Node, fields []ftree.AggField) error {
+	_, err := frep.NewEvaluator(u, fields)
+	return err
 }

@@ -11,7 +11,7 @@ import (
 	"github.com/factordb/fdb/internal/values"
 )
 
-func benchFRel(b *testing.B, n int) *FRel {
+func benchARel(b *testing.B, n int) *ARel {
 	b.Helper()
 	wasParanoid := Paranoid
 	Paranoid = false
@@ -28,11 +28,24 @@ func benchFRel(b *testing.B, n int) *FRel {
 	rel := relation.MustNew("R", []string{"a", "b", "c"}, ts).Dedup()
 	f := ftree.New()
 	f.NewRelationPath("a", "b", "c")
-	fr, err := FromRelationUnchecked(rel, f)
+	ar, err := FromRelationStoreUnchecked(frep.NewStore(), rel, f)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return fr
+	return ar
+}
+
+// Each benchmark slab-copies the base representation into a reused
+// store per iteration (StopTimer'd) and then measures the operator, so
+// the numbers isolate the operator itself.
+
+// cloneArena slab-copies base into the reused scratch store and returns
+// a fresh working relation.
+func cloneArena(base *ARel, scratch *frep.Store) *ARel {
+	scratch.Reset()
+	base.Store.CloneInto(scratch)
+	t, _ := base.Tree.Clone()
+	return &ARel{Tree: t, Store: scratch, Roots: append([]frep.NodeID{}, base.Roots...)}
 }
 
 // BenchmarkSwap measures the χ restructuring operator (the cost of
@@ -40,14 +53,16 @@ func benchFRel(b *testing.B, n int) *FRel {
 func BenchmarkSwap(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			base := benchFRel(b, n)
+			base := benchARel(b, n)
+			scratch := frep.NewStore()
 			sing := base.Singletons()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				fr, _ := base.Clone()
+				ar := cloneArena(base, scratch)
 				b.StartTimer()
-				if err := fr.Swap("b"); err != nil {
+				if err := ar.Swap("b"); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -59,14 +74,16 @@ func BenchmarkSwap(b *testing.B) {
 func BenchmarkGamma(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			base := benchFRel(b, n)
+			base := benchARel(b, n)
+			scratch := frep.NewStore()
 			fields := []ftree.AggField{{Fn: ftree.Sum, Arg: "c"}, {Fn: ftree.Count}}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				fr, _ := base.Clone()
+				ar := cloneArena(base, scratch)
 				b.StartTimer()
-				if err := fr.Gamma("b", fields); err != nil {
+				if err := ar.Gamma("b", fields); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -75,13 +92,15 @@ func BenchmarkGamma(b *testing.B) {
 }
 
 func BenchmarkSelectConst(b *testing.B) {
-	base := benchFRel(b, 100000)
+	base := benchARel(b, 100000)
+	scratch := frep.NewStore()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		fr, _ := base.Clone()
+		ar := cloneArena(base, scratch)
 		b.StartTimer()
-		if err := fr.SelectConst("c", LT, values.NewInt(512)); err != nil {
+		if err := ar.SelectConst("c", LT, values.NewInt(512)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -104,124 +123,36 @@ func BenchmarkMerge(b *testing.B) {
 	wasParanoid := Paranoid
 	Paranoid = false
 	b.Cleanup(func() { Paranoid = wasParanoid })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		fr1 := mustRel(b, r)
-		fr2 := mustRel(b, s)
-		fr := Product(fr1, fr2)
-		b.StartTimer()
-		if err := fr.Merge("x", "x2"); err != nil {
+	scratch := frep.NewStore()
+	path := func(rel *relation.Relation) *ARel {
+		f := ftree.New()
+		f.NewRelationPath(rel.Attrs...)
+		ar, err := FromRelationStoreUnchecked(scratch, rel, f)
+		if err != nil {
 			b.Fatal(err)
 		}
+		return ar
 	}
-}
-
-func mustRel(b *testing.B, rel *relation.Relation) *FRel {
-	b.Helper()
-	f := ftree.New()
-	f.NewRelationPath(rel.Attrs...)
-	fr, err := FromRelationUnchecked(rel, f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return fr
-}
-
-// --- Arena counterparts -----------------------------------------------
-//
-// The legacy benchmarks above deep-clone the base representation per
-// iteration (StopTimer'd) and then measure the operator. The arena pairs
-// below do the same with slab clones into a reused store, so the numbers
-// isolate the operator itself on each representation.
-
-func benchARel(b *testing.B, n int) *ARel {
-	b.Helper()
-	fr := benchFRel(b, n)
-	return FromFRel(fr)
-}
-
-// cloneArena slab-copies base into the reused scratch store and returns
-// a fresh working relation.
-func cloneArena(base *ARel, scratch *frep.Store) *ARel {
-	scratch.Reset()
-	base.Store.CloneInto(scratch)
-	t, _ := base.Tree.Clone()
-	return &ARel{Tree: t, Store: scratch, Roots: append([]frep.NodeID{}, base.Roots...)}
-}
-
-func BenchmarkArenaSwap(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			base := benchARel(b, n)
-			scratch := frep.NewStore()
-			sing := base.Singletons()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				ar := cloneArena(base, scratch)
-				b.StartTimer()
-				if err := ar.Swap("b"); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sing), "ns/singleton")
-		})
-	}
-}
-
-func BenchmarkArenaGamma(b *testing.B) {
-	for _, n := range []int{10000, 100000} {
-		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			base := benchARel(b, n)
-			scratch := frep.NewStore()
-			fields := []ftree.AggField{{Fn: ftree.Sum, Arg: "c"}, {Fn: ftree.Count}}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				ar := cloneArena(base, scratch)
-				b.StartTimer()
-				if err := ar.Gamma("b", fields); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkArenaSelectConst(b *testing.B) {
-	base := benchARel(b, 100000)
-	scratch := frep.NewStore()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ar := cloneArena(base, scratch)
+		scratch.Reset()
+		ar := Product(path(r), path(s))
 		b.StartTimer()
-		if err := ar.SelectConst("c", LT, values.NewInt(512)); err != nil {
+		if err := ar.Merge("x", "x2"); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkArenaClone contrasts the per-query snapshot cost of the two
-// representations directly (what RunOnView/RunOnARel pay before any
-// operator runs).
-func BenchmarkArenaClone(b *testing.B) {
+// BenchmarkClone contrasts the two ways of getting a private copy of a
+// view before any operator runs: a slab clone and the O(1) snapshot
+// RunOnView takes.
+func BenchmarkClone(b *testing.B) {
 	base := benchARel(b, 100000)
-	legacy := benchFRel(b, 100000)
 	scratch := frep.NewStore()
-	b.Run("legacy-deep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if fr, _ := legacy.Clone(); fr == nil {
-				b.Fatal("nil clone")
-			}
-		}
-	})
-	b.Run("arena-slab", func(b *testing.B) {
+	b.Run("slab", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if ar := cloneArena(base, scratch); ar == nil {
@@ -229,7 +160,7 @@ func BenchmarkArenaClone(b *testing.B) {
 			}
 		}
 	})
-	b.Run("arena-snapshot", func(b *testing.B) {
+	b.Run("snapshot", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if ar := base.Snapshot(); ar == nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/relation"
 	"github.com/factordb/fdb/internal/values"
@@ -46,8 +47,8 @@ func itemsRel() *relation.Relation {
 	})
 }
 
-// pizzeriaFRel builds R = Orders ⋈ Pizzas ⋈ Items factorised over T1.
-func pizzeriaFRel(t *testing.T) (*FRel, *relation.Relation) {
+// pizzeriaARel builds R = Orders ⋈ Pizzas ⋈ Items factorised over T1.
+func pizzeriaARel(t *testing.T) (*ARel, *relation.Relation) {
 	t.Helper()
 	r := relation.NaturalJoinAll(ordersRel(), pizzasRel(), itemsRel())
 	f := ftree.New()
@@ -62,14 +63,14 @@ func pizzeriaFRel(t *testing.T) (*FRel, *relation.Relation) {
 	item.Children = []*ftree.Node{price}
 	f.Roots = []*ftree.Node{pizza}
 
-	fr, err := FromRelation(r, f)
+	fr, err := FromRelationStore(frep.NewStore(), r, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fr, r
 }
 
-func mustFlatten(t *testing.T, fr *FRel) *relation.Relation {
+func mustFlatten(t *testing.T, fr *ARel) *relation.Relation {
 	t.Helper()
 	if err := fr.Check(); err != nil {
 		t.Fatalf("invariants: %v", err)
@@ -82,7 +83,7 @@ func mustFlatten(t *testing.T, fr *FRel) *relation.Relation {
 }
 
 func TestSwapPreservesRelation(t *testing.T) {
-	fr, r := pizzeriaFRel(t)
+	fr, r := pizzeriaARel(t)
 	before := fr.Singletons()
 	if err := fr.Swap("date"); err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestSwapIndependentBranch(t *testing.T) {
 	date.Children = []*ftree.Node{customer}
 	f.Roots = []*ftree.Node{pizza}
 
-	fr, err := FromRelation(r, f)
+	fr, err := FromRelationStore(frep.NewStore(), r, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestSwapIndependentBranch(t *testing.T) {
 }
 
 func TestSelectConst(t *testing.T) {
-	fr, r := pizzeriaFRel(t)
+	fr, r := pizzeriaARel(t)
 	if err := fr.SelectConst("price", GT, iv(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestSelectConst(t *testing.T) {
 		t.Fatal("select result mismatch")
 	}
 	// Select on the root attribute.
-	fr2, r2 := pizzeriaFRel(t)
+	fr2, r2 := pizzeriaARel(t)
 	if err := fr2.SelectConst("pizza", EQ, sv("Hawaii")); err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +199,13 @@ func TestMergeRootSiblings(t *testing.T) {
 
 	fp := ftree.New()
 	fp.NewRelationPath("item", "pizza")
-	frP, err := FromRelationUnchecked(p, fp)
+	frP, err := FromRelationStoreUnchecked(frep.NewStore(), p, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fi := ftree.New()
 	fi.NewRelationPath("item2", "price")
-	frI, err := FromRelationUnchecked(i, fi)
+	frI, err := FromRelationStoreUnchecked(frep.NewStore(), i, fi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +232,8 @@ func TestMergeEmptyIntersection(t *testing.T) {
 	fa, fb := ftree.New(), ftree.New()
 	fa.NewRelationPath("x")
 	fb.NewRelationPath("y")
-	frA, _ := FromRelationUnchecked(a, fa)
-	frB, _ := FromRelationUnchecked(b, fb)
+	frA, _ := FromRelationStoreUnchecked(frep.NewStore(), a, fa)
+	frB, _ := FromRelationStoreUnchecked(frep.NewStore(), b, fb)
 	fr := Product(frA, frB)
 	if err := fr.Merge("x", "y"); err != nil {
 		t.Fatal(err)
@@ -257,7 +258,7 @@ func TestAbsorb(t *testing.T) {
 	})
 	f := ftree.New()
 	f.NewRelationPath("a", "b", "a2")
-	fr, err := FromRelationUnchecked(u, f)
+	fr, err := FromRelationStoreUnchecked(frep.NewStore(), u, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestAbsorbDeeper(t *testing.T) {
 	})
 	f := ftree.New()
 	f.NewRelationPath("a", "b", "c", "a2")
-	fr, err := FromRelationUnchecked(u, f)
+	fr, err := FromRelationStoreUnchecked(frep.NewStore(), u, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestAbsorbDeeper(t *testing.T) {
 }
 
 func TestRemoveLeaf(t *testing.T) {
-	fr, r := pizzeriaFRel(t)
+	fr, r := pizzeriaARel(t)
 	if err := fr.RemoveLeaf("price"); err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestRemoveLeaf(t *testing.T) {
 func TestGammaPaperQueryS(t *testing.T) {
 	// Query S (introduction): price of each ordered pizza —
 	// γ_{sum_price}(item subtree) on T1 gives the factorisation over T2.
-	fr, r := pizzeriaFRel(t)
+	fr, r := pizzeriaARel(t)
 	if err := fr.Gamma("item", []ftree.AggField{{Fn: ftree.Sum, Arg: "price"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +354,7 @@ func TestGammaPaperQueryS(t *testing.T) {
 func TestGammaPaperQueryP(t *testing.T) {
 	// Query P (introduction): revenue per customer, via partial
 	// aggregation and restructuring — the full pipeline of Example 1.
-	fr, _ := pizzeriaFRel(t)
+	fr, _ := pizzeriaARel(t)
 	// Step 1: γ_sum_price(item,price) — T1 → T2.
 	if err := fr.Gamma("item", []ftree.AggField{{Fn: ftree.Sum, Arg: "price"}}); err != nil {
 		t.Fatal(err)
@@ -406,7 +407,7 @@ func TestGammaPaperQueryP(t *testing.T) {
 }
 
 func TestGammaWholeTree(t *testing.T) {
-	fr, _ := pizzeriaFRel(t)
+	fr, _ := pizzeriaARel(t)
 	if err := fr.Gamma("pizza", []ftree.AggField{{Fn: ftree.Count}, {Fn: ftree.Sum, Arg: "price"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +421,7 @@ func TestGammaWholeTree(t *testing.T) {
 }
 
 func TestGammaOnEmpty(t *testing.T) {
-	fr, _ := pizzeriaFRel(t)
+	fr, _ := pizzeriaARel(t)
 	if err := fr.SelectConst("price", GT, iv(1000)); err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +437,7 @@ func TestGammaOnEmpty(t *testing.T) {
 }
 
 func TestGammaInvalidComposition(t *testing.T) {
-	fr, _ := pizzeriaFRel(t)
+	fr, _ := pizzeriaARel(t)
 	if err := fr.Gamma("item", []ftree.AggField{{Fn: ftree.Min, Arg: "price"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +456,7 @@ func TestGammaInvalidComposition(t *testing.T) {
 }
 
 func TestComputeScalarAvg(t *testing.T) {
-	fr, _ := pizzeriaFRel(t)
+	fr, _ := pizzeriaARel(t)
 	// avg price per pizza: γ_(sum,count)(item subtree), then divide.
 	if err := fr.Gamma("item", []ftree.AggField{
 		{Fn: ftree.Sum, Arg: "price"}, {Fn: ftree.Count},
@@ -484,7 +485,7 @@ func TestComputeScalarAvg(t *testing.T) {
 }
 
 func TestRenameAtomic(t *testing.T) {
-	fr, _ := pizzeriaFRel(t)
+	fr, _ := pizzeriaARel(t)
 	if err := fr.Rename("customer", "guest"); err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +515,7 @@ func TestRandomOpPipelineProperty(t *testing.T) {
 		rel := relation.MustNew("R", attrs, ts).Dedup()
 		f := ftree.New()
 		f.NewRelationPath(attrs...)
-		fr, err := FromRelation(rel, f)
+		fr, err := FromRelationStore(frep.NewStore(), rel, f)
 		if err != nil {
 			return false
 		}
@@ -576,7 +577,7 @@ func TestGammaMatchesRelationalProperty(t *testing.T) {
 		rel := relation.MustNew("R", attrs, ts).Dedup()
 		f := ftree.New()
 		f.NewRelationPath("a", "b", "c")
-		fr, err := FromRelation(rel, f)
+		fr, err := FromRelationStore(frep.NewStore(), rel, f)
 		if err != nil {
 			return false
 		}
@@ -641,8 +642,8 @@ func TestProductEmptySide(t *testing.T) {
 	fa, fb := ftree.New(), ftree.New()
 	fa.NewRelationPath("x")
 	fb.NewRelationPath("y")
-	frA, _ := FromRelationUnchecked(a, fa)
-	frB, _ := FromRelationUnchecked(b, fb)
+	frA, _ := FromRelationStoreUnchecked(frep.NewStore(), a, fa)
+	frB, _ := FromRelationStoreUnchecked(frep.NewStore(), b, fb)
 	fr := Product(frA, frB)
 	if !fr.IsEmpty() {
 		t.Error("product with empty side should be empty")

@@ -149,7 +149,7 @@ func TestParallelMergeMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ar := ProductArena(a, b)
+		ar := Product(a, b)
 		ar.Par = par
 		return ar
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/relation"
 	"github.com/factordb/fdb/internal/values"
@@ -17,7 +18,7 @@ import (
 
 // buildChain builds a random relation over (a,b,c,d) factorised as the
 // linear path a→b→c→d.
-func buildChain(rng *rand.Rand) (*FRel, error) {
+func buildChain(rng *rand.Rand) (*ARel, error) {
 	attrs := []string{"a", "b", "c", "d"}
 	n := 1 + rng.Intn(40)
 	ts := make([]relation.Tuple, n)
@@ -31,11 +32,11 @@ func buildChain(rng *rand.Rand) (*FRel, error) {
 	rel := relation.MustNew("R", attrs, ts).Dedup()
 	f := ftree.New()
 	f.NewRelationPath(attrs...)
-	return FromRelation(rel, f)
+	return FromRelationStore(frep.NewStore(), rel, f)
 }
 
 // flattenOf returns the flattened relation for comparison.
-func flattenOf(t *testing.T, fr *FRel) *relation.Relation {
+func flattenOf(t *testing.T, fr *ARel) *relation.Relation {
 	t.Helper()
 	flat, err := fr.Flatten()
 	if err != nil {
@@ -152,7 +153,7 @@ func TestProp2DisjointCommute(t *testing.T) {
 		rel := relation.MustNew("R", []string{"a", "b", "c", "d"}, ts).Dedup()
 		f := ftree.New()
 		f.NewRelationPath("a", "b", "c", "d")
-		fr, err := FromRelation(rel, f)
+		fr, err := FromRelationStore(frep.NewStore(), rel, f)
 		if err != nil {
 			return false
 		}
@@ -206,7 +207,7 @@ func TestProp2DisjointCommute(t *testing.T) {
 
 // buildSibling factorises rel over a → {b, c → d}, which requires b ⟂
 // (c,d) given a; returns an error when the data does not satisfy it.
-func buildSibling(rel *relation.Relation) (*FRel, error) {
+func buildSibling(rel *relation.Relation) (*ARel, error) {
 	// Make the decomposition valid by construction: replace rel with
 	// π_{a,b}(rel) ⋈ π_{a,c,d}(rel).
 	ab, err := rel.Project("a", "b")
@@ -227,7 +228,7 @@ func buildSibling(rel *relation.Relation) (*FRel, error) {
 	a.Children = []*ftree.Node{b, c}
 	c.Children = []*ftree.Node{d}
 	f.Roots = []*ftree.Node{a}
-	return FromRelation(j, f)
+	return FromRelationStore(frep.NewStore(), j, f)
 }
 
 // The γ operator and the relational ϖ agree on every subtree of a chain

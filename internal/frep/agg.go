@@ -47,7 +47,8 @@ type nodePlan struct {
 
 // Evaluator computes a fixed list of aggregation functions over
 // representations of a fixed f-tree subtree. Compile once, evaluate many
-// times (the γ operator calls Eval for every occurrence of the subtree).
+// times (the γ operator calls EvalStoreInto for every occurrence of the
+// subtree).
 // An Evaluator reuses internal per-depth scratch frames and is therefore
 // not safe for concurrent use.
 type Evaluator struct {
@@ -234,163 +235,16 @@ func (ev *Evaluator) compile(n *ftree.Node) error {
 
 // result carries the running aggregates for one subtree representation.
 // count is -1 ("poisoned") when a multiplicity was unknowable; using a
-// poisoned count in an output is an internal error caught by Eval.
+// poisoned count in an output is an internal error caught by
+// EvalStoreRangeInto.
 type result struct {
 	count int64
 	vals  []values.Value
 }
 
-// Eval computes the evaluator's fields over the representation u of its
-// subtree. For an empty representation, count fields evaluate to 0 and
-// other fields to Null.
-func (ev *Evaluator) Eval(u *Union) ([]values.Value, error) {
-	out := make([]values.Value, len(ev.fields))
-	if err := ev.EvalInto(u, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// EvalInto is Eval writing into a caller-provided slice of length
-// len(fields), avoiding the output allocation on hot paths.
-func (ev *Evaluator) EvalInto(u *Union, out []values.Value) error {
-	if ev.rootRes.vals == nil {
-		ev.rootRes.vals = make([]values.Value, len(ev.fields))
-	}
-	res := ev.rootRes
-	ev.eval(ev.root, u, 0, &res)
-	for i, fl := range ev.fields {
-		if fl.Fn == ftree.Count {
-			if res.count < 0 {
-				return fmt.Errorf("frep: poisoned count for %s (invalid aggregate composition)", fl)
-			}
-			out[i] = values.NewInt(res.count)
-		} else {
-			if isPoison(res.vals[i]) {
-				return fmt.Errorf("frep: poisoned value for %s (invalid aggregate composition)", fl)
-			}
-			out[i] = res.vals[i]
-		}
-	}
-	return nil
-}
-
-// EvalValue is Eval for single-field evaluators, returning the scalar.
-func (ev *Evaluator) EvalValue(u *Union) (values.Value, error) {
-	vs, err := ev.Eval(u)
-	if err != nil {
-		return values.Value{}, err
-	}
-	return vs[0], nil
-}
-
-// eval accumulates the aggregates for u into res, which the caller must
-// have reset (count 0, vals Null). Child results live in per-depth scratch
-// frames so steady-state evaluation does not allocate.
-func (ev *Evaluator) eval(n *ftree.Node, u *Union, depth int, res *result) {
-	p := ev.plans[n]
-	res.count = 0
-	for i := range res.vals {
-		res.vals[i] = values.Value{}
-	}
-	nc := len(n.Children)
-	var kidRes []result
-	if nc > 0 {
-		kidRes = ev.frame(depth, nc).kids[:nc]
-	}
-	for i := range u.Vals {
-		// Evaluate children once per value.
-		mult := int64(1)
-		for j := 0; j < nc; j++ {
-			ev.eval(n.Children[j], u.Kids[i][j], depth+1, &kidRes[j])
-			if kidRes[j].count < 0 || mult < 0 {
-				mult = -1
-			} else {
-				mult *= kidRes[j].count
-			}
-		}
-		// Multiplicity of this value itself.
-		self := int64(1)
-		switch {
-		case p.countFieldIdx == -2:
-			self = -1
-		case p.countFieldIdx >= 0:
-			fv := fieldValue(u.Vals[i], p.countFieldIdx, len(n.Agg.Fields))
-			self = fv.Int()
-		}
-		cnt := int64(-1)
-		if self >= 0 && mult >= 0 {
-			cnt = self * mult
-		}
-		if res.count >= 0 && cnt >= 0 {
-			res.count += cnt
-		} else {
-			res.count = -1
-		}
-		for fi, act := range p.actions {
-			fl := ev.fields[fi]
-			switch act.kind {
-			case actAbsent:
-				// Count fields are assembled from res.count; nothing here.
-			case actHere, actAggField:
-				var v values.Value
-				if act.kind == actHere {
-					v = u.Vals[i]
-				} else {
-					v = fieldValue(u.Vals[i], act.idx, len(n.Agg.Fields))
-				}
-				switch fl.Fn {
-				case ftree.Sum:
-					if isPoison(res.vals[fi]) {
-						break
-					}
-					if mult < 0 {
-						res.vals[fi] = poisonVal()
-					} else {
-						res.vals[fi] = values.Add(res.vals[fi], values.MulInt(v, mult))
-					}
-				case ftree.Min:
-					res.vals[fi] = values.Min(res.vals[fi], v)
-				case ftree.Max:
-					res.vals[fi] = values.Max(res.vals[fi], v)
-				}
-			case actDescend:
-				sub := kidRes[act.idx].vals[fi]
-				switch fl.Fn {
-				case ftree.Sum:
-					if isPoison(res.vals[fi]) {
-						break
-					}
-					// Multiply by the counts of the sibling factors and
-					// this node's own multiplicity.
-					sibMult := self
-					for j := 0; j < nc; j++ {
-						if j == act.idx {
-							continue
-						}
-						if kidRes[j].count < 0 || sibMult < 0 {
-							sibMult = -1
-							break
-						}
-						sibMult *= kidRes[j].count
-					}
-					if sibMult < 0 || isPoison(sub) {
-						res.vals[fi] = poisonVal()
-					} else if !sub.IsNull() {
-						res.vals[fi] = values.Add(res.vals[fi], values.MulInt(sub, sibMult))
-					}
-				case ftree.Min:
-					res.vals[fi] = values.Min(res.vals[fi], sub)
-				case ftree.Max:
-					res.vals[fi] = values.Max(res.vals[fi], sub)
-				}
-			}
-		}
-	}
-}
-
-// EvalStore is Eval over the arena representation: it computes the
-// evaluator's fields over union id of store s.
+// EvalStore computes the evaluator's fields over union id of store s.
+// For an empty representation, count fields evaluate to 0 and other
+// fields to Null.
 func (ev *Evaluator) EvalStore(s *Store, id NodeID) ([]values.Value, error) {
 	out := make([]values.Value, len(ev.fields))
 	if err := ev.EvalStoreInto(s, id, out); err != nil {
@@ -434,11 +288,10 @@ func (ev *Evaluator) EvalStoreRangeInto(s *Store, id NodeID, lo, hi int, out []v
 	return nil
 }
 
-// evalStore mirrors eval over the arena representation: same recursion,
-// same per-depth scratch frames, but values and kid rows come from the
-// store slabs instead of per-union heap objects. The [lo, hi) window
-// restricts the top-level value loop only; recursive calls always cover
-// their whole union.
+// evalStore accumulates the aggregates for union id into res. Child
+// results live in per-depth scratch frames so steady-state evaluation
+// does not allocate. The [lo, hi) window restricts the top-level value
+// loop only; recursive calls always cover their whole union.
 func (ev *Evaluator) evalStore(n *ftree.Node, s *Store, id NodeID, lo, hi int, depth int, res *result) {
 	p := ev.plans[n]
 	if p.leafKernel && EnableKernels && ev.evalLeafStoreKernel(p, s, id, lo, hi, res) {
@@ -617,7 +470,9 @@ func (ev *Evaluator) evalLeafStoreKernel(p *nodePlan, s *Store, id NodeID, lo, h
 	return true
 }
 
-// CountStore is Count over the arena representation.
+// CountStore returns the cardinality of the representation id over
+// subtree n under the aggregate-attribute interpretation of Section 3.1
+// (the paper's count algorithm).
 func CountStore(n *ftree.Node, s *Store, id NodeID) (int64, error) {
 	ev, err := NewEvaluator(n, []ftree.AggField{{Fn: ftree.Count}})
 	if err != nil {
@@ -665,35 +520,4 @@ func isPoison(v values.Value) bool {
 	}
 	s := v.Str()
 	return len(s) > 0 && s[0] == 0 && s == "\x00poisoned"
-}
-
-// Count returns the cardinality of the representation u over subtree n
-// under the aggregate-attribute interpretation of Section 3.1 (the paper's
-// count algorithm).
-func Count(n *ftree.Node, u *Union) (int64, error) {
-	ev, err := NewEvaluator(n, []ftree.AggField{{Fn: ftree.Count}})
-	if err != nil {
-		return 0, err
-	}
-	v, err := ev.EvalValue(u)
-	if err != nil {
-		return 0, err
-	}
-	return v.Int(), nil
-}
-
-// CountAll multiplies Count over the roots of a forest representation.
-func CountAll(f *ftree.Forest, roots []*Union) (int64, error) {
-	total := int64(1)
-	for i, r := range f.Roots {
-		c, err := Count(r, roots[i])
-		if err != nil {
-			return 0, err
-		}
-		total *= c
-		if total == 0 {
-			return 0, nil
-		}
-	}
-	return total, nil
 }

@@ -25,66 +25,6 @@ import (
 
 const codecMagic = "FDBV1\n"
 
-// WriteTo serialises the forest representation (f-tree plus unions) to w.
-func WriteTo(w io.Writer, f *ftree.Forest, roots []*Union) error {
-	if len(roots) != len(f.Roots) {
-		return fmt.Errorf("frep: codec: %d root unions for %d f-tree roots", len(roots), len(f.Roots))
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(codecMagic); err != nil {
-		return err
-	}
-	e := &encoder{w: bw}
-	e.uvarint(uint64(len(f.Roots)))
-	for i, r := range f.Roots {
-		e.node(r)
-		e.union(r, roots[i])
-	}
-	if e.err != nil {
-		return e.err
-	}
-	return bw.Flush()
-}
-
-// ReadFrom deserialises a forest representation written by WriteTo.
-func ReadFrom(r io.Reader) (*ftree.Forest, []*Union, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(codecMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, nil, fmt.Errorf("frep: codec: reading magic: %w", err)
-	}
-	if string(magic) != codecMagic {
-		return nil, nil, fmt.Errorf("frep: codec: bad magic %q", magic)
-	}
-	d := &decoder{r: br}
-	n := d.uvarint()
-	if n > 1<<20 {
-		return nil, nil, fmt.Errorf("frep: codec: implausible root count %d", n)
-	}
-	f := ftree.New()
-	var roots []*Union
-	maxTok := -1
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		nd := d.node(nil, &maxTok)
-		f.Roots = append(f.Roots, nd)
-		roots = append(roots, d.union(nd))
-	}
-	if d.err != nil {
-		return nil, nil, d.err
-	}
-	// Restore the token counter above every token seen.
-	for f.TokenBound() <= maxTok {
-		f.NewToken()
-	}
-	if err := f.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("frep: codec: decoded f-tree invalid: %w", err)
-	}
-	if err := CheckInvariantsAll(f, roots); err != nil {
-		return nil, nil, fmt.Errorf("frep: codec: decoded representation invalid: %w", err)
-	}
-	return f, roots, nil
-}
-
 type encoder struct {
 	w   *bufio.Writer
 	buf [binary.MaxVarintLen64]byte
@@ -180,22 +120,9 @@ func (e *encoder) value(v values.Value) {
 	}
 }
 
-func (e *encoder) union(n *ftree.Node, u *Union) {
-	e.uvarint(uint64(len(u.Vals)))
-	for _, v := range u.Vals {
-		e.value(v)
-	}
-	for i := range u.Vals {
-		for j, c := range n.Children {
-			e.union(c, u.Kids[i][j])
-			_ = j
-		}
-	}
-}
-
-// WriteStoreTo serialises an arena forest representation to w. The wire
-// format is identical to WriteTo's, so views written from either
-// representation can be read back into either.
+// WriteStoreTo serialises the forest representation (f-tree plus unions)
+// to w. The encoding is canonical: a view read back and written again
+// reproduces the same bytes.
 func WriteStoreTo(w io.Writer, f *ftree.Forest, s *Store, roots []NodeID) error {
 	if len(roots) != len(f.Roots) {
 		return fmt.Errorf("frep: codec: %d root unions for %d f-tree roots", len(roots), len(f.Roots))
@@ -230,8 +157,9 @@ func (e *encoder) storeUnion(n *ftree.Node, s *Store, id NodeID) {
 	}
 }
 
-// ReadStoreFrom deserialises a forest representation written by WriteTo
-// or WriteStoreTo into a fresh arena store.
+// ReadStoreFrom deserialises a forest representation written by
+// WriteStoreTo into a fresh store, validating the f-tree and the
+// representation invariants.
 func ReadStoreFrom(r io.Reader) (*ftree.Forest, *Store, []NodeID, error) {
 	s := NewStore()
 	f, roots, err := ReadStoreInto(r, s)
@@ -448,30 +376,4 @@ func (d *decoder) storeUnion(n *ftree.Node, s *Store) NodeID {
 		return EmptyNode
 	}
 	return s.Add(vals, arity, kids)
-}
-
-func (d *decoder) union(n *ftree.Node) *Union {
-	nv := d.uvarint()
-	if d.err != nil {
-		return &Union{}
-	}
-	if nv > 1<<30 {
-		d.fail(fmt.Errorf("frep: codec: implausible union size %d", nv))
-		return &Union{}
-	}
-	u := &Union{Vals: make([]values.Value, 0, nv)}
-	for i := uint64(0); i < nv && d.err == nil; i++ {
-		u.Vals = append(u.Vals, d.value())
-	}
-	if len(n.Children) > 0 {
-		u.Kids = make([][]*Union, 0, nv)
-		for i := uint64(0); i < nv && d.err == nil; i++ {
-			row := make([]*Union, len(n.Children))
-			for j, c := range n.Children {
-				row[j] = d.union(c)
-			}
-			u.Kids = append(u.Kids, row)
-		}
-	}
-	return u
 }

@@ -1,12 +1,11 @@
 package frep
 
-// FuzzCodecRoundTrip drives the codec with arbitrary (but valid)
+// FuzzCodecRoundTrip drives the view codec with arbitrary (but valid)
 // factorised representations derived from the fuzz input: a small
-// relation and f-tree shape are decoded from the bytes, built in both
-// the legacy and arena representations, serialised, and read back into
-// both. decode(encode(u)) must be structurally equal to u in every
-// combination, and the two representations must produce byte-identical
-// encodings.
+// relation and f-tree shape are decoded from the bytes, built,
+// serialised and read back. decode(encode(u)) must be structurally
+// equal to u, still represent the input relation, and re-encode to the
+// same bytes (the encoding is canonical).
 
 import (
 	"bytes"
@@ -79,53 +78,40 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if rel == nil {
 			t.Skip("input too short")
 		}
-		legacy, err := BuildUnchecked(rel, tree)
-		if err != nil {
-			t.Fatalf("legacy build: %v", err)
-		}
 		s := NewStore()
 		roots, err := BuildStoreUnchecked(s, rel, tree)
 		if err != nil {
-			t.Fatalf("arena build: %v", err)
+			t.Fatalf("build: %v", err)
 		}
-		var lbuf, sbuf bytes.Buffer
-		if err := WriteTo(&lbuf, tree, legacy); err != nil {
-			t.Fatalf("legacy encode: %v", err)
+		var buf bytes.Buffer
+		if err := WriteStoreTo(&buf, tree, s, roots); err != nil {
+			t.Fatalf("encode: %v", err)
 		}
-		if err := WriteStoreTo(&sbuf, tree, s, roots); err != nil {
-			t.Fatalf("arena encode: %v", err)
-		}
-		if !bytes.Equal(lbuf.Bytes(), sbuf.Bytes()) {
-			t.Fatal("legacy and arena encodings differ")
-		}
-		// decode(encode(u)) in the legacy representation.
-		_, back, err := ReadFrom(bytes.NewReader(lbuf.Bytes()))
+		tree2, s2, roots2, err := ReadStoreFrom(bytes.NewReader(buf.Bytes()))
 		if err != nil {
-			t.Fatalf("legacy decode: %v", err)
-		}
-		if len(back) != len(legacy) {
-			t.Fatalf("legacy decode: %d roots, want %d", len(back), len(legacy))
-		}
-		for i := range back {
-			if !Equal(back[i], legacy[i]) {
-				t.Fatalf("legacy round trip differs at root %d", i)
-			}
-		}
-		// decode(encode(u)) in the arena representation.
-		_, s2, roots2, err := ReadStoreFrom(bytes.NewReader(sbuf.Bytes()))
-		if err != nil {
-			t.Fatalf("arena decode: %v", err)
+			t.Fatalf("decode: %v", err)
 		}
 		if len(roots2) != len(roots) {
-			t.Fatalf("arena decode: %d roots, want %d", len(roots2), len(roots))
+			t.Fatalf("decode: %d roots, want %d", len(roots2), len(roots))
 		}
 		for i := range roots2 {
 			if !EqualStore(s2, roots2[i], s, roots[i]) {
-				t.Fatalf("arena round trip differs at root %d", i)
+				t.Fatalf("round trip differs at root %d", i)
 			}
-			if !EqualStoreUnion(s2, roots2[i], legacy[i]) {
-				t.Fatalf("arena decode differs from legacy build at root %d", i)
-			}
+		}
+		flat, err := FlattenStore(tree2, s2, roots2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !relation.EqualAsSets(flat, rel) {
+			t.Fatal("decoded view no longer represents the input relation")
+		}
+		var again bytes.Buffer
+		if err := WriteStoreTo(&again, tree2, s2, roots2); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+			t.Fatal("re-encoding a decoded view changed its bytes")
 		}
 	})
 }

@@ -13,12 +13,12 @@ import (
 )
 
 func TestCodecRoundTripPizzeria(t *testing.T) {
-	_, f, roots := buildPizzeria(t)
+	_, f, s, roots := buildPizzeria(t)
 	var buf bytes.Buffer
-	if err := WriteTo(&buf, f, roots); err != nil {
+	if err := WriteStoreTo(&buf, f, s, roots); err != nil {
 		t.Fatal(err)
 	}
-	f2, roots2, err := ReadFrom(&buf)
+	f2, s2, roots2, err := ReadStoreFrom(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestCodecRoundTripPizzeria(t *testing.T) {
 		t.Errorf("f-tree changed:\n%s\nvs\n%s", f, f2)
 	}
 	for i := range roots {
-		if !Equal(roots[i], roots2[i]) {
+		if !EqualStore(s, roots[i], s2, roots2[i]) {
 			t.Errorf("representation changed at root %d", i)
 		}
 	}
@@ -48,20 +48,17 @@ func TestCodecRoundTripWithAggNodes(t *testing.T) {
 	}
 	cust.Children = []*ftree.Node{agg}
 	f.Roots = []*ftree.Node{cust}
-	vec := func(s, c int64) *Union {
-		return &Union{Vals: []values.Value{values.NewVec([]values.Value{values.NewInt(s), values.NewInt(c)})}}
+	s := NewStore()
+	vec := func(sum, c int64) NodeID {
+		return s.AddLeaf([]values.Value{values.NewVec([]values.Value{values.NewInt(sum), values.NewInt(c)})})
 	}
-	rep := &Union{
-		Vals: []values.Value{
-			values.NewString("Lucia"), values.NewString("Mario"),
-		},
-		Kids: [][]*Union{{vec(9, 3)}, {vec(22, 7)}},
-	}
+	rep := s.Add([]values.Value{values.NewString("Lucia"), values.NewString("Mario")}, 1,
+		[]NodeID{vec(9, 3), vec(22, 7)})
 	var buf bytes.Buffer
-	if err := WriteTo(&buf, f, []*Union{rep}); err != nil {
+	if err := WriteStoreTo(&buf, f, s, []NodeID{rep}); err != nil {
 		t.Fatal(err)
 	}
-	f2, roots2, err := ReadFrom(&buf)
+	f2, s2, roots2, err := ReadStoreFrom(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +66,7 @@ func TestCodecRoundTripWithAggNodes(t *testing.T) {
 	if !n2.IsAgg() || n2.Alias != "revenue" || len(n2.Agg.Fields) != 2 {
 		t.Errorf("aggregate node lost: %+v", n2)
 	}
-	if !Equal(rep, roots2[0]) {
+	if !EqualStore(s, rep, s2, roots2[0]) {
 		t.Error("representation changed")
 	}
 }
@@ -77,47 +74,60 @@ func TestCodecRoundTripWithAggNodes(t *testing.T) {
 func TestCodecValueKinds(t *testing.T) {
 	f := ftree.New()
 	f.NewRelationPath("x")
-	u := &Union{Vals: []values.Value{
+	s := NewStore()
+	u := s.AddLeaf([]values.Value{
 		values.NullValue(),
 		values.NewBool(false),
 		values.NewBool(true),
 		values.NewInt(-42),
 		values.NewFloat(2.5),
 		values.NewString("héllo\x00world"),
-	}}
+	})
 	var buf bytes.Buffer
-	if err := WriteTo(&buf, f, []*Union{u}); err != nil {
+	if err := WriteStoreTo(&buf, f, s, []NodeID{u}); err != nil {
 		t.Fatal(err)
 	}
-	_, roots, err := ReadFrom(&buf)
+	_, s2, roots, err := ReadStoreFrom(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Equal(u, roots[0]) {
-		t.Errorf("values changed: %v vs %v", u.Vals, roots[0].Vals)
+	if !EqualStore(s, u, s2, roots[0]) {
+		t.Errorf("values changed: %v vs %v", s.Vals(u), s2.Vals(roots[0]))
 	}
 }
 
 func TestCodecErrors(t *testing.T) {
-	if _, _, err := ReadFrom(strings.NewReader("")); err == nil {
+	if _, _, _, err := ReadStoreFrom(strings.NewReader("")); err == nil {
 		t.Error("empty input should fail")
 	}
-	if _, _, err := ReadFrom(strings.NewReader("NOTFD\n rest")); err == nil {
+	if _, _, _, err := ReadStoreFrom(strings.NewReader("NOTFD\n rest")); err == nil {
 		t.Error("bad magic should fail")
 	}
 	// Truncated stream.
-	_, f, roots := buildPizzeria(t)
+	_, f, s, roots := buildPizzeria(t)
 	var buf bytes.Buffer
-	if err := WriteTo(&buf, f, roots); err != nil {
+	if err := WriteStoreTo(&buf, f, s, roots); err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{7, buf.Len() / 2, buf.Len() - 1} {
-		if _, _, err := ReadFrom(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
+		if _, _, _, err := ReadStoreFrom(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
 			t.Errorf("truncated stream (%d bytes) should fail", cut)
 		}
 	}
+	// A stream whose unions violate the representation invariants
+	// (values not strictly ascending) must be rejected, not loaded.
+	bad := NewStore()
+	leafPath := ftree.New()
+	leafPath.NewRelationPath("x")
+	var unsorted bytes.Buffer
+	if err := WriteStoreTo(&unsorted, leafPath, bad, []NodeID{bad.AddLeaf(ivs(2, 1))}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := ReadStoreFrom(&unsorted); err == nil {
+		t.Error("unsorted union should fail validation on load")
+	}
 	// Arity mismatch.
-	if err := WriteTo(&buf, f, roots[:0]); err == nil {
+	if err := WriteStoreTo(&buf, f, s, roots[:0]); err == nil {
 		t.Error("root count mismatch should fail")
 	}
 }
@@ -137,22 +147,23 @@ func TestCodecRandomRoundTripProperty(t *testing.T) {
 		rel := relation.MustNew("R", []string{"x", "y", "z"}, ts).Dedup()
 		f := ftree.New()
 		f.NewRelationPath("x", "y", "z")
-		roots, err := Build(rel, f)
+		s := NewStore()
+		roots, err := BuildStore(s, rel, f)
 		if err != nil {
 			return false
 		}
 		var buf bytes.Buffer
-		if err := WriteTo(&buf, f, roots); err != nil {
+		if err := WriteStoreTo(&buf, f, s, roots); err != nil {
 			return false
 		}
-		f2, roots2, err := ReadFrom(&buf)
+		f2, s2, roots2, err := ReadStoreFrom(&buf)
 		if err != nil {
 			return false
 		}
 		if f.CanonicalKey() != f2.CanonicalKey() {
 			return false
 		}
-		return Equal(roots[0], roots2[0])
+		return EqualStore(s, roots[0], s2, roots2[0])
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"github.com/factordb/fdb/internal/ftree"
-	"github.com/factordb/fdb/internal/relation"
-	"github.com/factordb/fdb/internal/values"
 )
 
 // OrderSpec names an attribute to enumerate by, with direction. Attr may
@@ -16,38 +14,9 @@ type OrderSpec struct {
 	Desc bool
 }
 
-// TupleEnum is the common surface of the pointer-based and arena
-// enumerators; the engine enumerates through it without knowing the
-// representation. Both implementations are pull-based cursors: Next
-// advances one step at a time, so a caller may stop, resume, or skip at
-// any point, and Skip advances past tuples without assembling them —
-// the basis of OFFSET pagination that never materialises skipped
-// prefixes.
-type TupleEnum interface {
-	Schema() []string
-	Next() bool
-	Tuple() relation.Tuple
-	// Skip advances past up to n tuples without assembling them,
-	// returning how many were skipped. A following Next positions at the
-	// tuple after the skipped prefix.
-	Skip(n int) int
-}
-
-// GroupEnum is the common surface of the grouped enumerators. Like
-// TupleEnum it is a resumable cursor; Skip advances past whole groups
-// without evaluating their aggregation parts.
-type GroupEnum interface {
-	Schema() []string
-	Next() (bool, error)
-	Tuple() relation.Tuple
-	// Skip advances past up to n groups without evaluating their
-	// aggregates, returning how many were skipped.
-	Skip(n int) int
-}
-
-// slotSpec is the representation-independent part of one enumeration
-// loop: which f-tree node it iterates, where its union comes from and in
-// which direction it advances.
+// slotSpec is the compiled part of one enumeration loop: which f-tree
+// node it iterates, where its union comes from and in which direction it
+// advances.
 type slotSpec struct {
 	node       *ftree.Node
 	parentSlot int // index of the parent node's slot, or -1 for roots
@@ -64,9 +33,7 @@ type colRef struct {
 }
 
 // enumPlan is the compiled loop structure of an enumeration: slot order,
-// output columns and schema. It is independent of the representation, so
-// both the pointer-based Enumerator and the arena StoreEnumerator are
-// built from it.
+// output columns and schema.
 type enumPlan struct {
 	slots  []slotSpec
 	cols   []colRef
@@ -158,165 +125,9 @@ func (p *enumPlan) addCols(n *ftree.Node, si int) {
 	}
 }
 
-// slot is one loop of the pointer-based enumeration odometer: its spec
-// plus the current union and position within it.
-type slot struct {
-	slotSpec
-	u   *Union
-	pos int
-}
-
-// Enumerator enumerates the tuples of a factorised representation with
-// delay independent of the data size (linear in the schema size), per
-// Section 4. With a nil order it enumerates in the representation's
-// document order; with an order list it enumerates in lexicographic order
-// by those attributes, provided the f-tree supports it (Theorem 2).
-type Enumerator struct {
-	forest  *ftree.Forest
-	roots   []*Union
-	slots   []slot
-	cols    []colRef
-	schema  []string
-	tuple   relation.Tuple
-	started bool
-	done    bool
-}
-
-// NewEnumerator creates an enumerator over the representation. order may
-// be nil for document order. It fails if the order is not supported by the
-// f-tree (restructure first — see fops and the engine) or references
-// unknown attributes.
-func NewEnumerator(f *ftree.Forest, roots []*Union, order []OrderSpec) (*Enumerator, error) {
-	if len(roots) != len(f.Roots) {
-		return nil, fmt.Errorf("frep: %d root unions for %d f-tree roots", len(roots), len(f.Roots))
-	}
-	p, err := planEnum(f, order)
-	if err != nil {
-		return nil, err
-	}
-	return newEnumeratorFromPlan(f, roots, p), nil
-}
-
-func newEnumeratorFromPlan(f *ftree.Forest, roots []*Union, p *enumPlan) *Enumerator {
-	e := &Enumerator{forest: f, roots: roots, cols: p.cols, schema: p.schema}
-	e.slots = make([]slot, len(p.slots))
-	for i, sp := range p.slots {
-		e.slots[i] = slot{slotSpec: sp}
-	}
-	e.tuple = make(relation.Tuple, len(p.cols))
-	return e
-}
-
-// Schema returns the output column names (FlatSchema of the forest).
-func (e *Enumerator) Schema() []string { return e.schema }
-
-// Next advances to the next tuple, returning false when exhausted. The
-// first call positions at the first tuple.
-func (e *Enumerator) Next() bool {
-	if !e.advance() {
-		return false
-	}
-	e.fill()
-	return true
-}
-
-// Skip advances past up to n tuples without assembling them (no column
-// fill), returning how many were skipped. A following Next positions at
-// the tuple after the skipped prefix, so skipping costs one odometer
-// step per tuple and no output work.
-func (e *Enumerator) Skip(n int) int {
-	k := 0
-	for k < n && e.advance() {
-		k++
-	}
-	return k
-}
-
-// advance moves the odometer to the next position without assembling the
-// output tuple; it returns false when exhausted.
-func (e *Enumerator) advance() bool {
-	if e.done {
-		return false
-	}
-	if !e.started {
-		e.started = true
-		for i := range e.slots {
-			if !e.resetSlot(i) {
-				e.done = true
-				return false
-			}
-		}
-		return true
-	}
-	for i := len(e.slots) - 1; i >= 0; i-- {
-		s := &e.slots[i]
-		if s.desc {
-			if s.pos > 0 {
-				s.pos--
-			} else {
-				continue
-			}
-		} else {
-			if s.pos+1 < len(s.u.Vals) {
-				s.pos++
-			} else {
-				continue
-			}
-		}
-		for j := i + 1; j < len(e.slots); j++ {
-			if !e.resetSlot(j) {
-				// Unions below the top level are never empty, and the
-				// top level was checked at start; resetting mid-stream
-				// cannot fail.
-				e.done = true
-				return false
-			}
-		}
-		return true
-	}
-	e.done = true
-	return false
-}
-
-// resetSlot re-resolves slot i's union from its parent state and rewinds
-// its position. It returns false if the union is empty.
-func (e *Enumerator) resetSlot(i int) bool {
-	s := &e.slots[i]
-	if s.parentSlot < 0 {
-		s.u = e.roots[s.rootIdx]
-	} else {
-		p := &e.slots[s.parentSlot]
-		s.u = p.u.Kids[p.pos][s.childIdx]
-	}
-	if len(s.u.Vals) == 0 {
-		return false
-	}
-	if s.desc {
-		s.pos = len(s.u.Vals) - 1
-	} else {
-		s.pos = 0
-	}
-	return true
-}
-
-func (e *Enumerator) fill() {
-	for ci, c := range e.cols {
-		s := &e.slots[c.slotIdx]
-		v := s.u.Vals[s.pos]
-		if c.fieldIdx >= 0 {
-			v = v.VecAt(c.fieldIdx)
-		}
-		e.tuple[ci] = v
-	}
-}
-
-// Tuple returns the current tuple. The returned slice is reused by Next;
-// clone it to retain.
-func (e *Enumerator) Tuple() relation.Tuple { return e.tuple }
-
-// partSpec is the representation-independent description of one maximal
-// non-group subtree to aggregate: where it hangs, which fields its
-// evaluator computes, and how those map back to the output fields.
+// partSpec describes one maximal non-group subtree to aggregate: where
+// it hangs, which fields its evaluator computes, and how those map back
+// to the output fields.
 type partSpec struct {
 	node       *ftree.Node
 	parentSlot int // slot index in the group enumerator; -1 for root parts
@@ -497,169 +308,3 @@ func planGroupEnum(f *ftree.Forest, g []OrderSpec, fields []ftree.AggField) (*gr
 	}
 	return gp, nil
 }
-
-// GroupEnumerator enumerates one tuple per group over the group-by
-// attributes G, computing the aggregation fields over the remaining
-// attributes on the fly (Example 1, scenario 3): the f-tree must support
-// grouping by G (Theorem 1), all non-group subtrees hang below group nodes
-// and are aggregated per group combination without materialising a
-// restructured factorisation.
-type GroupEnumerator struct {
-	inner   *Enumerator // over the group slots only
-	fields  []ftree.AggField
-	schema  []string
-	tuple   relation.Tuple
-	nGroup  int
-	parts   []aggPart
-	carrier []int // per field: index of the part carrying its argument, or -1
-}
-
-// aggPart is one maximal non-group subtree to aggregate, with a compiled
-// evaluator and the last evaluated values for the current context.
-type aggPart struct {
-	partSpec
-	ev    *Evaluator
-	vals  []values.Value
-	count int64
-}
-
-// NewGroupEnumerator builds a grouped enumerator: group attributes g (with
-// optional order specs applied to them), aggregation fields over
-// everything else.
-func NewGroupEnumerator(f *ftree.Forest, roots []*Union, g []OrderSpec, fields []ftree.AggField) (*GroupEnumerator, error) {
-	gp, err := planGroupEnum(f, g, fields)
-	if err != nil {
-		return nil, err
-	}
-	ge := &GroupEnumerator{
-		inner:   newEnumeratorFromPlan(f, roots, gp.ep),
-		fields:  fields,
-		schema:  gp.schema,
-		nGroup:  gp.nGroup,
-		carrier: gp.carrier,
-	}
-	ge.parts = make([]aggPart, len(gp.parts))
-	for i, ps := range gp.parts {
-		ev, err := NewEvaluator(ps.node, ps.evFields)
-		if err != nil {
-			return nil, err
-		}
-		ge.parts[i] = aggPart{partSpec: ps, ev: ev}
-	}
-	ge.tuple = make(relation.Tuple, len(gp.schema))
-	return ge, nil
-}
-
-// Schema returns group columns followed by one column per aggregation
-// field.
-func (g *GroupEnumerator) Schema() []string { return g.schema }
-
-// Next advances to the next group, returning false when done.
-func (g *GroupEnumerator) Next() (bool, error) {
-	if len(g.inner.slots) == 0 {
-		// Single global group: emit exactly once, even for empty input
-		// (count 0, Null aggregates — engines may adjust).
-		if g.inner.done {
-			return false, nil
-		}
-		g.inner.done = true
-		if err := g.evalParts(); err != nil {
-			return false, err
-		}
-		g.fillAggs()
-		return true, nil
-	}
-	if !g.inner.Next() {
-		return false, nil
-	}
-	copy(g.tuple[:g.nGroup], g.inner.Tuple())
-	if err := g.evalParts(); err != nil {
-		return false, err
-	}
-	g.fillAggs()
-	return true, nil
-}
-
-// Skip advances past up to n groups without evaluating their aggregation
-// parts, returning how many were skipped: OFFSET over grouped output
-// costs one odometer step per skipped group, not an aggregation.
-func (g *GroupEnumerator) Skip(n int) int {
-	if len(g.inner.slots) == 0 {
-		// Single global group.
-		if n > 0 && !g.inner.done {
-			g.inner.done = true
-			return 1
-		}
-		return 0
-	}
-	return g.inner.Skip(n)
-}
-
-func (g *GroupEnumerator) evalParts() error {
-	for pi := range g.parts {
-		p := &g.parts[pi]
-		var u *Union
-		if p.parentSlot < 0 {
-			u = g.inner.roots[p.rootIdx]
-		} else {
-			s := &g.inner.slots[p.parentSlot]
-			u = s.u.Kids[s.pos][p.childIdx]
-		}
-		vals, err := p.ev.Eval(u)
-		if err != nil {
-			return err
-		}
-		p.vals = vals
-		if p.countIdx >= 0 {
-			p.count = vals[p.countIdx].Int()
-		} else {
-			p.count = 1 // multiplicity not needed by any output
-		}
-	}
-	return nil
-}
-
-func (g *GroupEnumerator) fillAggs() {
-	fillAggTuple(g.tuple[g.nGroup:], g.fields, g.carrier, len(g.parts),
-		func(pi int) int64 { return g.parts[pi].count },
-		func(pi, fi int) values.Value { return g.parts[pi].vals[g.parts[pi].fieldIdx[fi]] })
-}
-
-// fillAggTuple assembles the aggregate output fields from per-part counts
-// and values; shared by the pointer-based and arena group enumerators.
-func fillAggTuple(out relation.Tuple, fields []ftree.AggField, carrier []int, nParts int,
-	count func(pi int) int64, val func(pi, fi int) values.Value) {
-	for i, fl := range fields {
-		var o values.Value
-		switch fl.Fn {
-		case ftree.Count:
-			total := int64(1)
-			for pi := 0; pi < nParts; pi++ {
-				total *= count(pi)
-			}
-			o = values.NewInt(total)
-		case ftree.Sum:
-			v := val(carrier[i], i)
-			if v.IsNull() {
-				o = values.NullValue()
-				break
-			}
-			mult := int64(1)
-			for pi := 0; pi < nParts; pi++ {
-				if pi != carrier[i] {
-					mult *= count(pi)
-				}
-			}
-			o = values.MulInt(v, mult)
-		case ftree.Min, ftree.Max:
-			o = val(carrier[i], i)
-			// If any sibling part is empty the group has no tuples; only
-			// possible at top level, where count 0 already signals it.
-		}
-		out[i] = o
-	}
-}
-
-// Tuple returns the current group tuple (group values then aggregates).
-// The slice is reused; clone to retain.
-func (g *GroupEnumerator) Tuple() relation.Tuple { return g.tuple }

@@ -1,15 +1,15 @@
 package frep
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/relation"
 )
 
-// collect drains a TupleEnum into cloned tuples.
-func collect(t *testing.T, en TupleEnum) []relation.Tuple {
-	t.Helper()
+// collect drains an enumerator into cloned tuples.
+func collect(en *StoreEnumerator) []relation.Tuple {
 	var out []relation.Tuple
 	for en.Next() {
 		out = append(out, en.Tuple().Clone())
@@ -17,83 +17,64 @@ func collect(t *testing.T, en TupleEnum) []relation.Tuple {
 	return out
 }
 
+// wantSuffix asserts that skipping k rows reported skipped and left
+// exactly full[min(k, len)..] to enumerate.
+func wantSuffix(t *testing.T, what string, k, skipped int, rest, full []relation.Tuple) {
+	t.Helper()
+	wantSkipped := k
+	if k > len(full) {
+		wantSkipped = len(full)
+	}
+	if skipped != wantSkipped {
+		t.Fatalf("%s: Skip(%d) = %d, want %d", what, k, skipped, wantSkipped)
+	}
+	if len(rest) != len(full)-wantSkipped {
+		t.Fatalf("%s: after Skip(%d) got %d rows, want %d", what, k, len(rest), len(full)-wantSkipped)
+	}
+	for i := range rest {
+		if relation.Compare(rest[i], full[wantSkipped+i]) != 0 {
+			t.Fatalf("%s: Skip(%d) row %d = %v, want %v", what, k, i, rest[i], full[wantSkipped+i])
+		}
+	}
+}
+
 // TestSkipMatchesNext asserts that Skip(k) then Next enumerates exactly
-// the suffix after k tuples, on both representations, with and without
-// order specs, for every k.
+// the suffix after k tuples, with and without order specs, for every k.
 func TestSkipMatchesNext(t *testing.T) {
-	rel, f := testRel(t)
-	legacy, err := BuildUnchecked(rel, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore()
-	roots, err := BuildStoreUnchecked(s, rel, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orders := [][]OrderSpec{
+	_, f, s, roots := buildTestStore(t)
+	for _, order := range [][]OrderSpec{
 		nil,
 		{{Attr: "a", Desc: true}, {Attr: "b"}},
-	}
-	mk := map[string]func(order []OrderSpec) TupleEnum{
-		"legacy": func(order []OrderSpec) TupleEnum {
-			en, err := NewEnumerator(f, legacy, order)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return en
-		},
-		"arena": func(order []OrderSpec) TupleEnum {
+	} {
+		newEnum := func() *StoreEnumerator {
 			en, err := NewStoreEnumerator(f, s, roots, order)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return en
-		},
-	}
-	for name, newEnum := range mk {
-		for oi, order := range orders {
-			full := collect(t, newEnum(order))
-			for k := 0; k <= len(full)+1; k++ {
-				en := newEnum(order)
-				skipped := en.Skip(k)
-				wantSkipped := k
-				if k > len(full) {
-					wantSkipped = len(full)
-				}
-				if skipped != wantSkipped {
-					t.Fatalf("%s/order%d: Skip(%d) = %d, want %d", name, oi, k, skipped, wantSkipped)
-				}
-				rest := collect(t, en)
-				if len(rest) != len(full)-wantSkipped {
-					t.Fatalf("%s/order%d: after Skip(%d) got %d tuples, want %d", name, oi, k, len(rest), len(full)-wantSkipped)
-				}
-				for i := range rest {
-					if relation.Compare(rest[i], full[wantSkipped+i]) != 0 {
-						t.Fatalf("%s/order%d: Skip(%d) row %d = %v, want %v", name, oi, k, i, rest[i], full[wantSkipped+i])
-					}
-				}
-			}
+		}
+		full := collect(newEnum())
+		for k := 0; k <= len(full)+1; k++ {
+			en := newEnum()
+			skipped := en.Skip(k)
+			wantSuffix(t, fmt.Sprintf("order %v", order), k, skipped, collect(en), full)
 		}
 	}
 }
 
-// TestGroupSkipMatchesNext asserts the grouped enumerators skip whole
-// groups equivalently to stepping, on both representations.
+// TestGroupSkipMatchesNext asserts the grouped enumerator skips whole
+// groups equivalently to stepping.
 func TestGroupSkipMatchesNext(t *testing.T) {
-	rel, f := testRel(t)
-	legacy, err := BuildUnchecked(rel, f)
-	if err != nil {
-		t.Fatal(err)
+	_, f, s, roots := buildTestStore(t)
+	newEnum := func() *StoreGroupEnumerator {
+		ge, err := NewStoreGroupEnumerator(f, s, roots, []OrderSpec{{Attr: "a"}},
+			[]ftree.AggField{{Fn: ftree.Count}, {Fn: ftree.Sum, Arg: "c"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ge
 	}
-	s := NewStore()
-	roots, err := BuildStoreUnchecked(s, rel, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := []OrderSpec{{Attr: "a"}}
-	fields := []ftree.AggField{{Fn: ftree.Count}, {Fn: ftree.Sum, Arg: "c"}}
-	collectG := func(ge GroupEnum) []relation.Tuple {
+	collectG := func(ge *StoreGroupEnumerator) []relation.Tuple {
 		var out []relation.Tuple
 		for {
 			ok, err := ge.Next()
@@ -106,46 +87,13 @@ func TestGroupSkipMatchesNext(t *testing.T) {
 			out = append(out, ge.Tuple().Clone())
 		}
 	}
-	mk := map[string]func() GroupEnum{
-		"legacy": func() GroupEnum {
-			ge, err := NewGroupEnumerator(f, legacy, g, fields)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ge
-		},
-		"arena": func() GroupEnum {
-			ge, err := NewStoreGroupEnumerator(f, s, roots, g, fields)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ge
-		},
+	full := collectG(newEnum())
+	if len(full) != 3 { // groups a=1,2,3
+		t.Fatalf("%d groups, want 3", len(full))
 	}
-	for name, newEnum := range mk {
-		full := collectG(newEnum())
-		if len(full) != 3 { // groups a=1,2,3
-			t.Fatalf("%s: %d groups, want 3", name, len(full))
-		}
-		for k := 0; k <= len(full)+1; k++ {
-			ge := newEnum()
-			skipped := ge.Skip(k)
-			wantSkipped := k
-			if k > len(full) {
-				wantSkipped = len(full)
-			}
-			if skipped != wantSkipped {
-				t.Fatalf("%s: Skip(%d) = %d, want %d", name, k, skipped, wantSkipped)
-			}
-			rest := collectG(ge)
-			if len(rest) != len(full)-wantSkipped {
-				t.Fatalf("%s: after Skip(%d) got %d groups, want %d", name, k, len(rest), len(full)-wantSkipped)
-			}
-			for i := range rest {
-				if relation.Compare(rest[i], full[wantSkipped+i]) != 0 {
-					t.Fatalf("%s: Skip(%d) group %d = %v, want %v", name, k, i, rest[i], full[wantSkipped+i])
-				}
-			}
-		}
+	for k := 0; k <= len(full)+1; k++ {
+		ge := newEnum()
+		skipped := ge.Skip(k)
+		wantSuffix(t, "groups", k, skipped, collectG(ge), full)
 	}
 }

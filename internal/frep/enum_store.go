@@ -1,9 +1,10 @@
 package frep
 
-// Arena counterparts of the constant-delay enumerators: the odometer
-// walks uint32 node indices and dense value slabs instead of chasing
-// *Union pointers, and grouped enumeration evaluates its parts into
-// reused buffers so steady-state enumeration does not allocate.
+// The constant-delay enumerators of Section 4: an odometer over uint32
+// node indices and dense value slabs. Both are pull-based cursors — Next
+// advances one step at a time, so a caller may stop, resume, or skip at
+// any point — and grouped enumeration evaluates its parts into reused
+// buffers, so steady-state enumeration does not allocate.
 
 import (
 	"fmt"
@@ -13,8 +14,8 @@ import (
 	"github.com/factordb/fdb/internal/values"
 )
 
-// storeSlot is one loop of the arena enumeration odometer: its spec plus
-// the current union (as a node id and a cached value-slab view) and
+// storeSlot is one loop of the enumeration odometer: its spec plus the
+// current union (as a node id and a cached value-slab view) and
 // position.
 type storeSlot struct {
 	slotSpec
@@ -23,7 +24,11 @@ type storeSlot struct {
 	pos  int
 }
 
-// StoreEnumerator is Enumerator over the arena representation.
+// StoreEnumerator enumerates the tuples of a factorised representation
+// with delay independent of the data size (linear in the schema size),
+// per Section 4. With a nil order it enumerates in the representation's
+// document order; with an order list it enumerates in lexicographic order
+// by those attributes, provided the f-tree supports it (Theorem 2).
 type StoreEnumerator struct {
 	store   *Store
 	roots   []NodeID
@@ -62,8 +67,10 @@ func (e *StoreEnumerator) SegmentUniverse() int {
 	return e.store.Len(e.roots[e.slots[0].rootIdx])
 }
 
-// NewStoreEnumerator creates a constant-delay enumerator over the arena
-// representation; see NewEnumerator for the order semantics.
+// NewStoreEnumerator creates an enumerator over the representation. order
+// may be nil for document order. It fails if the order is not supported
+// by the f-tree (restructure first — see fops and the engine) or
+// references unknown attributes.
 func NewStoreEnumerator(f *ftree.Forest, s *Store, roots []NodeID, order []OrderSpec) (*StoreEnumerator, error) {
 	if len(roots) != len(f.Roots) {
 		return nil, fmt.Errorf("frep: %d root unions for %d f-tree roots", len(roots), len(f.Roots))
@@ -98,8 +105,11 @@ func (e *StoreEnumerator) Next() bool {
 	return true
 }
 
-// Skip advances past up to n tuples without assembling them, returning
-// how many were skipped; see Enumerator.Skip.
+// Skip advances past up to n tuples without assembling them (no column
+// fill), returning how many were skipped. A following Next positions at
+// the tuple after the skipped prefix, so skipping costs one odometer step
+// per tuple and no output work; Seek reaches the same state by ranked
+// descent.
 func (e *StoreEnumerator) Skip(n int) int {
 	k := 0
 	for k < n && e.advance() {
@@ -210,9 +220,13 @@ func (e *StoreEnumerator) fill() {
 // clone it to retain.
 func (e *StoreEnumerator) Tuple() relation.Tuple { return e.tuple }
 
-// StoreGroupEnumerator is GroupEnumerator over the arena representation.
-// Unlike the pointer-based version it evaluates its aggregation parts
-// into reused buffers, so advancing between groups does not allocate.
+// StoreGroupEnumerator enumerates one tuple per group over the group-by
+// attributes G, computing the aggregation fields over the remaining
+// attributes on the fly (Example 1, scenario 3): the f-tree must support
+// grouping by G (Theorem 1), all non-group subtrees hang below group nodes
+// and are aggregated per group combination without materialising a
+// restructured factorisation. Parts evaluate into reused buffers, so
+// advancing between groups does not allocate.
 type StoreGroupEnumerator struct {
 	inner   *StoreEnumerator // over the group slots only
 	fields  []ftree.AggField
@@ -249,8 +263,9 @@ type storeAggPart struct {
 	count int64
 }
 
-// NewStoreGroupEnumerator builds a grouped enumerator over the arena
-// representation; see NewGroupEnumerator for the semantics.
+// NewStoreGroupEnumerator builds a grouped enumerator: group attributes g
+// (with optional order specs applied to them), aggregation fields over
+// everything else.
 func NewStoreGroupEnumerator(f *ftree.Forest, s *Store, roots []NodeID, g []OrderSpec, fields []ftree.AggField) (*StoreGroupEnumerator, error) {
 	gp, err := planGroupEnum(f, g, fields)
 	if err != nil {
@@ -286,6 +301,8 @@ func (g *StoreGroupEnumerator) Schema() []string { return g.schema }
 // Next advances to the next group, returning false when done.
 func (g *StoreGroupEnumerator) Next() (bool, error) {
 	if len(g.inner.slots) == 0 {
+		// Single global group: emit exactly once, even for empty input
+		// (count 0, Null aggregates — engines may adjust).
 		if g.inner.done {
 			return false, nil
 		}
@@ -308,7 +325,8 @@ func (g *StoreGroupEnumerator) Next() (bool, error) {
 }
 
 // Skip advances past up to n groups without evaluating their aggregation
-// parts, returning how many were skipped; see GroupEnumerator.Skip.
+// parts, returning how many were skipped: OFFSET over grouped output
+// costs one odometer step per skipped group, not an aggregation.
 func (g *StoreGroupEnumerator) Skip(n int) int {
 	if len(g.inner.slots) == 0 {
 		if n > 0 && !g.inner.done {
@@ -347,10 +365,41 @@ func (g *StoreGroupEnumerator) evalParts() error {
 	return nil
 }
 
+// fillAggs assembles the aggregate output fields from the per-part
+// counts and values.
 func (g *StoreGroupEnumerator) fillAggs() {
-	fillAggTuple(g.tuple[g.nGroup:], g.fields, g.carrier, len(g.parts),
-		func(pi int) int64 { return g.parts[pi].count },
-		func(pi, fi int) values.Value { return g.parts[pi].vals[g.parts[pi].fieldIdx[fi]] })
+	out := g.tuple[g.nGroup:]
+	for i, fl := range g.fields {
+		var o values.Value
+		switch fl.Fn {
+		case ftree.Count:
+			total := int64(1)
+			for pi := range g.parts {
+				total *= g.parts[pi].count
+			}
+			o = values.NewInt(total)
+		case ftree.Sum:
+			c := g.carrier[i]
+			v := g.parts[c].vals[g.parts[c].fieldIdx[i]]
+			if v.IsNull() {
+				o = values.NullValue()
+				break
+			}
+			mult := int64(1)
+			for pi := range g.parts {
+				if pi != c {
+					mult *= g.parts[pi].count
+				}
+			}
+			o = values.MulInt(v, mult)
+		case ftree.Min, ftree.Max:
+			c := g.carrier[i]
+			o = g.parts[c].vals[g.parts[c].fieldIdx[i]]
+			// If any sibling part is empty the group has no tuples; only
+			// possible at top level, where count 0 already signals it.
+		}
+		out[i] = o
+	}
 }
 
 // Tuple returns the current group tuple (group values then aggregates).

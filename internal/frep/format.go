@@ -11,29 +11,30 @@ import (
 //	⟨pizza:Hawaii⟩ × (⟨date:Friday⟩ × (⟨customer:Lucia⟩ ∪ ⟨customer:Pietro⟩)) × …
 //
 // Intended for examples and debugging on small data.
-func Format(f *ftree.Forest, roots []*Union) string {
+func Format(f *ftree.Forest, s *Store, roots []NodeID) string {
 	parts := make([]string, len(roots))
 	for i, r := range roots {
-		parts[i] = formatUnion(f.Roots[i], r)
+		parts[i] = formatUnion(f.Roots[i], s, r)
 	}
 	return strings.Join(parts, " × ")
 }
 
-func formatUnion(n *ftree.Node, u *Union) string {
-	if u.IsEmpty() {
+func formatUnion(n *ftree.Node, s *Store, id NodeID) string {
+	vals := s.Vals(id)
+	if len(vals) == 0 {
 		return "∅"
 	}
-	terms := make([]string, len(u.Vals))
-	for i, v := range u.Vals {
-		s := "⟨" + n.Label() + ":" + v.String() + "⟩"
-		for j, k := range u.KidsAt(i) {
-			ks := formatUnion(n.Children[j], k)
-			if k.Len() > 1 {
+	terms := make([]string, len(vals))
+	for i, v := range vals {
+		t := "⟨" + n.Label() + ":" + v.String() + "⟩"
+		for j, k := range s.KidRow(id, i) {
+			ks := formatUnion(n.Children[j], s, k)
+			if s.Len(k) > 1 {
 				ks = "(" + ks + ")"
 			}
-			s += " × " + ks
+			t += " × " + ks
 		}
-		terms[i] = s
+		terms[i] = t
 	}
 	return strings.Join(terms, " ∪ ")
 }

@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"github.com/factordb/fdb/internal/ftree"
-	"github.com/factordb/fdb/internal/values"
 )
 
 func TestFormatPaperNotation(t *testing.T) {
-	_, f, roots := buildPizzeria(t)
-	s := Format(f, roots)
+	_, f, st, roots := buildPizzeria(t)
+	s := Format(f, st, roots)
 	for _, frag := range []string{"⟨pizza:Capricciosa⟩", "∪", "×", "⟨price:6⟩"} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("Format missing %q:\n%s", frag, s)
@@ -22,9 +21,8 @@ func TestFormatEmptyAndForest(t *testing.T) {
 	f := ftree.New()
 	f.NewRelationPath("a")
 	f.NewRelationPath("b")
-	empty := &Union{}
-	one := &Union{Vals: []values.Value{values.NewInt(7)}}
-	s := Format(f, []*Union{empty, one})
+	st := NewStore()
+	s := Format(f, st, []NodeID{EmptyNode, st.AddLeaf(ivs(7))})
 	if !strings.Contains(s, "∅") {
 		t.Errorf("empty union should render as ∅: %s", s)
 	}

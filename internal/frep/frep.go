@@ -7,341 +7,22 @@
 //
 //	U = ⋃_i ⟨t : v_i⟩ × U_{i,1} × ⋯ × U_{i,k}
 //
-// stored as a Union value with Vals sorted strictly ascending — the
-// paper's global ordering invariant, which every operator preserves and
-// which enables merge-by-intersection and ordered constant-delay
-// enumeration. A representation over a forest is one Union per root; the
-// empty relation is a Union with no values.
+// stored as one node of a Store: a window of the value slab holding the
+// v_i sorted strictly ascending — the paper's global ordering invariant,
+// which every operator preserves and which enables merge-by-intersection
+// and ordered constant-delay enumeration — plus, per value, one child
+// node id per child of t in the kid slab. A representation over a forest
+// is one NodeID per root; the empty relation is EmptyNode.
 //
-// The package provides construction from a relation (Build), flattening,
-// cardinality via the paper's count algorithm, aggregate evaluation
-// (Section 3.2) and constant-delay enumerators (Section 4). Structural
-// operators that rewrite representations together with their f-trees live
-// in package fops.
+// The package provides construction from a relation (BuildStore),
+// flattening, cardinality via the paper's count algorithm, aggregate
+// evaluation (Section 3.2), constant-delay enumerators with ranked
+// direct access (Section 4), a view codec and zero-copy snapshots.
+// Structural operators that rewrite representations together with their
+// f-trees live in package fops.
 package frep
 
-import (
-	"fmt"
-	"sort"
-
-	"github.com/factordb/fdb/internal/ftree"
-	"github.com/factordb/fdb/internal/relation"
-	"github.com/factordb/fdb/internal/values"
-)
-
-// Union is the factorised representation over one f-tree node: parallel
-// slices of sorted distinct values and, for each value, one child Union
-// per child of the f-tree node. Kids is nil when the node is a leaf in the
-// f-tree; otherwise len(Kids) == len(Vals) and len(Kids[i]) equals the
-// number of children of the node.
-type Union struct {
-	Vals []values.Value
-	Kids [][]*Union
-}
-
-// Len returns the number of values in the union.
-func (u *Union) Len() int { return len(u.Vals) }
-
-// IsEmpty reports whether the union represents the empty relation.
-func (u *Union) IsEmpty() bool { return len(u.Vals) == 0 }
-
-// KidsAt returns the child representations for value i, or nil for a leaf
-// node.
-func (u *Union) KidsAt(i int) []*Union {
-	if u.Kids == nil {
-		return nil
-	}
-	return u.Kids[i]
-}
-
-// Clone deep-copies the union.
-func (u *Union) Clone() *Union {
-	out := &Union{Vals: make([]values.Value, len(u.Vals))}
-	copy(out.Vals, u.Vals)
-	if u.Kids != nil {
-		out.Kids = make([][]*Union, len(u.Kids))
-		for i, ks := range u.Kids {
-			row := make([]*Union, len(ks))
-			for j, k := range ks {
-				row[j] = k.Clone()
-			}
-			out.Kids[i] = row
-		}
-	}
-	return out
-}
-
-// CloneAll deep-copies a forest representation.
-func CloneAll(roots []*Union) []*Union {
-	out := make([]*Union, len(roots))
-	for i, r := range roots {
-		out[i] = r.Clone()
-	}
-	return out
-}
-
-// Equal reports deep structural equality of two unions.
-func Equal(a, b *Union) bool {
-	if len(a.Vals) != len(b.Vals) {
-		return false
-	}
-	for i := range a.Vals {
-		if values.Compare(a.Vals[i], b.Vals[i]) != 0 {
-			return false
-		}
-	}
-	an, bn := len(a.Kids), len(b.Kids)
-	if (an == 0) != (bn == 0) {
-		// One side has explicit empty kid rows; compare leniently by
-		// treating nil as rows of zero kids.
-		for i := 0; i < len(a.Vals); i++ {
-			if len(a.KidsAt(i)) != len(b.KidsAt(i)) {
-				return false
-			}
-		}
-		return true
-	}
-	if a.Kids != nil {
-		for i := range a.Kids {
-			if len(a.Kids[i]) != len(b.Kids[i]) {
-				return false
-			}
-			for j := range a.Kids[i] {
-				if !Equal(a.Kids[i][j], b.Kids[i][j]) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// Singletons returns the total number of singletons in the representation
-// — the paper's size measure for factorisations.
-func (u *Union) Singletons() int {
-	n := len(u.Vals)
-	for _, ks := range u.Kids {
-		for _, k := range ks {
-			n += k.Singletons()
-		}
-	}
-	return n
-}
-
-// SingletonsAll sums Singletons over a forest representation.
-func SingletonsAll(roots []*Union) int {
-	n := 0
-	for _, r := range roots {
-		n += r.Singletons()
-	}
-	return n
-}
-
-// CheckInvariants verifies the representation invariants for u against
-// f-tree node n: values strictly ascending, kid arity equal to the node's
-// child count, and no empty unions below the top level (operators prune
-// them). It returns the first violation found.
-func CheckInvariants(n *ftree.Node, u *Union) error {
-	return checkInv(n, u, true)
-}
-
-func checkInv(n *ftree.Node, u *Union, top bool) error {
-	if !top && u.IsEmpty() {
-		return fmt.Errorf("frep: empty union below top level at node %s", n.Label())
-	}
-	for i := 1; i < len(u.Vals); i++ {
-		if values.Compare(u.Vals[i-1], u.Vals[i]) >= 0 {
-			return fmt.Errorf("frep: values not strictly ascending at node %s: %v ≥ %v",
-				n.Label(), u.Vals[i-1], u.Vals[i])
-		}
-	}
-	if len(n.Children) == 0 {
-		if u.Kids != nil {
-			for i := range u.Kids {
-				if len(u.Kids[i]) != 0 {
-					return fmt.Errorf("frep: leaf node %s has kids", n.Label())
-				}
-			}
-		}
-		return nil
-	}
-	if len(u.Kids) != len(u.Vals) {
-		return fmt.Errorf("frep: node %s has %d values but %d kid rows", n.Label(), len(u.Vals), len(u.Kids))
-	}
-	for i := range u.Kids {
-		if len(u.Kids[i]) != len(n.Children) {
-			return fmt.Errorf("frep: node %s value %d has %d kids, want %d",
-				n.Label(), i, len(u.Kids[i]), len(n.Children))
-		}
-		for j, k := range u.Kids[i] {
-			if err := checkInv(n.Children[j], k, false); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// CheckInvariantsAll verifies a forest representation.
-func CheckInvariantsAll(f *ftree.Forest, roots []*Union) error {
-	if len(roots) != len(f.Roots) {
-		return fmt.Errorf("frep: %d root unions for %d f-tree roots", len(roots), len(f.Roots))
-	}
-	for i, r := range f.Roots {
-		if err := CheckInvariants(r, roots[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Build factorises a relation over the given f-tree and verifies that the
-// f-tree's independence assumptions hold for this relation (the
-// represented relation equals the input up to duplicate elimination). All
-// f-tree nodes must be atomic. Build is O(|rel|·depth·log|rel|) plus a
-// verification pass.
-func Build(rel *relation.Relation, f *ftree.Forest) ([]*Union, error) {
-	roots, err := BuildUnchecked(rel, f)
-	if err != nil {
-		return nil, err
-	}
-	distinct := rel.Dedup().Cardinality()
-	got := int64(1)
-	if len(roots) == 0 {
-		if distinct > 1 {
-			return nil, fmt.Errorf("frep: empty f-tree cannot represent %d tuples", distinct)
-		}
-		return roots, nil
-	}
-	for i, r := range f.Roots {
-		got *= CountPlain(r, roots[i])
-		if got == 0 {
-			break
-		}
-	}
-	if got != int64(distinct) {
-		return nil, fmt.Errorf("frep: relation does not factorise over f-tree: represents %d tuples, relation has %d distinct", got, distinct)
-	}
-	return roots, nil
-}
-
-// BuildUnchecked factorises a relation over the f-tree without verifying
-// the f-tree's independence assumptions. If the relation does not satisfy
-// them, the result represents a superset of the relation (the join of its
-// projections). Use Build unless the f-tree is known to be valid — for
-// example a linear path over a single relation, which is always valid.
-func BuildUnchecked(rel *relation.Relation, f *ftree.Forest) ([]*Union, error) {
-	cols := map[string]int{}
-	for i, a := range rel.Attrs {
-		cols[a] = i
-	}
-	for _, n := range f.Nodes() {
-		if n.IsAgg() {
-			return nil, fmt.Errorf("frep: Build over f-tree with aggregate node %s", n.Label())
-		}
-		for _, a := range n.Attrs {
-			if _, ok := cols[a]; !ok {
-				return nil, fmt.Errorf("frep: relation %s has no attribute %q required by f-tree", rel.Name, a)
-			}
-		}
-	}
-	treeAttrs := f.AtomicAttrs()
-	if len(treeAttrs) != len(rel.Attrs) {
-		return nil, fmt.Errorf("frep: f-tree covers %d attributes, relation has %d", len(treeAttrs), len(rel.Attrs))
-	}
-	if rel.Cardinality() == 0 {
-		out := make([]*Union, len(f.Roots))
-		for i := range out {
-			out[i] = &Union{}
-		}
-		return out, nil
-	}
-	rows := make([]int, rel.Cardinality())
-	for i := range rows {
-		rows[i] = i
-	}
-	b := &builder{rel: rel, cols: cols}
-	out := make([]*Union, len(f.Roots))
-	for i, r := range f.Roots {
-		u, err := b.build(r, rows)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = u
-	}
-	return out, nil
-}
-
-type builder struct {
-	rel  *relation.Relation
-	cols map[string]int
-}
-
-// build groups the given rows by the node's value and recurses into child
-// subtrees.
-func (b *builder) build(n *ftree.Node, rows []int) (*Union, error) {
-	col := b.cols[n.Attrs[0]]
-	// Verify class-equality for multi-attribute classes.
-	for _, a := range n.Attrs[1:] {
-		c := b.cols[a]
-		for _, r := range rows {
-			if values.Compare(b.rel.Tuples[r][col], b.rel.Tuples[r][c]) != 0 {
-				return nil, fmt.Errorf("frep: class %s: tuple %d has unequal values %v and %v",
-					n.Label(), r, b.rel.Tuples[r][col], b.rel.Tuples[r][c])
-			}
-		}
-	}
-	// Group rows by value.
-	sorted := make([]int, len(rows))
-	copy(sorted, rows)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return values.Less(b.rel.Tuples[sorted[i]][col], b.rel.Tuples[sorted[j]][col])
-	})
-	u := &Union{}
-	if len(n.Children) > 0 {
-		u.Kids = [][]*Union{}
-	}
-	for start := 0; start < len(sorted); {
-		v := b.rel.Tuples[sorted[start]][col]
-		end := start + 1
-		for end < len(sorted) && values.Compare(b.rel.Tuples[sorted[end]][col], v) == 0 {
-			end++
-		}
-		u.Vals = append(u.Vals, v)
-		if len(n.Children) > 0 {
-			ks := make([]*Union, len(n.Children))
-			for j, c := range n.Children {
-				k, err := b.build(c, sorted[start:end])
-				if err != nil {
-					return nil, err
-				}
-				ks[j] = k
-			}
-			u.Kids = append(u.Kids, ks)
-		}
-		start = end
-	}
-	return u, nil
-}
-
-// CountPlain returns the cardinality of the represented relation, treating
-// every node (including aggregate nodes) as holding plain values — i.e.
-// without the Section 3.1 interpretation of aggregate attributes. Use
-// Count for the paper's count algorithm.
-func CountPlain(n *ftree.Node, u *Union) int64 {
-	if len(n.Children) == 0 {
-		return int64(len(u.Vals))
-	}
-	var total int64
-	for i := range u.Vals {
-		prod := int64(1)
-		for j, k := range u.Kids[i] {
-			prod *= CountPlain(n.Children[j], k)
-		}
-		total += prod
-	}
-	return total
-}
+import "github.com/factordb/fdb/internal/ftree"
 
 // FlatSchema returns the attribute names of the flattened relation for the
 // forest, in DFS pre-order: every member of each atomic class, and one
@@ -373,20 +54,4 @@ func NodeColumns(n *ftree.Node) []string {
 		out[i] = base + "." + fl.String()
 	}
 	return out
-}
-
-// Flatten materialises the represented relation. Aggregate nodes
-// contribute their stored values as plain columns (no reweighting); use
-// engine-level enumeration for interpreted output.
-func Flatten(f *ftree.Forest, roots []*Union) (*relation.Relation, error) {
-	schema := FlatSchema(f)
-	e, err := NewEnumerator(f, roots, nil)
-	if err != nil {
-		return nil, err
-	}
-	var tuples []relation.Tuple
-	for e.Next() {
-		tuples = append(tuples, e.Tuple().Clone())
-	}
-	return relation.New("flat", schema, tuples)
 }

@@ -26,26 +26,33 @@ func benchRelation(n int) *relation.Relation {
 	return relation.MustNew("R", []string{"a", "b", "c"}, ts).Dedup()
 }
 
-func benchFRep(b *testing.B, n int) (*ftree.Forest, []*Union) {
+func benchStoreRep(b *testing.B, n int) (*ftree.Forest, *Store, []NodeID) {
 	b.Helper()
 	rel := benchRelation(n)
 	f := ftree.New()
 	f.NewRelationPath("a", "b", "c")
-	roots, err := BuildUnchecked(rel, f)
+	s := NewStore()
+	roots, err := BuildStoreUnchecked(s, rel, f)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return f, roots
+	return f, s, roots
 }
 
+// BenchmarkBuild factorises the benchmark relation from scratch per
+// iteration into one reused store — the base-relation step of every
+// Exec.
 func BenchmarkBuild(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
 		rel := benchRelation(n)
 		f := ftree.New()
 		f.NewRelationPath("a", "b", "c")
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			s := NewStore()
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildUnchecked(rel, f); err != nil {
+				s.Reset()
+				if _, err := BuildStoreUnchecked(s, rel, f); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -57,11 +64,12 @@ func BenchmarkBuild(b *testing.B) {
 // is reported per tuple and should stay flat as the data grows.
 func BenchmarkEnumerate(b *testing.B) {
 	for _, n := range []int{1000, 10000, 100000} {
-		f, roots := benchFRep(b, n)
+		f, s, roots := benchStoreRep(b, n)
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
 			total := 0
 			for i := 0; i < b.N; i++ {
-				e, err := NewEnumerator(f, roots, nil)
+				e, err := NewStoreEnumerator(f, s, roots, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -75,10 +83,10 @@ func BenchmarkEnumerate(b *testing.B) {
 }
 
 func BenchmarkEnumerateOrdered(b *testing.B) {
-	f, roots := benchFRep(b, 50000)
+	f, s, roots := benchStoreRep(b, 50000)
 	order := []OrderSpec{{Attr: "a", Desc: true}, {Attr: "b"}}
 	for i := 0; i < b.N; i++ {
-		e, err := NewEnumerator(f, roots, order)
+		e, err := NewStoreEnumerator(f, s, roots, order)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,11 +98,12 @@ func BenchmarkEnumerateOrdered(b *testing.B) {
 // BenchmarkCount measures the Section 3.2 count algorithm per singleton.
 func BenchmarkCount(b *testing.B) {
 	for _, n := range []int{1000, 100000} {
-		f, roots := benchFRep(b, n)
-		sing := SingletonsAll(roots)
+		f, s, roots := benchStoreRep(b, n)
+		sing := s.SingletonsAll(roots)
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Count(f.Roots[0], roots[0]); err != nil {
+				if _, err := CountStore(f.Roots[0], s, roots[0]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -103,8 +112,10 @@ func BenchmarkCount(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluatorSumMin measures steady-state composite aggregation
+// over a prebuilt representation (no construction).
 func BenchmarkEvaluatorSumMin(b *testing.B) {
-	f, roots := benchFRep(b, 50000)
+	f, s, roots := benchStoreRep(b, 50000)
 	ev, err := NewEvaluator(f.Roots[0], []ftree.AggField{
 		{Fn: ftree.Count},
 		{Fn: ftree.Sum, Arg: "c"},
@@ -114,18 +125,23 @@ func BenchmarkEvaluatorSumMin(b *testing.B) {
 		b.Fatal(err)
 	}
 	out := make([]values.Value, 3)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ev.EvalInto(roots[0], out); err != nil {
+		if err := ev.EvalStoreInto(s, roots[0], out); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkGroupEnumerator runs grouped aggregation (ϖ_{a; count,
+// sum(c)}) over a prebuilt representation; parts evaluate into reused
+// buffers, so allocations do not grow with the number of groups.
 func BenchmarkGroupEnumerator(b *testing.B) {
-	f, roots := benchFRep(b, 50000)
+	f, s, roots := benchStoreRep(b, 50000)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ge, err := NewGroupEnumerator(f, roots, []OrderSpec{{Attr: "a"}},
+		ge, err := NewStoreGroupEnumerator(f, s, roots, []OrderSpec{{Attr: "a"}},
 			[]ftree.AggField{{Fn: ftree.Count}, {Fn: ftree.Sum, Arg: "c"}})
 		if err != nil {
 			b.Fatal(err)
@@ -142,12 +158,30 @@ func BenchmarkGroupEnumerator(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshot measures what a concurrent reader pays to get a
+// private copy of a whole forest: a slab clone versus an O(1) snapshot.
+func BenchmarkSnapshot(b *testing.B) {
+	_, s, _ := benchStoreRep(b, 20000)
+	b.Run("slab-clone", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = s.Clone()
+		}
+	})
+	b.Run("snapshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = s.Snapshot()
+		}
+	})
+}
+
 func BenchmarkCodec(b *testing.B) {
-	f, roots := benchFRep(b, 50000)
+	f, s, roots := benchStoreRep(b, 50000)
 	b.Run("write", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var sink countingWriter
-			if err := WriteTo(&sink, f, roots); err != nil {
+			if err := WriteStoreTo(&sink, f, s, roots); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(sink))

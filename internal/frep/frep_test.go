@@ -57,31 +57,32 @@ func pizzeria() (*relation.Relation, *ftree.Forest, map[string]*ftree.Node) {
 	return r, f, m
 }
 
-func buildPizzeria(t *testing.T) (*relation.Relation, *ftree.Forest, []*Union) {
+func buildPizzeria(t *testing.T) (*relation.Relation, *ftree.Forest, *Store, []NodeID) {
 	t.Helper()
 	r, f, _ := pizzeria()
-	roots, err := Build(r, f)
+	s := NewStore()
+	roots, err := BuildStore(s, r, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, f, roots
+	return r, f, s, roots
 }
 
 func TestBuildPizzeriaFigure1(t *testing.T) {
-	r, f, roots := buildPizzeria(t)
-	if err := CheckInvariantsAll(f, roots); err != nil {
+	r, f, s, roots := buildPizzeria(t)
+	if err := CheckStoreInvariantsAll(f, s, roots); err != nil {
 		t.Fatal(err)
 	}
 	// Figure 1's factorisation has 26 singletons (3 pizzas, 4 dates, 4
 	// customers, 7 items, 7 prices, plus 1 extra date singleton… counted
 	// structurally: 3+4+4+7+7+…). Verified by hand: 26.
-	if got := SingletonsAll(roots); got != 26 {
+	if got := s.SingletonsAll(roots); got != 26 {
 		t.Errorf("singletons = %d, want 26", got)
 	}
-	if got := CountPlain(f.Roots[0], roots[0]); got != 13 {
+	if got := s.CountPlain(roots[0]); got != 13 {
 		t.Errorf("count = %d, want 13", got)
 	}
-	flat, err := Flatten(f, roots)
+	flat, err := FlattenStore(f, s, roots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +98,16 @@ func TestBuildRejectsInvalidFTree(t *testing.T) {
 	f := ftree.New()
 	f.NewRelationPath("customer")
 	f.NewRelationPath("pizza", "date", "item", "price")
-	if _, err := Build(r, f); err == nil {
-		t.Fatal("Build should reject an invalid decomposition")
+	if _, err := BuildStore(NewStore(), r, f); err == nil {
+		t.Fatal("BuildStore should reject an invalid decomposition")
 	}
-	// BuildUnchecked accepts it but represents a superset.
-	roots, err := BuildUnchecked(r, f)
+	// BuildStoreUnchecked accepts it but represents a superset.
+	s := NewStore()
+	roots, err := BuildStoreUnchecked(s, r, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := CountAll(f, roots)
+	n, err := CountAllStore(f, s, roots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +120,12 @@ func TestBuildErrors(t *testing.T) {
 	r, _, _ := pizzeria()
 	f := ftree.New()
 	f.NewRelationPath("pizza", "date")
-	if _, err := Build(r, f); err == nil {
+	if _, err := BuildStore(NewStore(), r, f); err == nil {
 		t.Error("f-tree not covering all attributes should fail")
 	}
 	g := ftree.New()
 	g.NewRelationPath("pizza", "date", "customer", "item", "bogus")
-	if _, err := Build(r, g); err == nil {
+	if _, err := BuildStore(NewStore(), r, g); err == nil {
 		t.Error("f-tree with unknown attribute should fail")
 	}
 }
@@ -132,14 +134,15 @@ func TestBuildEmptyRelation(t *testing.T) {
 	empty := relation.MustNew("E", []string{"a", "b"}, nil)
 	f := ftree.New()
 	f.NewRelationPath("a", "b")
-	roots, err := Build(empty, f)
+	s := NewStore()
+	roots, err := BuildStore(s, empty, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !roots[0].IsEmpty() {
-		t.Error("empty relation should build an empty union")
+	if roots[0] != EmptyNode {
+		t.Error("empty relation should build the empty union")
 	}
-	flat, err := Flatten(f, roots)
+	flat, err := FlattenStore(f, s, roots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,37 +160,22 @@ func TestBuildMergedClass(t *testing.T) {
 	tok := f.NewToken()
 	n := &ftree.Node{Attrs: []string{"a", "b"}, Deps: ftree.NewTokenSet(tok)}
 	f.Roots = []*ftree.Node{n}
-	roots, err := Build(rel, f)
+	s := NewStore()
+	roots, err := BuildStore(s, rel, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if roots[0].Len() != 2 {
-		t.Errorf("merged class union length = %d, want 2", roots[0].Len())
+	if s.Len(roots[0]) != 2 {
+		t.Errorf("merged class union length = %d, want 2", s.Len(roots[0]))
 	}
 	bad := relation.MustNew("R", []string{"a", "b"}, []relation.Tuple{{iv(1), iv(2)}})
-	if _, err := Build(bad, f); err == nil {
+	if _, err := BuildStore(NewStore(), bad, f); err == nil {
 		t.Error("unequal class values should fail")
 	}
 }
 
-func TestCloneAndEqual(t *testing.T) {
-	_, f, roots := buildPizzeria(t)
-	c := CloneAll(roots)
-	if !Equal(roots[0], c[0]) {
-		t.Error("clone should be equal")
-	}
-	// Mutate the clone.
-	c[0].Vals[0] = sv("Zzz")
-	if Equal(roots[0], c[0]) {
-		t.Error("mutated clone should differ")
-	}
-	if err := CheckInvariantsAll(f, roots); err != nil {
-		t.Errorf("original damaged by clone mutation: %v", err)
-	}
-}
-
 func TestEvaluatorWholeTree(t *testing.T) {
-	_, f, roots := buildPizzeria(t)
+	_, f, s, roots := buildPizzeria(t)
 	root := f.Roots[0]
 	ev, err := NewEvaluator(root, []ftree.AggField{
 		{Fn: ftree.Count},
@@ -213,7 +201,7 @@ func TestEvaluatorWholeTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ev.Eval(roots[0])
+	got, err := ev.EvalStore(s, roots[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +216,7 @@ func TestEvaluatorWholeTree(t *testing.T) {
 }
 
 func TestEvaluatorSubtree(t *testing.T) {
-	_, f, roots := buildPizzeria(t)
+	_, f, s, roots := buildPizzeria(t)
 	item := f.AttrNode("item")
 	ev, err := NewEvaluator(item, []ftree.AggField{{Fn: ftree.Sum, Arg: "price"}})
 	if err != nil {
@@ -236,13 +224,12 @@ func TestEvaluatorSubtree(t *testing.T) {
 	}
 	// The item-subtree occurrence under Capricciosa sums to 8.
 	// Capricciosa is Vals[0] (sorted), and item is child 1 of pizza.
-	capKids := roots[0].Kids[0]
-	got, err := ev.EvalValue(capKids[1])
+	got, err := ev.EvalStore(s, s.Kid(roots[0], 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Int() != 8 {
-		t.Errorf("sum_price(Capricciosa items) = %v, want 8", got)
+	if got[0].Int() != 8 {
+		t.Errorf("sum_price(Capricciosa items) = %v, want 8", got[0])
 	}
 }
 
@@ -261,18 +248,13 @@ func TestEvaluatorAggInterpretation(t *testing.T) {
 	pizza.Children = []*ftree.Node{cnt}
 	f.Roots = []*ftree.Node{pizza}
 
-	rep := &Union{
-		Vals: []values.Value{sv("Capricciosa"), sv("Hawaii"), sv("Margherita")},
-		Kids: [][]*Union{
-			{{Vals: []values.Value{iv(3)}}},
-			{{Vals: []values.Value{iv(3)}}},
-			{{Vals: []values.Value{iv(1)}}},
-		},
-	}
-	if err := CheckInvariants(pizza, rep); err != nil {
+	s := NewStore()
+	rep := s.Add([]values.Value{sv("Capricciosa"), sv("Hawaii"), sv("Margherita")}, 1,
+		[]NodeID{s.AddLeaf(ivs(3)), s.AddLeaf(ivs(3)), s.AddLeaf(ivs(1))})
+	if err := CheckStoreInvariants(pizza, s, rep); err != nil {
 		t.Fatal(err)
 	}
-	n, err := Count(pizza, rep)
+	n, err := CountStore(pizza, s, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +262,7 @@ func TestEvaluatorAggInterpretation(t *testing.T) {
 		t.Errorf("count with aggregate interpretation = %d, want 7", n)
 	}
 	// CountPlain ignores the interpretation: 3 values × 1 = 3.
-	if got := CountPlain(pizza, rep); got != 3 {
+	if got := s.CountPlain(rep); got != 3 {
 		t.Errorf("CountPlain = %d, want 3", got)
 	}
 }
@@ -306,25 +288,22 @@ func TestEvaluatorSumWithCountNodes(t *testing.T) {
 	pizza.Children = []*ftree.Node{cd, sp}
 	f.Roots = []*ftree.Node{customer}
 
-	single := func(v values.Value) *Union { return &Union{Vals: []values.Value{v}} }
-	mario := &Union{
-		Vals: []values.Value{sv("Capricciosa"), sv("Margherita")},
-		Kids: [][]*Union{
-			{single(iv(2)), single(iv(8))},
-			{single(iv(1)), single(iv(6))},
-		},
-	}
+	s := NewStore()
+	mario := s.Add([]values.Value{sv("Capricciosa"), sv("Margherita")}, 2, []NodeID{
+		s.AddLeaf(ivs(2)), s.AddLeaf(ivs(8)),
+		s.AddLeaf(ivs(1)), s.AddLeaf(ivs(6)),
+	})
 	ev, err := NewEvaluator(pizza, []ftree.AggField{{Fn: ftree.Sum, Arg: "price"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ev.EvalValue(mario)
+	got, err := ev.EvalStore(s, mario)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 2·8 + 1·6 = 22 (Example 8).
-	if got.Int() != 22 {
-		t.Errorf("sum = %v, want 22", got)
+	if got[0].Int() != 22 {
+		t.Errorf("sum = %v, want 22", got[0])
 	}
 	// Counting over the same subtree: 2·1·1 + 1·1·1 … but count over a
 	// subtree containing a sum-only aggregate node is invalid
@@ -356,13 +335,11 @@ func TestEvaluatorCompositeVectorValues(t *testing.T) {
 	pizza.Children = []*ftree.Node{comp}
 	f.Roots = []*ftree.Node{pizza}
 
-	vec := func(s, c int64) *Union {
-		return &Union{Vals: []values.Value{values.NewVec([]values.Value{iv(s), iv(c)})}}
+	s := NewStore()
+	vec := func(sum, c int64) NodeID {
+		return s.AddLeaf([]values.Value{values.NewVec([]values.Value{iv(sum), iv(c)})})
 	}
-	rep := &Union{
-		Vals: []values.Value{sv("Capricciosa"), sv("Hawaii")},
-		Kids: [][]*Union{{vec(8, 3)}, {vec(9, 3)}},
-	}
+	rep := s.Add([]values.Value{sv("Capricciosa"), sv("Hawaii")}, 1, []NodeID{vec(8, 3), vec(9, 3)})
 	ev, err := NewEvaluator(pizza, []ftree.AggField{
 		{Fn: ftree.Count},
 		{Fn: ftree.Sum, Arg: "price"},
@@ -370,7 +347,7 @@ func TestEvaluatorCompositeVectorValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ev.Eval(rep)
+	got, err := ev.EvalStore(s, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +368,7 @@ func TestEvaluatorEmptyRep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ev.Eval(&Union{})
+	got, err := ev.EvalStore(NewStore(), EmptyNode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +381,7 @@ func TestEvaluatorEmptyRep(t *testing.T) {
 }
 
 func TestEvaluatorUnknownAttr(t *testing.T) {
-	_, f, _ := buildPizzeria(t)
+	_, f, _, _ := buildPizzeria(t)
 	if _, err := NewEvaluator(f.Roots[0], []ftree.AggField{{Fn: ftree.Sum, Arg: "bogus"}}); err == nil {
 		t.Error("unknown attribute should fail")
 	}
@@ -414,8 +391,8 @@ func TestEvaluatorUnknownAttr(t *testing.T) {
 }
 
 func TestEnumeratorDocumentOrder(t *testing.T) {
-	r, f, roots := buildPizzeria(t)
-	e, err := NewEnumerator(f, roots, nil)
+	r, f, s, roots := buildPizzeria(t)
+	e, err := NewStoreEnumerator(f, s, roots, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,8 +423,8 @@ func TestEnumeratorDocumentOrder(t *testing.T) {
 }
 
 func TestEnumeratorOrdered(t *testing.T) {
-	_, f, roots := buildPizzeria(t)
-	e, err := NewEnumerator(f, roots, []OrderSpec{
+	_, f, s, roots := buildPizzeria(t)
+	e, err := NewStoreEnumerator(f, s, roots, []OrderSpec{
 		{Attr: "pizza", Desc: true},
 		{Attr: "item"},
 		{Attr: "date"},
@@ -485,11 +462,11 @@ func TestEnumeratorOrdered(t *testing.T) {
 }
 
 func TestEnumeratorUnsupportedOrder(t *testing.T) {
-	_, f, roots := buildPizzeria(t)
-	if _, err := NewEnumerator(f, roots, []OrderSpec{{Attr: "customer"}}); err == nil {
+	_, f, s, roots := buildPizzeria(t)
+	if _, err := NewStoreEnumerator(f, s, roots, []OrderSpec{{Attr: "customer"}}); err == nil {
 		t.Error("order by customer alone should be unsupported on T1")
 	}
-	if _, err := NewEnumerator(f, roots, []OrderSpec{{Attr: "nope"}}); err == nil {
+	if _, err := NewStoreEnumerator(f, s, roots, []OrderSpec{{Attr: "nope"}}); err == nil {
 		t.Error("unknown order attribute should fail")
 	}
 }
@@ -497,7 +474,7 @@ func TestEnumeratorUnsupportedOrder(t *testing.T) {
 func TestEnumeratorEmpty(t *testing.T) {
 	f := ftree.New()
 	f.NewRelationPath("a")
-	e, err := NewEnumerator(f, []*Union{{}}, nil)
+	e, err := NewStoreEnumerator(f, NewStore(), []NodeID{EmptyNode}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +488,7 @@ func TestEnumeratorEmpty(t *testing.T) {
 
 func TestEnumeratorNullaryForest(t *testing.T) {
 	f := ftree.New()
-	e, err := NewEnumerator(f, nil, nil)
+	e, err := NewStoreEnumerator(f, NewStore(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,9 +507,9 @@ func TestEnumeratorMultiRootProduct(t *testing.T) {
 	f := ftree.New()
 	f.NewRelationPath("a")
 	f.NewRelationPath("b")
-	ra := &Union{Vals: []values.Value{iv(1), iv(2)}}
-	rb := &Union{Vals: []values.Value{iv(10), iv(20), iv(30)}}
-	e, err := NewEnumerator(f, []*Union{ra, rb}, nil)
+	s := NewStore()
+	ra, rb := s.AddLeaf(ivs(1, 2)), s.AddLeaf(ivs(10, 20, 30))
+	e, err := NewStoreEnumerator(f, s, []NodeID{ra, rb}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +521,7 @@ func TestEnumeratorMultiRootProduct(t *testing.T) {
 		t.Errorf("product enumeration = %d rows, want 6", n)
 	}
 	// One empty root → empty product.
-	e2, err := NewEnumerator(f, []*Union{ra, {}}, nil)
+	e2, err := NewStoreEnumerator(f, s, []NodeID{ra, EmptyNode}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,8 +531,8 @@ func TestEnumeratorMultiRootProduct(t *testing.T) {
 }
 
 func TestGroupEnumeratorByPizza(t *testing.T) {
-	_, f, roots := buildPizzeria(t)
-	ge, err := NewGroupEnumerator(f, roots, []OrderSpec{{Attr: "pizza"}}, []ftree.AggField{
+	_, f, s, roots := buildPizzeria(t)
+	ge, err := NewStoreGroupEnumerator(f, s, roots, []OrderSpec{{Attr: "pizza"}}, []ftree.AggField{
 		{Fn: ftree.Count},
 		{Fn: ftree.Sum, Arg: "price"},
 		{Fn: ftree.Min, Arg: "price"},
@@ -597,8 +574,8 @@ func TestGroupEnumeratorByPizza(t *testing.T) {
 }
 
 func TestGroupEnumeratorGlobal(t *testing.T) {
-	_, f, roots := buildPizzeria(t)
-	ge, err := NewGroupEnumerator(f, roots, nil, []ftree.AggField{
+	_, f, s, roots := buildPizzeria(t)
+	ge, err := NewStoreGroupEnumerator(f, s, roots, nil, []ftree.AggField{
 		{Fn: ftree.Count}, {Fn: ftree.Sum, Arg: "price"},
 	})
 	if err != nil {
@@ -619,16 +596,16 @@ func TestGroupEnumeratorGlobal(t *testing.T) {
 }
 
 func TestGroupEnumeratorUnsupported(t *testing.T) {
-	_, f, roots := buildPizzeria(t)
-	if _, err := NewGroupEnumerator(f, roots, []OrderSpec{{Attr: "customer"}}, []ftree.AggField{{Fn: ftree.Count}}); err == nil {
+	_, f, s, roots := buildPizzeria(t)
+	if _, err := NewStoreGroupEnumerator(f, s, roots, []OrderSpec{{Attr: "customer"}}, []ftree.AggField{{Fn: ftree.Count}}); err == nil {
 		t.Error("grouping by customer unsupported on T1")
 	}
 }
 
 func TestGroupEnumeratorTwoLevels(t *testing.T) {
 	// Group by (pizza, date): date is a child of pizza, supported.
-	_, f, roots := buildPizzeria(t)
-	ge, err := NewGroupEnumerator(f, roots, []OrderSpec{{Attr: "pizza"}, {Attr: "date"}}, []ftree.AggField{
+	_, f, s, roots := buildPizzeria(t)
+	ge, err := NewStoreGroupEnumerator(f, s, roots, []OrderSpec{{Attr: "pizza"}, {Attr: "date"}}, []ftree.AggField{
 		{Fn: ftree.Count},
 		{Fn: ftree.Sum, Arg: "price"},
 	})
@@ -657,7 +634,7 @@ func TestGroupEnumeratorTwoLevels(t *testing.T) {
 	}
 }
 
-// Property: Build → Flatten is the identity (up to dedup) and Count
+// Property: BuildStore → FlattenStore is the identity (up to dedup) and Count
 // matches, on random two-relation joins factorised with the join attribute
 // on top.
 func TestBuildFlattenRoundTripProperty(t *testing.T) {
@@ -688,17 +665,18 @@ func TestBuildFlattenRoundTripProperty(t *testing.T) {
 		b.Children = []*ftree.Node{a, c}
 		f.Roots = []*ftree.Node{b}
 
-		roots, err := Build(j, f)
+		store := NewStore()
+		roots, err := BuildStore(store, j, f)
 		if err != nil {
 			return false
 		}
-		if err := CheckInvariantsAll(f, roots); err != nil {
+		if err := CheckStoreInvariantsAll(f, store, roots); err != nil {
 			return false
 		}
-		if CountPlain(b, roots[0]) != int64(j.Cardinality()) {
+		if store.CountPlain(roots[0]) != int64(j.Cardinality()) {
 			return false
 		}
-		flat, err := Flatten(f, roots)
+		flat, err := FlattenStore(f, store, roots)
 		if err != nil {
 			return false
 		}
@@ -722,7 +700,8 @@ func TestEvaluatorMatchesRelationalProperty(t *testing.T) {
 		rel := relation.MustNew("R", []string{"x", "y", "z"}, ts).Dedup()
 		f := ftree.New()
 		f.NewRelationPath("x", "y", "z")
-		roots, err := Build(rel, f)
+		st := NewStore()
+		roots, err := BuildStore(st, rel, f)
 		if err != nil {
 			return false
 		}
@@ -735,7 +714,7 @@ func TestEvaluatorMatchesRelationalProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := ev.Eval(roots[0])
+		got, err := ev.EvalStore(st, roots[0])
 		if err != nil {
 			return false
 		}

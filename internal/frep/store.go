@@ -6,13 +6,10 @@ package frep
 // union linked by pointers. Children are addressed by uint32 node
 // indices, so a whole forest clones with three slab copies, snapshots in
 // O(1), and traversals walk dense arrays instead of chasing pointers.
-// The pointer-based Union remains as a compatibility view (FromUnion /
-// ToUnion) so old and new representations can be diffed.
 //
 // A Store is append-only: nodes are immutable once added, and operators
 // derive new representations by appending nodes that reference existing
-// ones (structure sharing, exactly like the copy-on-write of the legacy
-// representation, but without per-node allocation).
+// ones (structure sharing without per-node allocation).
 
 import (
 	"fmt"
@@ -85,7 +82,7 @@ type Store struct {
 	baseKids  uint32
 
 	// frozen marks a store loaded from a snapshot (LoadSnapshot /
-	// ReadFrom): its slabs may alias read-only mapped memory, so Reset —
+	// Store.ReadFrom): its slabs may alias read-only mapped memory, so Reset —
 	// the only operation that writes in place — is forbidden. All other
 	// operations append, and the slabs are capacity-clamped so appends
 	// reallocate instead of writing through.
@@ -499,69 +496,10 @@ func (s *Store) graftOverlay(o *Store) func(NodeID) NodeID {
 	return remap
 }
 
-// FromUnion copies a legacy pointer-based union into the store and
-// returns its node id. Children are added before their parents so every
-// kid reference points backwards.
-func (s *Store) FromUnion(u *Union) NodeID {
-	if u.IsEmpty() {
-		return EmptyNode
-	}
-	arity := 0
-	if len(u.Kids) > 0 {
-		arity = len(u.Kids[0])
-	}
-	var kids []NodeID
-	if arity > 0 {
-		kids = make([]NodeID, 0, len(u.Vals)*arity)
-		for i := range u.Vals {
-			for _, k := range u.Kids[i] {
-				kids = append(kids, s.FromUnion(k))
-			}
-		}
-	}
-	return s.Add(u.Vals, arity, kids)
-}
-
-// FromUnions copies a legacy forest representation into the store.
-func (s *Store) FromUnions(roots []*Union) []NodeID {
-	out := make([]NodeID, len(roots))
-	for i, r := range roots {
-		out[i] = s.FromUnion(r)
-	}
-	return out
-}
-
-// ToUnion materialises the legacy pointer-based view of union id.
-func (s *Store) ToUnion(id NodeID) *Union {
-	n := s.Len(id)
-	out := &Union{Vals: make([]values.Value, n)}
-	copy(out.Vals, s.Vals(id))
-	if s.Arity(id) > 0 {
-		out.Kids = make([][]*Union, n)
-		for i := 0; i < n; i++ {
-			row := s.KidRow(id, i)
-			kr := make([]*Union, len(row))
-			for j, k := range row {
-				kr[j] = s.ToUnion(k)
-			}
-			out.Kids[i] = kr
-		}
-	}
-	return out
-}
-
-// ToUnions materialises the legacy view of a forest representation.
-func (s *Store) ToUnions(roots []NodeID) []*Union {
-	out := make([]*Union, len(roots))
-	for i, r := range roots {
-		out[i] = s.ToUnion(r)
-	}
-	return out
-}
-
 // CountPlain returns the cardinality of the relation represented by
-// union id, treating every node as holding plain values (the arena
-// counterpart of the package-level CountPlain).
+// union id, treating every node (including aggregate nodes) as holding
+// plain values — i.e. without the Section 3.1 interpretation of
+// aggregate attributes. Use CountStore for the paper's count algorithm.
 func (s *Store) CountPlain(id NodeID) int64 {
 	n := s.Len(id)
 	if s.Arity(id) == 0 {
@@ -621,34 +559,6 @@ func EqualStore(a *Store, x NodeID, b *Store, y NodeID) bool {
 		ar, br := a.KidRow(x, i), b.KidRow(y, i)
 		for j := range ar {
 			if !EqualStore(a, ar[j], b, br[j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// EqualStoreUnion reports structural equality between an arena union and
-// a legacy pointer-based union, with the same leniency about explicit
-// empty kid rows as Equal.
-func EqualStoreUnion(s *Store, id NodeID, u *Union) bool {
-	if s.Len(id) != len(u.Vals) {
-		return false
-	}
-	sv := s.Vals(id)
-	for i := range sv {
-		if values.Compare(sv[i], u.Vals[i]) != 0 {
-			return false
-		}
-	}
-	for i := 0; i < s.Len(id); i++ {
-		row := s.KidRow(id, i)
-		ur := u.KidsAt(i)
-		if len(row) != len(ur) {
-			return false
-		}
-		for j := range row {
-			if !EqualStoreUnion(s, row[j], ur[j]) {
 				return false
 			}
 		}

@@ -1,9 +1,9 @@
 package frep
 
-// Factorising a relation directly into an arena store. Mirrors Build /
-// BuildUnchecked but groups rows into slab-backed nodes with per-depth
-// scratch buffers, so steady-state construction allocates only on slab
-// growth instead of once (or more) per union node.
+// Factorising a relation into a store: rows are grouped into slab-backed
+// nodes with per-depth scratch buffers, so steady-state construction
+// allocates only on slab growth. O(|rel|·depth·log|rel|), plus a
+// verification pass for BuildStore.
 
 import (
 	"fmt"
@@ -14,10 +14,11 @@ import (
 	"github.com/factordb/fdb/internal/values"
 )
 
-// BuildStore factorises a relation over the f-tree into the store,
-// verifying the f-tree's independence assumptions hold for this relation
-// (like Build). Appends to s; the returned ids are one root per f-tree
-// root.
+// BuildStore factorises a relation over the f-tree into the store and
+// verifies that the f-tree's independence assumptions hold for this
+// relation (the represented relation equals the input up to duplicate
+// elimination). All f-tree nodes must be atomic. Appends to s; the
+// returned ids are one root per f-tree root.
 func BuildStore(s *Store, rel *relation.Relation, f *ftree.Forest) ([]NodeID, error) {
 	roots, err := BuildStoreUnchecked(s, rel, f)
 	if err != nil {
@@ -44,9 +45,10 @@ func BuildStore(s *Store, rel *relation.Relation, f *ftree.Forest) ([]NodeID, er
 }
 
 // BuildStoreUnchecked factorises without verifying the independence
-// assumptions (the arena counterpart of BuildUnchecked). Use BuildStore
-// unless the f-tree is known to be valid, for example a linear path over
-// a single relation.
+// assumptions. If the relation does not satisfy them, the result
+// represents a superset of the relation (the join of its projections).
+// Use BuildStore unless the f-tree is known to be valid — for example a
+// linear path over a single relation, which is always valid.
 func BuildStoreUnchecked(s *Store, rel *relation.Relation, f *ftree.Forest) ([]NodeID, error) {
 	cols := map[string]int{}
 	for i, a := range rel.Attrs {
@@ -169,8 +171,9 @@ func (b *storeBuilder) build(n *ftree.Node, rows []int32, depth int) (NodeID, er
 	return b.s.Add(sc.vals, arity, sc.kids), nil
 }
 
-// FlattenStore materialises the relation represented in the store (plain
-// values; aggregate nodes contribute their stored values), like Flatten.
+// FlattenStore materialises the relation represented in the store.
+// Aggregate nodes contribute their stored values as plain columns (no
+// reweighting); use engine-level enumeration for interpreted output.
 func FlattenStore(f *ftree.Forest, s *Store, roots []NodeID) (*relation.Relation, error) {
 	schema := FlatSchema(f)
 	e, err := NewStoreEnumerator(f, s, roots, nil)

@@ -16,11 +16,12 @@ import (
 )
 
 // Op is one symbolic f-plan operator. Ops address nodes by attribute
-// names so a plan can be executed against any FRel whose f-tree matches
-// the planning-time tree, and simulated on bare f-trees for costing.
+// names so a plan can be executed against any factorised relation whose
+// f-tree matches the planning-time tree, and simulated on bare f-trees
+// for costing.
 type Op interface {
 	// Apply executes the operator on a factorised relation.
-	Apply(fr fops.Rel) error
+	Apply(fr *fops.ARel) error
 	// ApplyTree simulates the operator's f-tree effect (for planning).
 	ApplyTree(t *ftree.Forest) error
 	// String renders the operator.
@@ -32,7 +33,7 @@ type Op interface {
 type SwapOp struct{ Attr string }
 
 // Apply implements Op.
-func (o SwapOp) Apply(fr fops.Rel) error { return fr.Swap(o.Attr) }
+func (o SwapOp) Apply(fr *fops.ARel) error { return fr.Swap(o.Attr) }
 
 // ApplyTree implements Op.
 func (o SwapOp) ApplyTree(t *ftree.Forest) error {
@@ -54,7 +55,7 @@ func (o SwapOp) String() string { return "χ(" + o.Attr + ")" }
 type MergeOp struct{ A, B string }
 
 // Apply implements Op.
-func (o MergeOp) Apply(fr fops.Rel) error { return fr.Merge(o.A, o.B) }
+func (o MergeOp) Apply(fr *fops.ARel) error { return fr.Merge(o.A, o.B) }
 
 // ApplyTree implements Op.
 func (o MergeOp) ApplyTree(t *ftree.Forest) error {
@@ -80,7 +81,7 @@ func (o MergeOp) String() string { return "merge(" + o.A + "=" + o.B + ")" }
 type AbsorbOp struct{ Anc, Desc string }
 
 // Apply implements Op.
-func (o AbsorbOp) Apply(fr fops.Rel) error { return fr.Absorb(o.Anc, o.Desc) }
+func (o AbsorbOp) Apply(fr *fops.ARel) error { return fr.Absorb(o.Anc, o.Desc) }
 
 // ApplyTree implements Op.
 func (o AbsorbOp) ApplyTree(t *ftree.Forest) error {
@@ -110,7 +111,7 @@ type SelectConstOp struct {
 }
 
 // Apply implements Op.
-func (o SelectConstOp) Apply(fr fops.Rel) error {
+func (o SelectConstOp) Apply(fr *fops.ARel) error {
 	return fr.SelectConst(o.Attr, o.Cmp, o.Const)
 }
 
@@ -134,7 +135,7 @@ type GammaOp struct {
 }
 
 // Apply implements Op.
-func (o GammaOp) Apply(fr fops.Rel) error { return fr.Gamma(o.Attr, o.Fields) }
+func (o GammaOp) Apply(fr *fops.ARel) error { return fr.Gamma(o.Attr, o.Fields) }
 
 // ApplyTree implements Op.
 func (o GammaOp) ApplyTree(t *ftree.Forest) error {
@@ -165,7 +166,7 @@ func (o GammaOp) String() string {
 type RemoveOp struct{ Attr string }
 
 // Apply implements Op.
-func (o RemoveOp) Apply(fr fops.Rel) error { return fr.RemoveLeaf(o.Attr) }
+func (o RemoveOp) Apply(fr *fops.ARel) error { return fr.RemoveLeaf(o.Attr) }
 
 // ApplyTree implements Op.
 func (o RemoveOp) ApplyTree(t *ftree.Forest) error {
@@ -187,7 +188,7 @@ func (o RemoveOp) String() string { return "π- (" + o.Attr + ")" }
 type RenameOp struct{ From, To string }
 
 // Apply implements Op.
-func (o RenameOp) Apply(fr fops.Rel) error { return fr.Rename(o.From, o.To) }
+func (o RenameOp) Apply(fr *fops.ARel) error { return fr.Rename(o.From, o.To) }
 
 // ApplyTree implements Op.
 func (o RenameOp) ApplyTree(t *ftree.Forest) error {
@@ -220,7 +221,7 @@ type Plan struct {
 
 // Execute applies the plan's operators to the factorised relation in
 // order.
-func (p *Plan) Execute(fr fops.Rel) error {
+func (p *Plan) Execute(fr *fops.ARel) error {
 	return p.ExecuteContext(context.Background(), fr)
 }
 
@@ -229,7 +230,7 @@ func (p *Plan) Execute(fr fops.Rel) error {
 // promptly when the context fires. The representation is left in
 // whatever intermediate state it had reached; callers discard it on
 // error.
-func (p *Plan) ExecuteContext(ctx context.Context, fr fops.Rel) error {
+func (p *Plan) ExecuteContext(ctx context.Context, fr *fops.ARel) error {
 	for _, op := range p.Ops {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -242,14 +243,11 @@ func (p *Plan) ExecuteContext(ctx context.Context, fr fops.Rel) error {
 }
 
 // ExecuteParallel is ExecuteContext with an intra-query parallelism
-// hint: when fr is an arena relation its operators may fan their
-// occurrence loops across up to par segment workers (see
-// fops.ARel.Par); par ≤ 1, or a pointer-based relation, executes
+// hint: the relation's operators may fan their occurrence loops across
+// up to par segment workers (see fops.ARel.Par); par ≤ 1 executes
 // exactly like ExecuteContext. The results are identical either way.
-func (p *Plan) ExecuteParallel(ctx context.Context, fr fops.Rel, par int) error {
-	if ar, ok := fr.(*fops.ARel); ok {
-		ar.Par = par
-	}
+func (p *Plan) ExecuteParallel(ctx context.Context, fr *fops.ARel, par int) error {
+	fr.Par = par
 	return p.ExecuteContext(ctx, fr)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/factordb/fdb/internal/fops"
+	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/query"
 	"github.com/factordb/fdb/internal/relation"
@@ -146,17 +147,6 @@ func TestGreedyPlanExecutes(t *testing.T) {
 		{values.NewString("pineapple"), values.NewInt(2)},
 	})
 
-	buildPath := func(rel *relation.Relation) []*frepUnion {
-		sub := ftree.New()
-		sub.NewRelationPath(rel.Attrs...)
-		fr, err := fops.FromRelationUnchecked(rel, sub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []*frepUnion{{fr}}
-	}
-	_ = buildPath
-
 	fr := buildForest(t, f, orders, pizzas, items)
 	p := &Planner{Catalog: cat, PartialAgg: true}
 	pl, err := p.Plan(f, revenueQuery())
@@ -194,16 +184,14 @@ func TestGreedyPlanExecutes(t *testing.T) {
 	}
 }
 
-type frepUnion struct{ fr *fops.FRel }
-
-// buildForest assembles the product FRel matching pizzeriaForest.
-func buildForest(t *testing.T, f *ftree.Forest, rels ...*relation.Relation) *fops.FRel {
+// buildForest assembles the product relation matching pizzeriaForest.
+func buildForest(t *testing.T, f *ftree.Forest, rels ...*relation.Relation) *fops.ARel {
 	t.Helper()
-	fr := &fops.FRel{Tree: f}
+	fr := &fops.ARel{Tree: f, Store: frep.NewStore()}
 	for _, rel := range rels {
 		sub := ftree.New()
 		sub.NewRelationPath(rel.Attrs...)
-		x, err := fops.FromRelationUnchecked(rel, sub)
+		x, err := fops.FromRelationStoreUnchecked(fr.Store, rel, sub)
 		if err != nil {
 			t.Fatal(err)
 		}

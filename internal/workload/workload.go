@@ -170,47 +170,7 @@ func R1Equalities() []query.Equality {
 //
 // It is built bottom-up with f-plan operators (two merges and one swap)
 // without ever materialising the flat join.
-func (d *Dataset) FactorisedR1() (*fops.FRel, error) {
-	f := ftree.New()
-	var roots []*frep.Union
-	add := func(rel *relation.Relation, attrs ...string) error {
-		f.NewRelationPath(attrs...)
-		sub := ftree.New()
-		sub.NewRelationPath(attrs...)
-		rs, err := frep.BuildUnchecked(rel, sub)
-		if err != nil {
-			return err
-		}
-		roots = append(roots, rs[0])
-		return nil
-	}
-	// Path orders chosen so the merges cascade at the roots.
-	if err := add(d.Orders, "package", "date", "customer"); err != nil {
-		return nil, err
-	}
-	if err := add(d.Packages, "item", "package2"); err != nil {
-		return nil, err
-	}
-	if err := add(d.Items, "item2", "price"); err != nil {
-		return nil, err
-	}
-	fr := &fops.FRel{Tree: f, Roots: roots}
-	if err := fr.Merge("item", "item2"); err != nil {
-		return nil, err
-	}
-	if err := fr.Swap("package2"); err != nil {
-		return nil, err
-	}
-	if err := fr.Merge("package2", "package"); err != nil {
-		return nil, err
-	}
-	return fr, nil
-}
-
-// FactorisedR1Arena materialises the view R1 over the paper's f-tree T
-// in an arena store (the counterpart of FactorisedR1 built with
-// arena-to-arena operators).
-func (d *Dataset) FactorisedR1Arena() (*fops.ARel, error) {
+func (d *Dataset) FactorisedR1() (*fops.ARel, error) {
 	s := frep.NewStore()
 	f := ftree.New()
 	var roots []frep.NodeID
@@ -225,6 +185,7 @@ func (d *Dataset) FactorisedR1Arena() (*fops.ARel, error) {
 		roots = append(roots, rs[0])
 		return nil
 	}
+	// Path orders chosen so the merges cascade at the roots.
 	if err := add(d.Orders, "package", "date", "customer"); err != nil {
 		return nil, err
 	}
@@ -295,14 +256,7 @@ func (d *Dataset) R3() (*relation.Relation, error) {
 
 // FactorisedR3 factorises R3 over the linear path date→customer→package
 // (its sort order).
-func (d *Dataset) FactorisedR3() (*fops.FRel, error) {
-	f := ftree.New()
-	f.NewRelationPath("date", "customer", "package")
-	return fops.FromRelationUnchecked(d.Orders, f)
-}
-
-// FactorisedR3Arena is FactorisedR3 in an arena store.
-func (d *Dataset) FactorisedR3Arena() (*fops.ARel, error) {
+func (d *Dataset) FactorisedR3() (*fops.ARel, error) {
 	f := ftree.New()
 	f.NewRelationPath("date", "customer", "package")
 	return fops.FromRelationStoreUnchecked(frep.NewStore(), d.Orders, f)
@@ -323,7 +277,7 @@ func (d *Dataset) Sizes() (*SizeReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := frep.CountPlain(fr.Tree.Roots[0], fr.Roots[0])
+	n := fr.Store.CountPlain(fr.Roots[0])
 	return &SizeReport{
 		Scale:          d.Scale,
 		JoinTuples:     n,

@@ -161,7 +161,7 @@ func TestAllQueriesDifferential(t *testing.T) {
 	// ORD: Q10–Q12 on the factorised view; Q13 on factorised R3.
 	for name, tc := range map[string]struct {
 		q    *query.Query
-		view *fops.FRel
+		view *fops.ARel
 	}{
 		"Q10": {Q10(0), frView},
 		"Q11": {Q11(0), frView},
@@ -191,7 +191,7 @@ func TestAllQueriesDifferential(t *testing.T) {
 	// LIMIT variants.
 	for name, tc := range map[string]struct {
 		q    *query.Query
-		view *fops.FRel
+		view *fops.ARel
 	}{
 		"Q10lim": {Q10(10), frView},
 		"Q12lim": {Q12(10), frView},
