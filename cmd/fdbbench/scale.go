@@ -1,9 +1,9 @@
 package main
 
 // The "scale" experiment is the perf gate for the vectorised kernels:
-// at each scale it times the two operator hot loops the kernels rewired,
-// once with frep.EnableKernels off (the scalar, pre-kernel path) and
-// once with it on, and reports the per-scale speedup:
+// at each scale it times the three operator hot loops the kernels
+// rewired, once with frep.EnableKernels off (the scalar, pre-kernel
+// path) and once with it on, and reports the per-scale speedup:
 //
 //   - σ: SelectConst date>c (~12.5% selectivity) on the date-rooted
 //     factorisation of Orders (the paper's R2 shape), whose root union
@@ -11,7 +11,12 @@ package main
 //     values, the long-run case the columnar fast path targets;
 //   - γ: Gamma sum(customer) at date on the view R1 over the paper's
 //     f-tree T, folding ~8·s² customer leaf unions of ~2·s values each
-//     through the leaf aggregation kernel.
+//     through the leaf aggregation kernel;
+//   - χ: Swap customer above date on the (date, customer, package)
+//     factorisation of Orders — the restructuring behind ORDER BY
+//     customer, date: one root occurrence regrouping every (date,
+//     customer) pair, ~64·s³ of them over ~100·s distinct keys, through
+//     the distribution kernel instead of the values.Compare sort.
 //
 // The speedup is a within-run ratio on one machine, so unlike ns/op it
 // is stable across hardware — CI gates on it with benchguard
@@ -87,8 +92,8 @@ func (kb *kernelBench) run(enable bool, op func(r *fops.ARel) error) measurement
 
 // expScale runs the kernel-vs-scalar sweep.
 func (b *bench) expScale() {
-	header(fmt.Sprintf("Scale sweep: vectorised kernels vs scalar hot loops (σ date>c on Orders path, γ sum(customer) at date on R1; scales ≤ %d)", b.scale))
-	row("scale", "select-scalar", "select-kernel", "speedup", "gamma-scalar", "gamma-kernel", "speedup")
+	header(fmt.Sprintf("Scale sweep: vectorised kernels vs scalar hot loops (σ date>c on Orders path, γ sum(customer) at date on R1, χ customer↔date on Orders path; scales ≤ %d)", b.scale))
+	row("scale", "select-scalar", "select-kernel", "speedup", "gamma-scalar", "gamma-kernel", "speedup", "swap-scalar", "swap-kernel", "speedup")
 	for _, s := range scaleSweep {
 		if s > b.scale {
 			continue
@@ -99,40 +104,48 @@ func (b *bench) expScale() {
 			log.Fatal(err)
 		}
 		indexArena(ar)
-		ft := ftree.New()
-		ft.NewRelationPath("date", "package", "customer")
-		ord, err := fops.FromRelationStoreUnchecked(frep.NewStore(), d.Orders, ft)
-		if err != nil {
-			log.Fatal(err)
+		ordersPath := func(attrs ...string) *fops.ARel {
+			ft := ftree.New()
+			ft.NewRelationPath(attrs...)
+			ord, err := fops.FromRelationStoreUnchecked(frep.NewStore(), d.Orders, ft)
+			if err != nil {
+				log.Fatal(err)
+			}
+			indexArena(ord)
+			return ord
 		}
-		indexArena(ord)
 
-		selBench := b.newKernelBench(ord)
-		gamBench := b.newKernelBench(ar)
-		sel := func(r *fops.ARel) error {
-			return r.SelectConst("date", fops.GT, values.NewInt(700*int64(s)))
+		// Each leg: a private bench over its base factorisation and the
+		// operator under test, timed scalar first, then kernel.
+		legs := []struct {
+			name string
+			kb   *kernelBench
+			op   func(r *fops.ARel) error
+		}{
+			{"select", b.newKernelBench(ordersPath("date", "package", "customer")), func(r *fops.ARel) error {
+				return r.SelectConst("date", fops.GT, values.NewInt(700*int64(s)))
+			}},
+			{"gamma", b.newKernelBench(ar), func(r *fops.ARel) error {
+				return r.Gamma("date", []ftree.AggField{{Fn: ftree.Sum, Arg: "customer"}})
+			}},
+			{"swap", b.newKernelBench(ordersPath("date", "customer", "package")), func(r *fops.ARel) error {
+				return r.Swap("customer")
+			}},
 		}
-		gam := func(r *fops.ARel) error {
-			return r.Gamma("date", []ftree.AggField{{Fn: ftree.Sum, Arg: "customer"}})
+		cells := []string{fmt.Sprint(s)}
+		for _, l := range legs {
+			scalar := l.kb.run(false, l.op)
+			kern := l.kb.run(true, l.op)
+			speed := float64(scalar.Dur) / float64(kern.Dur)
+			cells = append(cells, scalar.String(), kern.String(), fmt.Sprintf("%.2f×", speed))
+			if b.jsonOut {
+				b.results = append(b.results,
+					benchResult{Name: fmt.Sprintf("s%d/%s-scalar", s, l.name), Scale: s, NsPerOp: scalar.Dur.Nanoseconds(), AllocsOp: scalar.Allocs},
+					benchResult{Name: fmt.Sprintf("s%d/%s-kernel", s, l.name), Scale: s, NsPerOp: kern.Dur.Nanoseconds(), AllocsOp: kern.Allocs, Speedup: speed},
+				)
+			}
 		}
-		selScalar := selBench.run(false, sel)
-		selKernel := selBench.run(true, sel)
-		gamScalar := gamBench.run(false, gam)
-		gamKernel := gamBench.run(true, gam)
-		selSpeed := float64(selScalar.Dur) / float64(selKernel.Dur)
-		gamSpeed := float64(gamScalar.Dur) / float64(gamKernel.Dur)
-
-		row(fmt.Sprint(s),
-			selScalar.String(), selKernel.String(), fmt.Sprintf("%.2f×", selSpeed),
-			gamScalar.String(), gamKernel.String(), fmt.Sprintf("%.2f×", gamSpeed))
-		if b.jsonOut {
-			b.results = append(b.results,
-				benchResult{Name: fmt.Sprintf("s%d/select-scalar", s), Scale: s, NsPerOp: selScalar.Dur.Nanoseconds(), AllocsOp: selScalar.Allocs},
-				benchResult{Name: fmt.Sprintf("s%d/select-kernel", s), Scale: s, NsPerOp: selKernel.Dur.Nanoseconds(), AllocsOp: selKernel.Allocs, Speedup: selSpeed},
-				benchResult{Name: fmt.Sprintf("s%d/gamma-scalar", s), Scale: s, NsPerOp: gamScalar.Dur.Nanoseconds(), AllocsOp: gamScalar.Allocs},
-				benchResult{Name: fmt.Sprintf("s%d/gamma-kernel", s), Scale: s, NsPerOp: gamKernel.Dur.Nanoseconds(), AllocsOp: gamKernel.Allocs, Speedup: gamSpeed},
-			)
-		}
+		row(cells...)
 		if s != b.scale {
 			delete(b.ds, s) // bound resident memory across the sweep
 		}

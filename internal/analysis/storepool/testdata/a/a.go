@@ -16,6 +16,9 @@ func (pool) lookGet() *store { return nil }
 
 var storePool pool
 var bufPool pool
+var scratchPool pool
+
+func (s *store) unpin() {}
 
 func getStore() *store  { return storePool.Get().(*store) }
 func putStore(s *store) {}
@@ -74,7 +77,35 @@ func poolGetLeak(fail bool) error {
 	return nil
 }
 
+// A per-worker scratch taken inside the goroutine: the literal's body is
+// a function of its own, and the early return leaks.
+func workerScratchLeak(fail bool) {
+	go func() {
+		sc := scratchPool.Get().(*store) // want `pooled store may leak: not released before the return`
+		if fail {
+			return
+		}
+		scratchPool.Put(sc)
+	}()
+}
+
 // --- clean cases ---
+
+// fops.parallelRebuild's shape: the worker takes its scratch, and one
+// deferred closure cleans it and then releases it unconditionally.
+func workerScratch(fail bool) {
+	go func() {
+		sc := scratchPool.Get().(*store)
+		defer func() {
+			sc.unpin()
+			scratchPool.Put(sc)
+		}()
+		if fail {
+			return
+		}
+		mayPanic()
+	}()
+}
 
 func releasedOnAllPaths(fail bool) error {
 	st := getStore()

@@ -9,6 +9,7 @@ package fops
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/ftree"
@@ -122,15 +123,46 @@ func (ar *ARel) GroupEnumerator(g []frep.OrderSpec, fields []ftree.AggField) (*f
 // are bound to one store by their factory; see rebuildAt.
 type rebuildFn func(id frep.NodeID) (frep.NodeID, error)
 
+// scratch is the working memory of one executing store's occurrence
+// loop: rebuildIn's per-depth row buffers and χ's swapScratch. Exactly
+// one goroutine uses a scratch at a time — rebuildAt takes one for a
+// serial rebuild, every parallel worker takes its own — and it returns
+// to scratchPool afterwards, so in the steady state an operator's
+// occurrences, and successive queries, allocate nothing here.
+type scratch struct {
+	levels []levelBuf
+	swap   swapScratch
+}
+
+// levelBuf collects the surviving (value, kid-row) pairs of the union
+// rebuildIn is re-assembling at one depth of the path.
+type levelBuf struct {
+	vals []values.Value
+	kids []frep.NodeID
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// unpin drops what the scratch may still reference outside itself
+// before it goes back to the pool: χ's generic path leaves slab windows
+// in bVals and String/Vec values in the builders (the Int path leaves
+// only integers and node ids, and rebuildIn clears its own levels).
+func (sc *scratch) unpin() {
+	if sc.swap.pinned {
+		sc.swap = swapScratch{}
+	}
+}
+
 // rebuildAt applies the transform built by mk to every occurrence of
 // the node identified by (rootIdx, path), pruning values whose
 // transformed subtree became empty. mk is called once per executing
 // store — once for a serial rebuild, once per worker overlay for a
-// parallel one — so a transform instance may hold builder and evaluator
-// scratch bound to its store. When path is non-empty, ar.Par > 1 and
-// the root union is large enough, the occurrence loop fans across
+// parallel one — with the scratch that belongs to that execution, so a
+// transform instance may hold builder and evaluator state bound to its
+// store without sharing or locking. When path is non-empty, ar.Par > 1
+// and the root union is large enough, the occurrence loop fans across
 // segment workers (parallelRebuild); results are identical either way.
-func (ar *ARel) rebuildAt(rootIdx int, path []int, mk func(st *frep.Store) rebuildFn) error {
+func (ar *ARel) rebuildAt(rootIdx int, path []int, mk func(st *frep.Store, sc *scratch) rebuildFn) error {
 	root := ar.Roots[rootIdx]
 	par := len(path) > 0 && ar.Par > 1 && ar.Store.Len(root) >= MinParallelRebuildValues
 	if par {
@@ -143,7 +175,7 @@ func (ar *ARel) rebuildAt(rootIdx int, path []int, mk func(st *frep.Store) rebui
 	if par {
 		nr, err = ar.parallelRebuild(root, path, mk)
 	} else {
-		nr, err = rebuildIn(ar.Store, root, path, mk(ar.Store))
+		nr, err = serialRebuild(ar.Store, root, path, mk)
 	}
 	if err != nil {
 		return err
@@ -155,20 +187,40 @@ func (ar *ARel) rebuildAt(rootIdx int, path []int, mk func(st *frep.Store) rebui
 	return nil
 }
 
+// serialRebuild runs the whole occurrence recursion on st with one
+// pooled scratch.
+func serialRebuild(st *frep.Store, id frep.NodeID, path []int, mk func(st *frep.Store, sc *scratch) rebuildFn) (frep.NodeID, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer func() {
+		sc.unpin()
+		scratchPool.Put(sc)
+	}()
+	return rebuildIn(st, sc, id, path, mk(st, sc))
+}
+
 // rebuildIn is the serial occurrence recursion of rebuildAt, reading
 // and appending through st (the base store, or one worker's overlay).
-func rebuildIn(st *frep.Store, id frep.NodeID, path []int, fn rebuildFn) (frep.NodeID, error) {
-	if len(path) == 0 {
+// The union under reconstruction at each depth accumulates in that
+// depth's levelBuf of sc; deeper calls use deeper levels, so a buffer
+// is never live in two frames.
+func rebuildIn(st *frep.Store, sc *scratch, id frep.NodeID, path []int, fn rebuildFn) (frep.NodeID, error) {
+	if len(sc.levels) < len(path) {
+		sc.levels = append(sc.levels, make([]levelBuf, len(path)-len(sc.levels))...)
+	}
+	return rebuildLevel(st, sc, id, path, 0, fn)
+}
+
+func rebuildLevel(st *frep.Store, sc *scratch, id frep.NodeID, path []int, depth int, fn rebuildFn) (frep.NodeID, error) {
+	if depth == len(path) {
 		return fn(id)
 	}
-	p := path[0]
+	p := path[depth]
 	n := st.Len(id)
 	arity := st.Arity(id)
-	vals := make([]values.Value, 0, n)
-	kids := make([]frep.NodeID, 0, n*arity)
+	vals, kids := sc.levels[depth].vals[:0], sc.levels[depth].kids[:0]
 	for i := 0; i < n; i++ {
 		row := st.KidRow(id, i)
-		nk, err := rebuildIn(st, row[p], path[1:], fn)
+		nk, err := rebuildLevel(st, sc, row[p], path, depth+1, fn)
 		if err != nil {
 			return frep.EmptyNode, err
 		}
@@ -180,7 +232,12 @@ func rebuildIn(st *frep.Store, id frep.NodeID, path []int, fn rebuildFn) (frep.N
 		kids = append(kids, row...)
 		kids[off+p] = nk
 	}
-	return st.Add(vals, arity, kids), nil
+	out := st.Add(vals, arity, kids)
+	// Add copied both; drop the value references so a pooled scratch
+	// pins no string or vector memory.
+	clear(vals)
+	sc.levels[depth] = levelBuf{vals: vals, kids: kids}
+	return out, nil
 }
 
 // Product combines two factorised relations into one representing their

@@ -30,7 +30,7 @@ func (ar *ARel) SelectConst(attr string, op CmpOp, c values.Value) error {
 	if err != nil {
 		return err
 	}
-	return ar.rebuildAt(ri, path, func(st *frep.Store) rebuildFn {
+	return ar.rebuildAt(ri, path, func(st *frep.Store, _ *scratch) rebuildFn {
 		var b frep.UnionBuilder
 		var bits []uint64
 		kop := kernel.Op(op) // CmpOp and kernel.Op share their numbering
@@ -104,7 +104,7 @@ func (ar *ARel) Merge(attrA, attrB string) error {
 		if err != nil {
 			return err
 		}
-		err = ar.rebuildAt(ri, path, func(st *frep.Store) rebuildFn {
+		err = ar.rebuildAt(ri, path, func(st *frep.Store, _ *scratch) rebuildFn {
 			var ib, b frep.UnionBuilder
 			var scratch []frep.NodeID
 			var pairs [][2]int32
@@ -230,7 +230,7 @@ func (ar *ARel) Absorb(attrAnc, attrDesc string) error {
 	if !dLeaf {
 		dn = len(d.Children)
 	}
-	err = ar.rebuildAt(ri, path, func(st *frep.Store) rebuildFn {
+	err = ar.rebuildAt(ri, path, func(st *frep.Store, _ *scratch) rebuildFn {
 		var b frep.UnionBuilder
 		return func(ua frep.NodeID) (frep.NodeID, error) {
 			// The row width changes only at the descendant's parent: it loses
@@ -336,7 +336,7 @@ func (ar *ARel) RemoveLeaf(attr string) error {
 		if err != nil {
 			return err
 		}
-		err = ar.rebuildAt(ri, path, func(st *frep.Store) rebuildFn {
+		err = ar.rebuildAt(ri, path, func(st *frep.Store, _ *scratch) rebuildFn {
 			var b frep.UnionBuilder
 			var scratch []frep.NodeID
 			return func(id frep.NodeID) (frep.NodeID, error) {
@@ -440,7 +440,7 @@ func (ar *ARel) GammaNode(u *ftree.Node, fields []ftree.AggField) error {
 		}
 		ar.Roots[ri] = ar.Store.AddLeaf(one[:])
 	} else {
-		err = ar.rebuildAt(ri, path, func(st *frep.Store) rebuildFn {
+		err = ar.rebuildAt(ri, path, func(st *frep.Store, _ *scratch) rebuildFn {
 			ev, evErr := frep.NewEvaluator(u, fields)
 			vals := make([]values.Value, len(fields))
 			var one [1]values.Value
@@ -493,7 +493,7 @@ func (ar *ARel) ComputeScalar(attr, newName string, fn func(values.Value) values
 	if err != nil {
 		return err
 	}
-	err = ar.rebuildAt(ri, path, func(st *frep.Store) rebuildFn {
+	err = ar.rebuildAt(ri, path, func(st *frep.Store, _ *scratch) rebuildFn {
 		var mapped []values.Value
 		var b frep.UnionBuilder
 		return func(id frep.NodeID) (frep.NodeID, error) {

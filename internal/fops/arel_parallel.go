@@ -45,14 +45,14 @@ func ParallelRebuildWorkers() int64 { return rebuildWorkers.Load() }
 // contiguous windows of the root union, one overlay store and one
 // transform instance per worker, and stitches the surviving values back
 // under one root. The caller guarantees len(path) > 0.
-func (ar *ARel) parallelRebuild(root frep.NodeID, path []int, mk func(st *frep.Store) rebuildFn) (frep.NodeID, error) {
+func (ar *ARel) parallelRebuild(root frep.NodeID, path []int, mk func(st *frep.Store, sc *scratch) rebuildFn) (frep.NodeID, error) {
 	s := ar.Store
 	// Count-balanced windows when the store carries a ranked index (so a
 	// hot root value does not serialise the rebuild on one worker), with
 	// the uniform split as the unranked fallback.
 	segs := frep.WeightedSegments(s, root, ar.Par)
 	if len(segs) < 2 {
-		return rebuildIn(s, root, path, mk(s))
+		return serialRebuild(s, root, path, mk)
 	}
 	p := path[0]
 	arity := s.Arity(root)
@@ -72,11 +72,16 @@ func (ar *ARel) parallelRebuild(root frep.NodeID, path []int, mk func(st *frep.S
 			defer wg.Done()
 			pt := &parts[w]
 			st := s.Overlay()
-			fn := mk(st)
+			sc := scratchPool.Get().(*scratch)
+			defer func() {
+				sc.unpin()
+				scratchPool.Put(sc)
+			}()
+			fn := mk(st, sc)
 			pt.st = st
 			for i := sg[0]; i < sg[1]; i++ {
 				row := s.KidRow(root, i)
-				nk, err := rebuildIn(st, row[p], path[1:], fn)
+				nk, err := rebuildIn(st, sc, row[p], path[1:], fn)
 				if err != nil {
 					pt.err = err
 					return

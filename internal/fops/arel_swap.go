@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"github.com/factordb/fdb/internal/frep"
+	"github.com/factordb/fdb/internal/frep/kernel"
 	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/values"
 )
@@ -23,8 +24,11 @@ import (
 //	⋃_b ⟨B:b⟩ × F_b × ⋃_a (⟨A:a⟩ × E_a × G_ab)
 //
 // where F_b are the children of B independent of A (they move up with B)
-// and G_ab the dependent ones (they stay below A). The cost is linear in
-// the size of the restructured fragment.
+// and G_ab the dependent ones (they stay below A). With Int B-values —
+// every key of the paper's workload — the cost is linear in the size of
+// the restructured fragment (a stable radix distribution of the (a, b)
+// pairs, swapUnionIn); other key kinds pay the N log N of a
+// values.Compare sort over the same pairs.
 func (ar *ARel) Swap(attr string) error {
 	b := ar.Tree.ResolveAttr(attr)
 	if b == nil {
@@ -53,9 +57,9 @@ func (ar *ARel) SwapNode(b *ftree.Node) error {
 			aOther = append(aOther, i)
 		}
 	}
-	err = ar.rebuildAt(ri, path, func(st *frep.Store) rebuildFn {
+	err = ar.rebuildAt(ri, path, func(st *frep.Store, sc *scratch) rebuildFn {
 		return func(ua frep.NodeID) (frep.NodeID, error) {
-			return swapUnionIn(st, ua, plan, aOther), nil
+			return swapUnionIn(st, &sc.swap, ua, plan, aOther), nil
 		}
 	})
 	if err != nil {
@@ -68,70 +72,79 @@ func (ar *ARel) SwapNode(b *ftree.Node) error {
 	return nil
 }
 
-func swapUnionIn(s *frep.Store, ua frep.NodeID, plan *ftree.SwapPlan, aOther []int) frep.NodeID {
+// swapScratch is χ's working memory: everything swapUnionIn needs per
+// occurrence, grown to the high-water mark once and then reused by every
+// occurrence the executing store visits (it lives in that store's
+// rebuild scratch, so parallel workers never share one). Nothing in it
+// carries meaning from one occurrence to the next.
+type swapScratch struct {
+	bIDs      []frep.NodeID // the B-union under each A-value
+	keys      []int64       // Int path: the B-values, in pair order
+	pos       []int64       // the (a, b) pairs, packed aIdx<<32 | bIdx
+	sort      kernel.SortScratch
+	bVals     [][]values.Value // generic path: the B-unions' value windows
+	outB, naB frep.UnionBuilder
+	outRow    []frep.NodeID
+	naRow     []frep.NodeID
+	// pinned records that the generic path ran: bVals and the builders
+	// may then reference slab, string or vector memory, which a pooled
+	// scratch must not keep alive (see scratch.unpin).
+	pinned bool
+}
+
+// swapUnionIn restructures one occurrence ua of the A-union.
+//
+// The (a, b) pairs are generated a-major — A-values in union order, and
+// under each its B-list, itself ascending — so the regrouping needs
+// exactly a sort of the pairs by b that is stable: it brings equal
+// b-values together and leaves the a-positions inside each group in
+// generation order, which is ascending a. When every B-value is an Int
+// (the keys come straight from the column index's payload window where
+// it covers the B-union, and from Value.Int() for unions appended since)
+// that sort is kernel.SortPairsInt64, linear in the pairs. Any other
+// key kind, a mix of kinds, or frep.EnableKernels off takes the
+// values.Compare sort, O(N log N), which is not stable and therefore
+// carries the a-position as an explicit tie-break.
+func swapUnionIn(s *frep.Store, sc *swapScratch, ua frep.NodeID, plan *ftree.SwapPlan, aOther []int) frep.NodeID {
 	aVals := s.Vals(ua)
-	// Gather all (a, b) pairs as packed indices (aIdx<<32 | bIdx): the
-	// sort then moves 8-byte words and each comparison looks the b-value
-	// up through a small per-a table.
-	bIDs := make([]frep.NodeID, len(aVals))
-	bVals := make([][]values.Value, len(aVals))
-	total := 0
+	bIDs, keys, pos := sc.bIDs[:0], sc.keys[:0], sc.pos[:0]
+	intKeys := frep.EnableKernels
 	for i := range aVals {
-		bIDs[i] = s.Kid(ua, i, plan.BIdx)
-		bVals[i] = s.Vals(bIDs[i])
-		total += len(bVals[i])
-	}
-	allInt := true
-	for i := range aVals {
-		for _, v := range bVals[i] {
-			if v.Kind() != values.Int {
-				allInt = false
-				break
-			}
-		}
-		if !allInt {
-			break
-		}
-	}
-	entries := make([]int64, 0, total)
-	for i := range aVals {
-		for j := range bVals[i] {
-			entries = append(entries, int64(i)<<32|int64(j))
-		}
-	}
-	valOf := func(e int64) values.Value {
-		return bVals[e>>32][int32(e)]
-	}
-	// Group by b, breaking ties by the a-position so each group keeps
-	// the ascending a-order (the packed aIdx sits in the high bits).
-	if allInt {
-		// Fast path: sort (int key, packed position) pairs without
-		// touching Value structs in the comparator.
-		type keyed struct{ k, e int64 }
-		ks := make([]keyed, len(entries))
-		for i, e := range entries {
-			ks[i] = keyed{k: valOf(e).Int(), e: e}
-		}
-		slices.SortFunc(ks, func(x, y keyed) int {
-			switch {
-			case x.k < y.k:
-				return -1
-			case x.k > y.k:
-				return 1
-			case x.e < y.e:
-				return -1
-			case x.e > y.e:
-				return 1
+		ub := s.Kid(ua, i, plan.BIdx)
+		bIDs = append(bIDs, ub)
+		if intKeys {
+			switch k, pay, ok := s.ColRun(ub); {
+			case ok && k == values.Int:
+				keys = append(keys, pay...)
+			case ok:
+				intKeys = false
 			default:
-				return 0
+				for _, v := range s.Vals(ub) {
+					if v.Kind() != values.Int {
+						intKeys = false
+						break
+					}
+					keys = append(keys, v.Int())
+				}
 			}
-		})
-		for i, kv := range ks {
-			entries[i] = kv.e
 		}
+		hi := int64(i) << 32
+		for j, n := int64(0), int64(s.Len(ub)); j < n; j++ {
+			pos = append(pos, hi|j)
+		}
+	}
+	sc.bIDs, sc.keys, sc.pos = bIDs, keys, pos
+	var bVals [][]values.Value // generic path only
+	if intKeys {
+		keys, pos = kernel.SortPairsInt64(keys, pos, &sc.sort)
 	} else {
-		slices.SortFunc(entries, func(x, y int64) int {
-			if c := values.Compare(valOf(x), valOf(y)); c != 0 {
+		bVals = sc.bVals[:0]
+		for _, ub := range bIDs {
+			bVals = append(bVals, s.Vals(ub))
+		}
+		sc.bVals, sc.pinned = bVals, true
+		slices.SortFunc(pos, func(x, y int64) int {
+			if c := values.Compare(bVals[x>>32][int32(x)], bVals[y>>32][int32(y)]); c != 0 {
 				return c
 			}
 			return int(x>>32) - int(y>>32)
@@ -139,19 +152,23 @@ func swapUnionIn(s *frep.Store, ua frep.NodeID, plan *ftree.SwapPlan, aOther []i
 	}
 
 	aRowLen := len(aOther) + len(plan.DepIdx)
-	outArity := 1 + len(plan.IndepIdx)
-	var outB, naB frep.UnionBuilder
-	outB.Reset(s, outArity)
-	outRow := make([]frep.NodeID, 0, outArity)
-	naRow := make([]frep.NodeID, 0, aRowLen)
-	for start := 0; start < len(entries); {
+	outB, naB := &sc.outB, &sc.naB
+	outB.Reset(s, 1+len(plan.IndepIdx))
+	naRow, outRow := sc.naRow, sc.outRow
+	for start := 0; start < len(pos); {
+		firstA, firstB := int32(pos[start]>>32), int32(pos[start])
+		firstVal := s.Val(bIDs[firstA], int(firstB))
 		end := start + 1
-		firstVal := valOf(entries[start])
-		for end < len(entries) && values.Compare(valOf(entries[end]), firstVal) == 0 {
-			end++
+		if intKeys {
+			for end < len(pos) && keys[end] == keys[start] {
+				end++
+			}
+		} else {
+			for end < len(pos) && values.Compare(bVals[pos[end]>>32][int32(pos[end])], firstVal) == 0 {
+				end++
+			}
 		}
-		run := entries[start:end]
-		firstA, firstB := int32(run[0]>>32), int32(run[0])
+		run := pos[start:end]
 		firstRow := s.KidRow(bIDs[firstA], int(firstB))
 		if Paranoid {
 			for _, e := range run[1:] {
@@ -183,17 +200,16 @@ func swapUnionIn(s *frep.Store, ua frep.NodeID, plan *ftree.SwapPlan, aOther []i
 				naB.Append(aVals[aIdx], nil)
 			}
 		}
-		na := naB.Finish()
 		// Independent children move up with B, taken from the first
 		// occurrence (they are equal across occurrences by the
 		// dependency analysis).
-		outRow = outRow[:0]
-		outRow = append(outRow, na)
+		outRow = append(outRow[:0], naB.Finish())
 		for _, k := range plan.IndepIdx {
 			outRow = append(outRow, firstRow[k])
 		}
 		outB.Append(firstVal, outRow)
 		start = end
 	}
+	sc.naRow, sc.outRow = naRow, outRow
 	return outB.Finish()
 }

@@ -49,25 +49,30 @@ func cloneArena(base *ARel, scratch *frep.Store) *ARel {
 }
 
 // BenchmarkSwap measures the χ restructuring operator (the cost of
-// re-sorting/regrouping factorised data) per singleton.
+// re-sorting/regrouping factorised data) per singleton, on both sides of
+// the distribution kernel's cut-over: "root" swaps b above a — one
+// occurrence holding every (a, b) pair — and "mid" swaps c above b under
+// each a, n/16 occurrences of a handful of pairs each.
 func BenchmarkSwap(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			base := benchARel(b, n)
-			scratch := frep.NewStore()
-			sing := base.Singletons()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				ar := cloneArena(base, scratch)
-				b.StartTimer()
-				if err := ar.Swap("b"); err != nil {
-					b.Fatal(err)
+	for _, arm := range []struct{ name, attr string }{{"root", "b"}, {"mid", "c"}} {
+		for _, n := range []int{1000, 10000, 100000} {
+			b.Run(arm.name+"/"+strconv.Itoa(n), func(b *testing.B) {
+				base := benchARel(b, n)
+				scratch := frep.NewStore()
+				sing := base.Singletons()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					ar := cloneArena(base, scratch)
+					b.StartTimer()
+					if err := ar.Swap(arm.attr); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sing), "ns/singleton")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sing), "ns/singleton")
+			})
+		}
 	}
 }
 

@@ -91,9 +91,13 @@ func TestParallelOpsMatchSerial(t *testing.T) {
 		return ar.SelectConst("b", GE, values.NewInt(3))
 	})
 	step("swap-mid", func(ar *ARel) error { return ar.Swap("b") })
-	// Tree is now b→a→c? No: swap(b) exchanges b with its parent a,
-	// giving b above a; c stays below a. Absorb a=c restricts each c
-	// to its ancestor a's value.
+	// Tree is now b→a→c: swap(b) exchanged b with its parent a; c stays
+	// below a. Two more mid-tree swaps (c above a, then a back above c)
+	// send every worker through a pooled scratch that an earlier
+	// operator's workers already grew and returned.
+	step("swap-mid-c", func(ar *ARel) error { return ar.Swap("c") })
+	step("swap-mid-a", func(ar *ARel) error { return ar.Swap("a") })
+	// Absorb a=c restricts each c to its ancestor a's value.
 	step("absorb", func(ar *ARel) error { return ar.Absorb("a", "c") })
 	step("gamma-below-root", func(ar *ARel) error {
 		return ar.Gamma("a", []ftree.AggField{
@@ -104,6 +108,30 @@ func TestParallelOpsMatchSerial(t *testing.T) {
 	step("gamma-at-root", func(ar *ARel) error {
 		return ar.Gamma("b", []ftree.AggField{{Fn: ftree.Count}})
 	})
+}
+
+// TestParallelSwapGenericKeys runs the values.Compare arm of χ (String
+// keys) on per-worker scratches: the generic path pins slab windows and
+// values in its scratch, which every worker must drop before the
+// scratch returns to the shared pool.
+func TestParallelSwapGenericKeys(t *testing.T) {
+	old := MinParallelRebuildValues
+	MinParallelRebuildValues = 1
+	defer func() { MinParallelRebuildValues = old }()
+
+	tuples := manySmallOccurrences(1500, stringKey)
+	serial, rel := pathARel(t, tuples, true)
+	parallel, _ := pathARel(t, tuples, true)
+	parallel.Par = 8
+	for _, ar := range []*ARel{serial, parallel} {
+		if err := ar.Swap("c"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	diffFlat(t, "swap-string-keys", serial, parallel)
+	if !relation.EqualAsSets(mustFlatten(t, parallel), rel) {
+		t.Fatal("parallel swap over String keys changed the represented relation")
+	}
 }
 
 // TestParallelMergeMatchesSerial exercises the merge operator below a

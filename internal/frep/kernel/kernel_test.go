@@ -1,8 +1,13 @@
 package kernel
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/factordb/fdb/internal/values"
@@ -417,5 +422,184 @@ func TestBitmapReuse(t *testing.T) {
 	}
 	if &bm2[0] != &bm[0] {
 		t.Fatalf("Bitmap reallocated despite sufficient capacity")
+	}
+}
+
+// refSortPairs is the contract SortPairsInt64 must meet: a stable sort
+// of the pairs by key alone.
+func refSortPairs(keys, pos []int64) ([]int64, []int64) {
+	type pair struct{ k, p int64 }
+	ps := make([]pair, len(keys))
+	for i := range keys {
+		ps[i] = pair{keys[i], pos[i]}
+	}
+	slices.SortStableFunc(ps, func(x, y pair) int { return cmp.Compare(x.k, y.k) })
+	rk, rp := make([]int64, len(ps)), make([]int64, len(ps))
+	for i, p := range ps {
+		rk[i], rp[i] = p.k, p.p
+	}
+	return rk, rp
+}
+
+// checkSortPairs sorts a copy of keys (positions 0..n-1, so stability is
+// observable) through sc and compares with the reference.
+func checkSortPairs(t *testing.T, name string, keys []int64, sc *SortScratch) {
+	t.Helper()
+	pos := make([]int64, len(keys))
+	for i := range pos {
+		pos[i] = int64(i)
+	}
+	wantK, wantP := refSortPairs(keys, pos)
+	gotK, gotP := SortPairsInt64(slices.Clone(keys), pos, sc)
+	if !slices.Equal(gotK, wantK) {
+		t.Fatalf("%s (n=%d): keys differ from the stable reference", name, len(keys))
+	}
+	if !slices.Equal(gotP, wantP) {
+		t.Fatalf("%s (n=%d): positions differ from the stable reference (stability lost)", name, len(keys))
+	}
+}
+
+func TestSortPairsInt64(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	gen := func(n int, f func(i int) int64) []int64 {
+		ks := make([]int64, n)
+		for i := range ks {
+			ks[i] = f(i)
+		}
+		return ks
+	}
+	extremes := []int64{math.MinInt64, math.MaxInt64, 0, -1, 1, math.MinInt64 + 1, math.MaxInt64 - 1}
+	shapes := []struct {
+		name string
+		f    func(n int) func(i int) int64
+	}{
+		{"all-equal", func(int) func(int) int64 { return func(int) int64 { return 42 } }},
+		{"sorted", func(int) func(int) int64 { return func(i int) int64 { return int64(i/3) - 7 } }},
+		{"reverse", func(n int) func(int) int64 { return func(i int) int64 { return int64((n - i) / 2) } }},
+		{"min-max", func(int) func(int) int64 { return func(int) int64 { return extremes[rng.Intn(len(extremes))] } }},
+		{"narrow", func(int) func(int) int64 { return func(int) int64 { return int64(rng.Intn(5)) - 2 } }},
+		{"dates", func(int) func(int) int64 { return func(int) int64 { return int64(rng.Intn(8000)) } }},
+		{"wide", func(int) func(int) int64 { return func(int) int64 { return rng.Int63() - rng.Int63() } }},
+		{"two-keys-one-outlier", func(n int) func(int) int64 {
+			return func(i int) int64 {
+				if i == n/2 {
+					return 1 << 40
+				}
+				return int64(i & 1)
+			}
+		}},
+	}
+	// One scratch through every case, sizes shrinking and growing, so a
+	// stale buffer length or histogram would surface.
+	var sc SortScratch
+	sizes := []int{0, 1, 2, sortCutover - 1, sortCutover, sortCutover + 1, 5000, 3, 700, sortCutover, 20000, 1}
+	for _, n := range sizes {
+		for _, sh := range shapes {
+			checkSortPairs(t, sh.name, gen(n, sh.f(n)), &sc)
+		}
+	}
+	// a-major concatenations of ascending lists, χ's actual input.
+	for trial := 0; trial < 200; trial++ {
+		var ks []int64
+		for lists := 1 + rng.Intn(60); lists > 0; lists-- {
+			k := int64(rng.Intn(50)) - 25
+			for m := rng.Intn(8); m > 0; m-- {
+				k += 1 + int64(rng.Intn(40))
+				ks = append(ks, k)
+			}
+		}
+		checkSortPairs(t, "a-major", ks, &sc)
+	}
+}
+
+func TestRadixPlanCoversKeyBits(t *testing.T) {
+	for _, n := range []int{sortCutover, 100, 1000, 1 << 20} {
+		for kb := 1; kb <= 64; kb++ {
+			p, d := radixPlan(n, kb)
+			if p < 1 || d < 1 || d > maxDigitBits || p*int(d) < kb {
+				t.Fatalf("radixPlan(%d, %d) = %d passes of %d bits", n, kb, p, d)
+			}
+		}
+	}
+}
+
+func FuzzSortPairsInt64(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{3, 1, 2}, uint8(0))
+	f.Add(bytes.Repeat([]byte{9, 200, 7, 7, 0, 255, 128, 127}, 40), uint8(0))
+	f.Add(bytes.Repeat([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, 40), uint8(2))
+	f.Add(bytes.Repeat([]byte{1, 2, 3, 4, 250, 251}, 100), uint8(1))
+	var sc SortScratch // shared across inputs: sizes come in any order
+	f.Fuzz(func(t *testing.T, raw []byte, mode uint8) {
+		if len(raw) > 1<<14 {
+			raw = raw[:1<<14]
+		}
+		// Key width 1, 2 or 8 bytes, sign-extended: narrow widths give
+		// few-bit ranges and many ties, 8 bytes the full int64 range.
+		w := []int{1, 2, 8}[mode%3]
+		keys := make([]int64, 0, len(raw)/w)
+		for ; len(raw) >= w; raw = raw[w:] {
+			switch w {
+			case 1:
+				keys = append(keys, int64(int8(raw[0])))
+			case 2:
+				keys = append(keys, int64(int16(binary.BigEndian.Uint16(raw))))
+			default:
+				keys = append(keys, int64(binary.BigEndian.Uint64(raw)))
+			}
+		}
+		checkSortPairs(t, "fuzz", keys, &sc)
+	})
+}
+
+// amajorPairs builds n pairs the way χ does: a concatenation of
+// ascending lists of about per keys drawn from [0, span).
+func amajorPairs(rng *rand.Rand, n, per int, span int64) (keys, pos []int64) {
+	for a := 0; len(keys) < n; a++ {
+		start := len(keys)
+		for m := min(per, n-start); m > 0; m-- {
+			keys = append(keys, rng.Int63n(span))
+		}
+		slices.Sort(keys[start:])
+		for j := range keys[start:] {
+			pos = append(pos, int64(a)<<32|int64(j))
+		}
+	}
+	return keys, pos
+}
+
+// BenchmarkSortPairsInt64 is the series behind sortCutover and
+// radixPlan: around the cut-over it times both arms on the same input,
+// above it the dispatching entry point.
+func BenchmarkSortPairsInt64(b *testing.B) {
+	for _, span := range []int64{200, 1600, 8000, 1 << 40} {
+		for _, per := range []int{1, 8} {
+			for _, n := range []int{16, 32, 48, 64, 96, 128, 430, 10000, 200000} {
+				rng := rand.New(rand.NewSource(1))
+				k0, p0 := amajorPairs(rng, n, per, span)
+				keys, pos := make([]int64, n), make([]int64, n)
+				var sc SortScratch
+				type arm struct {
+					name string
+					sort func()
+				}
+				arms := []arm{{"kernel", func() { SortPairsInt64(keys, pos, &sc) }}}
+				if n <= 128 {
+					arms = []arm{
+						{"insertion", func() { insertionSortPairs(keys, pos) }},
+						{"radix", func() { radixSortPairs(keys, pos, slices.Min(keys), slices.Max(keys), &sc) }},
+					}
+				}
+				for _, arm := range arms {
+					b.Run(fmt.Sprintf("span=%d/per=%d/n=%d/%s", span, per, n, arm.name), func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							copy(keys, k0)
+							copy(pos, p0)
+							arm.sort()
+						}
+					})
+				}
+			}
+		}
 	}
 }
