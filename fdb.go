@@ -132,7 +132,9 @@ type Database = engine.DB
 // flat relations (Run, Prepare) or materialised factorised views
 // (RunOnView), always on the arena-backed factorised representation.
 // The zero value disables partial aggregation; use NewEngine for the
-// paper's default configuration.
+// paper's default configuration. An Engine memoises plans by query
+// shape (see engine.Engine.Prepare), so it must not be copied after
+// first use.
 type Engine = engine.Engine
 
 // NewEngine returns an engine with eager partial aggregation enabled and
@@ -169,6 +171,9 @@ var GoValue = engine.GoValue
 // plus the optimised f-plan. Prepare once with Engine.Prepare and execute
 // many times with Exec; a PreparedQuery is immutable and safe for
 // concurrent Exec calls, which is the basis of fdbserver's plan cache.
+// Statements of one shape that differ only in filter constants,
+// operators, HAVING, LIMIT or OFFSET share one plan template and one
+// ExecShared base snapshot.
 type PreparedQuery = engine.Prepared
 
 // NormalizeSQL canonicalises a SQL statement's spelling (whitespace,

@@ -43,6 +43,10 @@ type Engine struct {
 	// Small inputs execute serially regardless (see
 	// frep.MinParallelEvalValues and friends).
 	Parallelism int
+
+	// templates memoises plans by query shape (see Prepare); it makes an
+	// Engine unsafe to copy after first use.
+	templates templateMemo
 }
 
 // par resolves the engine's effective intra-query parallelism.

@@ -41,6 +41,11 @@ func putStore(s *frep.Store) {
 // up to 64 candidate forests) and f-plan optimisation on every run —
 // the basis of the server's plan cache.
 //
+// A Prepared may be a binding of a plan template (see Engine.Prepare):
+// it then shares Orders, Plan.Cost and the ExecShared base snapshot with
+// every other statement of its query shape, and owns only Query and a
+// copy of Plan.Ops carrying its own filter constants.
+//
 // A Prepared is immutable after Prepare (apart from the internal shared
 // base snapshot, which is built lazily under a mutex) and safe for
 // concurrent Exec/ExecShared calls: f-plan operators address f-tree
@@ -50,27 +55,31 @@ type Prepared struct {
 	// Query is the validated logical query.
 	Query *query.Query
 	// Orders holds the chosen linear-path attribute order per relation,
-	// aligned with Query.Relations.
+	// aligned with Query.Relations. Bindings of one template share it.
 	Orders [][]string
 	// Plan is the optimised f-plan, reusable across executions.
 	Plan *plan.Plan
 
 	eng *Engine
 
-	// shared caches the factorised base relations (one arena store
-	// snapshot) for ExecShared. A failed build (including one cancelled
-	// by its caller's context) is not cached; the next call retries.
-	// rels records the exact relation pointers the snapshot was built
-	// from: mutable catalogues publish a fresh relation pointer per
-	// write, so a pointer mismatch on a later call detects a stale
-	// snapshot and forces a rebuild (the stale-plan guard).
-	shared struct {
-		mu    sync.Mutex
-		built bool
-		store *frep.Store
-		roots []frep.NodeID
-		rels  []*relation.Relation
-	}
+	// shared caches the factorised base relations for ExecShared, one
+	// per plan template, so every binding of a shape reads the same one.
+	shared *baseSnapshot
+}
+
+// baseSnapshot is the factorised base relations of one plan template
+// (one frozen arena store) for ExecShared. A failed build (including one
+// cancelled by its caller's context) is not cached; the next call
+// retries. rels records the exact relation pointers the snapshot was
+// built from: mutable catalogues publish a fresh relation pointer per
+// write, so a pointer mismatch on a later call detects a stale snapshot
+// and forces a rebuild (the stale-plan guard) for every binding at once.
+type baseSnapshot struct {
+	mu    sync.Mutex
+	built bool
+	store *frep.Store
+	roots []frep.NodeID
+	rels  []*relation.Relation
 }
 
 // resolveRelations looks up the query's relations in the database,
@@ -105,6 +114,15 @@ func resolveRelations(q *query.Query, db DB) ([]*relation.Relation, []ftree.Cata
 // their contents; cardinalities influence only the cost-based choice
 // among equivalent plans. A Prepared therefore stays valid as long as
 // the named relations keep their attributes.
+//
+// The engine memoises what it plans as a template per query shape: the
+// query without its filter constants and operators, HAVING, LIMIT and
+// OFFSET, none of which the optimisers read. A statement whose shape is
+// cached and whose relations are the very pointers the template was
+// planned against skips the search and gets a binding (see Prepared);
+// relations with other pointers are planned afresh and replace the
+// template. Either way the plan is the one a fresh search would choose.
+// Because of the memo an Engine must not be copied after first use.
 func (e *Engine) Prepare(q *query.Query, db DB) (*Prepared, error) {
 	return e.PrepareContext(context.Background(), q, db)
 }
@@ -117,13 +135,41 @@ func (e *Engine) PrepareContext(ctx context.Context, q *query.Query, db DB) (*Pr
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	rels, cat, err := resolveRelations(q, db)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	key := e.templateKey(q)
+	t := e.templates.lookup(key, q, db)
+	if t != nil {
+		if p := t.bind(e, q); p != nil {
+			e.templates.hits.Add(1)
+			return p, nil
+		}
+	}
+	e.templates.misses.Add(1)
+	p, rels, err := e.search(ctx, q, db)
 	if err != nil {
 		return nil, err
 	}
+	// A template whose selections do not line up with q's filters stays
+	// as it is; q keeps the plan of its own.
+	if t == nil {
+		e.templates.lru().Put(key, &planTemplate{rels: rels, orders: p.Orders, plan: p.Plan, base: p.shared})
+	}
+	return p, nil
+}
+
+// search runs the path-order search and the f-plan optimiser for q, and
+// returns a Prepared with a base snapshot of its own together with the
+// relations it was planned against.
+func (e *Engine) search(ctx context.Context, q *query.Query, db DB) (*Prepared, []*relation.Relation, error) {
+	rels, cat, err := resolveRelations(q, db)
+	if err != nil {
+		return nil, nil, err
+	}
 	orders, err := e.choosePathOrders(ctx, q, rels, cat)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	f := ftree.New()
 	for i := range rels {
@@ -132,9 +178,9 @@ func (e *Engine) PrepareContext(ctx context.Context, q *query.Query, db DB) (*Pr
 	pl := &plan.Planner{Catalog: cat, PartialAgg: e.PartialAgg, Exhaustive: e.Exhaustive, Ctx: ctx}
 	fplan, err := pl.Plan(f, q)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &Prepared{Query: q, Orders: orders, Plan: fplan, eng: e}, nil
+	return &Prepared{Query: q, Orders: orders, Plan: fplan, eng: e, shared: &baseSnapshot{}}, rels, nil
 }
 
 // buildForest factorises the query's relations in the prepared path
@@ -202,10 +248,12 @@ func (p *Prepared) ExecContext(ctx context.Context, db DB) (*Result, error) {
 
 // ExecShared is Exec for databases whose relations do not change between
 // calls (the server's contract): the factorised base relations are built
-// once, kept as an immutable store snapshot inside the Prepared, and
-// each execution starts from a slab copy of that snapshot instead of
-// re-sorting the base relations. The first call's data is captured;
-// callers mutating relations between calls must use Exec.
+// once, kept as an immutable store snapshot shared by every binding of
+// the Prepared's plan template, and each execution starts from a slab
+// copy of that snapshot instead of re-sorting the base relations.
+// Replacing a relation by a new pointer (what a mutable catalogue does
+// on a write) rebuilds the snapshot on the next call; mutating a
+// relation in place is not supported — use Exec for that.
 func (p *Prepared) ExecShared(db DB) (*Result, error) {
 	return p.ExecSharedContext(context.Background(), db)
 }
@@ -215,53 +263,54 @@ func (p *Prepared) ExecShared(db DB) (*Result, error) {
 // cancellation during that build is not cached, so the next call
 // rebuilds it.
 func (p *Prepared) ExecSharedContext(ctx context.Context, db DB) (*Result, error) {
-	p.shared.mu.Lock()
-	if p.shared.built {
+	b := p.shared
+	b.mu.Lock()
+	if b.built {
 		// Stale-plan guard: if any relation in db is a different pointer
 		// from the one the snapshot captured (a mutable catalogue
 		// published a new generation), drop the snapshot and rebuild.
 		// The match path costs len(Relations) map lookups and pointer
 		// compares — no allocations.
 		for i, name := range p.Query.Relations {
-			if db[name] != p.shared.rels[i] {
-				p.shared.built = false
-				p.shared.store = nil
-				p.shared.roots = nil
-				p.shared.rels = nil
+			if db[name] != b.rels[i] {
+				b.built = false
+				b.store = nil
+				b.roots = nil
+				b.rels = nil
 				break
 			}
 		}
 	}
-	if !p.shared.built {
+	if !b.built {
 		bst := frep.NewStore()
 		_, roots, err := p.buildForest(ctx, db, bst)
 		if err != nil {
 			// Not cached: a cancelled (or otherwise failed) snapshot build
 			// must not poison the Prepared for later callers.
-			p.shared.mu.Unlock()
+			b.mu.Unlock()
 			return nil, err
 		}
 		// Rank the shared base once: every execution clones the snapshot,
 		// so ranked OFFSET seeks, COUNT(*) fast paths and weighted
 		// parallel splits come for free on all of them.
 		if err := bst.BuildRanks(); err != nil {
-			p.shared.mu.Unlock()
+			b.mu.Unlock()
 			return nil, err
 		}
 		// Likewise the column index: built once here, shared by pointer
 		// into every per-execution clone.
 		bst.BuildCols()
-		p.shared.store = bst.Snapshot()
-		p.shared.roots = roots
+		b.store = bst.Snapshot()
+		b.roots = roots
 		rels := make([]*relation.Relation, len(p.Query.Relations))
 		for i, name := range p.Query.Relations {
 			rels[i] = db[name]
 		}
-		p.shared.rels = rels
-		p.shared.built = true
+		b.rels = rels
+		b.built = true
 	}
-	sharedStore, sharedRoots := p.shared.store, p.shared.roots
-	p.shared.mu.Unlock()
+	sharedStore, sharedRoots := b.store, b.roots
+	b.mu.Unlock()
 	st := getStore()
 	sharedStore.CloneInto(st)
 	f := ftree.New()

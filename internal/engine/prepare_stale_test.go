@@ -6,8 +6,10 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"github.com/factordb/fdb/internal/fops"
 	"github.com/factordb/fdb/internal/query"
 	"github.com/factordb/fdb/internal/values"
 )
@@ -104,6 +106,65 @@ func TestPreparedSharedSnapshotStableWithoutDML(t *testing.T) {
 		got := collectRows(t, func() (*Result, error) { return prep.ExecShared(m.View()) })
 		diffOrdered(t, "stable", base, got)
 	}
+}
+
+// TestTemplateBindingsSeeWrites: two statements of one shape, prepared
+// before a write, are bindings of one template and share its snapshot;
+// both must see the write. A third statement prepared after the write
+// meets relations the template was not planned against, so it replaces
+// the entry instead of adding one.
+func TestTemplateBindingsSeeWrites(t *testing.T) {
+	m := newTestMutable(t)
+	eng := New()
+	shape := func(notOn string) *query.Query {
+		q := pizzeriaRevenueQuery()
+		q.Filters = []query.Filter{{Attr: "date", Op: fops.NE, Const: sv(notOn)}}
+		return q
+	}
+	var preps []*Prepared
+	for _, day := range []string{"Monday", "Tuesday"} {
+		p, err := eng.Prepare(shape(day), m.View())
+		if err != nil {
+			t.Fatal(err)
+		}
+		collectRows(t, func() (*Result, error) { return p.ExecShared(m.View()) })
+		preps = append(preps, p)
+	}
+	if preps[0].shared != preps[1].shared {
+		t.Fatal("two statements of one shape do not share the template's snapshot")
+	}
+
+	apply(t, m, ins("Orders", []values.Value{sv("Zoe"), sv("Sunday"), sv("Hawaii")}))
+
+	for i, p := range preps {
+		after := collectRows(t, func() (*Result, error) { return p.ExecShared(m.View()) })
+		fresh := collectRows(t, func() (*Result, error) { return New().Run(p.Query, m.View()) })
+		diffOrdered(t, fmt.Sprintf("binding %d after the write", i), fresh, after)
+		found := false
+		for _, tp := range after.Tuples {
+			found = found || tp[0].Str() == "Zoe"
+		}
+		if !found {
+			t.Fatalf("binding %d served the snapshot from before the write", i)
+		}
+	}
+
+	third, err := eng.Prepare(shape("Friday"), m.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.shared == preps[0].shared {
+		t.Fatal("statement prepared after the write bound to the old template")
+	}
+	if v, _ := eng.templates.lru().Get(eng.templateKey(third.Query)); v.(*planTemplate).base != third.shared {
+		t.Fatal("statement prepared after the write did not replace the template")
+	}
+	if st := eng.PlanTemplateStats(); st.Size != 1 || st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("template stats %+v, want 1 entry, 1 hit, 2 misses", st)
+	}
+	diffOrdered(t, "third",
+		collectRows(t, func() (*Result, error) { return New().Run(third.Query, m.View()) }),
+		collectRows(t, func() (*Result, error) { return third.ExecShared(m.View()) }))
 }
 
 // TestPreparedConcurrentExecSharedDuringWrites: hammer ExecShared from

@@ -1,7 +1,8 @@
 // Package cache provides a concurrency-safe LRU cache with hit/miss
 // accounting. The query server uses it to memoise prepared query plans
 // keyed by normalised SQL text, so repeated queries skip parsing, path-
-// order search and f-plan optimisation.
+// order search and f-plan optimisation; the engine uses it to memoise
+// plan templates keyed by query shape.
 package cache
 
 import (

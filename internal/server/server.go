@@ -999,7 +999,11 @@ type StatsResponse struct {
 	ExecErrors  uint64 `json:"execErrors"`
 	RowsWritten int64  `json:"rowsWritten"`
 	// ShardInstalls counts snapshots accepted through /shard/install.
-	ShardInstalls uint64             `json:"shardInstalls,omitempty"`
+	ShardInstalls uint64 `json:"shardInstalls,omitempty"`
+	// PlanTemplates is the engine's plan-template memo, shared by every
+	// database: a statement missing its database's plan cache binds to
+	// a template of its query shape (a hit) or is planned afresh.
+	PlanTemplates cache.Stats        `json:"planTemplates"`
 	Databases     map[string]DBStats `json:"databases"`
 }
 
@@ -1014,6 +1018,7 @@ func (s *Server) Stats() StatsResponse {
 		ExecErrors:    s.execErrors.Load(),
 		RowsWritten:   s.rowsWritten.Load(),
 		ShardInstalls: s.installs.Load(),
+		PlanTemplates: s.eng.PlanTemplateStats(),
 		Databases:     make(map[string]DBStats, len(s.dbs)),
 	}
 	s.dbMu.RLock()

@@ -138,6 +138,49 @@ func TestPlanCacheHit(t *testing.T) {
 	}
 }
 
+// TestPlanTemplateHit: two statements of one shape that differ in a
+// filter constant and its operator miss the statement cache both times,
+// and the second binds to the engine's plan template, which /stats
+// reports at the top level as planTemplates.
+func TestPlanTemplateHit(t *testing.T) {
+	s := newTestServer(t, Config{})
+	const shape = `SELECT customer, SUM(price) AS revenue
+		FROM Orders, Pizzas, Items
+		WHERE pizza = pizza2 AND item = item2 AND price %s %d
+		GROUP BY customer ORDER BY customer`
+	for i, want := range []string{"[[Lucia 6] [Mario 18] [Pietro 6]]", "[[Lucia 3] [Mario 4] [Pietro 3]]"} {
+		op, c := ">", 5
+		if i == 1 {
+			op, c = "<=", 2
+		}
+		resp, rec := postQuery(t, s, QueryRequest{SQL: fmt.Sprintf(shape, op, c)})
+		if resp == nil {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		if resp.Cached {
+			t.Fatalf("statement %d reported a plan-cache hit", i)
+		}
+		if got := fmt.Sprint(resp.Rows); got != want {
+			t.Fatalf("statement %d rows = %s, want %s", i, got, want)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var st struct {
+		PlanTemplates struct{ Hits, Misses, Size, Capacity int }
+		Databases     map[string]struct{ PlanCache struct{ Hits, Misses int } }
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("decoding /stats: %v\n%s", err, rec.Body)
+	}
+	if pt := st.PlanTemplates; pt.Hits != 1 || pt.Misses != 1 || pt.Size != 1 || pt.Capacity < 1 {
+		t.Fatalf("planTemplates = %+v, want 1 hit, 1 miss, 1 shape\n%s", pt, rec.Body)
+	}
+	if pc := st.Databases["pizzeria"].PlanCache; pc.Hits != 0 || pc.Misses != 2 {
+		t.Fatalf("planCache = %+v, want 0 hits and 2 misses", pc)
+	}
+}
+
 func TestPlanCacheEviction(t *testing.T) {
 	s := newTestServer(t, Config{CacheSize: 2})
 	stmts := []string{
