@@ -1,12 +1,13 @@
 // Benchmarks reproducing every figure of the paper's experimental
 // evaluation (Section 6). Each benchmark family regenerates one figure's
-// series; cmd/fdbbench prints them as tables. EXPERIMENTS.md records the
-// measured shapes against the paper's.
+// series, FDB against the rdb flat baselines:
+//
+//	go test -run '^$' -bench 'Fig|Ablation|SizeGrowth' .
 //
 // The default scale factor is 4 (override with FDB_BENCH_SCALE); Figure 4
-// sweeps scales 1,2,4 (extend with FDB_BENCH_SCALE_MAX). Flat
-// materialisations grow as 256·s⁴ tuples — keep scales modest on small
-// machines.
+// and the size table sweep scales 1,2,4 (extend with FDB_BENCH_SCALE_MAX).
+// Flat materialisations grow as 256·s⁴ tuples — keep scales modest on
+// small machines.
 package fdb_test
 
 import (
@@ -163,6 +164,7 @@ func BenchmarkSizeGrowth(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(rep.JoinTuples), "join-tuples")
+			b.ReportMetric(float64(rep.JoinSingletons), "join-singletons")
 			b.ReportMetric(float64(rep.FactSingletons), "fact-singletons")
 			b.ReportMetric(float64(rep.JoinTuples)/float64(rep.FactSingletons), "gap")
 		})

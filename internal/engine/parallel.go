@@ -35,9 +35,9 @@ var MinParallelEnumRows = 4096
 // cursor specifically. Its universe counts groups, not rows: every group
 // already amortises a whole γ evaluation, and each segment worker clones
 // evaluator state per group, so the crossover where fan-out wins sits
-// far above the plain-enumeration floor (the scale-1 benchmark workload,
-// ~100 groups, regressed at P≥2 under the shared floor — see
-// bench_baseline.json's parallel/sum-grouped series).
+// far above the plain-enumeration floor (the scale-1 paper workload,
+// ~100 groups, regressed at P≥2 under the shared floor; CHANGES.md,
+// PR 7).
 var MinParallelGroupRows = 65536
 
 const (

@@ -18,12 +18,11 @@ import (
 	"github.com/factordb/fdb/internal/query"
 )
 
-// SeekFallbackMin is the smallest OFFSET worth routing through Seek on
+// seekFallbackMin is the smallest OFFSET worth routing through Seek on
 // an unranked store, where counting falls back to a memoized recursion
 // over (slot, node) pairs: below it the plain linear skip is cheaper
-// than building the memo. Ranked stores always seek. Package-visible so
-// fdbbench can pin OFFSET routing per benchmark arm.
-var SeekFallbackMin = 1024
+// than building the memo. Ranked stores always seek.
+const seekFallbackMin = 1024
 
 // Cumulative OFFSET routing counters; see SeekSkipStats.
 var (
@@ -74,10 +73,10 @@ type rowTotaler interface {
 }
 
 // enumSeek routes a skip through an enumerator's Seek when profitable:
-// always on the ranked path, only past SeekFallbackMin on the memoized
+// always on the ranked path, only past seekFallbackMin on the memoized
 // fallback.
 func enumSeek(en storeEnum, n int) (int, bool) {
-	if !en.SeekRanked() && n < SeekFallbackMin {
+	if !en.SeekRanked() && n < seekFallbackMin {
 		return 0, false
 	}
 	return en.Seek(n), true

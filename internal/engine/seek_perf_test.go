@@ -15,8 +15,7 @@ import (
 
 // deepPathView builds a relation of fanout³ rows factorised over the
 // path a→b→c, optionally ranked — the pagination target of the
-// deep-page cost test (cmd/fdbbench's -exp offset measures the same
-// shape at full size).
+// deep-page cost test.
 func deepPathView(t *testing.T, fanout int, ranked bool) *fops.ARel {
 	t.Helper()
 	n := fanout * fanout * fanout

@@ -26,15 +26,15 @@ func benchRelation(n int) *relation.Relation {
 	return relation.MustNew("R", []string{"a", "b", "c"}, ts).Dedup()
 }
 
-func benchStoreRep(b *testing.B, n int) (*ftree.Forest, *Store, []NodeID) {
-	b.Helper()
+func benchStoreRep(tb testing.TB, n int) (*ftree.Forest, *Store, []NodeID) {
+	tb.Helper()
 	rel := benchRelation(n)
 	f := ftree.New()
 	f.NewRelationPath("a", "b", "c")
 	s := NewStore()
 	roots, err := BuildStoreUnchecked(s, rel, f)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return f, s, roots
 }
@@ -194,4 +194,68 @@ type countingWriter int
 func (c *countingWriter) Write(p []byte) (int, error) {
 	*c += countingWriter(len(p))
 	return len(p), nil
+}
+
+// TestHotPathAllocs pins what the serial hot path allocates per call on
+// the benchmark fixtures above: opening an enumerator and draining it,
+// the Section 3.2 count, and a compiled evaluator folding into a reused
+// buffer. None may grow with the data — an allocation per tuple, value
+// or union would add thousands here.
+func TestHotPathAllocs(t *testing.T) {
+	enumerate := func(_ *testing.T, f *ftree.Forest, s *Store, roots []NodeID) func() error {
+		return func() error {
+			e, err := NewStoreEnumerator(f, s, roots, nil)
+			if err != nil {
+				return err
+			}
+			for e.Next() {
+			}
+			return nil
+		}
+	}
+	count := func(_ *testing.T, f *ftree.Forest, s *Store, roots []NodeID) func() error {
+		return func() error {
+			_, err := CountStore(f.Roots[0], s, roots[0])
+			return err
+		}
+	}
+	eval := func(t *testing.T, f *ftree.Forest, s *Store, roots []NodeID) func() error {
+		ev, err := NewEvaluator(f.Roots[0], []ftree.AggField{
+			{Fn: ftree.Count},
+			{Fn: ftree.Sum, Arg: "c"},
+			{Fn: ftree.Min, Arg: "c"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]values.Value, 3)
+		return func() error { return ev.EvalStoreInto(s, roots[0], out) }
+	}
+	for _, a := range []struct {
+		name    string
+		n       int
+		ceiling float64 // measured on go 1.24 (25, 17, 0) plus headroom
+		op      func(*testing.T, *ftree.Forest, *Store, []NodeID) func() error
+	}{
+		{"enumerate", 1000, 28, enumerate},
+		{"enumerate", 10000, 28, enumerate},
+		{"enumerate", 100000, 28, enumerate},
+		{"count", 1000, 19, count},
+		{"count", 100000, 19, count},
+		{"eval", 50000, 0, eval},
+	} {
+		t.Run(a.name+"/"+strconv.Itoa(a.n), func(t *testing.T) {
+			f, s, roots := benchStoreRep(t, a.n)
+			op := a.op(t, f, s, roots)
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := op(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%.0f allocs", allocs)
+			if allocs > a.ceiling {
+				t.Fatalf("%.0f allocs, ceiling %.0f", allocs, a.ceiling)
+			}
+		})
+	}
 }

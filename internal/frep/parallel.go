@@ -30,10 +30,10 @@ var MinParallelEvalValues = 2048
 // evaluation fans out. The root value count alone under-estimates work
 // skew, but it also over-triggers on shallow trees: a γ over a few
 // thousand root values whose subtrees are tiny finishes faster serially
-// than the fan-out costs — the measured crossover on the benchmark
-// workload sits around 10⁵ represented tuples (see bench_baseline.json's
-// parallel series). When the union is not ranked, only the value floor
-// applies.
+// than the fan-out costs — the measured crossover on the paper's
+// workload sits around 10⁵ represented tuples (this floor fixed the
+// sum-global and sum-grouped P≥2 regressions recorded in CHANGES.md,
+// PR 7). When the union is not ranked, only the value floor applies.
 var MinParallelEvalWork = int64(1) << 17
 
 // evalWorkers counts aggregate-evaluation workers spawned by this
@@ -146,13 +146,4 @@ func ParallelEvalStore(n *ftree.Node, fields []ftree.AggField, s *Store, id Node
 		MergePartials(fields, out, partials[w])
 	}
 	return nil
-}
-
-// ParallelCountStore is CountStore with segment parallelism.
-func ParallelCountStore(n *ftree.Node, s *Store, id NodeID, par int) (int64, error) {
-	var out [1]values.Value
-	if err := ParallelEvalStore(n, []ftree.AggField{{Fn: ftree.Count}}, s, id, par, out[:]); err != nil {
-		return 0, err
-	}
-	return out[0].Int(), nil
 }

@@ -7,8 +7,8 @@
 // The generator is calibrated so that the natural join R1 grows as ~256·s⁴
 // tuples while its factorisation over T grows as ~64·s³ singletons,
 // matching the asymptotics and magnitudes reported in Section 6 (280M
-// tuples vs 4.2M singletons at scale 32); see DESIGN.md for why the
-// paper's prose constants cannot be used verbatim.
+// tuples vs 4.2M singletons at scale 32); Generate lists the constants
+// that achieve this.
 package workload
 
 import (
