@@ -23,6 +23,7 @@ import (
 	"github.com/factordb/fdb/internal/catalog"
 	"github.com/factordb/fdb/internal/fops"
 	"github.com/factordb/fdb/internal/query"
+	"github.com/factordb/fdb/internal/relation"
 	"github.com/factordb/fdb/internal/server"
 	"github.com/factordb/fdb/internal/sql"
 	"github.com/factordb/fdb/internal/values"
@@ -50,12 +51,34 @@ func testData(t *testing.T) (fdb.Database, *catalog.Catalog) {
 	db := fdb.Database{
 		"R1": r1, "R2": r2, "R3": r3,
 		"Orders": ds.Orders, "Packages": ds.Packages, "Items": ds.Items,
+		"RN": nullRelation(t),
 	}
 	cat, err := catalog.Build("shop", db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return db, cat
+}
+
+// nullRelation is RN(g, v): eight groups spread over every shard, where
+// group 3 holds only NULLs and groups 2 and 6 mix NULLs with numbers.
+func nullRelation(t *testing.T) *relation.Relation {
+	t.Helper()
+	var ts []relation.Tuple
+	for g := int64(1); g <= 8; g++ {
+		for k := int64(0); k < 3; k++ {
+			v := values.NewInt(g*10 + k)
+			if g == 3 || (k == 1 && (g == 2 || g == 6)) {
+				v = values.NullValue()
+			}
+			ts = append(ts, relation.Tuple{values.NewInt(g), v})
+		}
+	}
+	rel, err := relation.New("RN", []string{"g", "v"}, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
 }
 
 func newServer(t *testing.T, cfg server.Config) *server.Server {
@@ -174,6 +197,39 @@ func goldenQueries() map[string]string {
 		},
 		OrderBy: []query.OrderItem{{Attr: "package"}},
 	}
+	// Aggregates over no tuples: COUNT is 0 and the rest NULL, globally
+	// (one row) and grouped (no rows); the filter rejects every price.
+	none := []query.Filter{{Attr: "price", Op: fops.GT, Const: values.NewInt(1 << 40)}}
+	qs["avg_empty"] = &query.Query{
+		Relations:  []string{"R1"},
+		Filters:    none,
+		Aggregates: []query.Aggregate{{Fn: query.Avg, Arg: "price", As: "ap"}},
+	}
+	qs["all_empty"] = &query.Query{
+		Relations:  []string{"R1"},
+		Filters:    none,
+		Aggregates: allFns("price"),
+	}
+	qs["all_empty_grouped"] = &query.Query{
+		Relations:  []string{"R1"},
+		Filters:    none,
+		GroupBy:    []string{"customer"},
+		Aggregates: allFns("price"),
+		OrderBy:    []query.OrderItem{{Attr: "customer"}},
+	}
+	// NULL-only and mixed groups, streamed and ordered by an aggregate.
+	qs["null_groups"] = &query.Query{
+		Relations:  []string{"RN"},
+		GroupBy:    []string{"g"},
+		Aggregates: allFns("v"),
+		OrderBy:    []query.OrderItem{{Attr: "g"}},
+	}
+	qs["null_groups_by_avg"] = &query.Query{
+		Relations:  []string{"RN"},
+		GroupBy:    []string{"g"},
+		Aggregates: allFns("v"),
+		OrderBy:    []query.OrderItem{{Attr: "a", Desc: true}},
+	}
 	qs["count_star"] = &query.Query{
 		Relations:  []string{"R1"},
 		Aggregates: []query.Aggregate{{Fn: query.Count, As: "n"}},
@@ -200,6 +256,16 @@ func goldenQueries() map[string]string {
 		out[name] = sql.Render(q)
 	}
 	return out
+}
+
+// allFns applies each aggregation function to arg, aliased by its
+// initial letter (count → c, …).
+func allFns(arg string) []query.Aggregate {
+	return []query.Aggregate{
+		{Fn: query.Count, As: "c"}, {Fn: query.Sum, Arg: arg, As: "s"},
+		{Fn: query.Min, Arg: arg, As: "lo"}, {Fn: query.Max, Arg: arg, As: "hi"},
+		{Fn: query.Avg, Arg: arg, As: "a"},
+	}
 }
 
 // post issues one /query request; ndjson selects the streaming protocol.

@@ -4,7 +4,7 @@ package cluster
 // order. The invariant the whole cluster package exists to uphold is
 // that a distributed query's byte stream equals the serial server's:
 // rows forward the exact bytes a shard produced (wire.Row keeps raw
-// JSON), aggregate partials fold with the engine's own merge algebra,
+// JSON), aggregate partials fold with ftree's table of monoids,
 // and ties across shards break by shard index — which under contiguous
 // ascending partition ranges is exactly the serial enumeration order.
 
@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"github.com/factordb/fdb/internal/engine"
+	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/values"
 	"github.com/factordb/fdb/internal/wire"
 )
@@ -89,7 +90,7 @@ type mrow struct {
 
 func newMrow(st *strategy, row wire.Row, shard int) (*mrow, error) {
 	if st.mode != modeStream {
-		if want := st.nGroup + len(st.fields); len(row) != want {
+		if want := st.nGroup + len(st.low.Fields()); len(row) != want {
 			return nil, fmt.Errorf("cluster: shard %d row has %d columns, want %d", shard, len(row), want)
 		}
 	}
@@ -105,8 +106,8 @@ func newMrow(st *strategy, row wire.Row, shard int) (*mrow, error) {
 		mr.key[j] = v
 	}
 	if st.mode != modeStream {
-		mr.partials = make([]values.Value, len(st.fields))
-		for j := range st.fields {
+		mr.partials = make([]values.Value, len(st.low.Fields()))
+		for j := range st.low.Fields() {
 			v, err := parseVal(row[st.nGroup+j])
 			if err != nil {
 				return nil, err
@@ -216,8 +217,12 @@ func (m *merger) mergeGroup() ([]json.RawMessage, []values.Value, error) {
 		return nil, nil, nil
 	}
 	lead := m.heads[i]
-	acc := make([]values.Value, len(st.fields)) // Null: the merge identity
-	engine.MergePartialAggRow(st.fields, acc, lead.partials)
+	fields := st.low.Fields()
+	acc := make([]values.Value, len(fields))
+	for k, f := range fields {
+		acc[k] = f.Fn.Identity()
+	}
+	frep.MergePartials(fields, acc, lead.partials)
 	if err := m.refill(i); err != nil {
 		return nil, nil, err
 	}
@@ -226,20 +231,16 @@ func (m *merger) mergeGroup() ([]json.RawMessage, []values.Value, error) {
 		if j < 0 || !st.sameKey(m.heads[j], lead) {
 			break
 		}
-		engine.MergePartialAggRow(st.fields, acc, m.heads[j].partials)
+		frep.MergePartials(fields, acc, m.heads[j].partials)
 		if err := m.refill(j); err != nil {
 			return nil, nil, err
 		}
 	}
-	out := make([]json.RawMessage, 0, st.nGroup+len(st.outAggs))
+	finals := make([]values.Value, len(st.columns)-st.nGroup)
+	st.low.FinalInto(finals, acc)
+	out := make([]json.RawMessage, 0, len(st.columns))
 	out = append(out, lead.raw[:st.nGroup]...)
-	finals := make([]values.Value, len(st.outAggs))
-	for ai, pr := range st.outAggs {
-		v := acc[pr.sum]
-		if pr.cnt >= 0 {
-			v = engine.FinalizeAvg(acc[pr.sum], acc[pr.cnt])
-		}
-		finals[ai] = v
+	for _, v := range finals {
 		b, err := json.Marshal(engine.GoValue(v))
 		if err != nil {
 			return nil, nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/factordb/fdb/internal/catalog"
-	"github.com/factordb/fdb/internal/engine"
 	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/plan"
 	"github.com/factordb/fdb/internal/query"
@@ -27,7 +26,7 @@ const (
 	// modeGroupStream fans an aggregate query out and merges shard
 	// group rows on the fly: streams arrive sorted by group key, so
 	// groups straddling a shard boundary meet at the merge front and
-	// their partials fold with the engine's merge algebra before the
+	// their partials fold with ftree's table of monoids before the
 	// finalised row is emitted.
 	modeGroupStream
 	// modeBuffered is modeGroupStream plus a coordinator-side sort:
@@ -77,13 +76,10 @@ type strategy struct {
 	// nGroup is the number of leading group-key columns in a shard row
 	// (aggregate modes); the remaining columns are aggregate partials.
 	nGroup int
-	// fields is the merge algebra for shard aggregate columns, aligned
-	// with shard row columns nGroup..nGroup+len(fields).
-	fields []ftree.AggField
-	// outAggs maps each output aggregate column to its shard partial
-	// columns: for AVG, sum and cnt (indices into fields); otherwise
-	// sum holds the single partial and cnt is -1.
-	outAggs []partialRef
+	// low lowers the output aggregates onto the fields shards ship:
+	// shard aggregate columns nGroup..nGroup+len(low.Fields()) hold them,
+	// merged with each field's ⊕ and finalised into the outputs.
+	low *ftree.Lowering
 
 	// cmp orders shard rows for the k-way merge; ties broken by shard
 	// index reproduce the serial stable sort.
@@ -96,11 +92,6 @@ type strategy struct {
 	limit     int // 0 = unlimited
 	offset    int
 	pushdown  int // LIMIT pushed to shards (0 = none)
-}
-
-// partialRef locates an output aggregate's shard partial columns.
-type partialRef struct {
-	sum, cnt int // indices into strategy.fields; cnt >= 0 only for AVG
 }
 
 // planStrategy compiles a parsed query against the shard manifest. A
@@ -201,11 +192,11 @@ func planScan(q *query.Query, sr *catalog.ShardRelation) (*strategy, error) {
 }
 
 // planAggregate compiles an aggregate query: shard rows carry group
-// keys plus mergeable partials (AVG ships as SUM and COUNT and is
-// finalised with the engine's own division), HAVING always applies at
-// the coordinator (a group straddling shards has no final value until
-// its partials meet), and ORDER BY on an aggregate output forces the
-// buffered mode.
+// keys plus the lowered fields (AVG ships as SUM and COUNT), which the
+// coordinator merges and finalises from ftree's table, HAVING always
+// applies at the coordinator (a group straddling shards has no final
+// value until its partials meet), and ORDER BY on an aggregate output
+// forces the buffered mode.
 func planAggregate(q *query.Query, sr *catalog.ShardRelation) (*strategy, error) {
 	aggOut := make(map[string]bool, len(q.Aggregates))
 	for _, a := range q.Aggregates {
@@ -218,39 +209,20 @@ func planAggregate(q *query.Query, sr *catalog.ShardRelation) (*strategy, error)
 		}
 	}
 
-	// Shard aggregate list: originals with AVG replaced by a SUM in
-	// place, plus one trailing COUNT(*) per AVG, so non-AVG columns keep
-	// their positions.
-	shardAggs := make([]query.Aggregate, 0, len(q.Aggregates))
-	outAggs := make([]partialRef, len(q.Aggregates))
-	for i, a := range q.Aggregates {
-		if a.Fn == query.Avg {
-			shardAggs = append(shardAggs, query.Aggregate{
-				Fn: query.Sum, Arg: a.Arg, As: fmt.Sprintf("__avg%d_sum", i),
-			})
-		} else {
-			shardAggs = append(shardAggs, a)
-		}
-		outAggs[i] = partialRef{sum: i, cnt: -1}
-	}
-	for i, a := range q.Aggregates {
-		if a.Fn == query.Avg {
-			outAggs[i].cnt = len(shardAggs)
-			shardAggs = append(shardAggs, query.Aggregate{
-				Fn: query.Count, As: fmt.Sprintf("__avg%d_cnt", i),
-			})
-		}
-	}
-	fields, err := engine.PartialFields(shardAggs)
+	// Shards compute the lowered fields, one aliased column each.
+	low, err := query.Lower(q.Aggregates)
 	if err != nil {
 		return nil, err
+	}
+	shardAggs := make([]query.Aggregate, len(low.Fields()))
+	for k, f := range low.Fields() {
+		shardAggs[k] = query.Aggregate{Fn: f.Fn, Arg: f.Arg, As: fmt.Sprintf("__f%d", k)}
 	}
 
 	st := &strategy{
 		columns: q.OutputAttrs(),
 		nGroup:  len(q.GroupBy),
-		fields:  fields,
-		outAggs: outAggs,
+		low:     low,
 		having:  q.Having,
 		limit:   q.Limit,
 		offset:  q.Offset,

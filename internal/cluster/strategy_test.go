@@ -1,11 +1,11 @@
 package cluster
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/factordb/fdb/internal/catalog"
 	"github.com/factordb/fdb/internal/fops"
+	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/query"
 	"github.com/factordb/fdb/internal/sql"
 	"github.com/factordb/fdb/internal/values"
@@ -119,11 +119,8 @@ func TestPlanGroupStream(t *testing.T) {
 	if st.mode != modeGroupStream {
 		t.Fatalf("mode %s, want group-stream", st.mode)
 	}
-	if st.nGroup != 1 || len(st.fields) != 1 || len(st.outAggs) != 1 {
-		t.Fatalf("nGroup %d fields %d outAggs %d", st.nGroup, len(st.fields), len(st.outAggs))
-	}
-	if st.outAggs[0] != (partialRef{sum: 0, cnt: -1}) {
-		t.Fatalf("outAggs %+v", st.outAggs)
+	if st.nGroup != 1 || len(st.low.Fields()) != 1 || st.low.Fields()[0] != (ftree.AggField{Fn: ftree.Sum, Arg: "c"}) {
+		t.Fatalf("nGroup %d fields %v", st.nGroup, st.low.Fields())
 	}
 	if st.pushdown != 3 {
 		t.Fatalf("pushdown %d, want 3", st.pushdown)
@@ -149,30 +146,27 @@ func TestPlanAvgRewrite(t *testing.T) {
 	if st.mode != modeGroupStream {
 		t.Fatalf("mode %s", st.mode)
 	}
-	// Shards compute sum(c), count(*), count(*): AVG in place as its sum,
-	// its count appended at the end so other columns keep positions.
+	// Shards ship the lowered fields sum(c) and count(*): AVG's count
+	// and the COUNT(*) output share one column.
 	aggs := st.shardQ.Aggregates
-	if len(aggs) != 3 {
+	if len(aggs) != 2 {
 		t.Fatalf("shard aggregates %v", aggs)
 	}
-	if aggs[0].Fn != query.Sum || aggs[0].Arg != "c" || !strings.HasPrefix(aggs[0].As, "__avg0") {
-		t.Fatalf("avg sum partial %+v", aggs[0])
+	if aggs[0].Fn != query.Sum || aggs[0].Arg != "c" || aggs[1].Fn != query.Count || aggs[1].Arg != "" {
+		t.Fatalf("shard aggregates %+v", aggs)
 	}
-	if aggs[1].Fn != query.Count || aggs[1].As != "n" {
-		t.Fatalf("count kept its position: %+v", aggs[1])
-	}
-	if aggs[2].Fn != query.Count || !strings.HasPrefix(aggs[2].As, "__avg0") {
-		t.Fatalf("avg count partial %+v", aggs[2])
-	}
-	if st.outAggs[0] != (partialRef{sum: 0, cnt: 2}) || st.outAggs[1] != (partialRef{sum: 1, cnt: -1}) {
-		t.Fatalf("outAggs %+v", st.outAggs)
+	// The coordinator finalises from the merged fields: avg = 10/4, n = 4.
+	finals := make([]values.Value, 2)
+	st.low.FinalInto(finals, []values.Value{values.NewInt(10), values.NewInt(4)})
+	if values.Compare(finals[0], values.NewFloat(2.5)) != 0 || values.Compare(finals[1], values.NewInt(4)) != 0 {
+		t.Fatalf("finals %v", finals)
 	}
 	// The rewritten statement must survive the wire: render and re-parse.
 	q2, err := sql.Parse(st.shardSQL)
 	if err != nil {
 		t.Fatalf("shard SQL %q: %v", st.shardSQL, err)
 	}
-	if len(q2.Aggregates) != 3 || q2.Aggregates[2].As != aggs[2].As {
+	if len(q2.Aggregates) != 2 || q2.Aggregates[1].As != aggs[1].As {
 		t.Fatalf("round-trip lost the rewrite: %q -> %+v", st.shardSQL, q2.Aggregates)
 	}
 }

@@ -2,74 +2,16 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/ftree"
-	"github.com/factordb/fdb/internal/plan"
 	"github.com/factordb/fdb/internal/query"
 	"github.com/factordb/fdb/internal/relation"
 	"github.com/factordb/fdb/internal/values"
 )
-
-// aggOutput computes one aggregate output value from the evaluated field
-// values of a row.
-type aggOutput struct {
-	fn     query.AggFn
-	f1, f2 int // field indices; f2 used by avg (count)
-}
-
-func (a aggOutput) value(fieldVals []values.Value) values.Value {
-	switch a.fn {
-	case query.Avg:
-		s, c := fieldVals[a.f1], fieldVals[a.f2]
-		if c.Kind() == values.Int && c.Int() == 0 {
-			return values.NullValue()
-		}
-		if s.IsNull() {
-			return values.NullValue()
-		}
-		return values.Div(s, c)
-	default:
-		return fieldVals[a.f1]
-	}
-}
-
-// buildAggOutputs maps query aggregates onto positions in the field list.
-func buildAggOutputs(aggs []query.Aggregate, fields []ftree.AggField) ([]aggOutput, error) {
-	idx := func(f ftree.AggField) int {
-		for i, g := range fields {
-			if g == f {
-				return i
-			}
-		}
-		return -1
-	}
-	out := make([]aggOutput, len(aggs))
-	for i, a := range aggs {
-		var o aggOutput
-		o.fn = a.Fn
-		switch a.Fn {
-		case query.Count:
-			o.f1 = idx(ftree.AggField{Fn: ftree.Count})
-		case query.Sum:
-			o.f1 = idx(ftree.AggField{Fn: ftree.Sum, Arg: a.Arg})
-		case query.Min:
-			o.f1 = idx(ftree.AggField{Fn: ftree.Min, Arg: a.Arg})
-		case query.Max:
-			o.f1 = idx(ftree.AggField{Fn: ftree.Max, Arg: a.Arg})
-		case query.Avg:
-			o.f1 = idx(ftree.AggField{Fn: ftree.Sum, Arg: a.Arg})
-			o.f2 = idx(ftree.AggField{Fn: ftree.Count})
-		}
-		if o.f1 < 0 || (a.Fn == query.Avg && o.f2 < 0) {
-			return nil, fmt.Errorf("engine: aggregate %s not computed by the plan", a)
-		}
-		out[i] = o
-	}
-	return out, nil
-}
 
 // havingFilter applies the HAVING conditions to an assembled output row.
 type havingFilter struct {
@@ -262,15 +204,16 @@ func mergeSortedRuns(runs [][]relation.Tuple, cmp func(a, b relation.Tuple) int)
 }
 
 // matCursor enumerates the materialised-aggregate representation,
-// assembling group columns and aggregate outputs (finalising avg from
-// its (sum, count) vector) and applying HAVING.
+// assembling group columns, finalising aggregate outputs from the
+// lowered fields' columns, and applying HAVING.
 type matCursor struct {
-	en       *frep.StoreEnumerator
-	groupIdx []int
-	aggCols  []int
-	avgPairs []int
-	having   *havingFilter
-	out      relation.Tuple
+	en        *frep.StoreEnumerator
+	groupIdx  []int
+	fieldIdx  []int
+	fieldVals []values.Value
+	low       *ftree.Lowering
+	having    *havingFilter
+	out       relation.Tuple
 }
 
 func (c *matCursor) step() (relation.Tuple, bool, error) {
@@ -279,18 +222,10 @@ func (c *matCursor) step() (relation.Tuple, bool, error) {
 		for i, j := range c.groupIdx {
 			c.out[i] = t[j]
 		}
-		for i, j := range c.aggCols {
-			if p := c.avgPairs[i]; p >= 0 {
-				cnt := t[p]
-				if cnt.Kind() == values.Int && cnt.Int() == 0 {
-					c.out[len(c.groupIdx)+i] = values.NullValue()
-				} else {
-					c.out[len(c.groupIdx)+i] = values.Div(t[j], cnt)
-				}
-			} else {
-				c.out[len(c.groupIdx)+i] = t[j]
-			}
+		for i, j := range c.fieldIdx {
+			c.fieldVals[i] = t[j]
 		}
+		c.low.FinalInto(c.out[len(c.groupIdx):], c.fieldVals)
 		if !c.having.keep(c.out) {
 			continue
 		}
@@ -308,11 +243,12 @@ func (c *matCursor) skip(n int) (int, error) {
 
 // newMaterialisedCursor materialises the final aggregate into a single
 // attribute (required to order by an aggregate output), restructures for
-// the order, and enumerates. The ordered aggregate's field is placed
+// the order, and enumerates. The ordered aggregates' fields are placed
 // first in the node's field list so the sorted vector order coincides
 // with the requested order. When the group-by attributes span several
-// branches (no single aggregate subtree), it falls back to the flat
-// sort of newSortedCursor.
+// branches (no single aggregate subtree), or an ordered output is a
+// composite that no node stores (its order is not a field's order), it
+// falls back to the flat sort of newSortedCursor.
 func (r *Result) newMaterialisedCursor() (rowCursor, error) {
 	q := r.Query
 	if len(q.GroupBy) == 0 {
@@ -333,6 +269,9 @@ func (r *Result) newMaterialisedCursor() (rowCursor, error) {
 	var aggsSorted []query.Aggregate
 	for _, a := range q.Aggregates {
 		if ordered[a.OutName()] {
+			if !a.Fn.Storable() {
+				return r.newSortedCursor()
+			}
 			aggsSorted = append(aggsSorted, a)
 		}
 	}
@@ -341,10 +280,15 @@ func (r *Result) newMaterialisedCursor() (rowCursor, error) {
 			aggsSorted = append(aggsSorted, a)
 		}
 	}
-	if len(aggsSorted) > 0 && ordered[aggsSorted[0].OutName()] && aggsSorted[0].Fn == query.Avg && len(q.Aggregates) > 1 {
-		return nil, fmt.Errorf("engine: ORDER BY avg(…) is only supported as the sole aggregate")
+	sorted, err := query.Lower(aggsSorted)
+	if err != nil {
+		return nil, err
 	}
-	fields := plan.RequiredFields(aggsSorted)
+	low, err := query.Lower(q.Aggregates)
+	if err != nil {
+		return nil, err
+	}
+	fields := sorted.Fields()
 
 	// Locate the single maximal non-group subtree; when the group-by
 	// attributes span several branches no such subtree exists and we fall
@@ -353,7 +297,7 @@ func (r *Result) newMaterialisedCursor() (rowCursor, error) {
 	if err != nil {
 		return r.newSortedCursor()
 	}
-	if !(u.IsLeaf() && u.IsAgg() && fieldsEqual(u.Agg.Fields, fields)) {
+	if !(u.IsLeaf() && u.IsAgg() && slices.Equal(u.Agg.Fields, fields)) {
 		if err := r.ARel.GammaNode(u, fields); err != nil {
 			return nil, err
 		}
@@ -363,20 +307,10 @@ func (r *Result) newMaterialisedCursor() (rowCursor, error) {
 			return nil, err2
 		}
 	}
-	// Name the node: a single non-avg aggregate gets its output alias; an
-	// avg-only aggregate is finalised to its scalar; otherwise the node
-	// keeps its label and outputs address label.field columns.
+	// A sole aggregate names the node; otherwise the node keeps its label
+	// and outputs are finalised from its label.field columns.
 	aggNodeName := attrOf(u)
-	avgOnly := len(q.Aggregates) == 1 && q.Aggregates[0].Fn == query.Avg
-	if avgOnly {
-		alias := q.Aggregates[0].OutName()
-		if err := r.ARel.ComputeScalar(aggNodeName, alias, func(v values.Value) values.Value {
-			return values.Div(v.VecAt(0), v.VecAt(1))
-		}); err != nil {
-			return nil, err
-		}
-		aggNodeName = alias
-	} else if len(q.Aggregates) == 1 {
+	if len(q.Aggregates) == 1 {
 		alias := q.Aggregates[0].OutName()
 		if err := r.ARel.Rename(aggNodeName, alias); err != nil {
 			return nil, err
@@ -414,8 +348,6 @@ func (r *Result) newMaterialisedCursor() (rowCursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Output columns: group attributes by name; aggregates by alias
-		// (or label.field / scalar columns).
 		schema := en.Schema()
 		groupIdx, err := columnIndices(schema, q.GroupBy)
 		if err != nil {
@@ -425,7 +357,7 @@ func (r *Result) newMaterialisedCursor() (rowCursor, error) {
 		if node == nil {
 			return nil, fmt.Errorf("engine: internal: aggregate node %q lost", aggNodeName)
 		}
-		aggCols, avgPairs, err := aggregateColumns(q, node, schema, avgOnly)
+		fieldIdx, err := fieldColumns(low.Fields(), node, schema)
 		if err != nil {
 			return nil, err
 		}
@@ -434,12 +366,13 @@ func (r *Result) newMaterialisedCursor() (rowCursor, error) {
 			return nil, err
 		}
 		return &matCursor{
-			en:       en,
-			groupIdx: groupIdx,
-			aggCols:  aggCols,
-			avgPairs: avgPairs,
-			having:   having,
-			out:      make(relation.Tuple, len(groupIdx)+len(aggCols)),
+			en:        en,
+			groupIdx:  groupIdx,
+			fieldIdx:  fieldIdx,
+			fieldVals: make([]values.Value, len(low.Fields())),
+			low:       low,
+			having:    having,
+			out:       make(relation.Tuple, len(groupIdx)+len(q.Aggregates)),
 		}, nil
 	}
 	desc := len(specs) > 0 && specs[0].Desc
@@ -485,69 +418,21 @@ func (r *Result) singleNonGroupSubtree(inG map[string]bool) (*ftree.Node, error)
 	return cands[0], nil
 }
 
-// aggregateColumns resolves each query aggregate to a column of the
-// enumeration schema; avgPairs[i] holds the count column for avg outputs
-// computed from (sum,count) vectors, or -1.
-func aggregateColumns(q *query.Query, node *ftree.Node, schema []string, avgScalar bool) ([]int, []int, error) {
-	colOf := func(name string) int {
-		for j, s := range schema {
-			if s == name {
-				return j
-			}
+// fieldColumns resolves each field of the aggregate node to its column
+// of the enumeration schema.
+func fieldColumns(fields []ftree.AggField, node *ftree.Node, schema []string) ([]int, error) {
+	cols := frep.NodeColumns(node)
+	out := make([]int, len(fields))
+	for k, f := range fields {
+		i := slices.Index(node.Agg.Fields, f)
+		if i < 0 {
+			return nil, fmt.Errorf("engine: aggregate node %s has no field %s", node.Label(), f)
 		}
-		return -1
-	}
-	fieldCol := func(f ftree.AggField) int {
-		if node.IsAgg() {
-			cols := frep.NodeColumns(node)
-			for i, nf := range node.Agg.Fields {
-				if nf == f {
-					return colOf(cols[i])
-				}
-			}
-			return -1
-		}
-		return colOf(node.Label())
-	}
-	aggCols := make([]int, len(q.Aggregates))
-	avgPairs := make([]int, len(q.Aggregates))
-	for i, a := range q.Aggregates {
-		avgPairs[i] = -1
-		switch {
-		case avgScalar || !node.IsAgg():
-			aggCols[i] = colOf(node.Label())
-		case a.Fn == query.Avg:
-			aggCols[i] = fieldCol(ftree.AggField{Fn: ftree.Sum, Arg: a.Arg})
-			avgPairs[i] = fieldCol(ftree.AggField{Fn: ftree.Count})
-		case a.Fn == query.Count:
-			aggCols[i] = fieldCol(ftree.AggField{Fn: ftree.Count})
-		case a.Fn == query.Sum:
-			aggCols[i] = fieldCol(ftree.AggField{Fn: ftree.Sum, Arg: a.Arg})
-		case a.Fn == query.Min:
-			aggCols[i] = fieldCol(ftree.AggField{Fn: ftree.Min, Arg: a.Arg})
-		case a.Fn == query.Max:
-			aggCols[i] = fieldCol(ftree.AggField{Fn: ftree.Max, Arg: a.Arg})
-		}
-		if aggCols[i] < 0 {
-			return nil, nil, fmt.Errorf("engine: cannot locate output column for %s", a)
-		}
-		if a.Fn == query.Avg && !avgScalar && avgPairs[i] < 0 {
-			return nil, nil, fmt.Errorf("engine: cannot locate count column for %s", a)
+		if out[k] = slices.Index(schema, cols[i]); out[k] < 0 {
+			return nil, fmt.Errorf("engine: cannot locate output column for %s", f)
 		}
 	}
-	return aggCols, avgPairs, nil
-}
-
-func fieldsEqual(a, b []ftree.AggField) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return out, nil
 }
 
 // attrOf mirrors plan.attrOf for engine-internal node addressing.

@@ -10,13 +10,16 @@ package engine
 // implementation against another.
 
 import (
+	"context"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"github.com/factordb/fdb/internal/fops"
 	"github.com/factordb/fdb/internal/query"
 	"github.com/factordb/fdb/internal/rdb"
 	"github.com/factordb/fdb/internal/relation"
+	"github.com/factordb/fdb/internal/sql"
 	"github.com/factordb/fdb/internal/values"
 	"github.com/factordb/fdb/internal/workload"
 )
@@ -224,5 +227,76 @@ func TestOracleViewQueries(t *testing.T) {
 			got := collectRows(t, func() (*Result, error) { return eng.RunOnView(c.mk(), view, cat) })
 			checkOracle(t, c.mk(), got, flat)
 		})
+	}
+}
+
+// TestOracleAggregateEdgeCases runs every aggregation function over
+// groups the table's identities and finaliser decide: a group whose
+// argument is only NULL (inserted through a mutable catalogue), a group
+// mixing NULLs with numbers, and filters that reject every tuple, so a
+// global aggregate sees no tuples (COUNT 0, the rest NULL) and a grouped
+// one has no groups. Each query runs through Run and ExecShared after a
+// plan-template hit, over the ordered-by-aggregate path (vector order,
+// AVG finalised from its fields) and the sort fallback (ORDER BY a
+// composite), and must answer as internal/rdb does.
+func TestOracleAggregateEdgeCases(t *testing.T) {
+	m, err := CreateMutable(filepath.Join(t.TempDir(), "cat"), "edge", DB{
+		"R": relation.MustNew("R", []string{"a", "b"}, []relation.Tuple{
+			{iv(2), iv(5)}, {iv(2), iv(7)}, {iv(3), iv(4)}, {iv(4), iv(-9)}, {iv(4), iv(9)}, {iv(5), iv(12)},
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for _, stmt := range []string{`INSERT INTO R VALUES (1, NULL)`, `INSERT INTO R VALUES (2, NULL)`} {
+		mut, err := sql.ParseStatement(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Apply(context.Background(), mut.(*query.Mutation)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := m.View()
+	all := `COUNT(*) AS n, SUM(b) AS s, MIN(b) AS lo, MAX(b) AS hi, AVG(b) AS m`
+	for _, text := range []string{
+		// The avg-only ORDER BY and the COUNT-ordered vector path over a
+		// NULL-only group: both panicked on NULL sums.
+		`SELECT a, AVG(b) AS m FROM R GROUP BY a ORDER BY m`,
+		`SELECT a, COUNT(*) AS n, AVG(b) AS m FROM R GROUP BY a ORDER BY n`,
+		`SELECT a, ` + all + ` FROM R GROUP BY a`,
+		`SELECT a, ` + all + ` FROM R GROUP BY a ORDER BY s DESC`,
+		`SELECT a, ` + all + ` FROM R GROUP BY a ORDER BY lo`,
+		`SELECT a, ` + all + ` FROM R GROUP BY a ORDER BY m DESC`,
+		// Groups 2 and 5 tie on SUM 12; AVG (4 vs 12) must break the tie,
+		// not the (sum, count) vector's count.
+		`SELECT a, SUM(b) AS s, AVG(b) AS m FROM R GROUP BY a ORDER BY s, m`,
+		`SELECT ` + all + ` FROM R WHERE b > 1000`,
+		`SELECT a, ` + all + ` FROM R WHERE b > 1000 GROUP BY a ORDER BY m`,
+		`SELECT ` + all + ` FROM R`,
+	} {
+		q, err := sql.Parse(text)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		eng := New()
+		for _, mode := range []string{"Run", "ExecShared"} {
+			t.Run(mode+"/"+text, func(t *testing.T) {
+				run := func() (*Result, error) { return eng.Run(q, db) }
+				if mode == "ExecShared" {
+					hits := eng.PlanTemplateStats().Hits
+					prep, err := eng.Prepare(q, db)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if eng.PlanTemplateStats().Hits == hits {
+						t.Fatal("Prepare after Run missed the plan template")
+					}
+					run = func() (*Result, error) { return prep.ExecShared(db) }
+				}
+				checkOracle(t, q, collectRows(t, run), rdb.DB(db))
+			})
+		}
 	}
 }

@@ -16,7 +16,8 @@ import (
 	"fmt"
 
 	"github.com/factordb/fdb/internal/frep"
-	"github.com/factordb/fdb/internal/plan"
+	"github.com/factordb/fdb/internal/ftree"
+	"github.com/factordb/fdb/internal/query"
 	"github.com/factordb/fdb/internal/relation"
 	"github.com/factordb/fdb/internal/values"
 )
@@ -376,7 +377,7 @@ func (r *Result) newSPJCursor() (rowCursor, error) {
 type groupCursor struct {
 	ge       *frep.StoreGroupEnumerator
 	groupIdx []int
-	aggOuts  []aggOutput
+	low      *ftree.Lowering
 	nGroup   int
 	having   *havingFilter
 	out      relation.Tuple
@@ -395,10 +396,7 @@ func (c *groupCursor) step() (relation.Tuple, bool, error) {
 		for i, j := range c.groupIdx {
 			c.out[i] = row[j]
 		}
-		fieldVals := row[c.nGroup:]
-		for i, ao := range c.aggOuts {
-			c.out[len(c.groupIdx)+i] = ao.value(fieldVals)
-		}
+		c.low.FinalInto(c.out[len(c.groupIdx):], row[c.nGroup:])
 		if !c.having.keep(c.out) {
 			continue
 		}
@@ -444,7 +442,10 @@ func (r *Result) newGroupedCursor(applyOrder bool) (rowCursor, error) {
 // parallel wrapper above windows several of them.
 func (r *Result) buildGroupedCursor(applyOrder bool) (*groupCursor, error) {
 	q := r.Query
-	fields := plan.RequiredFields(q.Aggregates)
+	low, err := query.Lower(q.Aggregates)
+	if err != nil {
+		return nil, err
+	}
 	// Group slots: order-by attributes first (all within GroupBy on this
 	// path), then remaining group attributes in tree DFS order.
 	var specs []frep.OrderSpec
@@ -470,7 +471,7 @@ func (r *Result) buildGroupedCursor(applyOrder bool) (*groupCursor, error) {
 			}
 		}
 	}
-	ge, err := r.ARel.GroupEnumerator(specs, fields)
+	ge, err := r.ARel.GroupEnumerator(specs, low.Fields())
 	if err != nil {
 		return nil, err
 	}
@@ -481,12 +482,8 @@ func (r *Result) buildGroupedCursor(applyOrder bool) (*groupCursor, error) {
 		ge.SetParallelEval(par)
 	}
 	schema := ge.Schema()
-	nGroupCols := len(schema) - len(fields)
+	nGroupCols := len(schema) - len(low.Fields())
 	groupIdx, err := columnIndices(schema[:nGroupCols], q.GroupBy)
-	if err != nil {
-		return nil, err
-	}
-	aggOuts, err := buildAggOutputs(q.Aggregates, fields)
 	if err != nil {
 		return nil, err
 	}
@@ -497,10 +494,10 @@ func (r *Result) buildGroupedCursor(applyOrder bool) (*groupCursor, error) {
 	return &groupCursor{
 		ge:       ge,
 		groupIdx: groupIdx,
-		aggOuts:  aggOuts,
+		low:      low,
 		nGroup:   nGroupCols,
 		having:   having,
-		out:      make(relation.Tuple, len(q.GroupBy)+len(aggOuts)),
+		out:      make(relation.Tuple, len(q.GroupBy)+len(q.Aggregates)),
 	}, nil
 }
 

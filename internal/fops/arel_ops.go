@@ -10,7 +10,6 @@ package fops
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/frep/kernel"
@@ -468,55 +467,5 @@ func (ar *ARel) GammaNode(u *ftree.Node, fields []ftree.AggField) error {
 	if wasEmpty {
 		ar.MakeEmpty()
 	}
-	return nil
-}
-
-// ComputeScalar converts a leaf aggregate node into an atomic node named
-// newName whose values are fn applied to the stored aggregates, re-sorted
-// and deduplicated. It is used to finalise derived aggregates — for
-// example avg, stored as the composite (sum, count) vector, becomes the
-// scalar quotient so that the result can be ordered and enumerated by it.
-// The converted node loses its aggregate interpretation and must not be
-// aggregated over again.
-func (ar *ARel) ComputeScalar(attr, newName string, fn func(values.Value) values.Value) error {
-	n := ar.Tree.ResolveAttr(attr)
-	if n == nil {
-		return fmt.Errorf("fops: compute: unknown attribute %q", attr)
-	}
-	if !n.IsAgg() {
-		return fmt.Errorf("fops: compute: %q is not an aggregate node", attr)
-	}
-	if !n.IsLeaf() {
-		return fmt.Errorf("fops: compute: aggregate node %q must be a leaf", attr)
-	}
-	ri, path, err := ar.pathFromRoot(n)
-	if err != nil {
-		return err
-	}
-	err = ar.rebuildAt(ri, path, func(st *frep.Store, _ *scratch) rebuildFn {
-		var mapped []values.Value
-		var b frep.UnionBuilder
-		return func(id frep.NodeID) (frep.NodeID, error) {
-			mapped = mapped[:0]
-			for _, v := range st.Vals(id) {
-				mapped = append(mapped, fn(v))
-			}
-			sort.Slice(mapped, func(a, c int) bool { return values.Less(mapped[a], mapped[c]) })
-			b.Reset(st, 0)
-			for k, v := range mapped {
-				if k > 0 && values.Compare(mapped[k-1], v) == 0 {
-					continue
-				}
-				b.Append(v, nil)
-			}
-			return b.Finish(), nil
-		}
-	})
-	if err != nil {
-		return err
-	}
-	n.Agg = nil
-	n.Alias = ""
-	n.Attrs = []string{newName}
 	return nil
 }

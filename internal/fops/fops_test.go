@@ -455,35 +455,6 @@ func TestGammaInvalidComposition(t *testing.T) {
 	}
 }
 
-func TestComputeScalarAvg(t *testing.T) {
-	fr, _ := pizzeriaARel(t)
-	// avg price per pizza: γ_(sum,count)(item subtree), then divide.
-	if err := fr.Gamma("item", []ftree.AggField{
-		{Fn: ftree.Sum, Arg: "price"}, {Fn: ftree.Count},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	agg := fr.Tree.AggNodes()[0]
-	if err := fr.ComputeScalar(agg.Label(), "avg_price", func(v values.Value) values.Value {
-		return values.Div(v.VecAt(0), v.VecAt(1))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got := mustFlatten(t, fr)
-	// Capricciosa 8/3, Hawaii 9/3=3, Margherita 6/1=6.
-	idxP, idxA := got.ColIndex("pizza"), got.ColIndex("avg_price")
-	seen := map[string]float64{}
-	for _, tp := range got.Tuples {
-		seen[tp[idxP].Str()] = tp[idxA].Float()
-	}
-	if seen["Hawaii"] != 3 || seen["Margherita"] != 6 {
-		t.Errorf("avg prices = %v", seen)
-	}
-	if d := seen["Capricciosa"] - 8.0/3.0; d > 1e-9 || d < -1e-9 {
-		t.Errorf("Capricciosa avg = %v, want 8/3", seen["Capricciosa"])
-	}
-}
-
 func TestRenameAtomic(t *testing.T) {
 	fr, _ := pizzeriaARel(t)
 	if err := fr.Rename("customer", "guest"); err != nil {

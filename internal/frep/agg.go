@@ -27,6 +27,9 @@ const (
 type fieldAction struct {
 	kind actionKind
 	idx  int // field index within the agg node (actAggField) or child index (actDescend)
+	// scales marks a function lifted over products by multiplicity
+	// (ftree.Fn.NeedsCount), read from the table once at compile time.
+	scales bool
 }
 
 type nodePlan struct {
@@ -90,20 +93,20 @@ func NewEvaluator(n *ftree.Node, fields []ftree.AggField) (*Evaluator, error) {
 		plans:  map[*ftree.Node]*nodePlan{},
 	}
 	for _, fl := range fields {
-		if fl.Fn == ftree.Count {
-			ev.needCount = true
+		if !fl.Fn.Storable() {
+			return nil, fmt.Errorf("frep: %s is not a storable aggregate field", fl)
 		}
-		if fl.Fn == ftree.Sum {
+		if fl.Fn.NeedsCount() {
 			ev.needCount = true
 		}
 	}
 	if err := ev.compile(n); err != nil {
 		return nil, err
 	}
-	// Locate each non-count field's carrier and verify the composition
-	// rules along the way.
-	for fi, fl := range fields {
-		if fl.Fn == ftree.Count {
+	// Locate each argument's carrier and verify the composition rules
+	// along the way.
+	for _, fl := range fields {
+		if !fl.Fn.HasArg() {
 			continue
 		}
 		carrier := findCarrier(n, fl.Arg)
@@ -114,34 +117,20 @@ func NewEvaluator(n *ftree.Node, fields []ftree.AggField) (*Evaluator, error) {
 			return nil, fmt.Errorf("frep: cannot compute %s over aggregate %s covering %q (Proposition 2)",
 				fl, carrier.Label(), fl.Arg)
 		}
-		_ = fi
 	}
 	if ev.needCount {
 		// Every aggregate node whose multiplicity matters must carry a
-		// count field. A node lacking one is acceptable only if it is the
-		// exact carrier of every count-consuming field: a requested Count
-		// needs every node's multiplicity, and a sum_A needs the
-		// multiplicity of every node except A's carrier itself.
-		hasCountField := false
-		for _, fl := range ev.fields {
-			if fl.Fn == ftree.Count {
-				hasCountField = true
-			}
-		}
+		// count field. A node lacking one is acceptable only if it stores
+		// every count-consuming field itself: a count needs every node's
+		// multiplicity, and a sum_A needs the multiplicity of every node
+		// except A's carrier.
 		var bad *ftree.Node
 		n.Walk(func(m *ftree.Node) {
-			if bad != nil || !m.IsAgg() {
-				return
-			}
-			if idxOfCount(m.Agg.Fields) >= 0 {
-				return
-			}
-			if hasCountField {
-				bad = m
+			if bad != nil || !m.IsAgg() || idxOfField(m.Agg.Fields, ftree.CountField()) >= 0 {
 				return
 			}
 			for _, fl := range ev.fields {
-				if fl.Fn == ftree.Sum && idxOfField(m.Agg.Fields, fl) < 0 {
+				if fl.Fn.NeedsCount() && idxOfField(m.Agg.Fields, fl) < 0 {
 					bad = m
 					return
 				}
@@ -157,15 +146,6 @@ func NewEvaluator(n *ftree.Node, fields []ftree.AggField) (*Evaluator, error) {
 func idxOfField(fields []ftree.AggField, fl ftree.AggField) int {
 	for i, f := range fields {
 		if f == fl {
-			return i
-		}
-	}
-	return -1
-}
-
-func idxOfCount(fields []ftree.AggField) int {
-	for i, f := range fields {
-		if f.Fn == ftree.Count {
 			return i
 		}
 	}
@@ -194,7 +174,7 @@ func findCarrier(n *ftree.Node, a string) *ftree.Node {
 func (ev *Evaluator) compile(n *ftree.Node) error {
 	p := &nodePlan{countFieldIdx: -1, actions: make([]fieldAction, len(ev.fields))}
 	if n.IsAgg() {
-		p.countFieldIdx = idxOfCount(n.Agg.Fields)
+		p.countFieldIdx = idxOfField(n.Agg.Fields, ftree.CountField())
 		if p.countFieldIdx < 0 {
 			p.countFieldIdx = -2
 		}
@@ -202,8 +182,8 @@ func (ev *Evaluator) compile(n *ftree.Node) error {
 	for fi, fl := range ev.fields {
 		act := fieldAction{kind: actAbsent}
 		switch {
-		case fl.Fn == ftree.Count:
-			// Count has no carrier; it is assembled from multiplicities.
+		case !fl.Fn.HasArg():
+			// No carrier: assembled from multiplicities.
 		case n.IsAgg():
 			if i := idxOfField(n.Agg.Fields, fl); i >= 0 {
 				act = fieldAction{kind: actAggField, idx: i}
@@ -213,7 +193,7 @@ func (ev *Evaluator) compile(n *ftree.Node) error {
 		case n.HasAttr(fl.Arg):
 			act = fieldAction{kind: actHere}
 		}
-		if act.kind == actAbsent && fl.Fn != ftree.Count {
+		if act.kind == actAbsent && fl.Fn.HasArg() {
 			for ci, c := range n.Children {
 				if findCarrier(c, fl.Arg) != nil {
 					act = fieldAction{kind: actDescend, idx: ci}
@@ -221,6 +201,7 @@ func (ev *Evaluator) compile(n *ftree.Node) error {
 				}
 			}
 		}
+		act.scales = fl.Fn.NeedsCount()
 		p.actions[fi] = act
 	}
 	p.leafKernel = len(n.Children) == 0 && !n.IsAgg()
@@ -261,7 +242,7 @@ func (ev *Evaluator) EvalStoreInto(s *Store, id NodeID, out []values.Value) erro
 
 // EvalStoreRangeInto is EvalStoreInto restricted to the value window
 // [lo, hi) of the root union id: one segment of a parallel evaluation.
-// The fields of the paper's aggregation algebra are associative, so
+// Every storable field is a commutative monoid (ftree's table), so
 // partial results over contiguous segments combine with MergePartials
 // into exactly the full-union result (bit-identically for integer data;
 // float sums may differ from the serial fold in the last bits of
@@ -273,7 +254,7 @@ func (ev *Evaluator) EvalStoreRangeInto(s *Store, id NodeID, lo, hi int, out []v
 	res := ev.rootRes
 	ev.evalStore(ev.root, s, id, lo, hi, 0, &res)
 	for i, fl := range ev.fields {
-		if fl.Fn == ftree.Count {
+		if !fl.Fn.HasArg() {
 			if res.count < 0 {
 				return fmt.Errorf("frep: poisoned count for %s (invalid aggregate composition)", fl)
 			}
@@ -339,61 +320,47 @@ func (ev *Evaluator) evalStore(n *ftree.Node, s *Store, id NodeID, lo, hi int, d
 			res.count = -1
 		}
 		for fi, act := range p.actions {
-			fl := ev.fields[fi]
+			// v is represented m times: once per tuple of the siblings it
+			// is multiplied with (functions that do not scale ignore m).
+			var v values.Value
+			m := mult
 			switch act.kind {
 			case actAbsent:
-				// Count fields are assembled from res.count; nothing here.
-			case actHere, actAggField:
-				var v values.Value
-				if act.kind == actHere {
-					v = uVals[i]
-				} else {
-					v = fieldValue(uVals[i], act.idx, len(n.Agg.Fields))
-				}
-				switch fl.Fn {
-				case ftree.Sum:
-					if isPoison(res.vals[fi]) {
-						break
-					}
-					if mult < 0 {
-						res.vals[fi] = poisonVal()
-					} else {
-						res.vals[fi] = values.Add(res.vals[fi], values.MulInt(v, mult))
-					}
-				case ftree.Min:
-					res.vals[fi] = values.Min(res.vals[fi], v)
-				case ftree.Max:
-					res.vals[fi] = values.Max(res.vals[fi], v)
-				}
+				// Fields without an argument are assembled from res.count.
+				continue
+			case actHere:
+				v = uVals[i]
+			case actAggField:
+				v = fieldValue(uVals[i], act.idx, len(n.Agg.Fields))
 			case actDescend:
-				sub := kidRes[act.idx].vals[fi]
-				switch fl.Fn {
-				case ftree.Sum:
-					if isPoison(res.vals[fi]) {
-						break
-					}
-					sibMult := self
-					for j := 0; j < nc; j++ {
+				v = kidRes[act.idx].vals[fi]
+				if act.scales {
+					m = self
+					for j := 0; j < nc && m >= 0; j++ {
 						if j == act.idx {
 							continue
 						}
-						if kidRes[j].count < 0 || sibMult < 0 {
-							sibMult = -1
-							break
+						if kidRes[j].count < 0 {
+							m = -1
+						} else {
+							m *= kidRes[j].count
 						}
-						sibMult *= kidRes[j].count
 					}
-					if sibMult < 0 || isPoison(sub) {
-						res.vals[fi] = poisonVal()
-					} else if !sub.IsNull() {
-						res.vals[fi] = values.Add(res.vals[fi], values.MulInt(sub, sibMult))
+					if isPoison(v) {
+						m = -1
 					}
-				case ftree.Min:
-					res.vals[fi] = values.Min(res.vals[fi], sub)
-				case ftree.Max:
-					res.vals[fi] = values.Max(res.vals[fi], sub)
 				}
 			}
+			if act.scales {
+				if isPoison(res.vals[fi]) {
+					continue
+				}
+				if m < 0 {
+					res.vals[fi] = poisonVal()
+					continue
+				}
+			}
+			ev.fields[fi].Fn.Fold(&res.vals[fi], v, m)
 		}
 	}
 }
@@ -474,7 +441,7 @@ func (ev *Evaluator) evalLeafStoreKernel(p *nodePlan, s *Store, id NodeID, lo, h
 // subtree n under the aggregate-attribute interpretation of Section 3.1
 // (the paper's count algorithm).
 func CountStore(n *ftree.Node, s *Store, id NodeID) (int64, error) {
-	ev, err := NewEvaluator(n, []ftree.AggField{{Fn: ftree.Count}})
+	ev, err := NewEvaluator(n, []ftree.AggField{ftree.CountField()})
 	if err != nil {
 		return 0, err
 	}

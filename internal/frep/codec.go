@@ -278,6 +278,10 @@ func (d *decoder) node(parent *ftree.Node, maxTok *int) *ftree.Node {
 		agg := &ftree.Agg{}
 		for i := uint64(0); i < nf && d.err == nil; i++ {
 			fn := ftree.Fn(d.byte())
+			if !fn.Storable() {
+				d.fail(fmt.Errorf("frep: codec: aggregate function %d is not a storable field", uint8(fn)))
+				return n
+			}
 			arg := d.str()
 			agg.Fields = append(agg.Fields, ftree.AggField{Fn: fn, Arg: arg})
 		}

@@ -130,6 +130,24 @@ func TestCodecErrors(t *testing.T) {
 	if err := WriteStoreTo(&buf, f, s, roots[:0]); err == nil {
 		t.Error("root count mismatch should fail")
 	}
+	// An aggregate node's function byte must name a storable field: the
+	// composite Avg (byte 4) and numbers outside the table are rejected.
+	for _, fn := range []ftree.Fn{ftree.Count, ftree.Avg, 9, 255} {
+		af := ftree.New()
+		af.Roots = []*ftree.Node{{
+			Agg:  &ftree.Agg{Fields: []ftree.AggField{{Fn: fn, Arg: "x"}}, Over: []string{"x"}},
+			Deps: ftree.NewTokenSet(af.NewToken()),
+		}}
+		as := NewStore()
+		var ab bytes.Buffer
+		if err := WriteStoreTo(&ab, af, as, []NodeID{as.AddLeaf(ivs(3))}); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err := ReadStoreFrom(&ab)
+		if ok := fn.Storable(); (err == nil) != ok {
+			t.Errorf("aggregate function byte %d: decode error %v, storable %v", uint8(fn), err, ok)
+		}
+	}
 }
 
 func TestCodecRandomRoundTripProperty(t *testing.T) {

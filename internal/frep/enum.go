@@ -221,13 +221,11 @@ func planGroupEnum(f *ftree.Forest, g []OrderSpec, fields []ftree.AggField) (*gr
 			}
 		}
 	}
-	// Carrier part per non-count field.
+	// Carrier part per field with an argument.
 	carrierLoc := make([]int, len(fields))
-	hasCount := false
 	for i, fl := range fields {
 		carrierLoc[i] = -1
-		if fl.Fn == ftree.Count {
-			hasCount = true
+		if !fl.Fn.HasArg() {
 			continue
 		}
 		for li := range locs {
@@ -243,12 +241,11 @@ func planGroupEnum(f *ftree.Forest, g []OrderSpec, fields []ftree.AggField) (*gr
 			return nil, fmt.Errorf("frep: aggregation argument %q not found below the group-by attributes", fl.Arg)
 		}
 	}
+	// A part's multiplicity scales every field that needs counts and is
+	// carried elsewhere (a field without an argument is carried nowhere).
 	needsCount := func(li int) bool {
-		if hasCount {
-			return true
-		}
 		for i, fl := range fields {
-			if fl.Fn == ftree.Sum && carrierLoc[i] != li {
+			if fl.Fn.NeedsCount() && carrierLoc[i] != li {
 				return true
 			}
 		}
@@ -261,10 +258,10 @@ func planGroupEnum(f *ftree.Forest, g []OrderSpec, fields []ftree.AggField) (*gr
 		countIdx := -1
 		if needsCount(li) {
 			countIdx = 0
-			evFields = append(evFields, ftree.AggField{Fn: ftree.Count})
+			evFields = append(evFields, ftree.CountField())
 		}
 		for i, fl := range fields {
-			if fl.Fn != ftree.Count && carrierLoc[i] == li && idxOfField(evFields, fl) < 0 {
+			if carrierLoc[i] == li && idxOfField(evFields, fl) < 0 {
 				evFields = append(evFields, fl)
 			}
 		}
@@ -288,7 +285,7 @@ func planGroupEnum(f *ftree.Forest, g []OrderSpec, fields []ftree.AggField) (*gr
 		part.fieldIdx = make([]int, len(fields))
 		for i, fl := range fields {
 			part.fieldIdx[i] = -1
-			if fl.Fn != ftree.Count && carrierLoc[i] == li {
+			if carrierLoc[i] == li {
 				part.fieldIdx[i] = idxOfField(evFields, fl)
 			}
 		}

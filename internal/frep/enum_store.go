@@ -366,39 +366,26 @@ func (g *StoreGroupEnumerator) evalParts() error {
 }
 
 // fillAggs assembles the aggregate output fields from the per-part
-// counts and values.
+// counts and values: each field's value in its carrier part (1 per tuple
+// for a field without an argument, which no part carries), scaled by the
+// multiplicity of the other parts when the field needs counts.
 func (g *StoreGroupEnumerator) fillAggs() {
 	out := g.tuple[g.nGroup:]
 	for i, fl := range g.fields {
-		var o values.Value
-		switch fl.Fn {
-		case ftree.Count:
-			total := int64(1)
-			for pi := range g.parts {
-				total *= g.parts[pi].count
-			}
-			o = values.NewInt(total)
-		case ftree.Sum:
-			c := g.carrier[i]
-			v := g.parts[c].vals[g.parts[c].fieldIdx[i]]
-			if v.IsNull() {
-				o = values.NullValue()
-				break
-			}
-			mult := int64(1)
+		c := g.carrier[i]
+		v := values.NewInt(1)
+		if c >= 0 {
+			v = g.parts[c].vals[g.parts[c].fieldIdx[i]]
+		}
+		mult := int64(1)
+		if fl.Fn.NeedsCount() {
 			for pi := range g.parts {
 				if pi != c {
 					mult *= g.parts[pi].count
 				}
 			}
-			o = values.MulInt(v, mult)
-		case ftree.Min, ftree.Max:
-			c := g.carrier[i]
-			o = g.parts[c].vals[g.parts[c].fieldIdx[i]]
-			// If any sibling part is empty the group has no tuples; only
-			// possible at top level, where count 0 already signals it.
 		}
-		out[i] = o
+		out[i] = fl.Fn.Scale(v, mult)
 	}
 }
 

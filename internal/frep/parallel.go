@@ -1,14 +1,13 @@
 package frep
 
 // Parallel aggregation over segmented arena forests. The root union of
-// a representation partitions into contiguous value windows; the
-// Section 3.2 aggregation algebra is associative field by field (count
-// and sum add, min and max take the extremum), so each window evaluates
-// independently — a Store is freely readable from any number of
-// goroutines — and the partial results merge in segment order into
-// exactly the serial result. Integer aggregates merge bit-identically;
-// float sums may differ from the serial left-to-right fold in the last
-// bits of rounding.
+// a representation partitions into contiguous value windows; every
+// stored field is a commutative monoid (ftree's table), so each window
+// evaluates independently — a Store is freely readable from any number
+// of goroutines — and the partial results fold with ⊕ in segment order
+// into exactly the serial result. Integer aggregates merge
+// bit-identically; float sums may differ from the serial left-to-right
+// fold in the last bits of rounding.
 
 import (
 	"runtime"
@@ -71,20 +70,11 @@ func Segments(n, p int) [][2]int {
 }
 
 // MergePartials folds the segment result src into the running result
-// dst, field by field: count and sum add, min and max take the
-// extremum. Null — the value of a non-count field over an empty
-// segment — is the identity of every merge, so dst may start as all
-// Nulls.
+// dst, field by field, with each field's ⊕ from ftree's table. Null is
+// the identity of every ⊕, so dst may start as all Nulls.
 func MergePartials(fields []ftree.AggField, dst, src []values.Value) {
 	for i, fl := range fields {
-		switch fl.Fn {
-		case ftree.Count, ftree.Sum:
-			dst[i] = values.Add(dst[i], src[i])
-		case ftree.Min:
-			dst[i] = values.Min(dst[i], src[i])
-		case ftree.Max:
-			dst[i] = values.Max(dst[i], src[i])
-		}
+		dst[i] = fl.Fn.Combine(dst[i], src[i])
 	}
 }
 

@@ -75,34 +75,6 @@ func (s TokenSet) Sorted() []int {
 	return out
 }
 
-// Fn is an aggregation function (Section 3). Avg is expressed by engines
-// as the composite (Sum, Count) per Section 3.2.4 and is not an Fn here.
-type Fn uint8
-
-// The aggregation functions of the paper's γ operator.
-const (
-	Count Fn = iota
-	Sum
-	Min
-	Max
-)
-
-// String returns the SQL-ish name of the function.
-func (f Fn) String() string {
-	switch f {
-	case Count:
-		return "count"
-	case Sum:
-		return "sum"
-	case Min:
-		return "min"
-	case Max:
-		return "max"
-	default:
-		return fmt.Sprintf("fn(%d)", uint8(f))
-	}
-}
-
 // AggField is one aggregation function application: Fn plus its argument
 // attribute (empty for count).
 type AggField struct {

@@ -255,7 +255,10 @@ func PlanAgg(f *Forest, u *Node, fields []AggField) (*AggPlan, error) {
 		return i < len(attrs) && attrs[i] == a
 	}
 	for _, fl := range fields {
-		if fl.Fn != Count && fl.Arg == "" {
+		if !fl.Fn.Storable() {
+			return nil, fmt.Errorf("ftree: aggregate: %s is not a storable field", fl.Fn)
+		}
+		if fl.Fn.HasArg() && fl.Arg == "" {
 			return nil, fmt.Errorf("ftree: aggregate: %s needs an argument attribute", fl.Fn)
 		}
 		if fl.Arg != "" && !has(fl.Arg) {

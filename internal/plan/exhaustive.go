@@ -44,12 +44,11 @@ func (h *stateHeap) Pop() interface{} {
 // an aggregation query (Section 5.1). Edge weight is the size bound of
 // the operator's output f-tree. It returns errSearchSpace when the state
 // budget is exhausted.
-func (p *Planner) planExhaustive(t *ftree.Forest, q *query.Query) (*Plan, error) {
+func (p *Planner) planExhaustive(t *ftree.Forest, q *query.Query, req []ftree.AggField) (*Plan, error) {
 	maxStates := p.MaxStates
 	if maxStates == 0 {
 		maxStates = 50000
 	}
-	req := RequiredFields(q.Aggregates)
 	group := groupAttrsOrderFirst(q)
 	groupSet := map[string]bool{}
 	for _, g := range group {

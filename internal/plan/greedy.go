@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/factordb/fdb/internal/fops"
@@ -39,67 +40,29 @@ func (p *Planner) ctxErr() error {
 	return nil
 }
 
-// RequiredFields maps the query's aggregates to f-tree aggregation
-// fields, expanding avg into (sum, count) and deduplicating.
-func RequiredFields(aggs []query.Aggregate) []ftree.AggField {
-	var out []ftree.AggField
-	seen := map[ftree.AggField]bool{}
-	add := func(f ftree.AggField) {
-		if !seen[f] {
-			seen[f] = true
-			out = append(out, f)
-		}
-	}
-	for _, a := range aggs {
-		switch a.Fn {
-		case query.Count:
-			add(ftree.AggField{Fn: ftree.Count})
-		case query.Sum:
-			add(ftree.AggField{Fn: ftree.Sum, Arg: a.Arg})
-		case query.Min:
-			add(ftree.AggField{Fn: ftree.Min, Arg: a.Arg})
-		case query.Max:
-			add(ftree.AggField{Fn: ftree.Max, Arg: a.Arg})
-		case query.Avg:
-			add(ftree.AggField{Fn: ftree.Sum, Arg: a.Arg})
-			add(ftree.AggField{Fn: ftree.Count})
-		}
-	}
-	return out
-}
-
 // PartialFields restricts the required fields to a subtree with the given
-// attribute set, following the decomposition rules of Proposition 2: sums
-// whose argument lies outside the subtree contribute a count; min/max
-// whose argument lies outside contribute nothing; the empty result
-// defaults to a bare count so the subtree still collapses.
+// attribute set, following the decomposition rules of Proposition 2: a
+// field whose argument lies inside stays; otherwise a field that needs
+// counts contributes the subtree's count and any other contributes
+// nothing. The empty result defaults to a bare count so the subtree
+// still collapses.
 func PartialFields(required []ftree.AggField, subtreeAttrs map[string]bool) []ftree.AggField {
 	var out []ftree.AggField
-	seen := map[ftree.AggField]bool{}
 	add := func(f ftree.AggField) {
-		if !seen[f] {
-			seen[f] = true
+		if !slices.Contains(out, f) {
 			out = append(out, f)
 		}
 	}
 	for _, f := range required {
-		switch f.Fn {
-		case ftree.Count:
-			add(ftree.AggField{Fn: ftree.Count})
-		case ftree.Sum:
-			if subtreeAttrs[f.Arg] {
-				add(f)
-			} else {
-				add(ftree.AggField{Fn: ftree.Count})
-			}
-		case ftree.Min, ftree.Max:
-			if subtreeAttrs[f.Arg] {
-				add(f)
-			}
+		switch {
+		case f.Fn.HasArg() && subtreeAttrs[f.Arg]:
+			add(f)
+		case f.Fn.NeedsCount():
+			add(ftree.CountField())
 		}
 	}
 	if len(out) == 0 {
-		out = []ftree.AggField{{Fn: ftree.Count}}
+		out = []ftree.AggField{ftree.CountField()}
 	}
 	return out
 }
@@ -156,8 +119,12 @@ func (p *Planner) Plan(t *ftree.Forest, q *query.Query) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	low, err := query.Lower(q.Aggregates)
+	if err != nil {
+		return nil, err
+	}
 	if p.Exhaustive && q.IsAggregate() {
-		pl, err := p.planExhaustive(t, q)
+		pl, err := p.planExhaustive(t, q, low.Fields())
 		if err == nil {
 			return pl, nil
 		}
@@ -166,7 +133,7 @@ func (p *Planner) Plan(t *ftree.Forest, q *query.Query) (*Plan, error) {
 			return nil, err
 		}
 	}
-	return p.planGreedy(t, q)
+	return p.planGreedy(t, q, low.Fields())
 }
 
 type greedyState struct {
@@ -181,9 +148,9 @@ type greedyState struct {
 	req     []ftree.AggField
 }
 
-func (p *Planner) planGreedy(t *ftree.Forest, q *query.Query) (*Plan, error) {
+func (p *Planner) planGreedy(t *ftree.Forest, q *query.Query, req []ftree.AggField) (*Plan, error) {
 	sim, _ := t.Clone()
-	st := &greedyState{p: p, sim: sim, q: q, req: RequiredFields(q.Aggregates)}
+	st := &greedyState{p: p, sim: sim, q: q, req: req}
 	st.cost = sim.SizeBound(p.Catalog)
 	if q.IsAggregate() {
 		// Place group attributes in order-by-first order so that the

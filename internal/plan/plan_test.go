@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,16 +40,23 @@ func revenueQuery() *query.Query {
 	}
 }
 
+// TestRequiredFields: the planner's required fields are the query's
+// aggregates lowered onto storable fields, AVG expanded and duplicates
+// shared.
 func TestRequiredFields(t *testing.T) {
-	fields := RequiredFields([]query.Aggregate{
+	low, err := query.Lower([]query.Aggregate{
 		{Fn: query.Avg, Arg: "x", As: "m"},
 		{Fn: query.Count, As: "n"},
 		{Fn: query.Sum, Arg: "x", As: "s"},
 		{Fn: query.Min, Arg: "y", As: "lo"},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// avg(x) → sum_x + count; count dedups; sum_x dedups; min_y.
-	if len(fields) != 3 {
-		t.Fatalf("fields = %v, want 3 distinct", fields)
+	want := []ftree.AggField{{Fn: ftree.Sum, Arg: "x"}, ftree.CountField(), {Fn: ftree.Min, Arg: "y"}}
+	if !slices.Equal(low.Fields(), want) {
+		t.Fatalf("fields = %v, want %v", low.Fields(), want)
 	}
 }
 

@@ -11,39 +11,21 @@ import (
 	"strings"
 
 	"github.com/factordb/fdb/internal/fops"
+	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/values"
 )
 
-// AggFn is a query-level aggregation function. Avg is evaluated as the
-// composite (sum, count) pair per Section 3.2.4.
-type AggFn uint8
+// AggFn is an aggregation function; its algebra is the table in ftree.
+type AggFn = ftree.Fn
 
 // The supported aggregation functions.
 const (
-	Count AggFn = iota
-	Sum
-	Min
-	Max
-	Avg
+	Count = ftree.Count
+	Sum   = ftree.Sum
+	Min   = ftree.Min
+	Max   = ftree.Max
+	Avg   = ftree.Avg
 )
-
-// String returns the SQL name of the function.
-func (f AggFn) String() string {
-	switch f {
-	case Count:
-		return "count"
-	case Sum:
-		return "sum"
-	case Min:
-		return "min"
-	case Max:
-		return "max"
-	case Avg:
-		return "avg"
-	default:
-		return fmt.Sprintf("aggfn(%d)", uint8(f))
-	}
-}
 
 // Aggregate is one aggregation α ← F(A) in the query's ϖ operator.
 type Aggregate struct {
@@ -54,11 +36,7 @@ type Aggregate struct {
 
 // String renders e.g. "sum(price) AS revenue".
 func (a Aggregate) String() string {
-	arg := a.Arg
-	if a.Fn == Count && arg == "" {
-		arg = "*"
-	}
-	s := fmt.Sprintf("%s(%s)", a.Fn, arg)
+	s := a.apply()
 	if a.As != "" {
 		s += " AS " + a.As
 	}
@@ -71,11 +49,26 @@ func (a Aggregate) OutName() string {
 	if a.As != "" {
 		return a.As
 	}
+	return a.apply()
+}
+
+// apply renders the function application, e.g. "count(*)".
+func (a Aggregate) apply() string {
 	arg := a.Arg
-	if a.Fn == Count && arg == "" {
+	if arg == "" {
 		arg = "*"
 	}
 	return fmt.Sprintf("%s(%s)", a.Fn, arg)
+}
+
+// Lower lowers aggs onto the stored fields of the factorised
+// representation; see ftree.Lower.
+func Lower(aggs []Aggregate) (*ftree.Lowering, error) {
+	apps := make([]ftree.AggField, len(aggs))
+	for i, a := range aggs {
+		apps[i] = ftree.AggField{Fn: a.Fn, Arg: a.Arg}
+	}
+	return ftree.Lower(apps)
 }
 
 // Equality is an equality selection A = B between two attributes
@@ -164,7 +157,10 @@ func (q *Query) Validate() error {
 		return fmt.Errorf("query: GROUP BY without aggregates")
 	}
 	for _, a := range q.Aggregates {
-		if a.Fn != Count && a.Arg == "" {
+		if !a.Fn.Valid() {
+			return fmt.Errorf("query: unknown aggregation function %s", a.Fn)
+		}
+		if a.Fn.HasArg() && a.Arg == "" {
 			return fmt.Errorf("query: %s needs an argument attribute", a.Fn)
 		}
 	}

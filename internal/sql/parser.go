@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"github.com/factordb/fdb/internal/fops"
+	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/query"
 	"github.com/factordb/fdb/internal/values"
 )
@@ -257,19 +258,8 @@ func (p *parser) parseSelect() (*query.Query, error) {
 func (p *parser) parseSelectItem() (selectItem, error) {
 	t := p.next()
 	if t.kind == tokKeyword {
-		var fn query.AggFn
-		switch t.text {
-		case "COUNT":
-			fn = query.Count
-		case "SUM":
-			fn = query.Sum
-		case "MIN":
-			fn = query.Min
-		case "MAX":
-			fn = query.Max
-		case "AVG":
-			fn = query.Avg
-		default:
+		fn, ok := ftree.ParseFn(t.text)
+		if !ok {
 			return selectItem{}, p.errf(t, "unexpected keyword %q in SELECT list", t.text)
 		}
 		if err := p.expectSymbol("("); err != nil {
@@ -278,7 +268,7 @@ func (p *parser) parseSelectItem() (selectItem, error) {
 		agg := &query.Aggregate{Fn: fn}
 		arg := p.next()
 		switch {
-		case arg.kind == tokSymbol && arg.text == "*" && fn == query.Count:
+		case arg.kind == tokSymbol && arg.text == "*" && !fn.HasArg():
 			// count(*)
 		case arg.kind == tokIdent:
 			agg.Arg = arg.text

@@ -91,7 +91,7 @@ func Render(q *query.Query) string {
 
 func renderAggregate(a query.Aggregate) string {
 	arg := a.Arg
-	if a.Fn == query.Count && arg == "" {
+	if arg == "" {
 		arg = "*"
 	}
 	s := strings.ToUpper(a.Fn.String()) + "(" + arg + ")"
