@@ -27,6 +27,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -131,8 +132,7 @@ func (sh *shell) exec(line string) error {
 		if err != nil {
 			return err
 		}
-		defer fh.Close()
-		if err := fdb.WriteView(fh, v); err != nil {
+		if err := errors.Join(fdb.WriteView(fh, v), fh.Close()); err != nil {
 			return err
 		}
 		fmt.Printf("saved %s to %s\n", name, file)

@@ -52,6 +52,7 @@ package fdb
 import (
 	"io"
 
+	"github.com/factordb/fdb/internal/catalog"
 	"github.com/factordb/fdb/internal/engine"
 	"github.com/factordb/fdb/internal/fops"
 	"github.com/factordb/fdb/internal/frep"
@@ -313,17 +314,17 @@ var OpenMutable = engine.OpenMutable
 // compaction is already in flight.
 var ErrCompactionRunning = engine.ErrCompactionRunning
 
-// WriteView serialises a factorised view to w in a compact binary format,
-// so materialised views can be stored and reloaded without
-// re-factorising.
+// WriteView writes a factorised view to w: a CRC-32C-checked f-tree and
+// root-id block, then one checksummed arena snapshot (as catalogues use)
+// of just the nodes the roots reach, shared subtrees once. Canonical.
 func WriteView(w io.Writer, v *Factorisation) error {
-	return frep.WriteStoreTo(w, v.Tree, v.Store, v.Roots)
+	return catalog.WriteView(w, v.Tree, v.Store, v.Roots)
 }
 
-// ReadView deserialises a factorised view written by WriteView,
-// validating the f-tree and representation invariants.
+// ReadView reads a view written by WriteView, verifying its checksums,
+// f-tree, root ids, representation invariants and canonical encoding.
 func ReadView(r io.Reader) (*Factorisation, error) {
-	tree, store, roots, err := frep.ReadStoreFrom(r)
+	tree, store, roots, err := catalog.ReadView(r)
 	if err != nil {
 		return nil, err
 	}

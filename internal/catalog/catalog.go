@@ -150,6 +150,12 @@ func (m *metaBuf) str(s string) {
 	m.uvarint(uint64(len(s)))
 	m.b = append(m.b, s...)
 }
+func (m *metaBuf) strs(ss []string) {
+	m.uvarint(uint64(len(ss)))
+	for _, s := range ss {
+		m.str(s)
+	}
+}
 func (m *metaBuf) u64(v uint64) {
 	m.b = binary.LittleEndian.AppendUint64(m.b, v)
 }
@@ -166,7 +172,7 @@ type metaRd struct {
 
 func (m *metaRd) fail(format string, args ...any) {
 	if m.err == nil {
-		m.err = fmt.Errorf("catalog: metadata: "+format, args...)
+		m.err = fmt.Errorf(format, args...)
 	}
 }
 
@@ -195,6 +201,24 @@ func (m *metaRd) str(maxLen uint64) string {
 	s := string(m.b[m.off : m.off+int(n)])
 	m.off += int(n)
 	return s
+}
+
+// count reads a uvarint that must be at most maxAttrs.
+func (m *metaRd) count() int {
+	if v := m.uvarint(); v <= maxAttrs {
+		return int(v)
+	}
+	m.fail("implausible count at %d", m.off)
+	return 0
+}
+
+// strs reads a name list written by metaBuf.strs.
+func (m *metaRd) strs() []string {
+	var out []string
+	for i, n := 0, m.count(); i < n && m.err == nil; i++ {
+		out = append(out, m.str(1<<16))
+	}
+	return out
 }
 
 func (m *metaRd) u64() uint64 {
@@ -303,19 +327,13 @@ func (c *Catalog) WriteTo(w io.Writer) (int64, error) {
 				m.flatCRC = crc32.Update(crc, crcTable, rb.heap)
 			}
 			mb.str(m.name)
-			mb.uvarint(uint64(len(m.attrs)))
-			for _, a := range m.attrs {
-				mb.str(a)
-			}
+			mb.strs(m.attrs)
 			mb.uvarint(m.nRows)
 			mb.u64(m.flatOff)
 			mb.u64(m.flatHeap)
 			mb.u64(m.flatHeapLn)
 			mb.u32(m.flatCRC)
-			mb.uvarint(uint64(len(m.order)))
-			for _, a := range m.order {
-				mb.str(a)
-			}
+			mb.strs(m.order)
 			mb.u32(m.root)
 			mb.u64(m.storeOff)
 			mb.u64(m.storeLen)
@@ -428,26 +446,13 @@ func Read(b []byte, zeroCopy bool) (*Catalog, error) {
 	c := &Catalog{Name: name}
 	seen := map[string]bool{}
 	for i := uint32(0); i < nRels && rd.err == nil; i++ {
-		m := relMeta{name: rd.str(1 << 16)}
-		nAttrs := rd.uvarint()
-		if rd.err == nil && nAttrs > maxAttrs {
-			rd.fail("implausible attribute count %d", nAttrs)
-		}
-		for j := uint64(0); j < nAttrs && rd.err == nil; j++ {
-			m.attrs = append(m.attrs, rd.str(1<<16))
-		}
+		m := relMeta{name: rd.str(1 << 16), attrs: rd.strs()}
 		m.nRows = rd.uvarint()
 		m.flatOff = rd.u64()
 		m.flatHeap = rd.u64()
 		m.flatHeapLn = rd.u64()
 		m.flatCRC = rd.u32()
-		nOrder := rd.uvarint()
-		if rd.err == nil && nOrder > maxAttrs {
-			rd.fail("implausible order length %d", nOrder)
-		}
-		for j := uint64(0); j < nOrder && rd.err == nil; j++ {
-			m.order = append(m.order, rd.str(1<<16))
-		}
+		m.order = rd.strs()
 		m.root = rd.u32()
 		m.storeOff = rd.u64()
 		m.storeLen = rd.u64()
@@ -465,7 +470,7 @@ func Read(b []byte, zeroCopy bool) (*Catalog, error) {
 		c.Relations = append(c.Relations, r)
 	}
 	if rd.err != nil {
-		return nil, rd.err
+		return nil, fmt.Errorf("catalog: metadata: %w", rd.err)
 	}
 	return c, nil
 }

@@ -17,7 +17,7 @@
 // The package provides construction from a relation (BuildStore),
 // flattening, cardinality via the paper's count algorithm, aggregate
 // evaluation (Section 3.2), constant-delay enumerators with ranked
-// direct access (Section 4), a view codec and zero-copy snapshots.
+// direct access (Section 4) and zero-copy snapshots.
 // Structural operators that rewrite representations together with their
 // f-trees live in package fops.
 package frep

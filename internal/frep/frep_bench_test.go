@@ -176,26 +176,6 @@ func BenchmarkSnapshot(b *testing.B) {
 	})
 }
 
-func BenchmarkCodec(b *testing.B) {
-	f, s, roots := benchStoreRep(b, 50000)
-	b.Run("write", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var sink countingWriter
-			if err := WriteStoreTo(&sink, f, s, roots); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(sink))
-		}
-	})
-}
-
-type countingWriter int
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	*c += countingWriter(len(p))
-	return len(p), nil
-}
-
 // TestHotPathAllocs pins what the serial hot path allocates per call on
 // the benchmark fixtures above: opening an enumerator and draining it,
 // the Section 3.2 count, and a compiled evaluator folding into a reused

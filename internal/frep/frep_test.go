@@ -251,7 +251,7 @@ func TestEvaluatorAggInterpretation(t *testing.T) {
 	s := NewStore()
 	rep := s.Add([]values.Value{sv("Capricciosa"), sv("Hawaii"), sv("Margherita")}, 1,
 		[]NodeID{s.AddLeaf(ivs(3)), s.AddLeaf(ivs(3)), s.AddLeaf(ivs(1))})
-	if err := CheckStoreInvariants(pizza, s, rep); err != nil {
+	if err := CheckStoreInvariantsAll(f, s, []NodeID{rep}); err != nil {
 		t.Fatal(err)
 	}
 	n, err := CountStore(pizza, s, rep)

@@ -1,12 +1,11 @@
 package frep
 
 // Slab snapshots: a versioned, checksummed binary format that persists a
-// Store's three slabs directly, so catalogues survive restarts without
-// re-factorising (the f-representations of the paper are built once and
-// queried many times; the FDB engine treats them as the storage layer).
-//
-// Unlike the pre-order codec (codec.go), which walks the factorisation
-// tree value by value, a snapshot is the arena itself:
+// Store's three slabs directly, so f-representations are built once and
+// queried many times (the FDB engine treats them as the storage layer).
+// It is the only on-disk encoding of a store: catalogues embed one per
+// relation and view files one per view (package catalog). A snapshot is
+// the arena itself:
 //
 //	header   64 bytes: magic, version, slab counts, payload length,
 //	         CRC-32C of payload and of the header
@@ -504,20 +503,6 @@ func LoadSnapshot(b []byte, zeroCopy bool) (*Store, error) {
 		return nil, fmt.Errorf("frep: snapshot: %d bytes for header-declared %d", len(b), snapHeaderLen+h.payloadLen)
 	}
 	return loadSnapshotPayload(h, b[snapHeaderLen:], zeroCopy)
-}
-
-// SnapshotLen returns the total byte length (header plus payload) of the
-// snapshot starting at b, after verifying its header — the framing used
-// by container formats that embed snapshots back to back.
-func SnapshotLen(b []byte) (int64, error) {
-	h, err := decodeSnapHeader(b)
-	if err != nil {
-		return 0, err
-	}
-	if _, _, _, _, _, err := h.sectionLayout(); err != nil {
-		return 0, err
-	}
-	return int64(snapHeaderLen + h.payloadLen), nil
 }
 
 func loadSnapshotPayload(h *snapHeader, payload []byte, zeroCopy bool) (*Store, error) {

@@ -51,9 +51,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if n != int64(len(buf)) || !bytes.Equal(w.Bytes(), buf) {
 		t.Fatalf("WriteTo and SnapshotBytes disagree (%d vs %d bytes)", n, len(buf))
 	}
-	if got, err := SnapshotLen(buf); err != nil || got != int64(len(buf)) {
-		t.Fatalf("SnapshotLen = %d, %v; want %d", got, err, len(buf))
-	}
 
 	for _, zc := range []bool{false, true} {
 		ld, err := LoadSnapshot(buf, zc)

@@ -14,6 +14,7 @@ package frep
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/values"
@@ -239,6 +240,31 @@ func (s *Store) Clone() *Store {
 	out := &Store{}
 	s.CloneInto(out)
 	return out
+}
+
+// CopyReachable returns a fresh store of just the nodes reachable from
+// roots, each copied once in post-order (so shared subtrees stay shared
+// and copying a copy reproduces it), and the roots' ids in it.
+func (s *Store) CopyReachable(roots []NodeID) (*Store, []NodeID) {
+	nn, nv, nk := s.counts() // capacity for the common all-reachable case
+	out := &Store{nodes: make([]nodeHdr, 1, nn), vals: make([]values.Value, 0, nv), kids: make([]NodeID, 0, nk)}
+	ids := make([]NodeID, nn) // 0 until copied
+	var cp func(id NodeID) NodeID
+	cp = func(id NodeID) NodeID {
+		if h := s.hdr(id); ids[id] == EmptyNode && h.nVals > 0 {
+			kids := slices.Clone(s.kidSlice(h.kidOff, h.nVals*h.arity))
+			for i, k := range kids {
+				kids[i] = cp(k)
+			}
+			ids[id] = out.Add(s.valSlice(h.valOff, h.nVals), int(h.arity), kids)
+		}
+		return ids[id]
+	}
+	outRoots := make([]NodeID, len(roots))
+	for i, r := range roots {
+		outRoots[i] = cp(r)
+	}
+	return out, outRoots
 }
 
 // CloneInto copies the store's slabs into dst, reusing dst's capacity
@@ -566,14 +592,16 @@ func EqualStore(a *Store, x NodeID, b *Store, y NodeID) bool {
 	return true
 }
 
-// CheckStoreInvariants verifies the representation invariants of union
-// id against f-tree node n: values strictly ascending, arity equal to
-// the node's child count, and no empty unions below the top level.
-func CheckStoreInvariants(n *ftree.Node, s *Store, id NodeID) error {
-	return checkStoreInv(n, s, id, true)
+type invKey struct {
+	n  *ftree.Node
+	id NodeID
 }
 
-func checkStoreInv(n *ftree.Node, s *Store, id NodeID, top bool) error {
+func checkStoreInv(n *ftree.Node, s *Store, id NodeID, top bool, seen map[invKey]bool) error {
+	if seen[invKey{n, id}] {
+		return nil
+	}
+	seen[invKey{n, id}] = true
 	if !top && s.Len(id) == 0 {
 		return fmt.Errorf("frep: empty union below top level at node %s", n.Label())
 	}
@@ -591,9 +619,8 @@ func checkStoreInv(n *ftree.Node, s *Store, id NodeID, top bool) error {
 		return fmt.Errorf("frep: node %s has arity %d, want %d children", n.Label(), s.Arity(id), len(n.Children))
 	}
 	for i := range vals {
-		row := s.KidRow(id, i)
-		for j, k := range row {
-			if err := checkStoreInv(n.Children[j], s, k, false); err != nil {
+		for j, k := range s.KidRow(id, i) {
+			if err := checkStoreInv(n.Children[j], s, k, false, seen); err != nil {
 				return err
 			}
 		}
@@ -601,13 +628,19 @@ func checkStoreInv(n *ftree.Node, s *Store, id NodeID, top bool) error {
 	return nil
 }
 
-// CheckStoreInvariantsAll verifies a forest representation in the store.
+// CheckStoreInvariantsAll verifies a forest representation: root ids in
+// the store, values strictly ascending, arities matching the f-tree, no
+// empty unions below the top; shared subtrees are checked once.
 func CheckStoreInvariantsAll(f *ftree.Forest, s *Store, roots []NodeID) error {
 	if len(roots) != len(f.Roots) {
 		return fmt.Errorf("frep: %d root unions for %d f-tree roots", len(roots), len(f.Roots))
 	}
+	seen := map[invKey]bool{}
 	for i, r := range f.Roots {
-		if err := CheckStoreInvariants(r, s, roots[i]); err != nil {
+		if int(roots[i]) >= s.NodeCount() {
+			return fmt.Errorf("frep: root %d outside store of %d nodes", roots[i], s.NodeCount())
+		}
+		if err := checkStoreInv(r, s, roots[i], true, seen); err != nil {
 			return err
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // from, and a finaliser combines their values. Every consumer reads the
 // table, so adding a function is adding a row.
 
-// Fn is an aggregation function. The numbering is part of the view codec
+// Fn is an aggregation function. The numbering is part of the view format
 // and the plan-template key and must not change.
 type Fn uint8
 

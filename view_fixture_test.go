@@ -1,11 +1,11 @@
 package fdb_test
 
-// View wire-format pin. testdata/view_v1.bin (the paper's view R1 at
-// scale 1) and testdata/view_v1_agg.bin (R1 aggregated per package and
-// date: a vector-valued and a scalar aggregate leaf) were written by
-// fdb.WriteView at the commit before the pointer representation was
-// removed. Views saved by earlier releases must keep loading, answer
-// queries as the flat baseline does, and re-encode to the same bytes.
+// View file-format pin. testdata/view_v2.bin (the paper's view R1 at
+// scale 1) and testdata/view_v2_agg.bin (R1 aggregated per package and
+// date: a vector-valued and a scalar aggregate leaf) hold an f-tree
+// block plus an arena snapshot, as fdb.WriteView writes them. Saved
+// views must keep loading, answer queries as the flat baseline does,
+// and re-encode to the same bytes.
 
 import (
 	"bytes"
@@ -13,9 +13,12 @@ import (
 	"testing"
 
 	"github.com/factordb/fdb"
+	"github.com/factordb/fdb/internal/frep"
+	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/query"
 	"github.com/factordb/fdb/internal/rdb"
 	"github.com/factordb/fdb/internal/relation"
+	"github.com/factordb/fdb/internal/values"
 	"github.com/factordb/fdb/internal/workload"
 )
 
@@ -42,7 +45,7 @@ func loadViewFixture(t *testing.T, path string) *fdb.Factorisation {
 }
 
 func TestViewFixtureAnswersLikeBaseline(t *testing.T) {
-	view := loadViewFixture(t, "testdata/view_v1.bin")
+	view := loadViewFixture(t, "testdata/view_v2.bin")
 	d := workload.Generate(workload.Config{Scale: 1})
 	r1, err := d.FlatR1()
 	if err != nil {
@@ -101,7 +104,7 @@ func TestViewFixtureAnswersLikeBaseline(t *testing.T) {
 // aggregates further over them: the stored partial sums and counts must
 // compose (Proposition 2) to the baseline's answer over the flat join.
 func TestAggViewFixtureComposes(t *testing.T) {
-	view := loadViewFixture(t, "testdata/view_v1_agg.bin")
+	view := loadViewFixture(t, "testdata/view_v2_agg.bin")
 	if n := len(view.Tree.AggNodes()); n != 2 {
 		t.Fatalf("fixture has %d aggregate nodes, want 2", n)
 	}
@@ -130,4 +133,89 @@ func TestAggViewFixtureComposes(t *testing.T) {
 	if !relation.EqualAsSets(got, want) {
 		t.Errorf("aggregate over the loaded partial aggregates: %v\nbaseline: %v", got, want)
 	}
+}
+
+// TestViewKeepsSharingAndDropsDeadNodes pins the store compaction
+// WriteView performs: a union shared by two parents is written once and
+// loads shared, nodes no root reaches are left out, and writing a loaded
+// view reproduces the file.
+func TestViewKeepsSharingAndDropsDeadNodes(t *testing.T) {
+	// pizza → item, two pizzas sharing one item union, plus a dead leaf.
+	f := ftree.New()
+	f.NewRelationPath("pizza", "item")
+	s := frep.NewStore()
+	s.AddLeaf([]values.Value{values.NewString("dead")})
+	items := s.AddLeaf([]values.Value{values.NewString("base"), values.NewString("ham")})
+	root := s.Add([]values.Value{values.NewString("Capricciosa"), values.NewString("Margherita")}, 1,
+		[]frep.NodeID{items, items})
+	shared, _ := writeAndRead(t, &fdb.Factorisation{Tree: f, Store: s, Roots: []frep.NodeID{root}})
+	ls, lr := shared.Store, shared.Roots[0]
+	if a, b := ls.Kid(lr, 0, 0), ls.Kid(lr, 1, 0); a != b {
+		t.Errorf("shared item union loaded as two nodes %d and %d", a, b)
+	}
+	if n := ls.NodeCount(); n != 3 {
+		t.Errorf("loaded store has %d nodes, want 3 (empty, items, pizzas)", n)
+	}
+
+	d := workload.Generate(workload.Config{Scale: 1})
+	q, err := fdb.ParseSQL(`SELECT * FROM Orders, Packages, Items WHERE package = package2 AND item = item2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := fdb.MaterialiseView(fdb.NewEngine(), q, d.DB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reach := reachableNodes(view.Store, view.Roots)
+	if reach+1 >= view.Store.NodeCount() {
+		t.Fatalf("materialised store has %d nodes, %d reachable: no dead nodes to drop", view.Store.NodeCount(), reach)
+	}
+	loaded, file := writeAndRead(t, view)
+	if n := loaded.Store.NodeCount(); n != reach+1 {
+		t.Errorf("view file holds %d nodes, want the %d reachable ones plus the empty node", n, reach)
+	}
+	var again bytes.Buffer
+	if err := fdb.WriteView(&again, loaded); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), file) {
+		t.Error("writing the loaded view changed its bytes")
+	}
+}
+
+// writeAndRead writes v and reads it back, returning the loaded view and
+// the file bytes.
+func writeAndRead(t *testing.T, v *fdb.Factorisation) (*fdb.Factorisation, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := fdb.WriteView(&buf, v); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := fdb.ReadView(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded, buf.Bytes()
+}
+
+// reachableNodes counts the distinct non-empty unions reachable from
+// roots.
+func reachableNodes(s *frep.Store, roots []frep.NodeID) int {
+	seen := map[frep.NodeID]bool{}
+	var walk func(id frep.NodeID)
+	walk = func(id frep.NodeID) {
+		if id == frep.EmptyNode || seen[id] {
+			return
+		}
+		seen[id] = true
+		for i := 0; i < s.Len(id); i++ {
+			for _, k := range s.KidRow(id, i) {
+				walk(k)
+			}
+		}
+	}
+	for _, r := range roots {
+		walk(r)
+	}
+	return len(seen)
 }
