@@ -184,8 +184,9 @@ var NormalizeSQL = sql.Normalize
 
 // ParStats are the cumulative intra-query parallelism counters: queries
 // executed with a parallelism budget above 1 and segment workers
-// spawned per layer (enumeration cursors, f-plan operators, aggregate
-// evaluations), plus pooled-store returns. See Engine.Parallelism.
+// spawned per layer (enumeration cursors, f-plan operators), plus
+// pooled-store returns. EvalWorkers is always 0: aggregate evaluation
+// runs serially. See Engine.Parallelism.
 type ParStats = engine.ParStats
 
 // ParallelStats returns the process-wide intra-query parallelism

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/ftree"
@@ -56,93 +55,34 @@ func (h *havingFilter) keep(row relation.Tuple) bool {
 // newSortedCursor is the fallback for ordering by an aggregate when the
 // group-by attributes span several branches of the f-tree (no single
 // aggregate subtree exists): the grouped output is materialised and
-// sorted flat, as a relational engine would. With parallelism, each
-// segment worker materialises and sorts its own run of groups and the
-// runs merge preferring the earlier run on ties — exactly the stable
-// sort of the serially concatenated output.
+// sorted flat, as a relational engine would.
 func (r *Result) newSortedCursor() (rowCursor, error) {
-	q := r.Query
-	cmp, err := sortedOutputCmp(q)
+	cmp, err := sortedOutputCmp(r.Query)
 	if err != nil {
 		return nil, err
 	}
-	probe, err := r.buildGroupedCursor(false)
+	cur, err := r.newGroupedCursor(false)
 	if err != nil {
 		return nil, err
 	}
-	collect := func(cur rowCursor) ([]relation.Tuple, error) {
-		var rows []relation.Tuple
-		for {
-			t, ok, err := cur.step()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return rows, nil
-			}
-			rows = append(rows, t.Clone())
-		}
-	}
-	var runs [][]relation.Tuple
-	par := enumFanout(r.parallelism())
-	se := probe.ge
-	var segs [][2]int
-	if par >= 2 && se.SegmentUniverse() >= MinParallelEnumRows {
-		segs = segmentsFor(se, se.SegmentUniverse(), par)
-	}
-	if len(segs) >= 2 {
-		// The probe has not been stepped; restrict it to serve as the
-		// first segment's cursor.
-		curs := make([]*groupCursor, len(segs))
-		se.Restrict(segs[0][0], segs[0][1])
-		curs[0] = probe
-		for w := 1; w < len(segs); w++ {
-			c, err := r.buildGroupedCursor(false)
-			if err != nil {
-				return nil, err
-			}
-			c.ge.Restrict(segs[w][0], segs[w][1])
-			curs[w] = c
-		}
-		runs = make([][]relation.Tuple, len(segs))
-		errs := make([]error, len(segs))
-		parEnumWorkers.Add(int64(len(segs)))
-		var wg sync.WaitGroup
-		for w := range curs {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				rows, err := collect(curs[w])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				sort.SliceStable(rows, func(x, y int) bool { return cmp(rows[x], rows[y]) < 0 })
-				runs[w] = rows
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		rows, err := collect(probe)
+	var rows []relation.Tuple
+	for {
+		t, ok, err := cur.step()
 		if err != nil {
 			return nil, err
 		}
-		sort.SliceStable(rows, func(x, y int) bool { return cmp(rows[x], rows[y]) < 0 })
-		runs = [][]relation.Tuple{rows}
+		if !ok {
+			break
+		}
+		rows = append(rows, t.Clone())
 	}
-	return &sliceCursor{rows: mergeSortedRuns(runs, cmp)}, nil
+	sort.SliceStable(rows, func(x, y int) bool { return cmp(rows[x], rows[y]) < 0 })
+	return &sliceCursor{rows: rows}, nil
 }
 
 // sortedOutputCmp builds the sort-fallback comparator over output rows:
 // the ORDER BY keys, ties broken by full-tuple comparison — the same
-// total order relation.Sort applies, so parallel runs merge into the
-// serial sort's output byte for byte.
+// total order relation.Sort applies.
 func sortedOutputCmp(q *query.Query) (func(a, b relation.Tuple) int, error) {
 	outs := q.OutputAttrs()
 	idx := make([]int, len(q.OrderBy))
@@ -172,73 +112,6 @@ func sortedOutputCmp(q *query.Query) (func(a, b relation.Tuple) int, error) {
 		}
 		return relation.Compare(a, b)
 	}, nil
-}
-
-// mergeSortedRuns k-way merges sorted runs, preferring the earliest run
-// on comparator ties: together with per-run stable sorts this equals a
-// stable sort of the runs' concatenation.
-func mergeSortedRuns(runs [][]relation.Tuple, cmp func(a, b relation.Tuple) int) []relation.Tuple {
-	if len(runs) == 1 {
-		return runs[0]
-	}
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	out := make([]relation.Tuple, 0, total)
-	pos := make([]int, len(runs))
-	for len(out) < total {
-		best := -1
-		for w := range runs {
-			if pos[w] >= len(runs[w]) {
-				continue
-			}
-			if best < 0 || cmp(runs[w][pos[w]], runs[best][pos[best]]) < 0 {
-				best = w
-			}
-		}
-		out = append(out, runs[best][pos[best]])
-		pos[best]++
-	}
-	return out
-}
-
-// matCursor enumerates the materialised-aggregate representation,
-// assembling group columns, finalising aggregate outputs from the
-// lowered fields' columns, and applying HAVING.
-type matCursor struct {
-	en        *frep.StoreEnumerator
-	groupIdx  []int
-	fieldIdx  []int
-	fieldVals []values.Value
-	low       *ftree.Lowering
-	having    *havingFilter
-	out       relation.Tuple
-}
-
-func (c *matCursor) step() (relation.Tuple, bool, error) {
-	for c.en.Next() {
-		t := c.en.Tuple()
-		for i, j := range c.groupIdx {
-			c.out[i] = t[j]
-		}
-		for i, j := range c.fieldIdx {
-			c.fieldVals[i] = t[j]
-		}
-		c.low.FinalInto(c.out[len(c.groupIdx):], c.fieldVals)
-		if !c.having.keep(c.out) {
-			continue
-		}
-		return c.out, true, nil
-	}
-	return nil, false, nil
-}
-
-func (c *matCursor) skip(n int) (int, error) {
-	if c.having == nil {
-		return c.en.Skip(n), nil
-	}
-	return skipBySteps(c, n)
 }
 
 // newMaterialisedCursor materialises the final aggregate into a single
@@ -343,42 +216,36 @@ func (r *Result) newMaterialisedCursor() (rowCursor, error) {
 		}
 	}
 
-	build := func() (rowCursor, error) {
-		en, err := r.ARel.Enumerator(specs)
-		if err != nil {
-			return nil, err
-		}
-		schema := en.Schema()
-		groupIdx, err := columnIndices(schema, q.GroupBy)
-		if err != nil {
-			return nil, err
-		}
-		node := r.Tree().ResolveAttr(aggNodeName)
-		if node == nil {
-			return nil, fmt.Errorf("engine: internal: aggregate node %q lost", aggNodeName)
-		}
-		fieldIdx, err := fieldColumns(low.Fields(), node, schema)
-		if err != nil {
-			return nil, err
-		}
-		having, err := newHavingFilter(q)
-		if err != nil {
-			return nil, err
-		}
-		return &matCursor{
-			en:        en,
-			groupIdx:  groupIdx,
-			fieldIdx:  fieldIdx,
-			fieldVals: make([]values.Value, len(low.Fields())),
-			low:       low,
-			having:    having,
-			out:       make(relation.Tuple, len(groupIdx)+len(q.Aggregates)),
-		}, nil
+	en, err := r.ARel.Enumerator(specs)
+	if err != nil {
+		return nil, err
 	}
-	desc := len(specs) > 0 && specs[0].Desc
-	return r.maybeParallelEnum(build, func(c rowCursor) storeEnum {
-		return c.(*matCursor).en
-	}, desc, MinParallelEnumRows)
+	schema := en.Schema()
+	groupIdx, err := columnIndices(schema, q.GroupBy)
+	if err != nil {
+		return nil, err
+	}
+	node := r.Tree().ResolveAttr(aggNodeName)
+	if node == nil {
+		return nil, fmt.Errorf("engine: internal: aggregate node %q lost", aggNodeName)
+	}
+	fieldIdx, err := fieldColumns(low.Fields(), node, schema)
+	if err != nil {
+		return nil, err
+	}
+	having, err := newHavingFilter(q)
+	if err != nil {
+		return nil, err
+	}
+	return &enumCursor{
+		en:     tupleEnum{en},
+		cols:   groupIdx,
+		low:    low,
+		fields: fieldIdx,
+		having: having,
+		vals:   make([]values.Value, len(fieldIdx)),
+		out:    make(relation.Tuple, len(groupIdx)+len(q.Aggregates)),
+	}, nil
 }
 
 // singleNonGroupSubtree finds the unique maximal subtree containing no

@@ -35,13 +35,14 @@ type Engine struct {
 	// time (Example 1, scenario 3) would avoid it.
 	Materialise bool
 	// Parallelism bounds the intra-query parallelism: f-plan operators
-	// fan their occurrence loops over contiguous segments of root
-	// unions, aggregate evaluations merge per-segment partial results,
-	// and the enumeration cursors drain per-segment workers in root
-	// order — so results are identical to serial execution at any
-	// setting. 0 means GOMAXPROCS; 1 disables intra-query parallelism.
+	// below a root fan their occurrence loops over contiguous segments
+	// of the root union, and a flat projection with no OFFSET and no
+	// LIMIT below the enumeration floor drains per-segment workers in
+	// root order — so results are identical to serial execution at any
+	// setting. Aggregate evaluation and every other cursor run
+	// serially. 0 means GOMAXPROCS; 1 disables intra-query parallelism.
 	// Small inputs execute serially regardless (see
-	// frep.MinParallelEvalValues and friends).
+	// fops.MinParallelRebuildValues).
 	Parallelism int
 
 	// templates memoises plans by query shape (see Prepare); it makes an
@@ -86,7 +87,7 @@ type Result struct {
 	closed bool
 	// closers tracks open parallel cursors; Close joins their segment
 	// workers before recycling the store.
-	closers []rowCloser
+	closers []*parCursor
 	// fastCount, when set, is the precomputed answer of a bare COUNT(*)
 	// query taken from the ranked root counts; enumeration yields this
 	// single row and the aggregation plan was never executed.
@@ -94,7 +95,7 @@ type Result struct {
 }
 
 // dropCloser forgets a parallel cursor that has been closed.
-func (r *Result) dropCloser(c rowCloser) {
+func (r *Result) dropCloser(c *parCursor) {
 	for i, x := range r.closers {
 		if x == c {
 			r.closers = append(r.closers[:i], r.closers[i+1:]...)

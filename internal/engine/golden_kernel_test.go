@@ -32,16 +32,13 @@ func withKernels(on bool, fn func()) {
 func TestGoldenKernelVsScalar(t *testing.T) {
 	// Drop every fan-out floor so P=8 genuinely exercises the parallel
 	// kernel paths (segment workers, overlay stores) at scale 1.
-	oldEvalV, oldEvalW := frep.MinParallelEvalValues, frep.MinParallelEvalWork
 	oldRebV, oldRebW := fops.MinParallelRebuildValues, fops.MinParallelRebuildWork
-	oldEnum, oldGroup, oldFan := MinParallelEnumRows, MinParallelGroupRows, MaxEnumFanout
-	frep.MinParallelEvalValues, frep.MinParallelEvalWork = 1, 1
+	oldEnum, oldFan := minParallelEnumRows, maxEnumFanout
 	fops.MinParallelRebuildValues, fops.MinParallelRebuildWork = 1, 1
-	MinParallelEnumRows, MinParallelGroupRows, MaxEnumFanout = 1, 1, 64
+	minParallelEnumRows, maxEnumFanout = 1, 64
 	defer func() {
-		frep.MinParallelEvalValues, frep.MinParallelEvalWork = oldEvalV, oldEvalW
 		fops.MinParallelRebuildValues, fops.MinParallelRebuildWork = oldRebV, oldRebW
-		MinParallelEnumRows, MinParallelGroupRows, MaxEnumFanout = oldEnum, oldGroup, oldFan
+		minParallelEnumRows, maxEnumFanout = oldEnum, oldFan
 	}()
 	frep.KernelStatsEnabled = true
 	defer func() { frep.KernelStatsEnabled = false }()

@@ -1,18 +1,21 @@
 package engine
 
-// Intra-query parallel enumeration. Every enumeration cursor of the
-// engine iterates an outermost loop over one root union of the arena
-// representation (the odometer's slot 0); that union partitions into
-// contiguous segments, each enumerated by an independent worker cursor
-// over the shared read-only store. The consumer drains the workers'
-// row chunks in slot-0 iteration order (ascending segments, or
-// descending for a DESC outer order), so the merged stream is
-// byte-identical to the serial cursor's — the paper's ordering
-// guarantees survive because segment boundaries respect the order's
-// primary attribute. Workers run ahead of the consumer by a bounded
-// number of chunks, keeping memory O(parallelism), and are joined by
-// Rows.Close (or Result.Close) so no worker ever touches a recycled
-// pooled store.
+// Intra-query parallel enumeration, for the one path where it pays: a
+// large flat projection read to the end. Its cursor iterates an
+// outermost loop over one root union of the arena representation (the
+// odometer's slot 0); that union partitions into contiguous segments,
+// each enumerated by an independent worker cursor over the shared
+// read-only store. The consumer drains the workers' row chunks in
+// slot-0 iteration order (ascending segments, or descending for a DESC
+// outer order), so the merged stream is byte-identical to the serial
+// cursor's — the paper's ordering guarantees survive because segment
+// boundaries respect the order's primary attribute. Workers run ahead
+// of the consumer by a bounded number of chunks, keeping memory
+// O(parallelism), and are joined by Rows.Close (or Result.Close) so no
+// worker ever touches a recycled pooled store. A windowed query (OFFSET,
+// or a LIMIT below the floor) enumerates serially: the serial cursor
+// seeks to the page through the ranked index, which a fan-out would
+// hide behind per-row hand-off.
 
 import (
 	"runtime"
@@ -25,20 +28,11 @@ import (
 	"github.com/factordb/fdb/internal/values"
 )
 
-// MinParallelEnumRows is the smallest outer-loop universe for which
-// enumeration fans out; smaller results enumerate serially (chunk
-// hand-off would cost more than it saves). Package-visible so tests can
-// force either path.
-var MinParallelEnumRows = 4096
-
-// MinParallelGroupRows is the fan-out floor for the grouped-aggregation
-// cursor specifically. Its universe counts groups, not rows: every group
-// already amortises a whole γ evaluation, and each segment worker clones
-// evaluator state per group, so the crossover where fan-out wins sits
-// far above the plain-enumeration floor (the scale-1 paper workload,
-// ~100 groups, regressed at P≥2 under the shared floor; CHANGES.md,
-// PR 7).
-var MinParallelGroupRows = 65536
+// minParallelEnumRows is the smallest outer-loop universe for which
+// enumeration fans out, and the smallest LIMIT that still allows it;
+// smaller results enumerate serially (chunk hand-off would cost more
+// than it saves). A variable so tests can force either path.
+var minParallelEnumRows = 4096
 
 const (
 	// parChunkRows is how many rows a worker batches per hand-off.
@@ -57,8 +51,10 @@ var (
 
 // ParStats are cumulative intra-query parallelism counters: queries
 // executed with a parallelism budget above 1, and segment workers
-// spawned per layer (enumeration cursors, f-plan operators, aggregate
-// evaluations), plus pooled-store returns for leak accounting.
+// spawned per layer (enumeration cursors, f-plan operators), plus
+// pooled-store returns for leak accounting. EvalWorkers is always 0:
+// aggregate evaluation runs serially; the field stays for the callers
+// that construct ParStats.
 type ParStats struct {
 	Queries      int64 `json:"queries"`
 	EnumWorkers  int64 `json:"enumWorkers"`
@@ -73,7 +69,6 @@ func ParallelStats() ParStats {
 		Queries:      parQueries.Load(),
 		EnumWorkers:  parEnumWorkers.Load(),
 		OpWorkers:    fops.ParallelRebuildWorkers(),
-		EvalWorkers:  frep.ParallelEvalWorkers(),
 		StoreReturns: storeReturns.Load(),
 	}
 }
@@ -91,35 +86,14 @@ func noteParallelExec(ar *fops.ARel) {
 	}
 }
 
-// parallelism returns the result's effective intra-query parallelism:
-// the budget recorded on the relation at execution time.
-func (r *Result) parallelism() int {
-	if r.ARel.Par > 1 {
-		return r.ARel.Par
-	}
-	return 1
-}
-
-// MaxEnumFanout caps enumeration fan-out at the runnable cores. Unlike
-// operator and aggregate-evaluation fan-out (whose segmented passes
-// stay cheap even when time-sliced), enumeration fan-out pays a per-row
-// hand-off from worker to consumer; without a spare core to overlap
-// that hand-off with production it is pure overhead, so segments beyond
-// GOMAXPROCS can only slow the merge down. Package-visible so tests can
-// exercise the merge machinery on small machines.
-var MaxEnumFanout = runtime.GOMAXPROCS(0)
-
-// enumFanout clamps a parallelism budget to MaxEnumFanout.
-func enumFanout(par int) int {
-	if par > MaxEnumFanout {
-		return MaxEnumFanout
-	}
-	return par
-}
-
-// rowCloser is implemented by cursors that own background workers;
-// Rows.Close / Result.Close join them through it.
-type rowCloser interface{ close() }
+// maxEnumFanout caps enumeration fan-out at the runnable cores. Unlike
+// operator fan-out (whose segmented passes stay cheap even when
+// time-sliced), enumeration fan-out pays a per-row hand-off from worker
+// to consumer; without a spare core to overlap that hand-off with
+// production it is pure overhead, so segments beyond GOMAXPROCS can
+// only slow the merge down. A variable so tests can exercise the merge
+// machinery on small machines.
+var maxEnumFanout = runtime.GOMAXPROCS(0)
 
 // parSeg is one segment's hand-off lane.
 type parSeg struct {
@@ -235,9 +209,8 @@ func (pc *parCursor) step() (relation.Tuple, bool, error) {
 	}
 }
 
-// skip discards already-assembled rows: segment workers enumerate their
-// whole window regardless, so unlike the serial enumerator skip this
-// saves only the consumer-side work. OFFSET correctness is unchanged.
+// skip steps past rows: a parCursor serves only unwindowed queries, so
+// it never skips an OFFSET; skip exists for the rowCursor contract.
 func (pc *parCursor) skip(n int) (int, error) { return skipBySteps(pc, n) }
 
 // close stops and joins the workers. Idempotent; safe before, during or
@@ -251,43 +224,44 @@ func (pc *parCursor) close() {
 	pc.wg.Wait()
 }
 
-// maybeParallelEnum decides whether to fan an enumeration out: build
-// returns one cursor over the full stream (the probe, also the serial
-// fallback); when the universe is at least floor, fresh per-segment
-// cursors are built with Restrict windows and merged by a parCursor.
-// seg extracts the enumerator from a built cursor, and desc reports
-// whether the outer loop runs descending (drain order reverses). floor
-// is MinParallelEnumRows for row-universe cursors and
-// MinParallelGroupRows for the grouped cursor, whose universe counts
-// groups.
-func (r *Result) maybeParallelEnum(build func() (rowCursor, error), seg func(rowCursor) storeEnum, desc bool, floor int) (rowCursor, error) {
-	probe, err := build()
-	if err != nil {
-		return nil, err
-	}
-	par := enumFanout(r.parallelism())
-	if par < 2 {
+// fanOutWindow reports whether the query's window lets a flat
+// projection fan out: no OFFSET, and no LIMIT below
+// minParallelEnumRows. A windowed query stays serial so its cursor can
+// seek to the page and count through the ranked index.
+func (r *Result) fanOutWindow() bool {
+	q := r.Query
+	return q.Offset == 0 && (q.Limit == 0 || q.Limit >= minParallelEnumRows)
+}
+
+// fanOut spreads a flat projection across segment workers when the
+// parallelism budget and the outer-loop universe allow: probe (over en,
+// not yet stepped) becomes segment 0, build makes the cursor of every
+// further segment, and a parCursor merges them in drain order (desc:
+// the outer loop runs descending). Otherwise probe is returned as is.
+func (r *Result) fanOut(probe *enumCursor, en *frep.StoreEnumerator, build func() (*enumCursor, *frep.StoreEnumerator, error), desc bool) (rowCursor, error) {
+	par := min(r.ARel.Par, maxEnumFanout)
+	n := en.SegmentUniverse()
+	if par < 2 || n < minParallelEnumRows {
 		return probe, nil
 	}
-	se := seg(probe)
-	n := se.SegmentUniverse()
-	if n < floor {
-		return probe, nil
+	// Count-balanced windows via the ranked index, so a hot outer value
+	// does not serialise the merge behind one worker; uniform otherwise.
+	segs := en.WeightedSegments(par)
+	if segs == nil {
+		segs = frep.Segments(n, par)
 	}
-	segs := segmentsFor(se, n, par)
 	if len(segs) < 2 {
 		return probe, nil
 	}
-	// The probe has not been stepped; restrict it to serve as segment 0.
 	curs := make([]rowCursor, len(segs))
-	se.Restrict(segs[0][0], segs[0][1])
+	en.Restrict(segs[0][0], segs[0][1])
 	curs[0] = probe
 	for w := 1; w < len(segs); w++ {
-		c, err := build()
+		c, e, err := build()
 		if err != nil {
 			return nil, err
 		}
-		seg(c).Restrict(segs[w][0], segs[w][1])
+		e.Restrict(segs[w][0], segs[w][1])
 		curs[w] = c
 	}
 	return newParCursor(curs, desc), nil

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"github.com/factordb/fdb/internal/fops"
-	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/query"
 	"github.com/factordb/fdb/internal/relation"
 	"github.com/factordb/fdb/internal/workload"
@@ -24,19 +23,14 @@ import (
 // data exercises every parallel path, restoring them on cleanup.
 func forceParallelThresholds(t *testing.T) {
 	t.Helper()
-	oldEval := frep.MinParallelEvalValues
 	oldRebuild := fops.MinParallelRebuildValues
-	oldEnum := MinParallelEnumRows
-	oldFan := MaxEnumFanout
-	frep.MinParallelEvalValues = 1
+	oldEnum, oldFan := minParallelEnumRows, maxEnumFanout
 	fops.MinParallelRebuildValues = 1
-	MinParallelEnumRows = 1
-	MaxEnumFanout = 64 // exercise the merge machinery even on 1-core CI
+	minParallelEnumRows = 1
+	maxEnumFanout = 64 // exercise the merge machinery even on 1-core CI
 	t.Cleanup(func() {
-		frep.MinParallelEvalValues = oldEval
 		fops.MinParallelRebuildValues = oldRebuild
-		MinParallelEnumRows = oldEnum
-		MaxEnumFanout = oldFan
+		minParallelEnumRows, maxEnumFanout = oldEnum, oldFan
 	})
 }
 
@@ -127,7 +121,7 @@ func TestGoldenParallelMatchesSerialFlat(t *testing.T) {
 }
 
 // TestParallelDescAndOffset covers the drain-order edge (DESC outer
-// order reverses the segment drain) and OFFSET over a parallel stream.
+// order reverses the segment drain) and OFFSET pages at P=8.
 func TestParallelDescAndOffset(t *testing.T) {
 	forceParallelThresholds(t)
 	db := bigDB(t, 5000)
@@ -156,6 +150,86 @@ func TestParallelDescAndOffset(t *testing.T) {
 	}
 }
 
+// windowQuery is spjQuery (ORDER BY k) with an OFFSET/LIMIT window.
+func windowQuery(offset, limit int) *query.Query {
+	q := spjQuery()
+	q.Offset, q.Limit = offset, limit
+	return q
+}
+
+// enumWorkersDuring returns how many enumeration workers fn spawned.
+func enumWorkersDuring(fn func()) int64 {
+	before := parEnumWorkers.Load()
+	fn()
+	return parEnumWorkers.Load() - before
+}
+
+// TestParallelWindowTotalCount: TotalCount answers from the serial
+// cursor's counts, so even a fan-out-eligible query spawns no worker.
+func TestParallelWindowTotalCount(t *testing.T) {
+	forceParallelThresholds(t)
+	db := bigDB(t, 5000)
+	res, err := (&Engine{PartialAgg: true, Parallelism: 8}).Run(spjQuery(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+	var n int64
+	if w := enumWorkersDuring(func() { n, err = res.TotalCount() }); w != 0 {
+		t.Fatalf("TotalCount spawned %d enumeration workers, want 0", w)
+	}
+	if err != nil || n != 5000 {
+		t.Fatalf("TotalCount = %d, %v; want 5000", n, err)
+	}
+}
+
+// TestParallelWindowOffsetSeeks: an OFFSET page at P=8 stays serial and
+// takes the Seek route instead of a linear skip over merged workers.
+func TestParallelWindowOffsetSeeks(t *testing.T) {
+	forceParallelThresholds(t)
+	db := bigDB(t, 5000)
+	want := collectRows(t, func() (*Result, error) {
+		return (&Engine{PartialAgg: true, Parallelism: 1}).Run(windowQuery(4000, 10), db)
+	})
+	seeks := SeekSkipStats().SeekOffsets
+	var got *relation.Relation
+	w := enumWorkersDuring(func() {
+		got = collectRows(t, func() (*Result, error) {
+			return (&Engine{PartialAgg: true, Parallelism: 8}).Run(windowQuery(4000, 10), db)
+		})
+	})
+	if w != 0 {
+		t.Fatalf("OFFSET page spawned %d enumeration workers, want 0", w)
+	}
+	if SeekSkipStats().SeekOffsets == seeks {
+		t.Fatal("OFFSET page did not take the Seek route")
+	}
+	diffOrdered(t, "offset=4000/limit=10", want, got)
+	if len(got.Tuples) != 10 || got.Tuples[0][0].Int() != 4000 {
+		t.Fatalf("page = %v, want k = 4000..4009", got.Tuples)
+	}
+}
+
+// TestParallelWindowUnwindowedFansOut: with no window the flat
+// projection still fans out, and matches the serial stream row for row.
+func TestParallelWindowUnwindowedFansOut(t *testing.T) {
+	forceParallelThresholds(t)
+	db := bigDB(t, 5000)
+	want := collectRows(t, func() (*Result, error) {
+		return (&Engine{PartialAgg: true, Parallelism: 1}).Run(spjQuery(), db)
+	})
+	var got *relation.Relation
+	w := enumWorkersDuring(func() {
+		got = collectRows(t, func() (*Result, error) {
+			return (&Engine{PartialAgg: true, Parallelism: 8}).Run(spjQuery(), db)
+		})
+	})
+	if w == 0 {
+		t.Fatal("unwindowed ORDER BY k spawned no enumeration worker")
+	}
+	diffOrdered(t, "unwindowed", want, got)
+}
+
 // TestParallelConcurrentSegmentWorkers runs parallel queries from many
 // goroutines against one shared snapshot (the server's shape), under
 // -race, and balances the store pool.
@@ -163,7 +237,7 @@ func TestParallelConcurrentSegmentWorkers(t *testing.T) {
 	forceParallelThresholds(t)
 	db := bigDB(t, 8000)
 	eng := &Engine{PartialAgg: true, Parallelism: 4}
-	prep, err := eng.Prepare(groupedQuery(), db)
+	prep, err := eng.Prepare(spjQuery(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +262,7 @@ func TestParallelConcurrentSegmentWorkers(t *testing.T) {
 					return
 				}
 				if n != 8000 {
-					errc <- fmt.Errorf("got %d groups, want 8000", n)
+					errc <- fmt.Errorf("got %d rows, want 8000", n)
 					return
 				}
 			}
@@ -204,10 +278,10 @@ func TestParallelConcurrentSegmentWorkers(t *testing.T) {
 	}
 }
 
-// TestParallelCancelMidMerge cancels mid-stream on every parallel
-// cursor path: the stream must stop with context.Canceled, segment
-// workers must be joined by Close, and the pooled store returned
-// exactly once.
+// TestParallelCancelMidMerge cancels mid-stream at P=4 on the fanned-out
+// flat path and on the serial grouped and aggregate-ordered paths: the
+// stream must stop with context.Canceled, segment workers must be
+// joined by Close, and the pooled store returned exactly once.
 func TestParallelCancelMidMerge(t *testing.T) {
 	forceParallelThresholds(t)
 	db := bigDB(t, 20000)

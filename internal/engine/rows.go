@@ -1,10 +1,12 @@
 package engine
 
 // The cursor layer: every enumeration path of the engine (flat
-// projection, on-the-fly grouped aggregation, materialised aggregate
-// ordering, and the flat-sort fallback) is expressed as a rowCursor —
-// a resumable step-at-a-time producer over the constant-delay
-// enumerators of package frep. Rows wraps a rowCursor in the
+// projection, on-the-fly grouped aggregation and materialised aggregate
+// ordering) is one enumCursor — a resumable step-at-a-time producer
+// over a constant-delay enumerator of package frep. The flat-sort
+// fallback and the COUNT(*) shortcut yield materialised rows through a
+// sliceCursor, and a large unwindowed flat projection fans out through
+// a parCursor (parallel.go). Rows wraps a rowCursor in the
 // database/sql-shaped surface (Next/Scan/Columns/Err/Close) with
 // context cancellation, OFFSET skipping and LIMIT accounting, and
 // ForEach/Relation/Count are thin wrappers over the same cursors, so
@@ -80,14 +82,14 @@ func (r *Result) Rows(ctx context.Context) (*Rows, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cur, err := r.newCursor()
+	cur, err := r.newCursor(r.fanOutWindow())
 	if err != nil {
 		return nil, err
 	}
-	if cl, ok := cur.(rowCloser); ok {
+	if pc, ok := cur.(*parCursor); ok {
 		// Track parallel cursors so Result.Close joins their workers
 		// before the pooled store is recycled.
-		r.closers = append(r.closers, cl)
+		r.closers = append(r.closers, pc)
 	}
 	return &Rows{
 		res:    r,
@@ -113,9 +115,9 @@ func (rs *Rows) Close() error {
 	rs.closed = true
 	rs.done = true
 	rs.tuple = nil // Scan after Close must not re-deliver the last row
-	if c, ok := rs.cur.(rowCloser); ok {
-		c.close()
-		rs.res.dropCloser(c)
+	if pc, ok := rs.cur.(*parCursor); ok {
+		pc.close()
+		rs.res.dropCloser(pc)
 	}
 	return rs.err
 }
@@ -126,8 +128,8 @@ func (rs *Rows) fail(err error) {
 	rs.err = err
 	rs.done = true
 	rs.tuple = nil
-	if c, ok := rs.cur.(rowCloser); ok {
-		c.close()
+	if pc, ok := rs.cur.(*parCursor); ok {
+		pc.close()
 	}
 }
 
@@ -307,14 +309,16 @@ func GoValue(v values.Value) any {
 // projection for SPJ queries, on-the-fly grouped aggregation when the
 // order is by group attributes, and the materialised-aggregate path
 // (with its flat-sort fallback) when ordering by an aggregate output.
-func (r *Result) newCursor() (rowCursor, error) {
+// fanOut permits the flat-projection path to fan out across segment
+// workers; see fanOutWindow.
+func (r *Result) newCursor(fanOut bool) (rowCursor, error) {
 	if r.fastCount != nil {
 		// Bare COUNT(*) answered from the ranked root counts; the
 		// aggregation plan never executed (see fastCountValue).
 		return &sliceCursor{rows: []relation.Tuple{{values.NewInt(*r.fastCount)}}}, nil
 	}
 	if !r.Query.IsAggregate() {
-		return r.newSPJCursor()
+		return r.newSPJCursor(fanOut)
 	}
 	if orderOnAggregate(r.Query) || r.eng.Materialise {
 		return r.newMaterialisedCursor()
@@ -322,98 +326,72 @@ func (r *Result) newCursor() (rowCursor, error) {
 	return r.newGroupedCursor(true)
 }
 
-// projCursor enumerates flat tuples and projects output columns; the
-// SPJ path. Skipping delegates to the enumerator, so no skipped tuple
-// is ever assembled.
-type projCursor struct {
-	en  *frep.StoreEnumerator
-	idx []int
-	out relation.Tuple
+// enumerator is what enumCursor drives: frep's grouped enumerator, and
+// its tuple enumerator through tupleEnum.
+type enumerator interface {
+	Next() (bool, error)
+	Tuple() relation.Tuple
+	Skip(n int) int
+	Seek(k int) int
+	SeekRanked() bool
+	Total() int64
 }
 
-func (c *projCursor) step() (relation.Tuple, bool, error) {
-	if !c.en.Next() {
-		return nil, false, nil
-	}
-	t := c.en.Tuple()
-	for i, j := range c.idx {
-		c.out[i] = t[j]
-	}
-	return c.out, true, nil
+// tupleEnum adapts frep.StoreEnumerator, whose Next cannot fail, to
+// enumerator.
+type tupleEnum struct{ *frep.StoreEnumerator }
+
+func (e tupleEnum) Next() (bool, error) { return e.StoreEnumerator.Next(), nil }
+
+// enumCursor is the one cursor over an enumerator, serving every path:
+// it copies the enumerator columns cols to the leading output columns,
+// finalises the aggregate outputs from the enumerator columns fields
+// when low is set, and drops rows the HAVING filter rejects. Skipping
+// (and seek and total, seek.go) delegate to the enumerator unless a
+// HAVING filter makes output positions diverge from enumerator
+// positions, so no skipped row is assembled and no skipped group's
+// aggregates are evaluated.
+type enumCursor struct {
+	en     enumerator
+	cols   []int
+	low    *ftree.Lowering
+	fields []int
+	having *havingFilter
+	vals   []values.Value // the current row's field values
+	out    relation.Tuple
 }
 
-func (c *projCursor) skip(n int) (int, error) { return c.en.Skip(n), nil }
-
-func (r *Result) newSPJCursor() (rowCursor, error) {
-	var specs []frep.OrderSpec
-	for _, o := range r.Query.OrderBy {
-		specs = append(specs, frep.OrderSpec{Attr: o.Attr, Desc: o.Desc})
-	}
-	build := func() (rowCursor, error) {
-		en, err := r.ARel.Enumerator(specs)
-		if err != nil {
-			return nil, err
-		}
-		outs := r.Query.OutputAttrs()
-		if len(outs) == 0 {
-			outs = en.Schema()
-		}
-		idx, err := columnIndices(en.Schema(), outs)
-		if err != nil {
-			return nil, err
-		}
-		return &projCursor{en: en, idx: idx, out: make(relation.Tuple, len(idx))}, nil
-	}
-	desc := len(specs) > 0 && specs[0].Desc
-	return r.maybeParallelEnum(build, func(c rowCursor) storeEnum {
-		return c.(*projCursor).en
-	}, desc, MinParallelEnumRows)
-}
-
-// groupCursor streams one output row per group from a grouped
-// enumerator, assembling aggregate outputs and applying HAVING. With
-// no HAVING, skipping delegates to the group enumerator and therefore
-// never evaluates the skipped groups' aggregates.
-type groupCursor struct {
-	ge       *frep.StoreGroupEnumerator
-	groupIdx []int
-	low      *ftree.Lowering
-	nGroup   int
-	having   *havingFilter
-	out      relation.Tuple
-}
-
-func (c *groupCursor) step() (relation.Tuple, bool, error) {
+func (c *enumCursor) step() (relation.Tuple, bool, error) {
 	for {
-		ok, err := c.ge.Next()
-		if err != nil {
+		ok, err := c.en.Next()
+		if err != nil || !ok {
 			return nil, false, err
 		}
-		if !ok {
-			return nil, false, nil
+		t := c.en.Tuple()
+		for i, j := range c.cols {
+			c.out[i] = t[j]
 		}
-		row := c.ge.Tuple()
-		for i, j := range c.groupIdx {
-			c.out[i] = row[j]
+		if c.low != nil {
+			for i, j := range c.fields {
+				c.vals[i] = t[j]
+			}
+			c.low.FinalInto(c.out[len(c.cols):], c.vals)
 		}
-		c.low.FinalInto(c.out[len(c.groupIdx):], row[c.nGroup:])
-		if !c.having.keep(c.out) {
-			continue
+		if c.having.keep(c.out) {
+			return c.out, true, nil
 		}
-		return c.out, true, nil
 	}
 }
 
-func (c *groupCursor) skip(n int) (int, error) {
+func (c *enumCursor) skip(n int) (int, error) {
 	if c.having == nil {
-		return c.ge.Skip(n), nil
+		return c.en.Skip(n), nil
 	}
 	return skipBySteps(c, n)
 }
 
-// skipBySteps implements skip for cursors whose HAVING filter makes
-// blind enumerator skipping impossible: rows are stepped (into the
-// reused buffer, O(1) memory) and discarded.
+// skipBySteps implements skip for cursors that cannot skip blind: rows
+// are stepped (into the reused buffer, O(1) memory) and discarded.
 func skipBySteps(c rowCursor, n int) (int, error) {
 	k := 0
 	for k < n {
@@ -426,21 +404,42 @@ func skipBySteps(c rowCursor, n int) (int, error) {
 	return k, nil
 }
 
-// newGroupedCursor builds the on-the-fly grouped aggregation cursor
-// (Example 1, scenario 3), fanning large group universes across segment
-// workers. applyOrder false drops the ORDER BY specs (used by the sort
-// fallback, which re-orders afterwards).
-func (r *Result) newGroupedCursor(applyOrder bool) (rowCursor, error) {
-	build := func() (rowCursor, error) { return r.buildGroupedCursor(applyOrder) }
-	desc := applyOrder && len(r.Query.OrderBy) > 0 && r.Query.OrderBy[0].Desc
-	return r.maybeParallelEnum(build, func(c rowCursor) storeEnum {
-		return c.(*groupCursor).ge
-	}, desc, MinParallelGroupRows)
+// newSPJCursor builds the flat-projection cursor, fanned across segment
+// workers when fanOut allows and the result is large enough.
+func (r *Result) newSPJCursor(fanOut bool) (rowCursor, error) {
+	var specs []frep.OrderSpec
+	for _, o := range r.Query.OrderBy {
+		specs = append(specs, frep.OrderSpec{Attr: o.Attr, Desc: o.Desc})
+	}
+	build := func() (*enumCursor, *frep.StoreEnumerator, error) {
+		en, err := r.ARel.Enumerator(specs)
+		if err != nil {
+			return nil, nil, err
+		}
+		outs := r.Query.OutputAttrs()
+		if len(outs) == 0 {
+			outs = en.Schema()
+		}
+		idx, err := columnIndices(en.Schema(), outs)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &enumCursor{en: tupleEnum{en}, cols: idx, out: make(relation.Tuple, len(idx))}, en, nil
+	}
+	probe, en, err := build()
+	if err != nil {
+		return nil, err
+	}
+	if !fanOut {
+		return probe, nil
+	}
+	return r.fanOut(probe, en, build, len(specs) > 0 && specs[0].Desc)
 }
 
-// buildGroupedCursor constructs one (serial) grouped cursor; the
-// parallel wrapper above windows several of them.
-func (r *Result) buildGroupedCursor(applyOrder bool) (*groupCursor, error) {
+// newGroupedCursor builds the on-the-fly grouped aggregation cursor
+// (Example 1, scenario 3). applyOrder false drops the ORDER BY specs
+// (used by the sort fallback, which re-orders afterwards).
+func (r *Result) newGroupedCursor(applyOrder bool) (*enumCursor, error) {
 	q := r.Query
 	low, err := query.Lower(q.Aggregates)
 	if err != nil {
@@ -475,29 +474,29 @@ func (r *Result) buildGroupedCursor(applyOrder bool) (*groupCursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Global aggregates (no group loops) evaluate each part once over a
-	// whole root subtree; parallelism lives inside that evaluation
-	// rather than in windowing the (absent) group loop.
-	if par := r.parallelism(); par > 1 {
-		ge.SetParallelEval(par)
-	}
+	// The schema is the group columns followed by one column per field.
 	schema := ge.Schema()
-	nGroupCols := len(schema) - len(low.Fields())
-	groupIdx, err := columnIndices(schema[:nGroupCols], q.GroupBy)
+	nGroup := len(schema) - len(low.Fields())
+	groupIdx, err := columnIndices(schema[:nGroup], q.GroupBy)
 	if err != nil {
 		return nil, err
+	}
+	fields := make([]int, len(low.Fields()))
+	for i := range fields {
+		fields[i] = nGroup + i
 	}
 	having, err := newHavingFilter(q)
 	if err != nil {
 		return nil, err
 	}
-	return &groupCursor{
-		ge:       ge,
-		groupIdx: groupIdx,
-		low:      low,
-		nGroup:   nGroupCols,
-		having:   having,
-		out:      make(relation.Tuple, len(q.GroupBy)+len(q.Aggregates)),
+	return &enumCursor{
+		en:     ge,
+		cols:   groupIdx,
+		low:    low,
+		fields: fields,
+		having: having,
+		vals:   make([]values.Value, len(fields)),
+		out:    make(relation.Tuple, len(q.GroupBy)+len(q.Aggregates)),
 	}, nil
 }
 

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"github.com/factordb/fdb/internal/fops"
-	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/query"
 )
 
@@ -46,18 +45,6 @@ func SeekSkipStats() OffsetStats {
 	}
 }
 
-// storeEnum is the ranked direct-access, counting and windowing surface
-// that frep.StoreEnumerator and frep.StoreGroupEnumerator share; the
-// cursors below route OFFSET, TotalCount and segment fan-out through it.
-type storeEnum interface {
-	Seek(k int) int
-	SeekRanked() bool
-	Total() int64
-	SegmentUniverse() int
-	Restrict(lo, hi int)
-	WeightedSegments(p int) [][2]int
-}
-
 // rowSeeker is implemented by cursors that can apply an OFFSET by
 // direct positioning. seekRows returns (skipped, true) when it handled
 // the skip — skipped < n means the stream is exhausted — and
@@ -72,66 +59,40 @@ type rowTotaler interface {
 	totalRows() (int64, bool)
 }
 
-// enumSeek routes a skip through an enumerator's Seek when profitable:
-// always on the ranked path, only past seekFallbackMin on the memoized
-// fallback.
-func enumSeek(en storeEnum, n int) (int, bool) {
-	if !en.SeekRanked() && n < seekFallbackMin {
-		return 0, false
-	}
-	return en.Seek(n), true
-}
-
-func (c *projCursor) seekRows(n int) (int, bool) { return enumSeek(c.en, n) }
-func (c *projCursor) totalRows() (int64, bool)   { return c.en.Total(), true }
-func (c *sliceCursor) totalRows() (int64, bool)  { return int64(len(c.rows)), true }
-
 // A HAVING filter makes output positions diverge from enumerator
-// positions, so the grouped cursors only seek and count without one.
+// positions, so the cursor only seeks and counts without one. Seek
+// always runs on the ranked path, and only past seekFallbackMin on the
+// memoized fallback.
 
-func (c *groupCursor) seekRows(n int) (int, bool) {
-	if c.having != nil {
+func (c *enumCursor) seekRows(n int) (int, bool) {
+	if c.having != nil || (!c.en.SeekRanked() && n < seekFallbackMin) {
 		return 0, false
 	}
-	return enumSeek(c.ge, n)
+	return c.en.Seek(n), true
 }
 
-func (c *groupCursor) totalRows() (int64, bool) {
-	if c.having != nil {
-		return 0, false
-	}
-	return c.ge.Total(), true
-}
-
-func (c *matCursor) seekRows(n int) (int, bool) {
-	if c.having != nil {
-		return 0, false
-	}
-	return enumSeek(c.en, n)
-}
-
-func (c *matCursor) totalRows() (int64, bool) {
+func (c *enumCursor) totalRows() (int64, bool) {
 	if c.having != nil {
 		return 0, false
 	}
 	return c.en.Total(), true
 }
 
+func (c *sliceCursor) totalRows() (int64, bool) { return int64(len(c.rows)), true }
+
 // TotalCount returns the number of rows the query yields before OFFSET
 // and LIMIT are applied (HAVING included) — the denominator a paginating
 // caller needs. On ranked results it is answered from the
 // subtree-count index without enumerating; otherwise the stream is
-// counted. It does not advance any open Rows.
+// counted. It builds the serial cursor, so it spawns no worker, and it
+// does not advance any open Rows.
 func (r *Result) TotalCount() (int64, error) {
 	if r.closed {
 		return 0, ErrClosed
 	}
-	cur, err := r.newCursor()
+	cur, err := r.newCursor(false)
 	if err != nil {
 		return 0, err
-	}
-	if cl, ok := cur.(rowCloser); ok {
-		defer cl.close()
 	}
 	if tt, ok := cur.(rowTotaler); ok {
 		if n, ok := tt.totalRows(); ok {
@@ -186,15 +147,4 @@ func fastCountValue(q *query.Query, ar *fops.ARel) (int64, bool) {
 		return 0, false
 	}
 	return int64(total), true
-}
-
-// segmentsFor returns the Restrict windows for fanning an enumeration
-// out: count-balanced via the ranked index when the enumerator offers
-// it (so a hot outer value no longer serialises the merge behind one
-// worker), uniform otherwise.
-func segmentsFor(se storeEnum, n, par int) [][2]int {
-	if segs := se.WeightedSegments(par); segs != nil {
-		return segs
-	}
-	return frep.Segments(n, par)
 }

@@ -88,10 +88,10 @@ func TestGoldenRankedSeekViewQueries(t *testing.T) {
 	}
 	// Force parallel fan-out at this scale so P > 1 really exercises the
 	// segmented merge.
-	oldEnum, oldFan := MinParallelEnumRows, MaxEnumFanout
-	MinParallelEnumRows = 16
-	MaxEnumFanout = 64
-	defer func() { MinParallelEnumRows, MaxEnumFanout = oldEnum, oldFan }()
+	oldEnum, oldFan := minParallelEnumRows, maxEnumFanout
+	minParallelEnumRows = 16
+	maxEnumFanout = 64
+	defer func() { minParallelEnumRows, maxEnumFanout = oldEnum, oldFan }()
 
 	cases := rankedViewCases(t, r1a, r3a)
 	const limit = 7
@@ -135,10 +135,10 @@ func TestGoldenRankedSeekViewQueries(t *testing.T) {
 func TestGoldenRankedSeekFlatQueries(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 1})
 	db := DB(ds.DB())
-	oldEnum, oldFan := MinParallelEnumRows, MaxEnumFanout
-	MinParallelEnumRows = 16
-	MaxEnumFanout = 64
-	defer func() { MinParallelEnumRows, MaxEnumFanout = oldEnum, oldFan }()
+	oldEnum, oldFan := minParallelEnumRows, maxEnumFanout
+	minParallelEnumRows = 16
+	maxEnumFanout = 64
+	defer func() { minParallelEnumRows, maxEnumFanout = oldEnum, oldFan }()
 	for _, par := range []int{1, 2, 8} {
 		eng := &Engine{PartialAgg: true, Parallelism: par}
 		for i := 1; i <= 5; i++ {

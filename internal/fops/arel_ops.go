@@ -423,45 +423,28 @@ func (ar *ARel) GammaNode(u *ftree.Node, fields []ftree.AggField) error {
 		return err
 	}
 	wasEmpty := ar.IsEmpty()
-	if len(path) == 0 && ar.Par > 1 {
-		// γ at a root: a single occurrence covering the whole tree, so
-		// the parallelism lives inside the evaluation — segments of the
-		// root union evaluate independently and merge associatively.
-		out := make([]values.Value, len(fields))
-		if err := frep.ParallelEvalStore(u, fields, ar.Store, ar.Roots[ri], ar.Par, out); err != nil {
-			return err
-		}
+	err = ar.rebuildAt(ri, path, func(st *frep.Store, _ *scratch) rebuildFn {
+		ev, evErr := frep.NewEvaluator(u, fields)
+		vals := make([]values.Value, len(fields))
 		var one [1]values.Value
-		if len(out) == 1 {
-			one[0] = out[0]
-		} else {
-			one[0] = values.NewVec(out)
-		}
-		ar.Roots[ri] = ar.Store.AddLeaf(one[:])
-	} else {
-		err = ar.rebuildAt(ri, path, func(st *frep.Store, _ *scratch) rebuildFn {
-			ev, evErr := frep.NewEvaluator(u, fields)
-			vals := make([]values.Value, len(fields))
-			var one [1]values.Value
-			return func(sub frep.NodeID) (frep.NodeID, error) {
-				if evErr != nil {
-					return frep.EmptyNode, evErr
-				}
-				if err := ev.EvalStoreInto(st, sub, vals); err != nil {
-					return frep.EmptyNode, err
-				}
-				if len(vals) == 1 {
-					one[0] = vals[0]
-				} else {
-					// NewVec retains its argument; copy out of the reused scratch.
-					one[0] = values.NewVec(append([]values.Value{}, vals...))
-				}
-				return st.AddLeaf(one[:]), nil
+		return func(sub frep.NodeID) (frep.NodeID, error) {
+			if evErr != nil {
+				return frep.EmptyNode, evErr
 			}
-		})
-		if err != nil {
-			return err
+			if err := ev.EvalStoreInto(st, sub, vals); err != nil {
+				return frep.EmptyNode, err
+			}
+			if len(vals) == 1 {
+				one[0] = vals[0]
+			} else {
+				// NewVec retains its argument; copy out of the reused scratch.
+				one[0] = values.NewVec(append([]values.Value{}, vals...))
+			}
+			return st.AddLeaf(one[:]), nil
 		}
+	})
+	if err != nil {
+		return err
 	}
 	ar.Tree.ApplyAgg(plan)
 	if wasEmpty {

@@ -5,6 +5,7 @@ package fops
 // stitch) as at Par=1, compared by flattening. Run under -race in CI.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -108,6 +109,52 @@ func TestParallelOpsMatchSerial(t *testing.T) {
 	step("gamma-at-root", func(ar *ARel) error {
 		return ar.Gamma("b", []ftree.AggField{{Fn: ftree.Count}})
 	})
+}
+
+// TestParallelRootGammaFloatSum: γ at a root is one occurrence, so it
+// evaluates serially at any Par and a float SUM keeps the serial
+// left-to-right rounding. 2⁵³ first absorbs every following 1.0; summing
+// the 1.0s per segment first would not.
+func TestParallelRootGammaFloatSum(t *testing.T) {
+	oldV, oldW := MinParallelRebuildValues, MinParallelRebuildWork
+	MinParallelRebuildValues, MinParallelRebuildWork = 1, 1
+	defer func() { MinParallelRebuildValues, MinParallelRebuildWork = oldV, oldW }()
+
+	tuples := []relation.Tuple{{values.NewInt(0), values.NewFloat(1 << 53)}}
+	for a := 1; a <= 4000; a++ {
+		tuples = append(tuples, relation.Tuple{values.NewInt(int64(a)), values.NewFloat(1)})
+	}
+	rel, err := relation.New("R", []string{"a", "x"}, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := func(par int) float64 {
+		f := ftree.New()
+		f.NewRelationPath("a", "x")
+		ar, err := FromRelationStore(frep.NewStore(), rel, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ar.Par = par
+		if err := ar.Gamma("a", []ftree.AggField{{Fn: ftree.Sum, Arg: "x"}}); err != nil {
+			t.Fatal(err)
+		}
+		out, err := ar.Flatten()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Tuples) != 1 || len(out.Tuples[0]) != 1 {
+			t.Fatalf("P=%d: root γ flattened to %v, want one value", par, out.Tuples)
+		}
+		return out.Tuples[0][0].Float()
+	}
+	want := sum(1)
+	if want != 1<<53 {
+		t.Fatalf("P=1: SUM = %v, want 2^53 (each 1.0 rounds away)", want)
+	}
+	if got := sum(8); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("P=8: SUM = %v, want P=1's %v bit for bit", got, want)
+	}
 }
 
 // TestParallelSwapGenericKeys runs the values.Compare arm of χ (String

@@ -241,11 +241,11 @@ func (ev *Evaluator) EvalStoreInto(s *Store, id NodeID, out []values.Value) erro
 }
 
 // EvalStoreRangeInto is EvalStoreInto restricted to the value window
-// [lo, hi) of the root union id: one segment of a parallel evaluation.
-// Every storable field is a commutative monoid (ftree's table), so
-// partial results over contiguous segments combine with MergePartials
-// into exactly the full-union result (bit-identically for integer data;
-// float sums may differ from the serial fold in the last bits of
+// [lo, hi) of the root union id: one window of a partitioned
+// evaluation. Every storable field is a commutative monoid (ftree's
+// table), so partial results over contiguous windows combine with
+// MergePartials into the full-union result (bit-identically for integer
+// data; float sums may differ from the serial fold in the last bits of
 // rounding).
 func (ev *Evaluator) EvalStoreRangeInto(s *Store, id NodeID, lo, hi int, out []values.Value) error {
 	if ev.rootRes.vals == nil {

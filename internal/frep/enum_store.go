@@ -235,24 +235,7 @@ type StoreGroupEnumerator struct {
 	nGroup  int
 	parts   []storeAggPart
 	carrier []int
-	parEval int // see SetParallelEval
 }
-
-// Restrict confines the outermost group loop to positions [lo, hi) of
-// its root union; see StoreEnumerator.Restrict.
-func (g *StoreGroupEnumerator) Restrict(lo, hi int) { g.inner.Restrict(lo, hi) }
-
-// SegmentUniverse returns the size of the union driving the outermost
-// group loop, or 0 for a global (loop-free) aggregate; see
-// StoreEnumerator.SegmentUniverse.
-func (g *StoreGroupEnumerator) SegmentUniverse() int { return g.inner.SegmentUniverse() }
-
-// SetParallelEval enables segment-parallel aggregate evaluation of the
-// enumerator's parts with up to par workers. It only takes effect for
-// global aggregates (no group loops), where each part is evaluated
-// exactly once over a whole root subtree — per-group evaluations stay
-// serial, their parallelism comes from windowing the group loop itself.
-func (g *StoreGroupEnumerator) SetParallelEval(par int) { g.parEval = par }
 
 // storeAggPart is one maximal non-group subtree to aggregate, with a
 // compiled evaluator and a reused output buffer.
@@ -349,11 +332,7 @@ func (g *StoreGroupEnumerator) evalParts() error {
 			s := &g.inner.slots[p.parentSlot]
 			id = st.Kid(s.id, s.pos, p.childIdx)
 		}
-		if g.parEval > 1 && len(g.inner.slots) == 0 {
-			if err := ParallelEvalStore(p.node, p.evFields, st, id, g.parEval, p.vals); err != nil {
-				return err
-			}
-		} else if err := p.ev.EvalStoreInto(st, id, p.vals); err != nil {
+		if err := p.ev.EvalStoreInto(st, id, p.vals); err != nil {
 			return err
 		}
 		if p.countIdx >= 0 {

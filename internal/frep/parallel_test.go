@@ -125,54 +125,6 @@ func buildPathRep(t *testing.T, n int) (*ftree.Forest, *Store, []NodeID) {
 	return f, s, roots
 }
 
-// TestParallelEvalStoreMatchesSerial compares ParallelEvalStore against
-// the serial evaluator for a composite field list at several
-// parallelism levels.
-func TestParallelEvalStoreMatchesSerial(t *testing.T) {
-	old := MinParallelEvalValues
-	MinParallelEvalValues = 1
-	defer func() { MinParallelEvalValues = old }()
-
-	f, s, roots := buildPathRep(t, 4000)
-	fields := []ftree.AggField{
-		{Fn: ftree.Count},
-		{Fn: ftree.Sum, Arg: "b"},
-		{Fn: ftree.Min, Arg: "b"},
-		{Fn: ftree.Max, Arg: "b"},
-	}
-	ev, err := NewEvaluator(f.Roots[0], fields)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]values.Value, len(fields))
-	if err := ev.EvalStoreInto(s, roots[0], want); err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{1, 2, 7, 64} {
-		got := make([]values.Value, len(fields))
-		if err := ParallelEvalStore(f.Roots[0], fields, s, roots[0], par, got); err != nil {
-			t.Fatal(err)
-		}
-		for i := range fields {
-			if values.Compare(want[i], got[i]) != 0 {
-				t.Fatalf("par=%d: field %s = %v, want %v", par, fields[i], got[i], want[i])
-			}
-		}
-	}
-	// A lone Count field agrees with the serial count algorithm.
-	wantN, err := CountStore(f.Roots[0], s, roots[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotN [1]values.Value
-	if err := ParallelEvalStore(f.Roots[0], []ftree.AggField{{Fn: ftree.Count}}, s, roots[0], 8, gotN[:]); err != nil {
-		t.Fatal(err)
-	}
-	if gotN[0].Int() != wantN {
-		t.Fatalf("parallel count = %v, want %d", gotN[0], wantN)
-	}
-}
-
 // TestRestrictConcat checks that windowed enumerations, drained in
 // slot-0 iteration order, concatenate to exactly the full stream — for
 // ascending and descending outer orders.
@@ -217,90 +169,6 @@ func TestRestrictConcat(t *testing.T) {
 			if relation.Compare(want[i], got[i]) != 0 {
 				t.Fatalf("desc=%v: tuple %d = %v, want %v", desc, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestRestrictGroupedConcat mirrors TestRestrictConcat for the grouped
-// enumerator.
-func TestRestrictGroupedConcat(t *testing.T) {
-	f, s, roots := buildPathRep(t, 3000)
-	fields := []ftree.AggField{{Fn: ftree.Count}, {Fn: ftree.Sum, Arg: "b"}}
-	g := []OrderSpec{{Attr: "a"}}
-	full, err := NewStoreGroupEnumerator(f, s, roots, g, fields)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []relation.Tuple
-	for {
-		ok, err := full.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		want = append(want, full.Tuple().Clone())
-	}
-	if full.SegmentUniverse() != s.Len(roots[0]) {
-		t.Fatalf("SegmentUniverse = %d, want %d", full.SegmentUniverse(), s.Len(roots[0]))
-	}
-	var got []relation.Tuple
-	for _, sg := range Segments(s.Len(roots[0]), 4) {
-		e, err := NewStoreGroupEnumerator(f, s, roots, g, fields)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Restrict(sg[0], sg[1])
-		for {
-			ok, err := e.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			got = append(got, e.Tuple().Clone())
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d windowed groups, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if relation.Compare(want[i], got[i]) != 0 {
-			t.Fatalf("group %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestParallelEvalGlobalGroup checks SetParallelEval on a global
-// (loop-free) grouped enumeration.
-func TestParallelEvalGlobalGroup(t *testing.T) {
-	old := MinParallelEvalValues
-	MinParallelEvalValues = 1
-	defer func() { MinParallelEvalValues = old }()
-
-	f, s, roots := buildPathRep(t, 2000)
-	fields := []ftree.AggField{{Fn: ftree.Count}, {Fn: ftree.Sum, Arg: "b"}}
-	run := func(par int) relation.Tuple {
-		e, err := NewStoreGroupEnumerator(f, s, roots, nil, fields)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par > 1 {
-			e.SetParallelEval(par)
-		}
-		ok, err := e.Next()
-		if err != nil || !ok {
-			t.Fatalf("global group Next = %v, %v", ok, err)
-		}
-		return e.Tuple().Clone()
-	}
-	want := run(1)
-	for _, par := range []int{2, 8} {
-		got := run(par)
-		if relation.Compare(want, got) != 0 {
-			t.Fatalf("par=%d: global aggregate %v, want %v", par, got, want)
 		}
 	}
 }

@@ -324,12 +324,6 @@ func (e *StoreEnumerator) WeightedSegments(p int) [][2]int {
 	return WeightedSegments(e.store, root, p)
 }
 
-// WeightedSegments returns count-balanced windows over the outermost
-// group loop; see StoreEnumerator.WeightedSegments.
-func (g *StoreGroupEnumerator) WeightedSegments(p int) [][2]int {
-	return g.inner.WeightedSegments(p)
-}
-
 // Total returns the number of groups the grouped enumeration yields
 // from a fresh start; see StoreEnumerator.Total.
 func (g *StoreGroupEnumerator) Total() int64 {

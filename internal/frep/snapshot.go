@@ -427,63 +427,6 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// readChunkLen bounds single allocations while reading a snapshot from a
-// stream, so a lying header cannot force a huge up-front allocation.
-const readChunkLen = 4 << 20
-
-// ReadFrom loads a snapshot written by WriteTo into the store,
-// implementing io.ReaderFrom. The store must be empty (fresh from
-// NewStore); the payload is read with one contiguous buffer and decoded
-// strings alias that buffer (it is private to the loaded store). Corrupt
-// or truncated input returns an error and leaves the store empty.
-func (s *Store) ReadFrom(r io.Reader) (int64, error) {
-	if s.base != nil {
-		return 0, fmt.Errorf("frep: snapshot: cannot load into an overlay store")
-	}
-	if len(s.nodes) > 1 || len(s.vals) > 0 || len(s.kids) > 0 {
-		return 0, fmt.Errorf("frep: snapshot: cannot load into a non-empty store")
-	}
-	var hdr [snapHeaderLen]byte
-	n, err := io.ReadFull(r, hdr[:])
-	if err != nil {
-		return int64(n), fmt.Errorf("frep: snapshot: reading header: %w", err)
-	}
-	h, err := decodeSnapHeader(hdr[:])
-	if err != nil {
-		return int64(n), err
-	}
-	if _, _, _, _, _, err := h.sectionLayout(); err != nil {
-		return int64(n), err
-	}
-	// Read the payload in bounded chunks: the layout check above ties
-	// payloadLen to the slab counts, but a short stream should fail with
-	// an I/O error before a multi-gigabyte allocation.
-	payload := make([]byte, 0, min64(h.payloadLen, readChunkLen))
-	for uint64(len(payload)) < h.payloadLen {
-		chunk := min64(h.payloadLen-uint64(len(payload)), readChunkLen)
-		start := len(payload)
-		payload = append(payload, make([]byte, chunk)...)
-		m, err := io.ReadFull(r, payload[start:])
-		n += m
-		if err != nil {
-			return int64(n), fmt.Errorf("frep: snapshot: reading payload: %w", err)
-		}
-	}
-	loaded, err := loadSnapshotPayload(h, payload, true)
-	if err != nil {
-		return int64(n), err
-	}
-	*s = *loaded
-	return int64(n), nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // LoadSnapshot parses a complete snapshot held in one contiguous byte
 // slice (for example a whole file read, or an mmap) and returns the
 // loaded store. With zeroCopy set the node and kid slabs are
@@ -502,16 +445,10 @@ func LoadSnapshot(b []byte, zeroCopy bool) (*Store, error) {
 	if uint64(len(b)) != snapHeaderLen+h.payloadLen {
 		return nil, fmt.Errorf("frep: snapshot: %d bytes for header-declared %d", len(b), snapHeaderLen+h.payloadLen)
 	}
-	return loadSnapshotPayload(h, b[snapHeaderLen:], zeroCopy)
-}
-
-func loadSnapshotPayload(h *snapHeader, payload []byte, zeroCopy bool) (*Store, error) {
+	payload := b[snapHeaderLen:]
 	nodesOff, kidsOff, valsOff, heapOff, ranksOff, err := h.sectionLayout()
 	if err != nil {
 		return nil, err
-	}
-	if uint64(len(payload)) != h.payloadLen {
-		return nil, fmt.Errorf("frep: snapshot: payload is %d bytes, header says %d", len(payload), h.payloadLen)
 	}
 	if got := crc32.Checksum(payload, crcTable); got != h.payloadCRC {
 		return nil, fmt.Errorf("frep: snapshot: payload checksum mismatch (got %#x, want %#x)", got, h.payloadCRC)

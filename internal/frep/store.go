@@ -82,9 +82,9 @@ type Store struct {
 	baseVals  uint32
 	baseKids  uint32
 
-	// frozen marks a store loaded from a snapshot (LoadSnapshot /
-	// Store.ReadFrom): its slabs may alias read-only mapped memory, so Reset —
-	// the only operation that writes in place — is forbidden. All other
+	// frozen marks a store loaded from a snapshot (LoadSnapshot): its
+	// slabs may alias read-only mapped memory, so Reset — the only
+	// operation that writes in place — is forbidden. All other
 	// operations append, and the slabs are capacity-clamped so appends
 	// reallocate instead of writing through.
 	frozen bool

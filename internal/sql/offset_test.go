@@ -25,6 +25,22 @@ func TestParseOffsetWithoutLimit(t *testing.T) {
 	}
 }
 
+// TestParseLimitZero: LIMIT 0 is an error naming the clause (0 means
+// "no limit" in query.Query), while OFFSET 0 stays valid.
+func TestParseLimitZero(t *testing.T) {
+	_, err := Parse(`SELECT a FROM R ORDER BY a LIMIT 0`)
+	if err == nil || !strings.Contains(err.Error(), "LIMIT") {
+		t.Fatalf("Parse(LIMIT 0) error = %v, want one naming LIMIT", err)
+	}
+	q, err := Parse(`SELECT a FROM R ORDER BY a LIMIT 5 OFFSET 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Limit != 5 || q.Offset != 0 {
+		t.Fatalf("limit=%d offset=%d, want 5, 0", q.Limit, q.Offset)
+	}
+}
+
 func TestParseOffsetErrors(t *testing.T) {
 	for _, stmt := range []string{
 		`SELECT a FROM R OFFSET`,

@@ -71,6 +71,8 @@ func (p *parser) expectSymbol(sym string) error {
 }
 
 // parseCount parses the non-negative integer operand of LIMIT or OFFSET.
+// LIMIT 0 is rejected: query.Query.Limit uses 0 for "no limit", so
+// accepting it would return every row.
 func (p *parser) parseCount(clause string) (int, error) {
 	t := p.next()
 	if t.kind != tokNumber {
@@ -79,6 +81,9 @@ func (p *parser) parseCount(clause string) (int, error) {
 	n, err := strconv.Atoi(t.text)
 	if err != nil || n < 0 {
 		return 0, p.errf(t, "invalid %s %q", clause, t.text)
+	}
+	if n == 0 && clause == "LIMIT" {
+		return 0, p.errf(t, "LIMIT 0 is not supported (LIMIT must be at least 1)")
 	}
 	return n, nil
 }
