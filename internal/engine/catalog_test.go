@@ -145,10 +145,10 @@ func TestCatalogGraftPathUsed(t *testing.T) {
 	defer cat.Close()
 
 	eng := New()
-	// A single-relation query keeps the relation's own attribute order,
-	// which is exactly the order the catalogue stores — the build must be
-	// served by a graft.
-	p, err := eng.Prepare(workload.Q10(0), cat.DB)
+	// Q13 orders R3 by its declared attributes, so its path keeps the
+	// relation's own attribute order, which is exactly the order the
+	// catalogue stores — the build must be served by a graft.
+	p, err := eng.Prepare(workload.Q13(0), cat.DB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 
 	"github.com/factordb/fdb/internal/fops"
@@ -88,6 +89,10 @@ type Result struct {
 	// closers tracks open parallel cursors; Close joins their segment
 	// workers before recycling the store.
 	closers []*parCursor
+	// orders are the linear-path attribute orders the base relations
+	// were factorised in, aligned with Query.Relations; nil for a Result
+	// over a view.
+	orders [][]string
 	// fastCount, when set, is the precomputed answer of a bare COUNT(*)
 	// query taken from the ranked root counts; enumeration yields this
 	// single row and the aggregation plan was never executed.
@@ -111,13 +116,15 @@ func (r *Result) Tree() *ftree.Forest { return r.ARel.Tree }
 func (r *Result) Singletons() int { return r.ARel.Singletons() }
 
 // Close releases pooled per-query resources (the arena store backing
-// ARel, when it came from the engine's pool). The Result — including
-// ARel and open Rows — must not be used afterwards: enumeration APIs
-// return ErrClosed once Close has run, because the recycled store may
-// already back another query. Close is
-// idempotent — any call after the first is a no-op — and optional: an
-// unclosed Result is reclaimed by the garbage collector like any other
-// value; closing merely recycles the slabs for the next query.
+// ARel, when it was copied into one from the engine's pool; an
+// operator-free ExecShared reads the shared snapshot and pools
+// nothing). The Result — including ARel and open Rows — must not be
+// used afterwards: enumeration APIs return ErrClosed once Close has
+// run, because the recycled store may already back another query.
+// Close is idempotent — any call after the first is a no-op — and
+// optional: an unclosed Result is reclaimed by the garbage collector
+// like any other value; closing merely recycles the slabs for the next
+// query.
 func (r *Result) Close() {
 	if r.closed {
 		return
@@ -144,9 +151,12 @@ func (r *Result) Close() {
 // The attribute order inside each relation's path changes which
 // factorisations the plan passes through (a join attribute buried at the
 // bottom of a path forces replication), so Run explores a small set of
-// candidate orders per relation — the original order plus one rotation
-// per join attribute — and keeps the combination whose plan has the
-// lowest size-bound cost (the paper's cost metric, Section 5).
+// candidate orders per relation — the original order, one rotation per
+// join attribute, and one led by the query's ORDER BY (else GROUP BY)
+// attributes of that relation — and keeps the combination whose plan has
+// the lowest size-bound cost (the paper's cost metric, Section 5). A
+// path already in the requested order needs no restructuring, so its
+// plan sums fewer intermediate trees and wins on cost by itself.
 func (e *Engine) Run(q *query.Query, db DB) (*Result, error) {
 	return e.RunContext(context.Background(), q, db)
 }
@@ -172,20 +182,34 @@ func (e *Engine) choosePathOrders(ctx context.Context, q *query.Query, rels []*r
 		joinAttr[eq.A] = true
 		joinAttr[eq.B] = true
 	}
-	cands := make([][][]string, len(rels))
-	combos := 1
-	for i, rel := range rels {
-		cands[i] = pathCandidates(rel.Attrs, joinAttr)
-		combos *= len(cands[i])
+	lead := make([]string, 0, len(q.OrderBy)+len(q.GroupBy))
+	for _, o := range q.OrderBy {
+		lead = append(lead, o.Attr)
+	}
+	if len(lead) == 0 {
+		lead = append(lead, q.GroupBy...)
 	}
 	const maxCombos = 64
+	cands := make([][][]string, len(rels))
+	combos := 0
+	// Too many combinations: drop the order-led candidates first, so a
+	// query keeps the search it had without them.
+	for _, lead := range [][]string{lead, nil} {
+		combos = 1
+		for i, rel := range rels {
+			cands[i] = pathCandidates(rel.Attrs, joinAttr, lead)
+			combos *= len(cands[i])
+		}
+		if combos <= maxCombos {
+			break
+		}
+	}
 	if combos > maxCombos {
-		// Too many: keep only the first candidate (join attribute first)
-		// per relation.
+		// Still too many: keep only the first candidate (join attribute
+		// first) per relation.
 		for i := range cands {
 			cands[i] = cands[i][:1]
 		}
-		combos = 1
 	}
 	pl := &plan.Planner{Catalog: cat, PartialAgg: e.PartialAgg, Ctx: ctx}
 	var best [][]string
@@ -234,8 +258,13 @@ func (e *Engine) choosePathOrders(ctx context.Context, q *query.Query, rels []*r
 
 // pathCandidates returns candidate linear-path orders for one relation:
 // for each join attribute, a rotation with it first (rest in original
-// order), then the original order. Duplicates are removed.
-func pathCandidates(attrs []string, joinAttr map[string]bool) [][]string {
+// order), then the original order, then the order led by the longest
+// prefix of lead (the query's ORDER BY keys, or its GROUP BY list when
+// it has no ORDER BY) whose attributes all belong to the relation, the
+// rest in original order. A path that already follows the requested
+// order enumerates it with no restructuring. Duplicates are removed, so
+// on equal cost the earlier candidate wins.
+func pathCandidates(attrs []string, joinAttr map[string]bool, lead []string) [][]string {
 	var out [][]string
 	seen := map[string]bool{}
 	add := func(order []string) {
@@ -248,20 +277,28 @@ func pathCandidates(attrs []string, joinAttr map[string]bool) [][]string {
 			out = append(out, order)
 		}
 	}
-	for _, j := range attrs {
-		if !joinAttr[j] {
-			continue
-		}
-		order := make([]string, 0, len(attrs))
-		order = append(order, j)
+	rotate := func(first []string) []string {
+		order := append(make([]string, 0, len(attrs)), first...)
 		for _, a := range attrs {
-			if a != j {
+			if !slices.Contains(first, a) {
 				order = append(order, a)
 			}
 		}
-		add(order)
+		return order
+	}
+	for _, j := range attrs {
+		if joinAttr[j] {
+			add(rotate([]string{j}))
+		}
 	}
 	add(append([]string{}, attrs...))
+	n := 0
+	for n < len(lead) && slices.Contains(attrs, lead[n]) && !slices.Contains(lead[:n], lead[n]) {
+		n++
+	}
+	if n > 0 {
+		add(rotate(lead[:n]))
+	}
 	return out
 }
 
@@ -369,13 +406,21 @@ func (r *Result) Count() (int, error) {
 	return n, err
 }
 
-// Explain renders the executed f-plan, the resulting f-tree and the
-// representation size, for EXPLAIN-style output.
+// Explain renders the path orders the base relations were factorised in
+// (for a Result of a Prepared), the executed f-plan, the resulting
+// f-tree and the representation size, for EXPLAIN-style output.
 func (r *Result) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query:  %s\n", r.Query)
+	if r.orders != nil {
+		paths := make([]string, len(r.orders))
+		for i, name := range r.Query.Relations {
+			paths[i] = name + "(" + strings.Join(r.orders[i], ", ") + ")"
+		}
+		fmt.Fprintf(&b, "path orders: %s\n", strings.Join(paths, ", "))
+	}
 	if len(r.Plan.Ops) == 0 {
-		b.WriteString("f-plan: (no operators — the view already supports the query)\n")
+		b.WriteString("f-plan: (no operators — the input factorisation already supports the query)\n")
 	} else {
 		fmt.Fprintf(&b, "f-plan: %s\n", r.Plan)
 	}

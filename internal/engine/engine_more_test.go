@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -226,5 +227,32 @@ func TestViewSharingIsCopyOnWrite(t *testing.T) {
 	}
 	if err := view.Check(); err != nil {
 		t.Errorf("view invariants broken: %v", err)
+	}
+}
+
+// TestPathOrderCandidates pins the candidate path orders of one
+// relation: a rotation per join attribute, the declared order, then the
+// path led by the longest prefix of the requested order that lies in
+// the relation, unless it repeats an earlier candidate.
+func TestPathOrderCandidates(t *testing.T) {
+	attrs := []string{"customer", "date", "package"}
+	join := map[string]bool{"package": true}
+	for _, tc := range []struct {
+		lead []string
+		want string
+	}{
+		{nil, "[[package customer date] [customer date package]]"},
+		{[]string{"date", "customer", "package"}, "[[package customer date] [customer date package] [date customer package]]"},
+		// The prefix stops at the first attribute of another relation.
+		{[]string{"date", "item", "customer"}, "[[package customer date] [customer date package] [date customer package]]"},
+		{[]string{"item", "date"}, "[[package customer date] [customer date package]]"},
+		// Duplicates of the join rotation and of the declared order.
+		{[]string{"package", "customer"}, "[[package customer date] [customer date package]]"},
+		{[]string{"customer"}, "[[package customer date] [customer date package]]"},
+		{[]string{"date", "date", "package"}, "[[package customer date] [customer date package] [date customer package]]"},
+	} {
+		if got := fmt.Sprint(pathCandidates(attrs, join, tc.lead)); got != tc.want {
+			t.Errorf("lead %v: candidates %s, want %s", tc.lead, got, tc.want)
+		}
 	}
 }

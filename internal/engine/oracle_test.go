@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/factordb/fdb/internal/fops"
@@ -298,5 +299,83 @@ func TestOracleAggregateEdgeCases(t *testing.T) {
 				checkOracle(t, q, collectRows(t, run), rdb.DB(db))
 			})
 		}
+	}
+}
+
+// TestOracleRotatedPathOrders runs the served statements whose path orders
+// lead with their ORDER BY (or GROUP BY) attributes through Prepare and
+// ExecShared — twice each: the first execution builds the template's
+// base snapshot, the second reuses it — and checks them against the
+// baseline: the ordered aggregate a9, the streams s1 and s12, the orders o10 and o12 at
+// offset 0, at a deep offset and descending, and the fan-out shapes over
+// R3, which is declared customer-first but ordered by date. The date-led
+// scan of R3 needs no operator, and its deep page is a ranked seek.
+func TestOracleRotatedPathOrders(t *testing.T) {
+	ds := workload.Generate(workload.Config{Scale: 2})
+	db := DB(ds.DB())
+	r3, err := ds.R3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db["R3"] = r3
+	const r1Join = ` FROM Orders, Packages, Items WHERE package = package2 AND item = item2`
+	r2Order := func(a, b, c, dir string) string {
+		return fmt.Sprintf(`SELECT %[1]s, %[2]s, %[3]s, customer, price%[5]s ORDER BY %[1]s%[4]s, %[2]s%[4]s, %[3]s%[4]s, customer%[4]s`, a, b, c, dir, r1Join)
+	}
+	const byDate = `SELECT date, customer, package FROM R3 ORDER BY date, customer, package`
+	var stmts []string
+	for _, base := range []string{
+		`SELECT date, package, SUM(price) AS total` + r1Join + ` GROUP BY date, package ORDER BY package, date`,
+		`SELECT package, date, customer, SUM(price) AS total` + r1Join + ` GROUP BY package, date, customer`,
+		`SELECT date, package, item` + r1Join + ` ORDER BY date, package, item`,
+		r2Order("package", "date", "item", ""), r2Order("package", "date", "item", " DESC"),
+		r2Order("date", "package", "item", ""), r2Order("date", "package", "item", " DESC"),
+		byDate,
+		`SELECT date, COUNT(*) AS n FROM R3 GROUP BY date ORDER BY date`,
+		`SELECT customer, COUNT(*) AS n FROM R3 GROUP BY customer ORDER BY customer`,
+	} {
+		q, err := sql.Parse(base)
+		if err != nil {
+			t.Fatalf("%s: %v", base, err)
+		}
+		want, err := rdb.New().Run(q, rdb.DB(db))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(want.Tuples)
+		stmts = append(stmts, base, base+` LIMIT 10`, fmt.Sprintf(`%s LIMIT 10 OFFSET %d`, base, n*9/10))
+	}
+	eng := New()
+	for _, text := range stmts {
+		q, err := sql.Parse(text)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		prep, err := eng.Prepare(q, db)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		for i := 1; i <= 2; i++ {
+			t.Run(fmt.Sprintf("%s/ExecShared%d", text, i), func(t *testing.T) {
+				checkOracle(t, q, collectRows(t, func() (*Result, error) { return prep.ExecShared(db) }), rdb.DB(db))
+			})
+		}
+	}
+
+	page, err := sql.Parse(byDate + ` LIMIT 10 OFFSET 400`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := eng.Prepare(page, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prep.Plan.Ops) != 0 || !slices.Equal(prep.Orders[0], []string{"date", "customer", "package"}) {
+		t.Fatalf("date-led scan of R3: path %v, plan %s; want the date-led path and no operators", prep.Orders[0], prep.Plan)
+	}
+	seeks := SeekSkipStats().SeekOffsets
+	checkOracle(t, page, collectRows(t, func() (*Result, error) { return prep.ExecShared(db) }), rdb.DB(db))
+	if SeekSkipStats().SeekOffsets == seeks {
+		t.Fatal("the date-led page skipped linearly instead of seeking")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"github.com/factordb/fdb/internal/fops"
 	"github.com/factordb/fdb/internal/query"
 	"github.com/factordb/fdb/internal/relation"
+	"github.com/factordb/fdb/internal/values"
 	"github.com/factordb/fdb/internal/workload"
 )
 
@@ -232,49 +233,65 @@ func TestParallelWindowUnwindowedFansOut(t *testing.T) {
 
 // TestParallelConcurrentSegmentWorkers runs parallel queries from many
 // goroutines against one shared snapshot (the server's shape), under
-// -race, and balances the store pool.
+// -race, and balances the store pool: the filtered query's σ copies the
+// snapshot into a pooled store per execution, the operator-free query
+// reads the snapshot itself and pools nothing.
 func TestParallelConcurrentSegmentWorkers(t *testing.T) {
 	forceParallelThresholds(t)
 	db := bigDB(t, 8000)
 	eng := &Engine{PartialAgg: true, Parallelism: 4}
-	prep, err := eng.Prepare(spjQuery(), db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := storeReturns.Load()
-	const workers, reps = 4, 5
-	var wg sync.WaitGroup
-	errc := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < reps; i++ {
-				res, err := prep.ExecShared(db)
-				if err != nil {
-					errc <- err
-					return
+	filtered := spjQuery()
+	filtered.Filters = []query.Filter{{Attr: "v", Op: fops.GE, Const: values.NewInt(0)}}
+	for _, tc := range []struct {
+		name    string
+		q       *query.Query
+		returns int64
+	}{
+		{"filtered", filtered, 1},
+		{"operator-free", spjQuery(), 0},
+	} {
+		prep, err := eng.Prepare(tc.q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(prep.Plan.Ops) == 0; got != (tc.returns == 0) {
+			t.Fatalf("%s: operator-free plan = %v (%s)", tc.name, got, prep.Plan)
+		}
+		before := storeReturns.Load()
+		const workers, reps = 4, 5
+		var wg sync.WaitGroup
+		errc := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < reps; i++ {
+					res, err := prep.ExecShared(db)
+					if err != nil {
+						errc <- err
+						return
+					}
+					n, err := res.Count()
+					res.Close()
+					if err != nil {
+						errc <- err
+						return
+					}
+					if n != 8000 {
+						errc <- fmt.Errorf("%s: got %d rows, want 8000", tc.name, n)
+						return
+					}
 				}
-				n, err := res.Count()
-				res.Close()
-				if err != nil {
-					errc <- err
-					return
-				}
-				if n != 8000 {
-					errc <- fmt.Errorf("got %d rows, want 8000", n)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-	if d := storeReturns.Load() - before; d != workers*reps {
-		t.Fatalf("store returned %d times for %d executions", d, workers*reps)
+			}()
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Fatal(err)
+		}
+		if d := storeReturns.Load() - before; d != tc.returns*workers*reps {
+			t.Fatalf("%s: store returned %d times for %d executions", tc.name, d, workers*reps)
+		}
 	}
 }
 

@@ -243,17 +243,19 @@ func (p *Prepared) ExecContext(ctx context.Context, db DB) (*Result, error) {
 	// nodes the operators append later simply fall back to scalar).
 	st.BuildCols()
 	ar := &fops.ARel{Tree: f, Store: st, Roots: roots}
-	return p.finish(ctx, ar)
+	return p.finish(ctx, ar, true)
 }
 
 // ExecShared is Exec for databases whose relations do not change between
 // calls (the server's contract): the factorised base relations are built
 // once, kept as an immutable store snapshot shared by every binding of
 // the Prepared's plan template, and each execution starts from a slab
-// copy of that snapshot instead of re-sorting the base relations.
-// Replacing a relation by a new pointer (what a mutable catalogue does
-// on a write) rebuilds the snapshot on the next call; mutating a
-// relation in place is not supported — use Exec for that.
+// copy of that snapshot instead of re-sorting the base relations. A plan
+// with no operators copies nothing: it enumerates (and seeks) on the
+// snapshot itself, and its Result holds no pooled store. Replacing a
+// relation by a new pointer (what a mutable catalogue does on a write)
+// rebuilds the snapshot on the next call; mutating a relation in place
+// is not supported — use Exec for that.
 func (p *Prepared) ExecShared(db DB) (*Result, error) {
 	return p.ExecSharedContext(context.Background(), db)
 }
@@ -311,29 +313,38 @@ func (p *Prepared) ExecSharedContext(ctx context.Context, db DB) (*Result, error
 	}
 	sharedStore, sharedRoots := b.store, b.roots
 	b.mu.Unlock()
-	st := getStore()
-	sharedStore.CloneInto(st)
 	f := ftree.New()
 	for i := range p.Query.Relations {
 		f.NewRelationPath(p.Orders[i]...)
 	}
-	ar := &fops.ARel{Tree: f, Store: st, Roots: append([]frep.NodeID{}, sharedRoots...)}
-	return p.finish(ctx, ar)
+	roots := append([]frep.NodeID{}, sharedRoots...)
+	if len(p.Plan.Ops) == 0 {
+		// No operator writes into the store, so the execution reads the
+		// shared snapshot itself: an O(1) view whose capacity-clamped
+		// slabs copy out on any stray append. It is not pooled.
+		return p.finish(ctx, &fops.ARel{Tree: f, Store: sharedStore.Snapshot(), Roots: roots}, false)
+	}
+	st := getStore()
+	sharedStore.CloneInto(st)
+	return p.finish(ctx, &fops.ARel{Tree: f, Store: st, Roots: roots}, true)
 }
 
 // finish executes the prepared plan over the freshly built arena
-// representation and wraps the result.
-func (p *Prepared) finish(ctx context.Context, ar *fops.ARel) (*Result, error) {
+// representation and wraps the result. pooled marks a store taken from
+// the pool: it goes back on error, and on Result.Close.
+func (p *Prepared) finish(ctx context.Context, ar *fops.ARel, pooled bool) (*Result, error) {
 	if ar.IsEmpty() {
 		ar.MakeEmpty()
 	}
 	if n, ok := fastCountValue(p.Query, ar); ok {
-		return &Result{Query: p.Query, ARel: ar, Plan: p.Plan, eng: p.eng, pooled: true, fastCount: &n}, nil
+		return &Result{Query: p.Query, ARel: ar, Plan: p.Plan, eng: p.eng, pooled: pooled, orders: p.Orders, fastCount: &n}, nil
 	}
 	if err := p.Plan.ExecuteParallel(ctx, ar, p.eng.par()); err != nil {
-		putStore(ar.Store)
+		if pooled {
+			putStore(ar.Store)
+		}
 		return nil, err
 	}
 	noteParallelExec(ar)
-	return &Result{Query: p.Query, ARel: ar, Plan: p.Plan, eng: p.eng, pooled: true}, nil
+	return &Result{Query: p.Query, ARel: ar, Plan: p.Plan, eng: p.eng, pooled: pooled, orders: p.Orders}, nil
 }

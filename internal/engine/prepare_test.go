@@ -1,12 +1,17 @@
 package engine
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
 
 	"github.com/factordb/fdb/internal/query"
 	"github.com/factordb/fdb/internal/relation"
+	"github.com/factordb/fdb/internal/sql"
+	"github.com/factordb/fdb/internal/values"
+	"github.com/factordb/fdb/internal/workload"
 )
 
 func prepareQueries() []*query.Query {
@@ -132,5 +137,142 @@ func TestPreparedStaleRelation(t *testing.T) {
 	bad["Items"] = relation.MustNew("Items", []string{"other"}, nil)
 	if _, err := p.Exec(bad); err == nil {
 		t.Fatal("Exec against a reshaped relation should fail")
+	}
+}
+
+// operatorFreeQueries order R3 (declared customer-first) by date, so
+// their path leads with date and their plans have no operator: a scan,
+// a ranked page and a descending page.
+func operatorFreeQueries() []string {
+	const byDate = `SELECT date, customer, package FROM R3 ORDER BY date, customer, package`
+	return []string{
+		byDate,
+		byDate + ` LIMIT 10 OFFSET 300`,
+		`SELECT date, customer, package FROM R3 ORDER BY date DESC, customer DESC, package DESC LIMIT 7 OFFSET 40`,
+	}
+}
+
+// TestPreparedSharedOperatorFree: an operator-free ExecShared reads the
+// template's base snapshot in place, so N executions return no store to
+// the pool, and its rows are byte-identical to the copied path's.
+func TestPreparedSharedOperatorFree(t *testing.T) {
+	ds := workload.Generate(workload.Config{Scale: 2})
+	r3, err := ds.R3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := DB{"R3": r3}
+	eng := New()
+	for _, text := range operatorFreeQueries() {
+		q, err := sql.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := eng.Prepare(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Plan.Ops) != 0 {
+			t.Fatalf("%s: plan %s, want no operators", text, p.Plan)
+		}
+		want := renderRows(t, func() (*Result, error) { return p.Exec(db) })
+		const n = 5
+		before := StorePoolReturns()
+		for i := 0; i < n; i++ {
+			if got := renderRows(t, func() (*Result, error) { return p.ExecShared(db) }); !bytes.Equal(got, want) {
+				t.Fatalf("%s: execution %d differs from the copied path\nwant:\n%s\ngot:\n%s", text, i, want, got)
+			}
+		}
+		if d := StorePoolReturns() - before; d != 0 {
+			t.Fatalf("%s: %d operator-free executions returned %d pooled stores, want 0", text, n, d)
+		}
+	}
+}
+
+// TestPreparedSharedOperatorFreeConcurrent races operator-free
+// ExecShared readers at P=2, fanned out over segment workers, against a
+// mutable-catalogue writer whose every insert publishes a new Orders
+// and so forces the template to re-snapshot. Each reader's rows must
+// equal the copied path's over the same view, and only the copied
+// executions return pooled stores.
+func TestPreparedSharedOperatorFreeConcurrent(t *testing.T) {
+	forceParallelThresholds(t)
+	m := newTestMutable(t)
+	eng := &Engine{PartialAgg: true, Parallelism: 2}
+	q, err := sql.Parse(`SELECT customer, date, pizza FROM Orders ORDER BY date, customer, pizza`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := eng.Prepare(q, m.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Plan.Ops) != 0 {
+		t.Fatalf("plan %s, want no operators", p.Plan)
+	}
+	rows := func(run func() (*Result, error)) (string, error) {
+		res, err := run()
+		if err != nil {
+			return "", err
+		}
+		defer res.Close()
+		rel, err := res.Relation()
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprint(rel.Tuples), nil
+	}
+	workersBefore := ParallelStats().EnumWorkers
+	returnsBefore := StorePoolReturns()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 20; i++ {
+			row := []values.Value{sv(fmt.Sprintf("c%02d", i)), sv("Sunday"), sv("Hawaii")}
+			if _, err := m.Apply(context.Background(), ins("Orders", row)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	const readers, reps = 4, 15
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < reps; i++ {
+				db := m.View()
+				got, err := rows(func() (*Result, error) { return p.ExecShared(db) })
+				if err != nil {
+					errs <- err
+					return
+				}
+				want, err := rows(func() (*Result, error) { return p.Exec(db) })
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got != want {
+					errs <- fmt.Errorf("shared snapshot diverged from the copied path:\n%s\n%s", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if d := StorePoolReturns() - returnsBefore; d != readers*reps {
+		t.Fatalf("%d pooled stores returned for %d copied executions", d, readers*reps)
+	}
+	if ParallelStats().EnumWorkers == workersBefore {
+		t.Fatal("no enumeration worker fanned out over the shared snapshot")
 	}
 }

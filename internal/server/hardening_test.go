@@ -75,26 +75,36 @@ func bigServer(t *testing.T, rows int, cfg Config) *Server {
 // TestNDJSONAbortMidRowReturnsStore aborts the response writer partway
 // through a row: the handler must close the cursor (returning the
 // pooled store exactly once) and must not write a trailer after the
-// partial row.
+// partial row. The filtered statement's σ runs on a pooled copy of the
+// base snapshot; the operator-free one reads the snapshot itself, so it
+// returns no store.
 func TestNDJSONAbortMidRowReturnsStore(t *testing.T) {
 	s := bigServer(t, 20000, Config{})
-	body, _ := json.Marshal(QueryRequest{SQL: `SELECT k, v FROM Big ORDER BY k`})
-	r := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
-	r.Header.Set("Accept", "application/x-ndjson")
-	// Enough budget for the header and a few hundred rows, then a
-	// partial write of a row.
-	w := &abortWriter{budget: 2100}
-	before := engine.StorePoolReturns()
-	s.ServeHTTP(w, r)
-	if d := engine.StorePoolReturns() - before; d != 1 {
-		t.Fatalf("pooled store returned %d times after aborted stream, want exactly 1", d)
-	}
-	out := w.buf.String()
-	if strings.Contains(out, `"rowCount"`) {
-		t.Fatalf("trailer written after a partial row:\n...%s", out[len(out)-200:])
-	}
-	if strings.HasSuffix(out, "\n") {
-		t.Fatalf("output ends on a line boundary; the abort should have cut a row mid-line")
+	for _, tc := range []struct {
+		sql     string
+		returns int64
+	}{
+		{`SELECT k, v FROM Big WHERE v >= 0 ORDER BY k`, 1},
+		{`SELECT k, v FROM Big ORDER BY k`, 0},
+	} {
+		body, _ := json.Marshal(QueryRequest{SQL: tc.sql})
+		r := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
+		r.Header.Set("Accept", "application/x-ndjson")
+		// Enough budget for the header and a few hundred rows, then a
+		// partial write of a row.
+		w := &abortWriter{budget: 2100}
+		before := engine.StorePoolReturns()
+		s.ServeHTTP(w, r)
+		if d := engine.StorePoolReturns() - before; d != tc.returns {
+			t.Fatalf("%s: pooled store returned %d times after aborted stream, want exactly %d", tc.sql, d, tc.returns)
+		}
+		out := w.buf.String()
+		if strings.Contains(out, `"rowCount"`) {
+			t.Fatalf("%s: trailer written after a partial row:\n...%s", tc.sql, out[len(out)-200:])
+		}
+		if strings.HasSuffix(out, "\n") {
+			t.Fatalf("%s: output ends on a line boundary; the abort should have cut a row mid-line", tc.sql)
+		}
 	}
 	// The server must still answer cleanly afterwards.
 	resp, rec := postQuery(t, s, QueryRequest{SQL: `SELECT k FROM Big WHERE k < 3 ORDER BY k`})
