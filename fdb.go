@@ -248,8 +248,8 @@ func MaterialiseView(e *Engine, q *Query, db Database) (*Factorisation, error) {
 type Catalog = engine.Catalog
 
 // SaveCatalog factorises every relation of db and writes a versioned,
-// checksummed catalogue snapshot (schema, flat tuples, factorised arena
-// stores) to w. The encoding is canonical: saving the same data always
+// checksummed catalogue snapshot (schemas and factorised arena stores,
+// the only stored form of the tuples) to w. The encoding is canonical: saving the same data always
 // produces the same bytes.
 var SaveCatalog = engine.SaveCatalog
 
@@ -287,16 +287,16 @@ const (
 var ParseStatement = sql.ParseStatement
 
 // MutableCatalog is a durable, mutable database directory: an immutable
-// catalogue snapshot plus a checksummed write-ahead log and in-memory
-// delta layers. Apply executes mutations durably (group-committed WAL),
+// catalogue snapshot plus a checksummed write-ahead log and, per
+// written relation, an in-memory factorised overlay. Apply executes mutations durably (group-committed WAL),
 // View returns lock-free immutable snapshots for querying, and Compact
 // folds the log back into a fresh snapshot. See ARCHITECTURE.md's
 // "Write path".
 type MutableCatalog = engine.MutableCatalog
 
 // MutableStats is a point-in-time snapshot of a mutable catalogue's
-// write-path gauges (generation, rows per verb, delta sizes, WAL and
-// compaction counters).
+// write-path gauges (generation, rows per verb, rows inserted and
+// deleted since the last compaction, WAL and compaction counters).
 type MutableStats = engine.MutableStats
 
 // AutoCompactConfig tunes MutableCatalog.StartAutoCompact thresholds.

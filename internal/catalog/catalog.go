@@ -1,11 +1,12 @@
 // Package catalog implements disk-backed catalogue snapshots: a
-// versioned, checksummed container bundling, per relation, the flat
-// schema and tuples plus a factorised arena store over the relation's
-// linear-path f-tree. A server that persists its catalogue survives
-// restarts without re-sorting and re-factorising its base data, and a
-// catalogue file is a self-contained artefact that can be shipped,
-// mmapped and queried in place — the factorised relation as the storage
-// layer, per the FDB engine papers.
+// versioned, checksummed container holding, per relation, its schema
+// and its factorisation — an arena store over the linear path of its
+// attributes — as the only stored form of its tuples. A server that
+// persists its catalogue survives restarts without re-sorting and
+// re-factorising its base data, and a catalogue file is a
+// self-contained artefact that can be shipped, mmapped and queried in
+// place — the factorised relation as the storage layer, per the FDB
+// engine papers.
 //
 // Container layout (all integers little-endian, all sections 8-byte
 // aligned relative to the file start):
@@ -13,15 +14,18 @@
 //	header    32 bytes: magic "FDBCAT1\n", version, relation count,
 //	          metadata length, CRC-32C of metadata and of the header
 //	metadata  varint-encoded: catalogue name, then per relation its
-//	          name, attributes, row count, section offsets and the
-//	          factorisation's path order and root
-//	sections  per relation: flat value records + heap (the frep value
-//	          codec, own CRC in the metadata), then the factorised
-//	          store as one frep snapshot (self-checksummed)
+//	          name, attributes, factorisation root and section offset
+//	sections  per relation: the factorised store as one frep snapshot
+//	          (self-checksummed)
 //
-// Reading is defensive end to end: corrupt, truncated or version-skewed
-// input returns an error, never a panic, and every loaded factorisation
-// is shape-checked against its declared linear path before use.
+// Loading flattens each factorisation once for the callers that take
+// flat tuples, so a loaded relation comes back in path order with
+// duplicates collapsed — the set every engine path sees, since
+// factorising deduplicates. Reading is defensive end to end: corrupt,
+// truncated or version-skewed input returns an error, never a panic,
+// and every loaded factorisation is shape-checked against its linear
+// path before use, which also bounds the flattened row count by the
+// values in the file.
 package catalog
 
 import (
@@ -29,9 +33,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"github.com/factordb/fdb/internal/frep"
@@ -41,9 +45,8 @@ import (
 
 const (
 	catMagic     = "FDBCAT1\n"
-	catVersion   = 1
+	catVersion   = 2
 	catHeaderLen = 32
-	valRecLen    = 16
 	// maxAttrs bounds per-relation attribute counts on decode; the
 	// engine's f-trees are tiny, so anything larger is corruption.
 	maxAttrs = 1 << 12
@@ -61,8 +64,9 @@ type Fact struct {
 	Root  frep.NodeID
 }
 
-// Relation is one catalogued relation: the authoritative flat data plus
-// its factorisation.
+// Relation is one catalogued relation: its factorisation, the stored
+// form, plus the flat tuples it represents for callers that take a
+// relation.
 type Relation struct {
 	Rel  *relation.Relation
 	Fact *Fact
@@ -249,17 +253,11 @@ func (m *metaRd) u32() uint32 {
 
 // relMeta is the decoded per-relation metadata.
 type relMeta struct {
-	name       string
-	attrs      []string
-	nRows      uint64
-	flatOff    uint64 // absolute offset of the flat record section
-	flatHeap   uint64 // absolute offset of the flat heap
-	flatHeapLn uint64
-	flatCRC    uint32 // over records + heap
-	order      []string
-	root       uint32
-	storeOff   uint64 // absolute offset of the frep snapshot
-	storeLen   uint64
+	name     string
+	attrs    []string // also the factorisation's path order
+	root     uint32
+	storeOff uint64 // absolute offset of the frep snapshot
+	storeLen uint64
 }
 
 func align8(n uint64) uint64 { return (n + 7) &^ 7 }
@@ -268,40 +266,21 @@ func align8(n uint64) uint64 { return (n + 7) &^ 7 }
 // encoding is canonical: writing a loaded catalogue reproduces the input
 // bytes.
 func (c *Catalog) WriteTo(w io.Writer) (int64, error) {
-	type relBlob struct {
-		recs, heap, store []byte
-		meta              relMeta
-	}
-	blobs := make([]relBlob, len(c.Relations))
+	stores := make([][]byte, len(c.Relations))
+	metas := make([]relMeta, len(c.Relations))
 	for i, r := range c.Relations {
 		if r.Fact == nil {
 			return 0, fmt.Errorf("catalog: relation %q has no factorisation", r.Rel.Name)
 		}
-		var rb relBlob
-		var err error
-		nCols := len(r.Rel.Attrs)
-		rb.recs = make([]byte, 0, len(r.Rel.Tuples)*nCols*valRecLen)
-		for _, t := range r.Rel.Tuples {
-			if len(t) != nCols {
-				return 0, fmt.Errorf("catalog: relation %q tuple arity %d, want %d", r.Rel.Name, len(t), nCols)
-			}
-			rb.recs, rb.heap, err = frep.AppendValueSection(rb.recs, rb.heap, t)
-			if err != nil {
-				return 0, err
-			}
+		if !slices.Equal(r.Fact.Order, r.Rel.Attrs) {
+			// The file stores one list; the loader reads it as both.
+			return 0, fmt.Errorf("catalog: relation %q is factorised in order %v, not its attribute order", r.Rel.Name, r.Fact.Order)
 		}
-		rb.store, err = r.Fact.Store.SnapshotBytes()
-		if err != nil {
+		var err error
+		if stores[i], err = r.Fact.Store.SnapshotBytes(); err != nil {
 			return 0, fmt.Errorf("catalog: snapshotting %q: %w", r.Rel.Name, err)
 		}
-		rb.meta = relMeta{
-			name:  r.Rel.Name,
-			attrs: r.Rel.Attrs,
-			nRows: uint64(len(r.Rel.Tuples)),
-			order: r.Fact.Order,
-			root:  uint32(r.Fact.Root),
-		}
-		blobs[i] = rb
+		metas[i] = relMeta{name: r.Rel.Name, attrs: r.Rel.Attrs, root: uint32(r.Fact.Root)}
 	}
 
 	// First pass sizes the metadata block with zeroed offsets; the
@@ -310,30 +289,17 @@ func (c *Catalog) WriteTo(w io.Writer) (int64, error) {
 		var mb metaBuf
 		mb.str(c.Name)
 		off := base
-		for i := range blobs {
-			rb := &blobs[i]
-			m := &rb.meta
+		for i := range metas {
+			m := &metas[i]
 			if final {
-				// Flat records are 16 bytes each, so the heap starts
-				// aligned; store snapshots are whole multiples of 8, so
-				// the next relation's sections start aligned too.
-				m.flatOff = off
-				m.flatHeap = m.flatOff + uint64(len(rb.recs))
-				m.flatHeapLn = uint64(len(rb.heap))
-				m.storeOff = align8(m.flatHeap + m.flatHeapLn)
-				m.storeLen = uint64(len(rb.store))
-				off = m.storeOff + m.storeLen
-				crc := crc32.Checksum(rb.recs, crcTable)
-				m.flatCRC = crc32.Update(crc, crcTable, rb.heap)
+				// Store snapshots are whole multiples of 8, so every
+				// relation's section starts aligned.
+				m.storeOff = off
+				m.storeLen = uint64(len(stores[i]))
+				off += m.storeLen
 			}
 			mb.str(m.name)
 			mb.strs(m.attrs)
-			mb.uvarint(m.nRows)
-			mb.u64(m.flatOff)
-			mb.u64(m.flatHeap)
-			mb.u64(m.flatHeapLn)
-			mb.u32(m.flatCRC)
-			mb.strs(m.order)
 			mb.u32(m.root)
 			mb.u64(m.storeOff)
 			mb.u64(m.storeLen)
@@ -366,18 +332,8 @@ func (c *Catalog) WriteTo(w io.Writer) (int64, error) {
 	if err := cw.pad(align8(metaLen) - metaLen); err != nil {
 		return cw.n, err
 	}
-	for i := range blobs {
-		rb := &blobs[i]
-		if _, err := cw.Write(rb.recs); err != nil {
-			return cw.n, err
-		}
-		if _, err := cw.Write(rb.heap); err != nil {
-			return cw.n, err
-		}
-		if err := cw.pad(align8(uint64(cw.n)) - uint64(cw.n)); err != nil {
-			return cw.n, err
-		}
-		if _, err := cw.Write(rb.store); err != nil {
+	for _, st := range stores {
+		if _, err := cw.Write(st); err != nil {
 			return cw.n, err
 		}
 	}
@@ -447,12 +403,6 @@ func Read(b []byte, zeroCopy bool) (*Catalog, error) {
 	seen := map[string]bool{}
 	for i := uint32(0); i < nRels && rd.err == nil; i++ {
 		m := relMeta{name: rd.str(1 << 16), attrs: rd.strs()}
-		m.nRows = rd.uvarint()
-		m.flatOff = rd.u64()
-		m.flatHeap = rd.u64()
-		m.flatHeapLn = rd.u64()
-		m.flatCRC = rd.u32()
-		m.order = rd.strs()
 		m.root = rd.u32()
 		m.storeOff = rd.u64()
 		m.storeLen = rd.u64()
@@ -484,41 +434,11 @@ func section(b []byte, off, n uint64, what string) ([]byte, error) {
 	return b[off:end], nil
 }
 
+// loadRelation loads one relation's factorisation and flattens it.
 func loadRelation(b []byte, m *relMeta, zeroCopy bool) (*Relation, error) {
-	nCols := uint64(len(m.attrs))
-	if nCols == 0 {
+	if len(m.attrs) == 0 {
 		return nil, fmt.Errorf("catalog: relation %q has no attributes", m.name)
 	}
-	if m.nRows > math.MaxUint32 || m.nRows*nCols > math.MaxUint32 {
-		return nil, fmt.Errorf("catalog: relation %q: implausible row count %d", m.name, m.nRows)
-	}
-	nVals := m.nRows * nCols
-	recs, err := section(b, m.flatOff, nVals*valRecLen, m.name+" flat records")
-	if err != nil {
-		return nil, err
-	}
-	heap, err := section(b, m.flatHeap, m.flatHeapLn, m.name+" flat heap")
-	if err != nil {
-		return nil, err
-	}
-	crc := crc32.Checksum(recs, crcTable)
-	if crc = crc32.Update(crc, crcTable, heap); crc != m.flatCRC {
-		return nil, fmt.Errorf("catalog: relation %q: flat section checksum mismatch (got %#x, want %#x)", m.name, crc, m.flatCRC)
-	}
-	vals, err := frep.DecodeValueSection(recs, heap, int(nVals), zeroCopy)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: relation %q: %w", m.name, err)
-	}
-	tuples := make([]relation.Tuple, m.nRows)
-	for i := range tuples {
-		row := vals[uint64(i)*nCols : (uint64(i)+1)*nCols]
-		tuples[i] = relation.Tuple(row[:len(row):len(row)])
-	}
-	rel, err := relation.New(m.name, m.attrs, tuples)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: relation %q: %w", m.name, err)
-	}
-
 	storeB, err := section(b, m.storeOff, m.storeLen, m.name+" store")
 	if err != nil {
 		return nil, err
@@ -531,43 +451,30 @@ func loadRelation(b []byte, m *relMeta, zeroCopy bool) (*Relation, error) {
 	if int(m.root) >= st.NodeCount() {
 		return nil, fmt.Errorf("catalog: relation %q: root %d outside store of %d nodes", m.name, m.root, st.NodeCount())
 	}
-	if err := checkLinearShape(st, root, len(m.order)); err != nil {
+	if err := checkLinearShape(st, root, len(m.attrs)); err != nil {
 		return nil, fmt.Errorf("catalog: relation %q: %w", m.name, err)
 	}
-	if err := checkOrderAttrs(m.attrs, m.order); err != nil {
+	f := ftree.New()
+	f.NewRelationPath(m.attrs...)
+	rel, err := frep.FlattenStore(f, st, []frep.NodeID{root})
+	if err != nil {
 		return nil, fmt.Errorf("catalog: relation %q: %w", m.name, err)
 	}
+	rel.Name = m.name
 	return &Relation{
 		Rel:  rel,
-		Fact: &Fact{Order: m.order, Store: st, Root: root},
+		Fact: &Fact{Order: m.attrs, Store: st, Root: root},
 	}, nil
-}
-
-// checkOrderAttrs verifies the factorisation's path order is a
-// permutation of the relation's attributes.
-func checkOrderAttrs(attrs, order []string) error {
-	if len(attrs) != len(order) {
-		return fmt.Errorf("path order has %d attributes, relation has %d", len(order), len(attrs))
-	}
-	have := make(map[string]bool, len(attrs))
-	for _, a := range attrs {
-		have[a] = true
-	}
-	for _, a := range order {
-		if !have[a] {
-			return fmt.Errorf("path order names unknown attribute %q", a)
-		}
-		delete(have, a)
-	}
-	return nil
 }
 
 // checkLinearShape verifies that the factorisation rooted at root has
 // the shape of a linear path of depth levels: every node at depth d <
-// levels-1 has arity 1, leaves have arity 0, and no node appears at two
-// depths. This makes the engine's enumerators and operators — which
+// levels-1 has arity 1, leaves have arity 0, and no node is reached
+// twice. The shape makes the engine's enumerators and operators — which
 // index kid rows by the f-tree's child count — panic-free on loaded
-// data. The walk is iterative and visits each node at most once.
+// data; the tree rule bounds the represented tuples by the values in
+// the store, so flattening a small crafted file cannot exhaust memory.
+// The walk is iterative and visits each node at most once.
 func checkLinearShape(st *frep.Store, root frep.NodeID, levels int) error {
 	if root == frep.EmptyNode {
 		return nil // empty relation
@@ -598,11 +505,8 @@ func checkLinearShape(st *frep.Store, root frep.NodeID, levels int) error {
 		}
 		for i := 0; i < n; i++ {
 			for _, k := range st.KidRow(id, i) {
-				if d := depths[k]; d != 0 {
-					if int(d) != depth+2 {
-						return fmt.Errorf("node %d shared across depths %d and %d", k, int(d)-1, depth+1)
-					}
-					continue
+				if depths[k] != 0 {
+					return fmt.Errorf("node %d reached twice", k)
 				}
 				depths[k] = int32(depth) + 2
 				stack = append(stack, k)

@@ -3,8 +3,13 @@ package catalog
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"path/filepath"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/factordb/fdb/internal/frep"
@@ -22,6 +27,7 @@ func testDB() map[string]*relation.Relation {
 		{sv("alice"), iv(20240101), iv(1)},
 		{sv("bob"), iv(20240102), iv(2)},
 		{sv("alice"), iv(20240103), iv(1)},
+		{sv("bob"), iv(20240102), iv(2)}, // a duplicate: loading collapses it
 	})
 	items := relation.MustNew("Items", []string{"item", "price", "fresh"}, []relation.Tuple{
 		{iv(10), fv(1.5), bv(true)},
@@ -50,6 +56,23 @@ func buildBytes(t *testing.T, db map[string]*relation.Relation) (*Catalog, []byt
 	return c, buf.Bytes()
 }
 
+// pathOrdered returns r's tuples sorted in the order of its attribute
+// path, duplicates collapsed: the contract of a loaded relation.
+func pathOrdered(r *relation.Relation) []relation.Tuple {
+	ts := append([]relation.Tuple{}, r.Tuples...)
+	sort.SliceStable(ts, func(i, j int) bool { return relation.Compare(ts[i], ts[j]) < 0 })
+	out := ts[:0]
+	for i, tp := range ts {
+		if i == 0 || relation.Compare(ts[i-1], tp) != 0 {
+			out = append(out, tp)
+		}
+	}
+	return out
+}
+
+// sameDB asserts got is want as loaded: the same schemas, and per
+// relation the tuples of want in path order without duplicates,
+// element by element.
 func sameDB(t *testing.T, want, got map[string]*relation.Relation) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -68,12 +91,13 @@ func sameDB(t *testing.T, want, got map[string]*relation.Relation) {
 				t.Fatalf("%s: attr %d is %q, want %q", name, i, g.Attrs[i], w.Attrs[i])
 			}
 		}
-		if len(g.Tuples) != len(w.Tuples) {
-			t.Fatalf("%s: got %d tuples, want %d", name, len(g.Tuples), len(w.Tuples))
+		wt := pathOrdered(w)
+		if len(g.Tuples) != len(wt) {
+			t.Fatalf("%s: got %d tuples, want %d", name, len(g.Tuples), len(wt))
 		}
-		for i := range w.Tuples {
-			if relation.Compare(g.Tuples[i], w.Tuples[i]) != 0 {
-				t.Fatalf("%s: tuple %d is %v, want %v", name, i, g.Tuples[i], w.Tuples[i])
+		for i := range wt {
+			if relation.Compare(g.Tuples[i], wt[i]) != 0 {
+				t.Fatalf("%s: tuple %d is %v, want %v", name, i, g.Tuples[i], wt[i])
 			}
 		}
 	}
@@ -134,11 +158,16 @@ func TestCatalogRejectsCorruption(t *testing.T) {
 	bad[0] ^= 0xff
 	check("magic", bad)
 
-	// Version skew with a recomputed header CRC.
-	bad = bytes.Clone(b)
-	bad[8] = 9
-	rechecksum(bad)
-	check("version", bad)
+	// Version skew with a recomputed header CRC; a version-1 file (the
+	// layout with a flat record section) is refused the same way.
+	for _, v := range []byte{1, 9} {
+		bad = bytes.Clone(b)
+		bad[8] = v
+		rechecksum(bad)
+		if _, err := Read(bad, true); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Errorf("version %d: got %v, want the unsupported-version error", v, err)
+		}
+	}
 
 	// Flag skew.
 	bad = bytes.Clone(b)
@@ -243,6 +272,73 @@ func TestWriteFileAtomicAndOpen(t *testing.T) {
 		if err := ld.Close(); err != nil { // idempotent
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestWriteToRequiresAttributeOrder: the file stores one attribute list
+// that the loader reads as both schema and path order, so a
+// factorisation in any other order is refused at write time.
+func TestWriteToRequiresAttributeOrder(t *testing.T) {
+	c, err := Build("testdb", testDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := c.Relations[0].Fact
+	f.Order = append([]string{f.Order[1], f.Order[0]}, f.Order[2:]...)
+	if _, err := c.WriteTo(io.Discard); err == nil {
+		t.Fatal("WriteTo accepted a factorisation in a permuted order")
+	}
+}
+
+// TestCatalogRejectsSharedNodes: a file of a few KiB whose root values
+// all share one child chain stands for 2³² tuples; Read must reject it
+// in its linear shape walk, before flattening allocates per tuple.
+func TestCatalogRejectsSharedNodes(t *testing.T) {
+	const width, depth = 16, 8 // 16⁸ = 2³² tuples
+	st := frep.NewStore()
+	vals := make([]values.Value, width)
+	for i := range vals {
+		vals[i] = iv(int64(i))
+	}
+	kid := st.Add(vals, 0, nil)
+	kids := make([]frep.NodeID, width)
+	for d := 1; d < depth; d++ {
+		for i := range kids {
+			kids[i] = kid
+		}
+		kid = st.Add(vals, 1, kids)
+	}
+	if err := st.BuildRanks(); err != nil {
+		t.Fatal(err)
+	}
+	attrs := make([]string, depth)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("a%d", i)
+	}
+	c := &Catalog{Name: "bomb", Relations: []*Relation{{
+		Rel:  &relation.Relation{Name: "R", Attrs: attrs},
+		Fact: &Fact{Order: attrs, Store: st, Root: kid},
+	}}}
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() > 8<<10 {
+		t.Fatalf("crafted file is %d bytes, want a few KiB", buf.Len())
+	}
+	if n, ok := st.RankTotal(kid); !ok || n != 1<<32 {
+		t.Fatalf("crafted file stands for %d tuples, want 2³²", n)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	_, err := Read(buf.Bytes(), true)
+	if err == nil || !strings.Contains(err.Error(), "reached twice") {
+		t.Fatalf("Read accepted a shared-node factorisation: %v", err)
+	}
+	runtime.ReadMemStats(&ms)
+	if grew := ms.TotalAlloc - before; grew > 1<<20 {
+		t.Fatalf("rejecting the file allocated %d bytes", grew)
 	}
 }
 

@@ -10,9 +10,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -106,6 +108,13 @@ type testCluster struct {
 func newTestCluster(t *testing.T, shards, replicas int, hedge time.Duration, proxy func(shard int, base string) string) *testCluster {
 	t.Helper()
 	db, cat := testData(t)
+	return newClusterOver(t, db, cat, shards, replicas, hedge, proxy)
+}
+
+// newClusterOver is newTestCluster over the given database and its
+// catalogue.
+func newClusterOver(t *testing.T, db fdb.Database, cat *catalog.Catalog, shards, replicas int, hedge time.Duration, proxy func(shard int, base string) string) *testCluster {
+	t.Helper()
 	tc := &testCluster{
 		serial: newServer(t, server.Config{Databases: map[string]fdb.Database{"shop": db}, DefaultDB: "shop"}),
 	}
@@ -586,5 +595,55 @@ func TestCoordinatorStats(t *testing.T) {
 	}
 	if resp.Distributed != 1 || resp.Queries != 1 {
 		t.Fatalf("query counters %+v", resp)
+	}
+}
+
+// TestNonFiniteResults: a value JSON cannot encode ends the response
+// as it does on the serial server — an error trailer on a stream, the
+// 400 error body when buffered — whether a shard produced it (its
+// trailer carries the error, which is not a replica failure to retry)
+// or the coordinator did, merging two finite SUM partials into +Inf.
+func TestNonFiniteResults(t *testing.T) {
+	iv, fv := values.NewInt, values.NewFloat
+	db := fdb.Database{
+		// The NaN is the last row, so it follows a finite row on its
+		// shard: the shard fails mid-stream, after the coordinator's
+		// header.
+		"F": relation.MustNew("F", []string{"k", "x"}, []relation.Tuple{
+			{iv(1), fv(1.5)}, {iv(2), fv(2.5)}, {iv(3), fv(3.5)}, {iv(4), fv(math.NaN())},
+		}),
+		// Each shard's SUM is finite; their merge is not.
+		"H": relation.MustNew("H", []string{"p", "y"}, []relation.Tuple{
+			{iv(1), fv(math.MaxFloat64)}, {iv(2), fv(math.MaxFloat64)},
+		}),
+	}
+	cat, err := catalog.Build("shop", db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := newClusterOver(t, db, cat, 2, 1, 0, nil)
+	for _, q := range []struct{ name, sql, value string }{
+		{"shard NaN", `SELECT k, x FROM F ORDER BY k`, "NaN"},
+		{"merged +Inf", `SELECT SUM(y) AS s FROM H`, "+Inf"},
+	} {
+		t.Run(q.name, func(t *testing.T) {
+			want, got := post(t, tc.serial, q.sql, true), post(t, tc.co, q.sql, true)
+			compareNDJSON(t, q.name, want, got)
+			lines := splitLines(got.Body.Bytes())
+			var tr wire.Trailer
+			if err := json.Unmarshal(lines[len(lines)-1], &tr); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(tr.Error, q.value) {
+				t.Fatalf("trailer error %q does not name %s", tr.Error, q.value)
+			}
+			want, got = post(t, tc.serial, q.sql, false), post(t, tc.co, q.sql, false)
+			if got.Code != http.StatusBadRequest || !bytes.Equal(want.Body.Bytes(), got.Body.Bytes()) {
+				t.Fatalf("buffered: status %d body %s; serial %d %s", got.Code, got.Body, want.Code, want.Body)
+			}
+		})
+	}
+	if st := tc.co.Stats(); st.Shards[0].Retries+st.Shards[0].Failovers+st.Shards[1].Retries+st.Shards[1].Failovers != 0 {
+		t.Fatalf("a non-finite value was retried as a replica failure: %+v", st.Shards)
 	}
 }

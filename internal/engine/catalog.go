@@ -19,8 +19,8 @@ import (
 	"github.com/factordb/fdb/internal/relation"
 )
 
-// Catalog is a loaded (or built) catalogue: the flat database plus the
-// factorised base relations that back it. Obtain one with LoadCatalog /
+// Catalog is a loaded (or built) catalogue: the factorised base
+// relations plus the flat database flattened from them. Obtain one with LoadCatalog /
 // LoadCatalogFile, query Catalog.DB, and Close it when the data is no
 // longer needed (required for mmap-backed catalogues).
 type Catalog struct {
@@ -61,8 +61,8 @@ func factFor(rel *relation.Relation, order []string) *catalog.Fact {
 }
 
 // SaveCatalog factorises every relation of db over its attribute path
-// and writes the catalogue snapshot (schema, flat tuples and factorised
-// stores) to w. It implements the "save" half of catalogue persistence;
+// and writes the catalogue snapshot (schemas and factorised stores) to
+// w. It implements the "save" half of catalogue persistence;
 // the written bytes are canonical (byte-identical across saves of the
 // same data).
 func SaveCatalog(w io.Writer, name string, db DB) (int64, error) {
@@ -86,7 +86,8 @@ func SaveCatalogFile(path, name string, db DB) error {
 
 // LoadCatalog reads a catalogue snapshot from r and returns the loaded
 // database with its factorised base relations registered for ExecShared
-// reuse.
+// reuse. Each relation's tuples are flattened from its factorisation,
+// so they come back in path order with duplicates collapsed.
 func LoadCatalog(r io.Reader) (*Catalog, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {

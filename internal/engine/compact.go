@@ -1,7 +1,7 @@
 package engine
 
-// Compaction folds the WAL and the per-relation delta layers back into
-// an immutable catalogue snapshot, then truncates the log. The state
+// Compaction folds the WAL and the per-relation overlays back into an
+// immutable catalogue snapshot, then truncates the log. The state
 // machine:
 //
 //	1. seal    — under the writer lock: fsync and close the active WAL
@@ -16,11 +16,11 @@ package engine
 //	             starts from snap-E and applies only segments > E.
 //	4. gc      — delete segments ≤ E and superseded snapshots.
 //	5. rebase  — under the lock: every relation not written since the
-//	             capture swaps its delta layer for a fresh overlay over
-//	             the compacted factorisation (empty deltas, generation
-//	             reset). Relations written during the rewrite keep their
-//	             deltas — their new writes are safely in segment E+1 and
-//	             the next compaction picks them up.
+//	             capture swaps its overlay for a fresh one over the
+//	             compacted factorisation (write counters zeroed,
+//	             generation reset). Relations written during the rewrite
+//	             keep their overlays — their new writes are safely in
+//	             segment E+1 and the next compaction picks them up.
 //
 // Crashing (or cancelling) anywhere before step 3 leaves the previous
 // manifest authoritative; both the sealed and the new segment replay on
@@ -138,7 +138,7 @@ func (m *MutableCatalog) Compact(ctx context.Context) error {
 	for _, cr := range cat.Relations {
 		mr := m.rels[cr.Rel.Name]
 		if mr == nil || mr.gen != gens[cr.Rel.Name] {
-			continue // written during the rewrite; keep its delta layer
+			continue // written during the rewrite; keep its overlay
 		}
 		if mr.gen == 0 {
 			continue // unmutated; its existing registration is still exact
@@ -151,8 +151,7 @@ func (m *MutableCatalog) Compact(ctx context.Context) error {
 		mr.base = cr.Rel
 		mr.ov = cr.Fact.Store.Overlay()
 		mr.root = cr.Fact.Root
-		mr.inserts = nil
-		mr.tombs = map[string]bool{}
+		mr.inserted, mr.deleted = 0, 0
 		mr.gen = 0
 		mr.pubRel, mr.pubGen = nil, 0
 	}
@@ -171,9 +170,6 @@ type AutoCompactConfig struct {
 	// MaxWALBytes triggers a compaction when the active segment exceeds
 	// this size.
 	MaxWALBytes int64
-	// MaxDeltaRatio triggers when (delta rows + tombstones) exceeds this
-	// fraction of the base row count (e.g. 0.25).
-	MaxDeltaRatio float64
 }
 
 // StartAutoCompact launches the background compactor; it stops when the
@@ -221,24 +217,5 @@ func (m *MutableCatalog) StartAutoCompact(cfg AutoCompactConfig) error {
 func (m *MutableCatalog) shouldCompact(cfg AutoCompactConfig) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return false
-	}
-	if cfg.MaxWALBytes > 0 && m.log.Size() > cfg.MaxWALBytes {
-		return true
-	}
-	if cfg.MaxDeltaRatio > 0 {
-		var delta, base int64
-		for _, mr := range m.rels {
-			delta += int64(len(mr.inserts) + len(mr.tombs))
-			base += int64(len(mr.base.Tuples))
-		}
-		if base == 0 {
-			base = 1
-		}
-		if float64(delta)/float64(base) > cfg.MaxDeltaRatio {
-			return true
-		}
-	}
-	return false
+	return !m.closed && cfg.MaxWALBytes > 0 && m.log.Size() > cfg.MaxWALBytes
 }

@@ -6,19 +6,21 @@ package engine
 // MANIFEST naming which snapshot is authoritative. Reads stay lock-free:
 // View() returns an immutable database map whose unmutated relations are
 // served exactly as a frozen catalogue would serve them (same pointers,
-// same registered factorisations — zero overhead), while mutated
-// relations are served through a delta layer per relation:
+// same registered factorisations — zero overhead), while a mutated
+// relation is its factorisation, kept in a private overlay
+// (Store.Overlay) of the frozen base factorisation:
 //
-//   - inserts are factorised into a private overlay (Store.Overlay) of
-//     the frozen base factorisation and folded into the relation's
-//     current root with an incremental linear-path merge;
-//   - deletes are a tombstone set over the base flat tuples plus a
-//     structural removal from the factorisation (RemoveTuples);
+//   - inserts are factorised into the overlay and folded into the
+//     relation's current root with an incremental linear-path merge;
+//   - deletes enumerate the current factorisation for the matching rows
+//     and remove their paths structurally (RemoveTuples); an upsert
+//     finds its key's rows by binary search on the root union;
 //   - each write bumps the catalogue generation and the next View()
-//     publishes a fresh merged relation (new pointer) whose overlay
-//     snapshot is registered in the process-wide fact registry, so
-//     queries graft the up-to-date factorisation and cached plans
-//     detect staleness by pointer identity.
+//     publishes a fresh relation (new pointer) flattened from the
+//     factorisation, whose overlay snapshot is registered in the
+//     process-wide fact registry, so queries graft the up-to-date
+//     factorisation and cached plans detect staleness by pointer
+//     identity.
 //
 // Durability: every acknowledged mutation is appended to the WAL and
 // group-committed before Apply returns. Crash anywhere, reopen the
@@ -64,22 +66,20 @@ type manifest struct {
 
 // mrel is the per-relation write state.
 type mrel struct {
-	// base is the frozen flat relation from the current snapshot; its
+	// base is the frozen relation from the current snapshot; its
 	// registered factorisation backs ov.
 	base *relation.Relation
 	// ov is the writer's private overlay over the base factorisation;
-	// all delta nodes are appended here.
+	// every node a write creates is appended here.
 	ov *frep.Store
 	// root is the relation's current factorisation root in ov's address
 	// space, maintained incrementally by MergeLinear / RemoveTuples.
 	root frep.NodeID
 	// forest is the relation's linear-path f-tree, reused for batch
-	// factorisations.
+	// factorisations and enumerations.
 	forest *ftree.Forest
-	// inserts are the flat rows added since base; tombs are the keys of
-	// base rows deleted since base.
-	inserts []relation.Tuple
-	tombs   map[string]bool
+	// inserted and deleted count the rows written since base.
+	inserted, deleted int64
 	// gen is the catalogue generation of the relation's last mutation;
 	// 0 means unmutated (View serves base directly).
 	gen uint64
@@ -105,8 +105,9 @@ type MutableStats struct {
 	InsertRows int64 `json:"insert_rows"`
 	DeleteRows int64 `json:"delete_rows"`
 	UpsertRows int64 `json:"upsert_rows"`
-	// DeltaRows / TombstoneRows are the current delta-layer sizes summed
-	// over relations; both reset to zero after a compaction rebase.
+	// DeltaRows / TombstoneRows count the rows inserted / deleted since
+	// the last compaction rebase, summed over relations; the rebase
+	// zeroes them.
 	DeltaRows     int64 `json:"delta_rows"`
 	TombstoneRows int64 `json:"tombstone_rows"`
 	// WALEpoch is the active segment number; WALBytes / WALRecords /
@@ -123,9 +124,9 @@ type MutableStats struct {
 }
 
 // MutableCatalog is a durable, queryable, mutable database: a catalogue
-// snapshot plus a write-ahead log and per-relation delta layers. Apply
-// and Compact may be called concurrently with any number of View-based
-// readers; writes are serialised internally.
+// snapshot plus a write-ahead log and per-relation factorised overlays.
+// Apply and Compact may be called concurrently with any number of
+// View-based readers; writes are serialised internally.
 type MutableCatalog struct {
 	name string
 	dir  string
@@ -265,27 +266,14 @@ func newMutable(name, dir string, cat *catalog.Catalog, log *wal.Log, epoch uint
 // factorisation is registered for grafting and becomes the overlay's
 // base tier.
 func newMrel(cr *catalog.Relation) *mrel {
-	fact := cr.Fact
-	if fact == nil {
-		// Defensive: factorise here so the delta layer always has a base.
-		f := ftree.New()
-		f.NewRelationPath(cr.Rel.Attrs...)
-		st := frep.NewStore()
-		roots, err := frep.BuildStoreUnchecked(st, cr.Rel, f)
-		if err != nil {
-			panic(fmt.Sprintf("engine: factorising %s: %v", cr.Rel.Name, err))
-		}
-		fact = &catalog.Fact{Order: append([]string(nil), cr.Rel.Attrs...), Store: st, Root: roots[0]}
-	}
-	facts.Store(cr.Rel, fact)
+	facts.Store(cr.Rel, cr.Fact)
 	forest := ftree.New()
 	forest.NewRelationPath(cr.Rel.Attrs...)
 	return &mrel{
 		base:   cr.Rel,
-		ov:     fact.Store.Overlay(),
-		root:   fact.Root,
+		ov:     cr.Fact.Store.Overlay(),
+		root:   cr.Fact.Root,
 		forest: forest,
-		tombs:  map[string]bool{},
 	}
 }
 
@@ -302,10 +290,10 @@ func (m *MutableCatalog) Generation() uint64 { return m.genA.Load() }
 
 // View returns an immutable database snapshot at the current
 // generation. Unmutated relations are the frozen base pointers (no
-// delta-layer overhead whatsoever); mutated relations are merged views
-// whose factorisations are registered for grafting. The map and its
-// relations must not be modified; they stay valid (and consistent)
-// however many writes follow.
+// write-path overhead whatsoever); mutated relations are flattened from
+// their current factorisations, which are registered for grafting. The
+// map and its relations must not be modified; they stay valid (and
+// consistent) however many writes follow.
 func (m *MutableCatalog) View() DB {
 	if v := m.view.Load(); v != nil && v.gen == m.genA.Load() {
 		return v.db
@@ -334,26 +322,20 @@ func (m *MutableCatalog) viewLocked() DB {
 	return db
 }
 
-// publish materialises the relation's merged flat view and registers
-// its overlay-snapshot factorisation under the new relation pointer,
-// retiring the previous generation's registration.
+// publish flattens the relation's current factorisation and registers
+// its overlay snapshot under the new relation pointer, retiring the
+// previous generation's registration.
 func (mr *mrel) publish() {
 	if mr.pubRel != nil && mr.pubRel != mr.base {
 		facts.Delete(mr.pubRel)
 	}
-	tuples := make([]relation.Tuple, 0, len(mr.base.Tuples)+len(mr.inserts)-len(mr.tombs))
-	for _, t := range mr.base.Tuples {
-		if !mr.tombs[t.Key()] {
-			tuples = append(tuples, t)
-		}
-	}
-	tuples = append(tuples, mr.inserts...)
-	rel, err := relation.New(mr.base.Name, mr.base.Attrs, tuples)
+	rel, err := frep.FlattenStore(mr.forest, mr.ov, []frep.NodeID{mr.root})
 	if err != nil {
-		// The rows were validated on insert; a failure here is a
+		// The forest is the relation's own path; a failure here is a
 		// programming error, not a data error.
 		panic(fmt.Sprintf("engine: publishing %s: %v", mr.base.Name, err))
 	}
+	rel.Name = mr.base.Name
 	facts.Store(rel, &catalog.Fact{
 		Order: append([]string(nil), mr.base.Attrs...),
 		Store: mr.ov.Snapshot(),
@@ -365,7 +347,7 @@ func (mr *mrel) publish() {
 // ErrMutableClosed is returned by operations on a closed catalogue.
 var ErrMutableClosed = fmt.Errorf("engine: mutable catalogue closed")
 
-// Apply executes one mutation: the delta layer is updated under the
+// Apply executes one mutation: the factorisation is updated under the
 // writer lock, the statement is appended to the WAL, and Apply returns
 // the number of rows affected once the record's group commit has made
 // it durable. Statements that change nothing (no-op deletes, inserts of
@@ -411,7 +393,7 @@ func (m *MutableCatalog) Apply(ctx context.Context, mut *query.Mutation) (int64,
 	return n, nil
 }
 
-// applyLocked applies one validated mutation to the delta layers and
+// applyLocked applies one validated mutation to the factorisations and
 // bumps the generation when anything changed. The caller holds m.mu
 // (or, during open, has exclusive access).
 func (m *MutableCatalog) applyLocked(mut *query.Mutation) (int64, bool, error) {
@@ -429,7 +411,7 @@ func (m *MutableCatalog) applyLocked(mut *query.Mutation) (int64, bool, error) {
 		var match func(relation.Tuple) bool
 		match, err = compileWhere(mr, mut.Where)
 		if err == nil {
-			n = mr.deleteWhere(match)
+			n = mr.remove(mr.cursor(), match)
 		}
 		m.deleteRows.Add(n)
 	case query.OpUpsert:
@@ -517,39 +499,37 @@ func (mr *mrel) insert(rows [][]values.Value) (int64, error) {
 		return 0, fmt.Errorf("engine: %s: %w", mr.base.Name, err)
 	}
 	mr.root = frep.MergeLinear(mr.ov, mr.root, roots[0])
-	mr.inserts = append(mr.inserts, fresh...)
+	mr.inserted += int64(len(fresh))
 	return int64(len(fresh)), nil
 }
 
-// deleteWhere removes every current row matching the predicate: base
-// rows become tombstones, delta rows are dropped, and the matched paths
-// are removed from the factorisation. Returns the number of rows
-// removed.
-func (mr *mrel) deleteWhere(match func(relation.Tuple) bool) int64 {
+// cursor enumerates the relation's current rows in path order.
+func (mr *mrel) cursor() *frep.StoreEnumerator {
+	e, err := frep.NewStoreEnumerator(mr.forest, mr.ov, []frep.NodeID{mr.root}, nil)
+	if err != nil {
+		// The forest is the relation's own path; a failure here is a
+		// programming error, not a data error.
+		panic(fmt.Sprintf("engine: enumerating %s: %v", mr.base.Name, err))
+	}
+	return e
+}
+
+// remove deletes the rows of the cursor that match the predicate (all of
+// them for a nil predicate) from the factorisation. Returns the number
+// of rows removed.
+func (mr *mrel) remove(e *frep.StoreEnumerator, match func(relation.Tuple) bool) int64 {
+	// Rows arrive in path order, the order RemoveTuples takes.
 	var removed [][]values.Value
-	for _, t := range mr.base.Tuples {
-		if mr.tombs[t.Key()] || !match(t) {
-			continue
-		}
-		mr.tombs[t.Key()] = true
-		removed = append(removed, t)
-	}
-	kept := mr.inserts[:0]
-	for _, t := range mr.inserts {
-		if match(t) {
-			removed = append(removed, t)
-		} else {
-			kept = append(kept, t)
+	for e.Next() {
+		if t := e.Tuple(); match == nil || match(t) {
+			removed = append(removed, t.Clone())
 		}
 	}
-	mr.inserts = kept
 	if len(removed) == 0 {
 		return 0
 	}
-	sort.Slice(removed, func(i, j int) bool {
-		return relation.Compare(removed[i], removed[j]) < 0
-	})
 	mr.root = frep.RemoveTuples(mr.ov, mr.root, removed)
+	mr.deleted += int64(len(removed))
 	return int64(len(removed))
 }
 
@@ -563,10 +543,15 @@ func (mr *mrel) upsert(rows [][]values.Value) (int64, error) {
 		if len(r) != arity {
 			return n, fmt.Errorf("engine: %s: upserting %d values into %d attributes", mr.base.Name, len(r), arity)
 		}
-		key := r[0]
-		n += mr.deleteWhere(func(t relation.Tuple) bool {
-			return values.Compare(t[0], key) == 0
-		})
+		// The key's rows are the subtree of its value in the root
+		// union, if it holds the key.
+		vals := mr.ov.Vals(mr.root)
+		i := sort.Search(len(vals), func(i int) bool { return values.Compare(vals[i], r[0]) >= 0 })
+		if i < len(vals) && values.Compare(vals[i], r[0]) == 0 {
+			e := mr.cursor()
+			e.Restrict(i, i+1)
+			n += mr.remove(e, nil)
+		}
 		ins, err := mr.insert([][]values.Value{r})
 		if err != nil {
 			return n, err
@@ -606,8 +591,8 @@ func (m *MutableCatalog) Stats() MutableStats {
 		WALEpoch:   m.epoch,
 	}
 	for _, mr := range m.rels {
-		s.DeltaRows += int64(len(mr.inserts))
-		s.TombstoneRows += int64(len(mr.tombs))
+		s.DeltaRows += mr.inserted
+		s.TombstoneRows += mr.deleted
 	}
 	log := m.log
 	m.mu.Unlock()

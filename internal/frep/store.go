@@ -296,7 +296,7 @@ func (s *Store) CloneInto(dst *Store) {
 // while the original keeps appending.
 //
 // Snapshotting an overlay yields another overlay over the same base
-// with the private slabs capacity-clamped — the delta layer's published
+// with the private slabs capacity-clamped — the write path's published
 // read view: the writer keeps appending to the original overlay while
 // readers graft from the snapshot.
 func (s *Store) Snapshot() *Store {
@@ -330,7 +330,7 @@ func (s *Store) Snapshot() *Store {
 // while they live. Taking an overlay copies nothing; merging its appends
 // back costs AdoptOverlay, which is linear in the overlay's own output
 // only. Overlays must not be Reset, Cloned or pooled; Snapshot and
-// Graft-from are supported (the write path's delta layers rely on both).
+// Graft-from are supported (the write path's overlays rely on both).
 func (s *Store) Overlay() *Store {
 	if s.base != nil {
 		panic("frep: Overlay of an overlay store")

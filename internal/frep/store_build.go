@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/factordb/fdb/internal/frep/kernel"
 	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/relation"
 	"github.com/factordb/fdb/internal/values"
@@ -82,7 +83,7 @@ func BuildStoreUnchecked(s *Store, rel *relation.Relation, f *ftree.Forest) ([]N
 	// One scratch frame per possible recursion depth, allocated up front
 	// so frames are never appended (and thus never moved) mid-recursion.
 	b := &storeBuilder{s: s, rel: rel, cols: cols,
-		depths: make([]buildScratch, len(f.Nodes())+1)}
+		depths: make([]buildScratch, len(f.Nodes())+1), ints: intColumns(rel)}
 	for i, r := range f.Roots {
 		id, err := b.build(r, rows, 0)
 		if err != nil {
@@ -102,6 +103,34 @@ type storeBuilder struct {
 	cols   map[string]int
 	depths []buildScratch
 	sorter rowSorter
+	// ints holds each all-Int column as int64s (nil for other columns,
+	// and for all of them with kernels off).
+	ints [][]int64
+	// keys, pos and radix are the integer sort's pairs and scratch.
+	keys, pos []int64
+	radix     kernel.SortScratch
+}
+
+// intColumns copies each all-Int column of rel into an int64 slice, in
+// one sequential pass per column, so that reads in any row order touch
+// compact memory instead of chasing each tuple.
+func intColumns(rel *relation.Relation) [][]int64 {
+	out := make([][]int64, len(rel.Attrs))
+	if !EnableKernels {
+		return out
+	}
+	for c := range out {
+		col := make([]int64, len(rel.Tuples))
+		for i, t := range rel.Tuples {
+			if t[c].Kind() != values.Int {
+				col = nil
+				break
+			}
+			col[i] = t[c].Int()
+		}
+		out[c] = col
+	}
+	return out
 }
 
 // rowSorter is a reusable sort.Interface over row indices: one instance
@@ -120,8 +149,35 @@ func (r *rowSorter) Less(i, j int) bool {
 }
 func (r *rowSorter) Swap(i, j int) { r.rows[i], r.rows[j] = r.rows[j], r.rows[i] }
 
+// sortRows stably sorts rows by their value in column col. An all-Int
+// column takes the radix kernel, linear in the rows, and returns the
+// sorted keys; any other takes sort.Stable and returns nil. The kernel
+// matters when the rows arrive in another order — a base sorted into a
+// path order other than the one it was flattened in — where the
+// merges of sort.Stable cost O(n log² n) random tuple reads.
+func (b *storeBuilder) sortRows(rows []int32, col int) []int64 {
+	ints := b.ints[col]
+	if ints == nil {
+		b.sorter = rowSorter{rows: rows, tuples: b.rel.Tuples, col: col}
+		sort.Stable(&b.sorter)
+		return nil
+	}
+	keys, pos := b.keys[:0], b.pos[:0]
+	for _, r := range rows {
+		keys = append(keys, ints[r])
+		pos = append(pos, int64(r))
+	}
+	b.keys, b.pos = keys, pos
+	keys, pos = kernel.SortPairsInt64(keys, pos, &b.radix)
+	for i, p := range pos {
+		rows[i] = int32(p)
+	}
+	return keys
+}
+
 type buildScratch struct {
 	rows []int32
+	keys []int64
 	vals []values.Value
 	kids []NodeID
 }
@@ -147,16 +203,26 @@ func (b *storeBuilder) build(n *ftree.Node, rows []int32, depth int) (NodeID, er
 	sc := b.scratch(depth)
 	sc.rows = append(sc.rows[:0], rows...)
 	sorted := sc.rows
-	b.sorter = rowSorter{rows: sorted, tuples: tuples, col: col}
-	sort.Stable(&b.sorter)
+	// The recursion below reuses the sort's buffers, so the keys are
+	// copied into this depth's scratch.
+	sc.keys = append(sc.keys[:0], b.sortRows(sorted, col)...)
+	keys := sc.keys
 	sc.vals = sc.vals[:0]
 	sc.kids = sc.kids[:0]
 	arity := len(n.Children)
 	for start := 0; start < len(sorted); {
-		v := tuples[sorted[start]][col]
+		var v values.Value
 		end := start + 1
-		for end < len(sorted) && values.Compare(tuples[sorted[end]][col], v) == 0 {
-			end++
+		if len(keys) > 0 {
+			v = values.NewInt(keys[start])
+			for end < len(sorted) && keys[end] == keys[start] {
+				end++
+			}
+		} else {
+			v = tuples[sorted[start]][col]
+			for end < len(sorted) && values.Compare(tuples[sorted[end]][col], v) == 0 {
+				end++
+			}
 		}
 		sc.vals = append(sc.vals, v)
 		for _, c := range n.Children {
@@ -171,7 +237,8 @@ func (b *storeBuilder) build(n *ftree.Node, rows []int32, depth int) (NodeID, er
 	return b.s.Add(sc.vals, arity, sc.kids), nil
 }
 
-// FlattenStore materialises the relation represented in the store.
+// FlattenStore materialises the relation represented in the store, in
+// document order. The tuples share one backing slice of n×arity values.
 // Aggregate nodes contribute their stored values as plain columns (no
 // reweighting); use engine-level enumeration for interpreted output.
 func FlattenStore(f *ftree.Forest, s *Store, roots []NodeID) (*relation.Relation, error) {
@@ -180,9 +247,21 @@ func FlattenStore(f *ftree.Forest, s *Store, roots []NodeID) (*relation.Relation
 	if err != nil {
 		return nil, err
 	}
-	var tuples []relation.Tuple
-	for e.Next() {
-		tuples = append(tuples, e.Tuple().Clone())
+	n := int64(1)
+	for _, r := range roots {
+		n *= s.CountPlain(r)
+	}
+	// n sizes the backing slice; it is only a hint, clamped so that an
+	// overflowed count cannot make the allocation panic.
+	k := len(schema)
+	vals := make([]values.Value, 0, min(max(n, 0), 1<<30)*int64(k))
+	rows := 0
+	for ; e.Next(); rows++ {
+		vals = append(vals, e.Tuple()...)
+	}
+	tuples := make([]relation.Tuple, rows)
+	for i := range tuples {
+		tuples[i] = relation.Tuple(vals[i*k : (i+1)*k : (i+1)*k])
 	}
 	return relation.New("flat", schema, tuples)
 }

@@ -8,10 +8,11 @@
 // rather than rewriting inputs, and every request enumerates its own
 // result, so any number of readers can share one store. Each cached
 // plan keeps an immutable arena-store snapshot of its factorised base
-// relations (Prepared.ExecShared); a query starts from a slab copy of
-// that snapshot in a pooled store and returns it when done
-// (Result.Close), and response row buffers likewise come from a
-// sync.Pool — so the steady-state query path allocates only on
+// relations (Prepared.ExecShared): a plan with f-plan operators starts
+// from a slab copy of that snapshot in a pooled store and returns it
+// when done (Result.Close), while an operator-free plan enumerates the
+// shared snapshot itself and pools nothing. Response row buffers come
+// from a sync.Pool — so the steady-state query path allocates only on
 // high-water-mark growth. The only shared mutable state is the
 // per-database LRU plan cache (package cache), which maps normalised
 // SQL text to prepared plans so repeated queries skip parsing,
@@ -72,7 +73,6 @@ import (
 	"github.com/factordb/fdb"
 	"github.com/factordb/fdb/internal/server/cache"
 	"github.com/factordb/fdb/internal/sql"
-	"github.com/factordb/fdb/internal/values"
 	"github.com/factordb/fdb/internal/wire"
 )
 
@@ -102,7 +102,7 @@ type Config struct {
 	MaxRows int
 	// Snapshots maps database names to catalogue snapshot paths. A
 	// database with a path here can be persisted through POST /snapshot:
-	// the catalogue (schema, flat tuples, factorised stores) is written
+	// the catalogue (schemas and factorised stores) is written
 	// atomically — temp file, fsync, rename — so a crash mid-write never
 	// clobbers the previous snapshot. Databases without a path are
 	// skipped by /snapshot.
@@ -406,10 +406,31 @@ type QueryResponse struct {
 // errorResponse is the JSON body of every non-200 response.
 type errorResponse = wire.ErrorBody
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON commits the status only once v has encoded, so a value JSON
+// cannot encode — a non-finite float in a result — is answered with the
+// 400 error body every other query error gets, not a 200 with an empty
+// body. It returns that encoding error.
+func writeJSON(w http.ResponseWriter, status int, v any) error {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	err := json.NewEncoder(statusOnWrite{w, status}).Encode(v)
+	if err != nil {
+		w.WriteHeader(http.StatusBadRequest)
+		_ = json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
+	}
+	return err
+}
+
+// statusOnWrite commits its status on the first Write. json.Encoder
+// writes a value in one Write after encoding all of it, so an encoding
+// error leaves the status uncommitted.
+type statusOnWrite struct {
+	http.ResponseWriter
+	status int
+}
+
+func (s statusOnWrite) Write(b []byte) (int, error) {
+	s.WriteHeader(s.status)
+	return s.ResponseWriter.Write(b)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -460,14 +481,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	resp, err := s.runQuery(r, d, req.SQL, sc)
 	elapsed := time.Since(start)
-	s.met.record(elapsed, err != nil)
 	if err != nil {
-		putScratch(sc)
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
+	} else {
+		resp.ElapsedMillis = float64(elapsed) / float64(time.Millisecond)
+		err = writeJSON(w, http.StatusOK, resp)
 	}
-	resp.ElapsedMillis = float64(elapsed) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, resp)
+	s.met.record(elapsed, err != nil)
 	putScratch(sc)
 }
 
@@ -558,7 +578,7 @@ type CompactResponse struct {
 	ElapsedMillis float64 `json:"elapsedMillis"`
 }
 
-// handleCompact folds a mutable database's WAL and delta layers into a
+// handleCompact folds a mutable database's WAL and overlays into a
 // fresh catalogue snapshot. Queries and writes continue throughout; a
 // concurrent compaction returns 409 Conflict.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
@@ -670,9 +690,16 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, d *database
 		}
 		row = row[:0]
 		for _, v := range rows.Tuple() {
-			row = append(row, valueJSON(v))
+			row = append(row, fdb.GoValue(v))
 		}
 		if err := enc.Encode(row); err != nil {
+			var uv *json.UnsupportedValueError
+			if errors.As(err, &uv) {
+				// A non-finite float has no JSON encoding. Encode wrote
+				// nothing, so the trailer can still end the stream.
+				trailer.Error = err.Error()
+				break
+			}
 			// The client went away mid-stream (possibly mid-row): stop
 			// enumerating and write nothing further — a trailer after a
 			// partial row would corrupt the line protocol for any proxy
@@ -703,9 +730,10 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, d *database
 //
 // Execution goes through ExecShared: the server's relations are
 // immutable by contract, so each cached plan keeps an arena-store
-// snapshot of its factorised base relations and every query starts from
-// a slab copy of it instead of re-sorting the base data. The copy lives
-// in a pooled store that Result.Close recycles after enumeration.
+// snapshot of its factorised base relations instead of re-sorting the
+// base data per query. An operator-free plan enumerates that snapshot
+// itself; a plan with operators runs on a slab copy of it in a pooled
+// store that Result.Close recycles after enumeration.
 func (s *Server) runQuery(r *http.Request, d *database, sqlText string, sc *rowScratch) (*QueryResponse, error) {
 	prep, cached, err := s.prepared(d, sqlText)
 	if err != nil {
@@ -730,7 +758,7 @@ func (s *Server) runQuery(r *http.Request, d *database, sqlText string, sc *rowS
 		}
 		row := sc.row(len(t))
 		for i, v := range t {
-			row[i] = valueJSON(v)
+			row[i] = fdb.GoValue(v)
 		}
 		resp.Rows = append(resp.Rows, row)
 	}
@@ -762,9 +790,6 @@ func (s *Server) prepared(d *database, sqlText string) (*fdb.PreparedQuery, bool
 	d.plans.Put(key, p)
 	return p, false, nil
 }
-
-// valueJSON converts an engine value to its JSON representation.
-func valueJSON(v values.Value) any { return fdb.GoValue(v) }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.dbMu.RLock()
@@ -977,7 +1002,8 @@ type DBStats struct {
 	PlanCache        cache.Stats `json:"planCache"`
 	PlanCacheHitRate float64     `json:"planCacheHitRate"`
 	// Writable marks a mutable database; Mutable carries its write-path
-	// gauges (generation, delta sizes, WAL bytes, compactions).
+	// gauges (generation, rows written since the last compaction, WAL
+	// bytes, compactions).
 	Writable bool              `json:"writable,omitempty"`
 	Mutable  *fdb.MutableStats `json:"mutable,omitempty"`
 }
