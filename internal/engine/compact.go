@@ -5,22 +5,25 @@ package engine
 // machine:
 //
 //	1. seal    — under the writer lock: fsync and close the active WAL
-//	             segment (epoch E), create segment E+1, capture the
-//	             current view and per-relation generations. New writes
-//	             land in E+1 from here on.
-//	2. rewrite — without the lock: build a fresh catalogue from the
-//	             captured view and write snap-E via the snapshot path's
-//	             temp + fsync + rename.
+//	             segment (epoch E), create segment E+1, capture every
+//	             relation's current catalogue form (the loaded one if
+//	             unwritten, else its publication) and generation. New
+//	             writes land in E+1 from here on.
+//	2. rewrite — without the lock: write the captured relations as
+//	             snap-E via the snapshot path's temp + fsync + rename.
+//	             Nothing is re-sorted: each form already is what
+//	             catalog.Build would store.
 //	3. commit  — atomically replace MANIFEST to point at snap-E with
 //	             epoch E. This is the linearisation point: replay now
 //	             starts from snap-E and applies only segments > E.
 //	4. gc      — delete segments ≤ E and superseded snapshots.
-//	5. rebase  — under the lock: every relation not written since the
-//	             capture swaps its overlay for a fresh one over the
-//	             compacted factorisation (write counters zeroed,
-//	             generation reset). Relations written during the rewrite
-//	             keep their overlays — their new writes are safely in
-//	             segment E+1 and the next compaction picks them up.
+//	5. rebase  — under the lock: every relation written before the
+//	             capture and not since takes its publication, already
+//	             registered, as its base and swaps its overlay for a
+//	             fresh one over it (write counters zeroed, generation
+//	             reset). Relations written during the rewrite keep their
+//	             overlays — their new writes are safely in segment E+1
+//	             and the next compaction picks them up.
 //
 // Crashing (or cancelling) anywhere before step 3 leaves the previous
 // manifest authoritative; both the sealed and the new segment replay on
@@ -33,6 +36,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/factordb/fdb/internal/catalog"
@@ -83,21 +88,19 @@ func (m *MutableCatalog) Compact(ctx context.Context) error {
 	}
 	m.log = next
 	m.epoch = sealed + 1
-	db := m.viewLocked()
+	cat := &catalog.Catalog{Name: m.name}
 	gens := make(map[string]uint64, len(m.rels))
 	for name, mr := range m.rels {
+		cat.Relations = append(cat.Relations, mr.current())
 		gens[name] = mr.gen
 	}
 	m.mu.Unlock()
+	// The catalogue's canonical relation order, as catalog.Build sorts.
+	slices.SortFunc(cat.Relations, func(a, b *catalog.Relation) int {
+		return strings.Compare(a.Rel.Name, b.Rel.Name)
+	})
 
 	// Step 2: rewrite.
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	cat, err := catalog.Build(m.name, db)
-	if err != nil {
-		return fmt.Errorf("engine: compaction rebuild: %w", err)
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -135,25 +138,18 @@ func (m *MutableCatalog) Compact(ctx context.Context) error {
 	// Step 5: rebase.
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, cr := range cat.Relations {
-		mr := m.rels[cr.Rel.Name]
-		if mr == nil || mr.gen != gens[cr.Rel.Name] {
-			continue // written during the rewrite; keep its overlay
+	for name, mr := range m.rels {
+		if mr.gen == 0 || mr.gen != gens[name] {
+			continue // unmutated, or written during the rewrite
 		}
-		if mr.gen == 0 {
-			continue // unmutated; its existing registration is still exact
-		}
-		facts.Delete(mr.base)
-		if mr.pubRel != nil && mr.pubRel != cr.Rel && mr.pubRel != mr.base {
-			facts.Delete(mr.pubRel)
-		}
-		facts.Store(cr.Rel, cr.Fact)
-		mr.base = cr.Rel
-		mr.ov = cr.Fact.Store.Overlay()
-		mr.root = cr.Fact.Root
+		// The publication is what snap-E holds for the relation and is
+		// already registered under its relation pointer.
+		facts.Delete(mr.base.Rel)
+		mr.base, mr.pub, mr.pubGen = mr.pub, nil, 0
+		mr.ov = mr.base.Fact.Store.Overlay()
+		mr.root = mr.base.Fact.Root
 		mr.inserted, mr.deleted = 0, 0
 		mr.gen = 0
-		mr.pubRel, mr.pubGen = nil, 0
 	}
 	m.gen++
 	m.genA.Store(m.gen)

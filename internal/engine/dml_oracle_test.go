@@ -4,13 +4,19 @@ package engine
 // a compaction part-way through) against a mutable catalogue, checked
 // after every statement against the plain tuple-set mirror of
 // golden_dml_test.go — rows affected, the published view and its
-// factorisations, and two queries through ExecShared against the flat
-// baseline over the mirror.
+// factorisations (byte-identical to catalog.Build's), and two queries
+// through ExecShared against the flat baseline over the mirror. The
+// compacted snapshot must equal SaveCatalog of the view, and the
+// directory must reopen to the same view. FuzzMutableDML drives the
+// same generator from fuzz bytes.
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -86,8 +92,8 @@ type dmlGen struct {
 	deletes int
 }
 
-func newDMLGen(seed int64, db DB, mi mirror, attrs map[string][]string) *dmlGen {
-	g := &dmlGen{rng: rand.New(rand.NewSource(seed)), mi: mi, attrs: attrs,
+func newDMLGen(rng *rand.Rand, db DB, mi mirror, attrs map[string][]string) *dmlGen {
+	g := &dmlGen{rng: rng, mi: mi, attrs: attrs,
 		pool: map[string][][]values.Value{}, gone: map[string][]relation.Tuple{}}
 	for name, rel := range db {
 		g.names = append(g.names, name)
@@ -191,74 +197,175 @@ func (g *dmlGen) next(i int) *query.Mutation {
 	}
 }
 
+// dmlOracleCase is one database the DML oracle writes to, with the
+// queries it checks after every statement.
+type dmlOracleCase struct {
+	name    string
+	db      func() DB
+	seeds   int
+	queries []string
+}
+
+const r1Join = ` FROM Orders, Packages, Items WHERE package = package2 AND item = item2`
+
+var dmlOracleCases = []dmlOracleCase{
+	{"pizzeria", pizzeriaDB, 4, []string{
+		`SELECT customer, SUM(price) AS revenue FROM Orders, Pizzas, Items WHERE pizza = pizza2 AND item = item2 GROUP BY customer`,
+		`SELECT pizza2, item, price FROM Pizzas, Items WHERE item = item2 ORDER BY price DESC, pizza2 LIMIT 4`,
+	}},
+	{"workload", func() DB { return DB(workload.Generate(workload.Config{Scale: 1}).DB()) }, 2, []string{
+		`SELECT package, SUM(price) AS total` + r1Join + ` GROUP BY package`,
+		`SELECT customer, date, package FROM Orders ORDER BY customer, date, package LIMIT 5`,
+	}},
+}
+
+// dmlOracleSteps is the statements per sequence; compaction runs
+// half-way.
+const dmlOracleSteps = 36
+
 func TestMutableDMLOracle(t *testing.T) {
-	const r1Join = ` FROM Orders, Packages, Items WHERE package = package2 AND item = item2`
-	cases := []struct {
-		name    string
-		db      func() DB
-		seeds   int
-		queries []string
-	}{
-		{"pizzeria", pizzeriaDB, 4, []string{
-			`SELECT customer, SUM(price) AS revenue FROM Orders, Pizzas, Items WHERE pizza = pizza2 AND item = item2 GROUP BY customer`,
-			`SELECT pizza2, item, price FROM Pizzas, Items WHERE item = item2 ORDER BY price DESC, pizza2 LIMIT 4`,
-		}},
-		{"workload", func() DB { return DB(workload.Generate(workload.Config{Scale: 1}).DB()) }, 2, []string{
-			`SELECT package, SUM(price) AS total` + r1Join + ` GROUP BY package`,
-			`SELECT customer, date, package FROM Orders ORDER BY customer, date, package LIMIT 5`,
-		}},
-	}
-	const steps = 36
-	for _, tc := range cases {
+	for _, tc := range dmlOracleCases {
 		for seed := int64(1); seed <= int64(tc.seeds); seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
-				db := tc.db()
-				m, err := CreateMutable(filepath.Join(t.TempDir(), "cat"), tc.name, db)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer m.Close()
-				mi, attrs := mirror{}, map[string][]string{}
-				for name, rel := range db {
-					mi[name] = append([]relation.Tuple{}, rel.Tuples...)
-					attrs[name] = rel.Attrs
-				}
-				eng := New()
-				var preps []*Prepared
-				for _, text := range tc.queries {
-					q, err := sql.Parse(text)
-					if err != nil {
-						t.Fatalf("%s: %v", text, err)
-					}
-					prep, err := eng.Prepare(q, m.View())
-					if err != nil {
-						t.Fatalf("%s: %v", text, err)
-					}
-					preps = append(preps, prep)
-				}
-				g := newDMLGen(seed, db, mi, attrs)
-				for i := 0; i < steps; i++ {
-					if i == steps/2 {
-						if err := m.Compact(context.Background()); err != nil {
-							t.Fatal(err)
-						}
-					}
-					mut := g.next(i)
-					got := apply(t, m, mut)
-					want, removed := applyMirror(mi, attrs[mut.Relation], mut)
-					g.gone[mut.Relation] = append(g.gone[mut.Relation], removed...)
-					if got != want {
-						t.Fatalf("step %d: %s affected %d rows, want %d", i, mut, got, want)
-					}
-					diffViews(t, m, mi.db(attrs))
-					flat := rdb.DB(mi.db(attrs))
-					view := m.View()
-					for _, prep := range preps {
-						res := collectRows(t, func() (*Result, error) { return prep.ExecShared(view) })
-						checkOracle(t, prep.Query, res, flat)
-					}
-				}
+				runDMLOracle(t, tc, rand.New(rand.NewSource(seed)))
 			})
 		}
 	}
+}
+
+// fuzzSource is a rand.Source replaying fuzz bytes: each draw is the
+// next eight bytes, little-endian with the sign bit cleared, and zero
+// once the bytes run out.
+type fuzzSource struct{ b []byte }
+
+func (s *fuzzSource) Int63() int64 {
+	var w [8]byte
+	s.b = s.b[copy(w[:], s.b):]
+	return int64(binary.LittleEndian.Uint64(w[:]) &^ (1 << 63))
+}
+
+func (s *fuzzSource) Seed(int64) {}
+
+// dmlOracleDraws bounds the generator's draws in one oracle sequence
+// (233 at most over the oracle's seeds), so a fuzz seed recorded from
+// rand.NewSource replays the oracle's sequence exactly.
+const dmlOracleDraws = 256
+
+// FuzzMutableDML drives the DML oracle's statement generator from fuzz
+// bytes: the first byte picks the database, the rest are the
+// generator's random draws. It is seeded with the oracle's own
+// sequences, and checks the same properties after every statement.
+func FuzzMutableDML(f *testing.F) {
+	for c, tc := range dmlOracleCases {
+		for seed := int64(1); seed <= int64(tc.seeds); seed++ {
+			src := rand.NewSource(seed)
+			b := []byte{byte(c)}
+			for i := 0; i < dmlOracleDraws; i++ {
+				b = binary.LittleEndian.AppendUint64(b, uint64(src.Int63()))
+			}
+			f.Add(b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		tc := dmlOracleCases[int(data[0])%len(dmlOracleCases)]
+		runDMLOracle(t, tc, rand.New(&fuzzSource{data[1:]}))
+	})
+}
+
+// runDMLOracle applies a sequence of statements drawn from rng to a
+// mutable catalogue over tc's database, compacting half-way, and checks
+// after every statement the rows affected, the view and its registered
+// factorisations (diffViews: catalog.Build's bytes) and tc's queries
+// against the flat baseline over the mirror. The compacted snapshot
+// must be SaveCatalog's bytes of the view, and the directory must
+// reopen to the same view after compaction and at the end.
+func runDMLOracle(t *testing.T, tc dmlOracleCase, rng *rand.Rand) {
+	db := tc.db()
+	dir := filepath.Join(t.TempDir(), "cat")
+	m, err := CreateMutable(dir, tc.name, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	mi, attrs := mirror{}, map[string][]string{}
+	for name, rel := range db {
+		mi[name] = append([]relation.Tuple{}, rel.Tuples...)
+		attrs[name] = rel.Attrs
+	}
+	eng := New()
+	var preps []*Prepared
+	for _, text := range tc.queries {
+		q, err := sql.Parse(text)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		prep, err := eng.Prepare(q, m.View())
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		preps = append(preps, prep)
+	}
+	g := newDMLGen(rng, db, mi, attrs)
+	for i := 0; i < dmlOracleSteps; i++ {
+		if i == dmlOracleSteps/2 {
+			if err := m.Compact(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			checkCompacted(t, m)
+			checkReopened(t, m, mi.db(attrs))
+		}
+		mut := g.next(i)
+		got := apply(t, m, mut)
+		want, removed := applyMirror(mi, attrs[mut.Relation], mut)
+		g.gone[mut.Relation] = append(g.gone[mut.Relation], removed...)
+		if got != want {
+			t.Fatalf("step %d: %s affected %d rows, want %d", i, mut, got, want)
+		}
+		diffViews(t, m, mi.db(attrs))
+		flat := rdb.DB(mi.db(attrs))
+		view := m.View()
+		for _, prep := range preps {
+			res := collectRows(t, func() (*Result, error) { return prep.ExecShared(view) })
+			checkOracle(t, prep.Query, res, flat)
+		}
+	}
+	checkReopened(t, m, mi.db(attrs))
+}
+
+// checkCompacted asserts the catalogue's one snapshot file is, byte for
+// byte, SaveCatalog of its current view.
+func checkCompacted(t *testing.T, m *MutableCatalog) {
+	t.Helper()
+	snaps, err := filepath.Glob(filepath.Join(m.Dir(), "snap-*.fdbcat"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots after compaction: %v (%v)", snaps, err)
+	}
+	got, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if _, err := SaveCatalog(&want, m.Name(), m.View()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("%s: %d bytes, SaveCatalog of the view writes %d different ones", filepath.Base(snaps[0]), len(got), want.Len())
+	}
+}
+
+// checkReopened asserts a copy of the catalogue's directory opens to
+// the wanted view.
+func checkReopened(t *testing.T, m *MutableCatalog, want DB) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "reopened")
+	copyCatalogDir(t, m.Dir(), dir, "", 0)
+	r, err := OpenMutable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	diffViews(t, r, want)
 }

@@ -7,7 +7,7 @@ package engine
 // View() returns an immutable database map whose unmutated relations are
 // served exactly as a frozen catalogue would serve them (same pointers,
 // same registered factorisations — zero overhead), while a mutated
-// relation is its factorisation, kept in a private overlay
+// relation is its factorisation, kept in the writer's private overlay
 // (Store.Overlay) of the frozen base factorisation:
 //
 //   - inserts are factorised into the overlay and folded into the
@@ -16,11 +16,13 @@ package engine
 //     and remove their paths structurally (RemoveTuples); an upsert
 //     finds its key's rows by binary search on the root union;
 //   - each write bumps the catalogue generation and the next View()
-//     publishes a fresh relation (new pointer) flattened from the
-//     factorisation, whose overlay snapshot is registered in the
-//     process-wide fact registry, so queries graft the up-to-date
-//     factorisation and cached plans detect staleness by pointer
-//     identity.
+//     publishes the relation in the catalogue's own form: the live
+//     nodes copied out of the overlay (Store.CopyReachable) and ranked,
+//     byte-identical to what catalog.Build stores, registered in the
+//     process-wide fact registry under a fresh relation pointer
+//     flattened from it. Queries graft only live nodes, cached plans
+//     detect staleness by pointer identity, and no overlay leaves the
+//     writer.
 //
 // Durability: every acknowledged mutation is appended to the WAL and
 // group-committed before Apply returns. Crash anywhere, reopen the
@@ -66,11 +68,13 @@ type manifest struct {
 
 // mrel is the per-relation write state.
 type mrel struct {
-	// base is the frozen relation from the current snapshot; its
-	// registered factorisation backs ov.
-	base *relation.Relation
+	// base is the relation as the current snapshot holds it (loaded, or
+	// published and then compacted): View serves it while unwritten, and
+	// its registered factorisation backs ov.
+	base *catalog.Relation
 	// ov is the writer's private overlay over the base factorisation;
-	// every node a write creates is appended here.
+	// every node a write creates is appended here, so it also keeps the
+	// nodes later writes made dead.
 	ov *frep.Store
 	// root is the relation's current factorisation root in ov's address
 	// space, maintained incrementally by MergeLinear / RemoveTuples.
@@ -83,9 +87,9 @@ type mrel struct {
 	// gen is the catalogue generation of the relation's last mutation;
 	// 0 means unmutated (View serves base directly).
 	gen uint64
-	// pubRel is the merged relation published at generation pubGen, with
-	// its overlay-snapshot factorisation registered in the fact registry.
-	pubRel *relation.Relation
+	// pub is the relation published at generation pubGen, in catalogue
+	// form, with its factorisation registered in the fact registry.
+	pub    *catalog.Relation
 	pubGen uint64
 }
 
@@ -263,14 +267,14 @@ func newMutable(name, dir string, cat *catalog.Catalog, log *wal.Log, epoch uint
 }
 
 // newMrel wires one catalogued relation into the write path: its frozen
-// factorisation is registered for grafting and becomes the overlay's
-// base tier.
+// factorisation is registered for grafting and becomes the base tier of
+// the writer's overlay, which never leaves the mrel.
 func newMrel(cr *catalog.Relation) *mrel {
 	facts.Store(cr.Rel, cr.Fact)
 	forest := ftree.New()
 	forest.NewRelationPath(cr.Rel.Attrs...)
 	return &mrel{
-		base:   cr.Rel,
+		base:   cr,
 		ov:     cr.Fact.Store.Overlay(),
 		root:   cr.Fact.Root,
 		forest: forest,
@@ -309,39 +313,53 @@ func (m *MutableCatalog) viewLocked() DB {
 	}
 	db := make(DB, len(m.rels))
 	for name, mr := range m.rels {
-		if mr.gen == 0 {
-			db[name] = mr.base
-			continue
-		}
-		if mr.pubGen != mr.gen || mr.pubRel == nil {
-			mr.publish()
-		}
-		db[name] = mr.pubRel
+		db[name] = mr.current().Rel
 	}
 	m.view.Store(&viewState{gen: m.gen, db: db})
 	return db
 }
 
-// publish flattens the relation's current factorisation and registers
-// its overlay snapshot under the new relation pointer, retiring the
-// previous generation's registration.
+// current returns the relation in catalogue form at the current
+// generation, publishing it first when a write has outdated the last
+// publication. The caller holds m.mu.
+func (mr *mrel) current() *catalog.Relation {
+	if mr.gen == 0 {
+		return mr.base
+	}
+	if mr.pub == nil || mr.pubGen != mr.gen {
+		mr.publish()
+	}
+	return mr.pub
+}
+
+// publish copies the relation's live factorisation out of the overlay
+// into the form catalog.Build stores — the reachable nodes in
+// post-order, ranked — flattens it into a new relation pointer and
+// registers it there, retiring the previous generation's registration.
 func (mr *mrel) publish() {
-	if mr.pubRel != nil && mr.pubRel != mr.base {
-		facts.Delete(mr.pubRel)
+	if mr.pub != nil {
+		facts.Delete(mr.pub.Rel)
 	}
-	rel, err := frep.FlattenStore(mr.forest, mr.ov, []frep.NodeID{mr.root})
+	name := mr.base.Rel.Name
+	st, roots := mr.ov.CopyReachable([]frep.NodeID{mr.root})
+	// The forest is the relation's own path and the copy a tree of
+	// distinct values, so failures here are programming errors, not
+	// data errors.
+	if err := st.BuildRanks(); err != nil {
+		panic(fmt.Sprintf("engine: ranking %s: %v", name, err))
+	}
+	rel, err := frep.FlattenStore(mr.forest, st, roots)
 	if err != nil {
-		// The forest is the relation's own path; a failure here is a
-		// programming error, not a data error.
-		panic(fmt.Sprintf("engine: publishing %s: %v", mr.base.Name, err))
+		panic(fmt.Sprintf("engine: publishing %s: %v", name, err))
 	}
-	rel.Name = mr.base.Name
-	facts.Store(rel, &catalog.Fact{
-		Order: append([]string(nil), mr.base.Attrs...),
-		Store: mr.ov.Snapshot(),
-		Root:  mr.root,
-	})
-	mr.pubRel, mr.pubGen = rel, mr.gen
+	rel.Name = name
+	mr.pub = &catalog.Relation{Rel: rel, Fact: &catalog.Fact{
+		Order: append([]string(nil), mr.base.Rel.Attrs...),
+		Store: st,
+		Root:  roots[0],
+	}}
+	facts.Store(rel, mr.pub.Fact)
+	mr.pubGen = mr.gen
 }
 
 // ErrMutableClosed is returned by operations on a closed catalogue.
@@ -438,14 +456,14 @@ func compileWhere(mr *mrel, where []query.Filter) (func(relation.Tuple) bool, er
 	cols := make([]int, len(where))
 	for i, f := range where {
 		c := -1
-		for j, a := range mr.base.Attrs {
+		for j, a := range mr.base.Rel.Attrs {
 			if a == f.Attr {
 				c = j
 				break
 			}
 		}
 		if c < 0 {
-			return nil, fmt.Errorf("engine: relation %q has no attribute %q", mr.base.Name, f.Attr)
+			return nil, fmt.Errorf("engine: relation %q has no attribute %q", mr.base.Rel.Name, f.Attr)
 		}
 		cols[i] = c
 	}
@@ -464,10 +482,10 @@ func compileWhere(mr *mrel, where []query.Filter) (func(relation.Tuple) bool, er
 // the overlay and merges it into the current root. Returns the number
 // of rows actually inserted.
 func (mr *mrel) insert(rows [][]values.Value) (int64, error) {
-	arity := len(mr.base.Attrs)
+	arity := len(mr.base.Rel.Attrs)
 	for _, r := range rows {
 		if len(r) != arity {
-			return 0, fmt.Errorf("engine: %s: inserting %d values into %d attributes", mr.base.Name, len(r), arity)
+			return 0, fmt.Errorf("engine: %s: inserting %d values into %d attributes", mr.base.Rel.Name, len(r), arity)
 		}
 	}
 	// Sort and deduplicate the batch, then drop rows already present;
@@ -490,13 +508,13 @@ func (mr *mrel) insert(rows [][]values.Value) (int64, error) {
 	if len(fresh) == 0 {
 		return 0, nil
 	}
-	rel, err := relation.New(mr.base.Name, mr.base.Attrs, fresh)
+	rel, err := relation.New(mr.base.Rel.Name, mr.base.Rel.Attrs, fresh)
 	if err != nil {
-		return 0, fmt.Errorf("engine: %s: %w", mr.base.Name, err)
+		return 0, fmt.Errorf("engine: %s: %w", mr.base.Rel.Name, err)
 	}
 	roots, err := frep.BuildStoreUnchecked(mr.ov, rel, mr.forest)
 	if err != nil {
-		return 0, fmt.Errorf("engine: %s: %w", mr.base.Name, err)
+		return 0, fmt.Errorf("engine: %s: %w", mr.base.Rel.Name, err)
 	}
 	mr.root = frep.MergeLinear(mr.ov, mr.root, roots[0])
 	mr.inserted += int64(len(fresh))
@@ -509,7 +527,7 @@ func (mr *mrel) cursor() *frep.StoreEnumerator {
 	if err != nil {
 		// The forest is the relation's own path; a failure here is a
 		// programming error, not a data error.
-		panic(fmt.Sprintf("engine: enumerating %s: %v", mr.base.Name, err))
+		panic(fmt.Sprintf("engine: enumerating %s: %v", mr.base.Rel.Name, err))
 	}
 	return e
 }
@@ -537,11 +555,11 @@ func (mr *mrel) remove(e *frep.StoreEnumerator, match func(relation.Tuple) bool)
 // current row whose first attribute compares equal is removed, then the
 // row is inserted. Returns rows removed plus rows inserted.
 func (mr *mrel) upsert(rows [][]values.Value) (int64, error) {
-	arity := len(mr.base.Attrs)
+	arity := len(mr.base.Rel.Attrs)
 	var n int64
 	for _, r := range rows {
 		if len(r) != arity {
-			return n, fmt.Errorf("engine: %s: upserting %d values into %d attributes", mr.base.Name, len(r), arity)
+			return n, fmt.Errorf("engine: %s: upserting %d values into %d attributes", mr.base.Rel.Name, len(r), arity)
 		}
 		// The key's rows are the subtree of its value in the root
 		// union, if it holds the key.
@@ -629,9 +647,9 @@ func (m *MutableCatalog) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, mr := range m.rels {
-		facts.Delete(mr.base)
-		if mr.pubRel != nil && mr.pubRel != mr.base {
-			facts.Delete(mr.pubRel)
+		facts.Delete(mr.base.Rel)
+		if mr.pub != nil {
+			facts.Delete(mr.pub.Rel)
 		}
 	}
 	if m.log != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -8,9 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/factordb/fdb/internal/catalog"
 	"github.com/factordb/fdb/internal/fops"
-	"github.com/factordb/fdb/internal/frep"
-	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/query"
 	"github.com/factordb/fdb/internal/relation"
 	"github.com/factordb/fdb/internal/sql"
@@ -51,8 +51,9 @@ func diffRelations(t *testing.T, name string, got, want *relation.Relation) {
 }
 
 // diffViews asserts the mutable catalogue's view matches a reference
-// database both as flat relations and as registered factorisations
-// (each published fact must structurally equal a from-scratch build).
+// database both as flat relations and as registered factorisations:
+// each relation's fact must be the catalogue's own form, byte-identical
+// (as a snapshot, with the same root) to catalog.Build of the relation.
 func diffViews(t *testing.T, m *MutableCatalog, want DB) {
 	t.Helper()
 	view := m.View()
@@ -69,15 +70,22 @@ func diffViews(t *testing.T, m *MutableCatalog, want DB) {
 		if fact == nil {
 			t.Fatalf("%s: no registered factorisation for the view relation", name)
 		}
-		ref := frep.NewStore()
-		f := ftree.New()
-		f.NewRelationPath(vrel.Attrs...)
-		roots, err := frep.BuildStoreUnchecked(ref, vrel, f)
+		ref, err := catalog.Build("ref", DB{name: vrel})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !frep.EqualStore(fact.Store, fact.Root, ref, roots[0]) {
-			t.Fatalf("%s: published factorisation differs from a from-scratch build", name)
+		wf := ref.Relations[0].Fact
+		got, err := fact.Store.SnapshotBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wb, err := wf.Store.SnapshotBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fact.Root != wf.Root || !bytes.Equal(got, wb) {
+			t.Fatalf("%s: registered factorisation (root %d, %d snapshot bytes) differs from catalog.Build's (root %d, %d bytes)",
+				name, fact.Root, len(got), wf.Root, len(wb))
 		}
 	}
 }

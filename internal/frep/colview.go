@@ -18,7 +18,7 @@ package frep
 //
 // The index is immutable once built and shared by pointer across
 // CloneInto and Snapshot; Reset drops the pointer (never truncates the
-// shared slices), and Graft extends it copy-on-write.
+// shared slices), and a Graft leaves it covering the pre-graft prefix.
 
 import (
 	"math"
@@ -393,26 +393,4 @@ func (s *Store) RemoveKidColumn(id NodeID, col int) NodeID {
 	}
 	s.kids = append(s.kids, kids[(n-1)*arity+col+1:]...)
 	return nid
-}
-
-// extendColsForGraft extends a complete column index across a Graft of
-// other (itself completely indexed) into s, keeping s complete. The
-// extension is copy-on-write: snapshots and clones sharing the old index
-// keep seeing it unchanged.
-func (s *Store) extendColsForGraft(other *Store) {
-	old := s.cols
-	oc := other.cols
-	c := &colIndex{
-		pay:      make([]int64, 0, len(old.pay)+len(oc.pay)),
-		runEnds:  make([]uint32, 0, len(old.runEnds)+len(oc.runEnds)),
-		runKinds: make([]values.Kind, 0, len(old.runKinds)+len(oc.runKinds)),
-		nVals:    uint32(len(s.vals)),
-	}
-	c.pay = append(append(c.pay, old.pay...), oc.pay...)
-	c.runEnds = append(c.runEnds, old.runEnds...)
-	for _, e := range oc.runEnds {
-		c.runEnds = append(c.runEnds, e+old.nVals)
-	}
-	c.runKinds = append(append(c.runKinds, old.runKinds...), oc.runKinds...)
-	s.cols = c
 }

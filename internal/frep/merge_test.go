@@ -1,6 +1,7 @@
 package frep
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -179,7 +180,9 @@ func TestRemoveTuplesAll(t *testing.T) {
 
 // TestMergeIntoOverlay: the write path's exact shape — base store
 // frozen, batches built and merged inside an overlay — must equal a
-// from-scratch build, and the overlay's Snapshot must preserve it.
+// from-scratch build, and copying out the merged root's reachable nodes
+// must reproduce that build's snapshot byte for byte (the catalogue form
+// a write publishes and compaction writes).
 func TestMergeIntoOverlay(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	attrs := []string{"x", "y", "z"}
@@ -221,8 +224,27 @@ func TestMergeIntoOverlay(t *testing.T) {
 	if !EqualStore(ov, cur, ref, want) {
 		t.Fatal("overlay-merged factorisation differs from from-scratch rebuild")
 	}
-	snap := ov.Snapshot()
-	if !EqualStore(snap, cur, ref, want) {
-		t.Fatal("overlay snapshot lost the merged factorisation")
+	live, roots := ov.CopyReachable([]NodeID{cur})
+	if roots[0] != want {
+		t.Fatalf("copied root %d, from-scratch root %d", roots[0], want)
+	}
+	for _, st := range []*Store{live, ref} {
+		if err := st.BuildRanks(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := live.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantB, err := ref.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantB) {
+		t.Fatal("copied overlay factorisation's snapshot differs from a from-scratch build's")
+	}
+	if n, v, k := live.MemStats(); cap(live.nodes) != n || cap(live.vals) != v || cap(live.kids) != k {
+		t.Fatalf("copy slabs sized %d/%d/%d for %d/%d/%d entries", cap(live.nodes), cap(live.vals), cap(live.kids), n, v, k)
 	}
 }

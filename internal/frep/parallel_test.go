@@ -99,6 +99,30 @@ func TestOverlayAdopt(t *testing.T) {
 	}
 }
 
+// TestOverlayStaysPrivate: an overlay is a private append arena, so
+// every operation that would let its two tiers leave it panics.
+func TestOverlayStaysPrivate(t *testing.T) {
+	base := NewStore()
+	base.AddLeaf([]values.Value{values.NewInt(1)})
+	ov := base.Overlay()
+	ov.AddLeaf([]values.Value{values.NewInt(2)})
+	for name, op := range map[string]func(){
+		"Snapshot of":  func() { ov.Snapshot() },
+		"Graft from":   func() { NewStore().Graft(ov) },
+		"Graft into":   func() { ov.Graft(NewStore()) },
+		"CloneInto of": func() { ov.CloneInto(NewStore()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s an overlay did not panic", name)
+				}
+			}()
+			op()
+		}()
+	}
+}
+
 // buildPathRep factorises a random two-attribute relation as a linear
 // path into a fresh store.
 func buildPathRep(t *testing.T, n int) (*ftree.Forest, *Store, []NodeID) {

@@ -244,10 +244,29 @@ func (s *Store) Clone() *Store {
 
 // CopyReachable returns a fresh store of just the nodes reachable from
 // roots, each copied once in post-order (so shared subtrees stay shared
-// and copying a copy reproduces it), and the roots' ids in it.
+// and copying a copy reproduces it), and the roots' ids in it. A sizing
+// walk comes first, so the copy's slabs hold exactly what it copies: the
+// source may be mostly dead nodes (a written relation's overlay keeps
+// every node appended since its last compaction).
 func (s *Store) CopyReachable(roots []NodeID) (*Store, []NodeID) {
-	nn, nv, nk := s.counts() // capacity for the common all-reachable case
-	out := &Store{nodes: make([]nodeHdr, 1, nn), vals: make([]values.Value, 0, nv), kids: make([]NodeID, 0, nk)}
+	nn, _, _ := s.counts()
+	seen := make([]bool, nn)
+	nNodes, nVals, nKids := 1, 0, 0
+	stack := slices.Clone(roots)
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		h := s.hdr(id)
+		if seen[id] || h.nVals == 0 {
+			continue
+		}
+		seen[id] = true
+		nNodes++
+		nVals += int(h.nVals)
+		nKids += int(h.nVals * h.arity)
+		stack = append(stack, s.kidSlice(h.kidOff, h.nVals*h.arity)...)
+	}
+	out := &Store{nodes: make([]nodeHdr, 1, nNodes), vals: make([]values.Value, 0, nVals), kids: make([]NodeID, 0, nKids)}
 	ids := make([]NodeID, nn) // 0 until copied
 	var cp func(id NodeID) NodeID
 	cp = func(id NodeID) NodeID {
@@ -293,23 +312,11 @@ func (s *Store) CloneInto(dst *Store) {
 // first append to either side copies out of the shared backing arrays
 // instead of writing into them. Because nodes are never mutated in
 // place, a snapshot is safe to read (and grow) from other goroutines
-// while the original keeps appending.
-//
-// Snapshotting an overlay yields another overlay over the same base
-// with the private slabs capacity-clamped — the write path's published
-// read view: the writer keeps appending to the original overlay while
-// readers graft from the snapshot.
+// while the original keeps appending. Overlays have no snapshot: their
+// nodes are published through CopyReachable.
 func (s *Store) Snapshot() *Store {
 	if s.base != nil {
-		return &Store{
-			base:      s.base,
-			baseNodes: s.baseNodes,
-			baseVals:  s.baseVals,
-			baseKids:  s.baseKids,
-			nodes:     s.nodes[:len(s.nodes):len(s.nodes)],
-			vals:      s.vals[:len(s.vals):len(s.vals)],
-			kids:      s.kids[:len(s.kids):len(s.kids)],
-		}
+		panic("frep: Snapshot of an overlay store")
 	}
 	return &Store{
 		nodes:      s.nodes[:len(s.nodes):len(s.nodes)],
@@ -324,13 +331,14 @@ func (s *Store) Snapshot() *Store {
 
 // Overlay returns a store that reads s's current contents in place and
 // appends into private slabs, continuing s's node-id and slab address
-// space. It is the per-worker append arena of parallel execution: any
-// number of overlays may be taken over one base and used concurrently
-// (each from a single goroutine), provided the base is not appended to
-// while they live. Taking an overlay copies nothing; merging its appends
-// back costs AdoptOverlay, which is linear in the overlay's own output
-// only. Overlays must not be Reset, Cloned or pooled; Snapshot and
-// Graft-from are supported (the write path's overlays rely on both).
+// space. It is a private append arena for one goroutine: a parallel
+// operator's worker, or a mutable relation's writer. Any number of
+// overlays may be taken over one base and used concurrently, provided
+// the base is not appended to while they live. Taking an overlay copies
+// nothing; merging its appends back costs AdoptOverlay, which is linear
+// in the overlay's own output only, and CopyReachable copies out the
+// nodes a root reaches. Overlays must not be Reset, Cloned, Snapshotted,
+// grafted or pooled.
 func (s *Store) Overlay() *Store {
 	if s.base != nil {
 		panic("frep: Overlay of an overlay store")
@@ -416,16 +424,12 @@ func (s *Store) ViewOf(id NodeID, lo, hi int) NodeID {
 
 // Graft appends the contents of other into s and returns a remapping
 // function from other's node ids to s's. Used by Product when the two
-// factorised relations live in different stores, and by the write path
-// when a query grafts a delta overlay (base factorisation plus private
-// appends) into its working store. other is unchanged; grafting an
-// overlay flattens both tiers into s.
+// factorised relations live in different stores, and by query builds
+// grafting a catalogued factorisation into their working store. other
+// is unchanged; neither side may be an overlay.
 func (s *Store) Graft(other *Store) func(NodeID) NodeID {
-	if s.base != nil {
-		panic("frep: Graft into an overlay store")
-	}
-	if other.base != nil {
-		return s.graftOverlay(other)
+	if s.base != nil || other.base != nil {
+		panic("frep: Graft into or from an overlay store")
 	}
 	if len(s.nodes)+len(other.nodes) > math.MaxUint32 ||
 		len(s.vals)+len(other.vals) > math.MaxUint32 ||
@@ -437,9 +441,6 @@ func (s *Store) Graft(other *Store) func(NodeID) NodeID {
 	// running total), so fact roots grafted out of ranked catalogues
 	// stay directly seekable.
 	extendRanks := s.HasRanks() && other.HasRanks()
-	// Same for the column index: extend it copy-on-write when both sides
-	// carry a complete one, so grafted fact roots stay kernel-eligible.
-	extendCols := s.HasCols() && other.HasCols()
 	nodeBase := uint32(len(s.nodes))
 	valBase := uint32(len(s.vals))
 	kidBase := uint32(len(s.kids))
@@ -463,61 +464,6 @@ func (s *Store) Graft(other *Store) func(NodeID) NodeID {
 	}
 	if extendRanks {
 		s.extendRanksForGraft(other)
-	}
-	if extendCols {
-		s.extendColsForGraft(other)
-	}
-	return remap
-}
-
-// graftOverlay flattens a two-tier overlay view into s. The overlay's
-// address space is continuous — base-tier entries below the captured
-// lengths, private entries above — so copying the base prefix followed
-// by the private slabs preserves every header's offsets up to one
-// uniform shift per slab, and one remap covers kid references from both
-// tiers. The base must not have been appended to while the overlay
-// lives (the Overlay contract), so the captured prefix is stable even
-// while the overlay's writer keeps appending to a non-snapshot overlay.
-func (s *Store) graftOverlay(o *Store) func(NodeID) NodeID {
-	base := o.base
-	nNodes := int(o.baseNodes) - 1 + len(o.nodes)
-	nVals := int(o.baseVals) + len(o.vals)
-	nKids := int(o.baseKids) + len(o.kids)
-	if len(s.nodes)+nNodes > math.MaxUint32 ||
-		len(s.vals)+nVals > math.MaxUint32 ||
-		len(s.kids)+nKids > math.MaxUint32 {
-		panic("frep: Store slab overflow (2^32 entries)")
-	}
-	nodeBase := uint32(len(s.nodes))
-	valBase := uint32(len(s.vals))
-	kidBase := uint32(len(s.kids))
-	remap := func(id NodeID) NodeID {
-		if id == EmptyNode {
-			return EmptyNode
-		}
-		return NodeID(uint32(id) - 1 + nodeBase)
-	}
-	appendHdr := func(h nodeHdr) {
-		s.nodes = append(s.nodes, nodeHdr{
-			valOff: h.valOff + valBase,
-			kidOff: h.kidOff + kidBase,
-			nVals:  h.nVals,
-			arity:  h.arity,
-		})
-	}
-	for _, h := range base.nodes[1:o.baseNodes] {
-		appendHdr(h)
-	}
-	for _, h := range o.nodes {
-		appendHdr(h)
-	}
-	s.vals = append(s.vals, base.vals[:o.baseVals]...)
-	s.vals = append(s.vals, o.vals...)
-	for _, k := range base.kids[:o.baseKids] {
-		s.kids = append(s.kids, remap(k))
-	}
-	for _, k := range o.kids {
-		s.kids = append(s.kids, remap(k))
 	}
 	return remap
 }
