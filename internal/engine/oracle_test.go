@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"github.com/factordb/fdb/internal/fops"
+	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/query"
 	"github.com/factordb/fdb/internal/rdb"
 	"github.com/factordb/fdb/internal/relation"
@@ -377,5 +378,70 @@ func TestOracleRotatedPathOrders(t *testing.T) {
 	checkOracle(t, page, collectRows(t, func() (*Result, error) { return prep.ExecShared(db) }), rdb.DB(db))
 	if SeekSkipStats().SeekOffsets == seeks {
 		t.Fatal("the date-led page skipped linearly instead of seeking")
+	}
+}
+
+// TestOracleRankedCounts runs the grouped counts of the fan-out
+// workload (GROUP BY date and GROUP BY customer over R3) and the
+// aggregates a4/a5 (SUM(price) by package and in total over the R1
+// join) on a catalogue written to a file and loaded back, through
+// ExecShared, whose base snapshot is ranked, at P=1 and, with the
+// fan-out floors dropped, at P=2 inside operator workers. Each must answer as internal/rdb
+// does, and each must have read at least one count from the ranked
+// index instead of walking the subtree.
+func TestOracleRankedCounts(t *testing.T) {
+	oldV, oldW := fops.MinParallelRebuildValues, fops.MinParallelRebuildWork
+	fops.MinParallelRebuildValues, fops.MinParallelRebuildWork = 1, 1
+	defer func() { fops.MinParallelRebuildValues, fops.MinParallelRebuildWork = oldV, oldW }()
+	defer func(old bool) { frep.KernelStatsEnabled = old }(frep.KernelStatsEnabled)
+	frep.KernelStatsEnabled = true
+
+	ds := workload.Generate(workload.Config{Scale: 2})
+	db := DB(ds.DB())
+	r3, err := ds.R3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db["R3"] = r3
+	path := filepath.Join(t.TempDir(), "w.fdbcat")
+	if err := SaveCatalogFile(path, "w", db); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := LoadCatalogFile(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+
+	const r1Join = ` FROM Orders, Packages, Items WHERE package = package2 AND item = item2`
+	for _, par := range []int{1, 2} {
+		eng := New()
+		eng.Parallelism = par
+		workers := fops.ParallelRebuildWorkers()
+		for _, text := range []string{
+			`SELECT date, COUNT(*) AS n FROM R3 GROUP BY date ORDER BY date`,
+			`SELECT customer, COUNT(*) AS n FROM R3 GROUP BY customer ORDER BY customer`,
+			`SELECT package, SUM(price) AS total` + r1Join + ` GROUP BY package`,
+			`SELECT SUM(price) AS total` + r1Join,
+		} {
+			q, err := sql.Parse(text)
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			prep, err := eng.Prepare(q, cat.DB)
+			if err != nil {
+				t.Fatalf("%s: %v", text, err)
+			}
+			t.Run(fmt.Sprintf("P=%d/%s", par, text), func(t *testing.T) {
+				frep.ResetKernelStats()
+				checkOracle(t, q, collectRows(t, func() (*Result, error) { return prep.ExecShared(cat.DB) }), rdb.DB(db))
+				if st := frep.ReadKernelStats(); st.AggRanked == 0 {
+					t.Fatalf("no count was read from the ranked index: %+v", st)
+				}
+			})
+		}
+		if spawned := fops.ParallelRebuildWorkers() - workers; (par > 1) != (spawned > 0) {
+			t.Errorf("P=%d: %d operator workers spawned", par, spawned)
+		}
 	}
 }

@@ -5,6 +5,7 @@ package fops
 // stitch) as at Par=1, compared by flattening. Run under -race in CI.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -244,4 +245,47 @@ func TestParallelMergeMatchesSerial(t *testing.T) {
 		t.Fatalf("parallel: %v", err)
 	}
 	diffFlat(t, "merge", serial, parallel)
+}
+
+// TestParallelGammaRankedCount: γ below the root on a ranked store
+// answers count-only subtrees from the ranked index, inside every
+// worker's overlay at P=2 as well as serially, and the result matches γ
+// on an unranked build, which walks them. γ_count answers the whole
+// occurrence from the index; γ_{count,sum} folds b itself and reads the
+// multiplicity of its count-only child c from the index.
+func TestParallelGammaRankedCount(t *testing.T) {
+	oldV, oldW := MinParallelRebuildValues, MinParallelRebuildWork
+	MinParallelRebuildValues, MinParallelRebuildWork = 1, 1
+	defer func() { MinParallelRebuildValues, MinParallelRebuildWork = oldV, oldW }()
+	defer func(old bool) { frep.KernelStatsEnabled = old }(frep.KernelStatsEnabled)
+	frep.KernelStatsEnabled = true
+
+	for _, fields := range [][]ftree.AggField{
+		{{Fn: ftree.Count}},
+		{{Fn: ftree.Count}, {Fn: ftree.Sum, Arg: "b"}},
+	} {
+		walked := buildARel(t, 4000, 1)
+		if err := walked.Gamma("b", fields); err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 2} {
+			ranked := buildARel(t, 4000, par)
+			if err := ranked.Store.BuildRanks(); err != nil {
+				t.Fatal(err)
+			}
+			frep.ResetKernelStats()
+			workers := ParallelRebuildWorkers()
+			if err := ranked.Gamma("b", fields); err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("γ%v P=%d", fields, par)
+			if got := frep.ReadKernelStats().AggRanked; got == 0 {
+				t.Errorf("%s: the ranked index never answered", name)
+			}
+			if spawned := ParallelRebuildWorkers() - workers; (par > 1) != (spawned > 0) {
+				t.Errorf("%s: %d operator workers spawned", name, spawned)
+			}
+			diffFlat(t, name, walked, ranked)
+		}
+	}
 }

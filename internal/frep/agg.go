@@ -13,7 +13,10 @@ import (
 // representation, with the Section 3.1 interpretation of previously
 // computed aggregate attributes (⟨count(X):c⟩ counts as c tuples, etc.),
 // evaluated jointly for composite aggregation functions (Section 3.2.4) so
-// shared counts are computed once.
+// shared counts are computed once. A count over a subtree with no
+// aggregate argument and no aggregate node is the subtree's tuple total,
+// which the ranked index (ranks.go) already stores: such a subtree is
+// answered by one prefix-sum subtraction whenever its union is ranked.
 
 type actionKind uint8
 
@@ -46,12 +49,23 @@ type nodePlan struct {
 	// window — exactly what the vectorised kernels compute when the
 	// window is a kind-homogeneous Int or Float run.
 	leafKernel bool
+
+	// countOnly marks an atomic node whose subtree carries no field
+	// argument and no aggregate node (every action actAbsent, every
+	// child countOnly): its result is a bare tuple count, which the
+	// ranked index answers in O(1) whenever the union is ranked.
+	// Aggregate nodes never qualify: their rank weight is 1 per value,
+	// but their multiplicity is the stored count field.
+	countOnly bool
 }
 
 // Evaluator computes a fixed list of aggregation functions over
 // representations of a fixed f-tree subtree. Compile once, evaluate many
 // times (the γ operator calls EvalStoreInto for every occurrence of the
-// subtree).
+// subtree, the grouped enumerator once per group). Count-only subtrees
+// of a ranked store — the whole subtree for a bare count, or the
+// children multiplying a field-carrying node — read their counts from
+// the ranked index instead of being walked.
 // An Evaluator reuses internal per-depth scratch frames and is therefore
 // not safe for concurrent use.
 type Evaluator struct {
@@ -205,11 +219,16 @@ func (ev *Evaluator) compile(n *ftree.Node) error {
 		p.actions[fi] = act
 	}
 	p.leafKernel = len(n.Children) == 0 && !n.IsAgg()
+	p.countOnly = !n.IsAgg()
+	for _, act := range p.actions {
+		p.countOnly = p.countOnly && act.kind == actAbsent
+	}
 	ev.plans[n] = p
 	for _, c := range n.Children {
 		if err := ev.compile(c); err != nil {
 			return err
 		}
+		p.countOnly = p.countOnly && ev.plans[c].countOnly
 	}
 	return nil
 }
@@ -275,6 +294,18 @@ func (ev *Evaluator) EvalStoreRangeInto(s *Store, id NodeID, lo, hi int, out []v
 // loop only; recursive calls always cover their whole union.
 func (ev *Evaluator) evalStore(n *ftree.Node, s *Store, id NodeID, lo, hi int, depth int, res *result) {
 	p := ev.plans[n]
+	if p.countOnly {
+		if t, ok := s.windowTuples(id, lo, hi); ok {
+			res.count = int64(t) // totals are capped at 2⁶², so int64 is exact
+			for i := range res.vals {
+				res.vals[i] = values.Value{}
+			}
+			if KernelStatsEnabled {
+				kstats.aggRanked.Add(1)
+			}
+			return
+		}
+	}
 	if p.leafKernel && EnableKernels && ev.evalLeafStoreKernel(p, s, id, lo, hi, res) {
 		return
 	}

@@ -46,6 +46,7 @@ type KernelStats struct {
 	SelectFallback    uint64 // SelectConstKernel declined (mixed/unindexed run)
 	AggKernel         uint64 // γ leaf evaluated by kernels
 	AggFallback       uint64 // γ leaf fell back to the scalar fold
+	AggRanked         uint64 // count-only γ subtree answered by the ranked index
 	Find              uint64 // FindValue answered via a search kernel
 	FindFallback      uint64 // FindValue fell back to scalar sort.Search
 	Intersect         uint64 // IntersectPairs handled the pair
@@ -55,6 +56,7 @@ type KernelStats struct {
 var kstats struct {
 	selectKernel, selectFallback atomic.Uint64
 	aggKernel, aggFallback       atomic.Uint64
+	aggRanked                    atomic.Uint64
 	find, findFallback           atomic.Uint64
 	intersect, intersectFallback atomic.Uint64
 }
@@ -65,6 +67,7 @@ func ResetKernelStats() {
 	kstats.selectFallback.Store(0)
 	kstats.aggKernel.Store(0)
 	kstats.aggFallback.Store(0)
+	kstats.aggRanked.Store(0)
 	kstats.find.Store(0)
 	kstats.findFallback.Store(0)
 	kstats.intersect.Store(0)
@@ -78,6 +81,7 @@ func ReadKernelStats() KernelStats {
 		SelectFallback:    kstats.selectFallback.Load(),
 		AggKernel:         kstats.aggKernel.Load(),
 		AggFallback:       kstats.aggFallback.Load(),
+		AggRanked:         kstats.aggRanked.Load(),
 		Find:              kstats.find.Load(),
 		FindFallback:      kstats.findFallback.Load(),
 		Intersect:         kstats.intersect.Load(),

@@ -9,7 +9,8 @@ package frep
 // total — and any contiguous value window's total — is one subtraction,
 // and "which value contains the q-th tuple" is a binary search. This is
 // the precomputation behind ranked direct access (Seek), O(1) COUNT(*),
-// and weighted parallel splits.
+// O(1) γ and grouped counts over count-only subtrees (the evaluator in
+// agg.go), and weighted parallel splits.
 //
 // The index is a prefix property: a store built and ranked once may keep
 // appending nodes (operators derive new representations by appending);
