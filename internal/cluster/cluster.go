@@ -26,11 +26,12 @@ package cluster
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,9 +40,6 @@ import (
 	"github.com/factordb/fdb/internal/server/cache"
 	"github.com/factordb/fdb/internal/sql"
 	"github.com/factordb/fdb/internal/wire"
-
-	"context"
-	"encoding/json"
 )
 
 // Config configures a Coordinator.
@@ -305,7 +303,7 @@ func (co *Coordinator) Stats() StatsResponse {
 }
 
 func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, co.Stats())
+	wire.WriteJSON(w, http.StatusOK, co.Stats())
 }
 
 func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -315,17 +313,11 @@ func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	wire.WriteJSON(w, code, map[string]any{
 		"status": status,
 		"role":   "coordinator",
 		"shards": len(co.groups),
 	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // strategyFor resolves the distribution strategy for a statement
@@ -353,27 +345,27 @@ func (co *Coordinator) strategyFor(sqlText string) (*strategy, bool, error) {
 
 func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, wire.ErrorBody{Error: "use POST"})
+		wire.WriteJSON(w, http.StatusMethodNotAllowed, wire.ErrorBody{Error: "use POST"})
 		return
 	}
 	if !co.begin() {
-		writeJSON(w, http.StatusServiceUnavailable, wire.ErrorBody{Error: "coordinator is shutting down"})
+		wire.WriteJSON(w, http.StatusServiceUnavailable, wire.ErrorBody{Error: "coordinator is shutting down"})
 		return
 	}
 	defer co.end()
 	co.queries.Add(1)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, wire.ErrorBody{Error: "reading body: " + err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, wire.ErrorBody{Error: "reading body: " + err.Error()})
 		return
 	}
 	var req wire.QueryRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, wire.ErrorBody{Error: "invalid JSON body: " + err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, wire.ErrorBody{Error: "invalid JSON body: " + err.Error()})
 		return
 	}
 	if req.SQL == "" {
-		writeJSON(w, http.StatusBadRequest, wire.ErrorBody{Error: `missing "sql"`})
+		wire.WriteJSON(w, http.StatusBadRequest, wire.ErrorBody{Error: `missing "sql"`})
 		return
 	}
 
@@ -399,122 +391,13 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	co.distributed.Add(1)
 
-	start := time.Now()
-	var snk sink
-	if strings.Contains(r.Header.Get("Accept"), wire.ContentType) {
-		snk = &ndjsonSink{w: w, start: start}
-	} else {
-		snk = &bufferedSink{w: w, start: start, cached: cached}
-	}
-	if err := co.gather(r.Context(), st, co.man.Catalog, cached, snk); err != nil {
+	if err := co.gather(r.Context(), st, co.man.Catalog, cached, wire.NewSink(w, r)); err != nil {
 		// Failed before the header: the status line is still ours.
 		status := http.StatusBadGateway
 		var qe *queryError
 		if errors.As(err, &qe) {
 			status = http.StatusBadRequest
 		}
-		writeJSON(w, status, wire.ErrorBody{Error: err.Error()})
+		wire.WriteJSON(w, status, wire.ErrorBody{Error: err.Error()})
 	}
-}
-
-// ndjsonSink streams the stitched rows with the serial server's framing:
-// header, raw rows flushed every flushEvery, trailer.
-type ndjsonSink struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	enc     *json.Encoder
-	start   time.Time
-	buf     []byte
-	n       int
-}
-
-const flushEvery = 64
-
-func (s *ndjsonSink) flush() {
-	if s.flusher != nil {
-		s.flusher.Flush()
-	}
-}
-
-func (s *ndjsonSink) header(cols []string, cached bool) error {
-	s.w.Header().Set("Content-Type", wire.ContentType)
-	s.w.WriteHeader(http.StatusOK)
-	s.enc = json.NewEncoder(s.w)
-	s.flusher, _ = s.w.(http.Flusher)
-	if err := s.enc.Encode(wire.Header{Columns: cols, Cached: cached}); err != nil {
-		return err
-	}
-	s.flush()
-	return nil
-}
-
-func (s *ndjsonSink) row(cols []json.RawMessage) error {
-	s.buf = wire.AppendRow(s.buf[:0], cols)
-	if _, err := s.w.Write(s.buf); err != nil {
-		return err
-	}
-	s.n++
-	if s.n%flushEvery == 0 {
-		s.flush()
-	}
-	return nil
-}
-
-func (s *ndjsonSink) done(rowCount int, truncated bool, errMsg string) {
-	_ = s.enc.Encode(wire.Trailer{
-		RowCount:      rowCount,
-		Truncated:     truncated,
-		ElapsedMillis: float64(time.Since(s.start)) / float64(time.Millisecond),
-		Error:         errMsg,
-	})
-	s.flush()
-}
-
-// bufferedSink accumulates the stitched rows into the serial server's
-// buffered JSON response shape. Nothing is written until done, so a
-// merge failure can still use an HTTP error status.
-type bufferedSink struct {
-	w      http.ResponseWriter
-	start  time.Time
-	cached bool
-	cols   []string
-	rows   [][]json.RawMessage
-}
-
-// queryResponse mirrors the serial server's QueryResponse JSON shape;
-// rows stay raw so forwarded bytes survive re-encoding.
-type queryResponse struct {
-	Columns       []string            `json:"columns"`
-	Rows          [][]json.RawMessage `json:"rows"`
-	RowCount      int                 `json:"rowCount"`
-	Truncated     bool                `json:"truncated,omitempty"`
-	Cached        bool                `json:"cached"`
-	ElapsedMillis float64             `json:"elapsedMillis"`
-}
-
-func (s *bufferedSink) header(cols []string, cached bool) error {
-	s.cols = cols
-	s.cached = cached
-	s.rows = make([][]json.RawMessage, 0, 16)
-	return nil
-}
-
-func (s *bufferedSink) row(cols []json.RawMessage) error {
-	s.rows = append(s.rows, append([]json.RawMessage(nil), cols...))
-	return nil
-}
-
-func (s *bufferedSink) done(rowCount int, truncated bool, errMsg string) {
-	if errMsg != "" {
-		writeJSON(s.w, http.StatusBadRequest, wire.ErrorBody{Error: errMsg})
-		return
-	}
-	writeJSON(s.w, http.StatusOK, queryResponse{
-		Columns:       s.cols,
-		Rows:          s.rows,
-		RowCount:      rowCount,
-		Truncated:     truncated,
-		Cached:        s.cached,
-		ElapsedMillis: float64(time.Since(s.start)) / float64(time.Millisecond),
-	})
 }

@@ -15,17 +15,16 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/factordb/fdb/internal/engine"
 	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/values"
 	"github.com/factordb/fdb/internal/wire"
 )
 
 // parseVal decodes one raw JSON column value into an engine value, the
-// inverse of the server's GoValue encoding. Numbers without a fraction
-// or exponent decode as Int — matching how integer-valued results
-// encode — so merge arithmetic and comparisons run in the same domain
-// the serial engine used.
+// inverse of wire.AppendValue. Numbers without a fraction or exponent
+// decode as Int — matching how integer-valued results encode — so merge
+// arithmetic and comparisons run in the same domain the serial engine
+// used.
 func parseVal(raw json.RawMessage) (values.Value, error) {
 	t := bytes.TrimSpace(raw)
 	if len(t) == 0 {
@@ -241,11 +240,11 @@ func (m *merger) mergeGroup() ([]json.RawMessage, []values.Value, error) {
 	out := make([]json.RawMessage, 0, len(st.columns))
 	out = append(out, lead.raw[:st.nGroup]...)
 	for _, v := range finals {
-		b, err := json.Marshal(engine.GoValue(v))
+		b, err := wire.AppendValue(nil, v)
 		if err != nil {
 			return nil, nil, err
 		}
-		out = append(out, json.RawMessage(b))
+		out = append(out, b)
 	}
 	return out, finals, nil
 }
@@ -261,26 +260,12 @@ func (st *strategy) keep(finals []values.Value) bool {
 	return true
 }
 
-// sink receives the stitched response. Implementations mirror the
-// serial server's two response shapes (streaming NDJSON and buffered
-// JSON) byte for byte.
-type sink interface {
-	// header commits the response header; rows may follow. An error
-	// means the client is gone: stop silently, exactly like the serial
-	// server mid-stream.
-	header(cols []string, cached bool) error
-	// row delivers one output row's raw column values.
-	row(cols []json.RawMessage) error
-	// done terminates the response. errMsg is non-empty when the merge
-	// failed after the header was committed.
-	done(rowCount int, truncated bool, errMsg string)
-}
-
 // emitter applies the coordinator-held OFFSET, LIMIT and row cap to the
 // stitched row sequence, mirroring the serial server's accounting:
 // limit stops cleanly, the cap marks the response truncated.
 type emitter struct {
-	snk       sink
+	snk       wire.Sink
+	frame     []byte
 	offset    int
 	limit     int
 	maxRows   int
@@ -303,7 +288,8 @@ func (e *emitter) emit(row []json.RawMessage) (bool, error) {
 		e.truncated = true
 		return false, nil
 	}
-	if err := e.snk.row(row); err != nil {
+	e.frame = wire.AppendRow(e.frame[:0], row)
+	if err := e.snk.Row(e.frame); err != nil {
 		return false, err
 	}
 	e.emitted++
@@ -315,7 +301,7 @@ func (e *emitter) emit(row []json.RawMessage) (bool, error) {
 // failures before the response header was committed (the caller turns
 // those into an HTTP error status); later failures travel in the
 // trailer, like the serial server's.
-func (co *Coordinator) gather(ctx context.Context, st *strategy, db string, cached bool, snk sink) error {
+func (co *Coordinator) gather(ctx context.Context, st *strategy, db string, cached bool, snk wire.Sink) error {
 	n := len(co.groups)
 	m := &merger{st: st, streams: make([]*shardStream, n), heads: make([]*mrow, n)}
 	for i := range m.streams {
@@ -336,7 +322,7 @@ func (co *Coordinator) gather(ctx context.Context, st *strategy, db string, cach
 			}
 		}
 	}
-	if err := snk.header(cols, cached); err != nil {
+	if err := snk.Header(cols, cached); err != nil {
 		return nil
 	}
 
@@ -452,6 +438,6 @@ loop:
 	if streamErr != nil {
 		errMsg = streamErr.Error()
 	}
-	snk.done(em.emitted, em.truncated, errMsg)
+	snk.Done(em.emitted, em.truncated, errMsg)
 	return nil
 }

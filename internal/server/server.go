@@ -11,9 +11,11 @@
 // relations (Prepared.ExecShared): a plan with f-plan operators starts
 // from a slab copy of that snapshot in a pooled store and returns it
 // when done (Result.Close), while an operator-free plan enumerates the
-// shared snapshot itself and pools nothing. Response row buffers come
-// from a sync.Pool — so the steady-state query path allocates only on
-// high-water-mark growth. The only shared mutable state is the
+// shared snapshot itself and pools nothing. Each row is encoded once,
+// from its values into bytes (wire.AppendTuple), and handed to the
+// response sink the request's transport selects (wire.NewSink) — the
+// same encoder and sinks the cluster coordinator uses, so the two
+// cannot drift apart byte-wise. The only shared mutable state is the
 // per-database LRU plan cache (package cache), which maps normalised
 // SQL text to prepared plans so repeated queries skip parsing,
 // path-order search and f-plan optimisation, and the metrics window
@@ -393,7 +395,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // protocol frames live in internal/wire, specified in docs/PROTOCOL.md).
 type QueryRequest = wire.QueryRequest
 
-// QueryResponse is the POST /query success body.
+// QueryResponse is the buffered POST /query success body as a client
+// decodes it; the server writes that body through wire.NewSink.
 type QueryResponse struct {
 	Columns       []string `json:"columns"`
 	Rows          [][]any  `json:"rows"`
@@ -406,56 +409,29 @@ type QueryResponse struct {
 // errorResponse is the JSON body of every non-200 response.
 type errorResponse = wire.ErrorBody
 
-// writeJSON commits the status only once v has encoded, so a value JSON
-// cannot encode — a non-finite float in a result — is answered with the
-// 400 error body every other query error gets, not a 200 with an empty
-// body. It returns that encoding error.
-func writeJSON(w http.ResponseWriter, status int, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	err := json.NewEncoder(statusOnWrite{w, status}).Encode(v)
-	if err != nil {
-		w.WriteHeader(http.StatusBadRequest)
-		_ = json.NewEncoder(w).Encode(errorResponse{Error: err.Error()})
-	}
-	return err
-}
-
-// statusOnWrite commits its status on the first Write. json.Encoder
-// writes a value in one Write after encoding all of it, so an encoding
-// error leaves the status uncommitted.
-type statusOnWrite struct {
-	http.ResponseWriter
-	status int
-}
-
-func (s statusOnWrite) Write(b []byte) (int, error) {
-	s.WriteHeader(s.status)
-	return s.ResponseWriter.Write(b)
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+		wire.WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
 		return
 	}
 	if !s.begin() {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
+		wire.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
 		return
 	}
 	defer s.end()
 	var req QueryRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON body: " + err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON body: " + err.Error()})
 		return
 	}
 	if req.SQL == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: `missing "sql"`})
+		wire.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: `missing "sql"`})
 		return
 	}
 	d, name, ok := s.lookup(req.DB)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown database %q", name)})
+		wire.WriteJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown database %q", name)})
 		return
 	}
 
@@ -466,29 +442,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
 	case <-r.Context().Done():
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "cancelled while waiting for a worker"})
+		wire.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "cancelled while waiting for a worker"})
 		return
 	}
 
-	if wantsNDJSON(r) {
-		s.streamQuery(w, r, d, req.SQL)
-		return
-	}
-
-	// Per-query response scratch comes from a pool; it is released only
-	// after the response has been encoded, since the rows alias it.
-	sc := getScratch()
 	start := time.Now()
-	resp, err := s.runQuery(r, d, req.SQL, sc)
-	elapsed := time.Since(start)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-	} else {
-		resp.ElapsedMillis = float64(elapsed) / float64(time.Millisecond)
-		err = writeJSON(w, http.StatusOK, resp)
-	}
-	s.met.record(elapsed, err != nil)
-	putScratch(sc)
+	failed := s.query(w, r, d, req.SQL)
+	s.met.record(time.Since(start), failed)
 }
 
 // ExecRequest is the POST /exec body.
@@ -511,54 +471,54 @@ type ExecResponse struct {
 // group-committed, so an acknowledged write survives a crash.
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+		wire.WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
 		return
 	}
 	if !s.begin() {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
+		wire.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
 		return
 	}
 	defer s.end()
 	var req ExecRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<24))
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON body: " + err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON body: " + err.Error()})
 		return
 	}
 	if req.SQL == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: `missing "sql"`})
+		wire.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: `missing "sql"`})
 		return
 	}
 	d, name, ok := s.lookup(req.DB)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown database %q", name)})
+		wire.WriteJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown database %q", name)})
 		return
 	}
 	if d.mut == nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("database %q is read-only", name)})
+		wire.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("database %q is read-only", name)})
 		return
 	}
 	stmt, err := fdb.ParseStatement(req.SQL)
 	if err != nil {
 		s.execErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	mut, ok := stmt.(*fdb.Mutation)
 	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "statement is a query; use /query"})
+		wire.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "statement is a query; use /query"})
 		return
 	}
 	start := time.Now()
 	n, err := d.mut.Apply(r.Context(), mut)
 	if err != nil {
 		s.execErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	s.execs.Add(1)
 	s.rowsWritten.Add(n)
-	writeJSON(w, http.StatusOK, ExecResponse{
+	wire.WriteJSON(w, http.StatusOK, ExecResponse{
 		RowsAffected:  n,
 		Generation:    d.mut.Generation(),
 		ElapsedMillis: float64(time.Since(start)) / float64(time.Millisecond),
@@ -583,27 +543,27 @@ type CompactResponse struct {
 // concurrent compaction returns 409 Conflict.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+		wire.WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
 		return
 	}
 	if !s.begin() {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
+		wire.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
 		return
 	}
 	defer s.end()
 	var req CompactRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON body: " + err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON body: " + err.Error()})
 		return
 	}
 	d, name, ok := s.lookup(req.DB)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown database %q", name)})
+		wire.WriteJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown database %q", name)})
 		return
 	}
 	if d.mut == nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("database %q is read-only", name)})
+		wire.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("database %q is read-only", name)})
 		return
 	}
 	start := time.Now()
@@ -612,162 +572,80 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, fdb.ErrCompactionRunning) {
 			status = http.StatusConflict
 		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		wire.WriteJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
 	st := d.mut.Stats()
-	writeJSON(w, http.StatusOK, CompactResponse{
+	wire.WriteJSON(w, http.StatusOK, CompactResponse{
 		WALEpoch:      st.WALEpoch,
 		ElapsedMillis: float64(time.Since(start)) / float64(time.Millisecond),
 	})
 }
 
-// wantsNDJSON reports whether the client asked for a streaming
-// newline-delimited JSON response.
-func wantsNDJSON(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), wire.ContentType)
-}
-
-// flushEvery bounds how many rows may sit in HTTP buffers before the
-// stream is flushed to the client: small enough that slow consumers
-// see steady progress (and the first row promptly), large enough to
-// amortise the flush syscall.
-const flushEvery = 64
-
-// streamQuery executes the statement and streams its rows as NDJSON
-// straight off the engine cursor: one reused row buffer, no response
-// materialisation, cancellation via the request context.
-func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, d *database, sqlText string) {
-	start := time.Now()
-	fail := func(err error) {
-		s.met.record(time.Since(start), true)
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+// query runs the statement through ExecShared and writes its rows to
+// the sink r's Accept header selects, one encoded frame per row straight
+// off the engine's cursor; it reports whether the query failed. Errors
+// before the header are answered with the 400 error body; later ones
+// end the response through the sink, and a client that went away ends
+// it without another byte.
+//
+// The server's relations are immutable by contract, so each cached plan
+// keeps an arena-store snapshot of its factorised base relations
+// instead of re-sorting the base data per query. An operator-free plan
+// enumerates that snapshot itself; a plan with operators runs on a slab
+// copy of it in a pooled store that Result.Close recycles.
+func (s *Server) query(w http.ResponseWriter, r *http.Request, d *database, sqlText string) bool {
+	ctx, snk := r.Context(), wire.NewSink(w, r)
+	fail := func(err error) bool {
+		wire.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return true
 	}
 	prep, cached, err := s.prepared(d, sqlText)
 	if err != nil {
-		fail(err)
-		return
+		return fail(err)
 	}
-	res, err := prep.ExecSharedContext(r.Context(), d.data())
+	res, err := prep.ExecSharedContext(ctx, d.data())
 	if err != nil {
-		fail(err)
-		return
+		return fail(err)
 	}
 	// The cursor is closed before the result on every exit path below
 	// (deferred LIFO), which joins any parallel segment workers and only
 	// then recycles the pooled store — a client abort mid-stream must
 	// never leave workers reading a store that went back to the pool.
 	defer res.Close()
-	rows, err := res.Rows(r.Context())
+	rows, err := res.Rows(ctx)
 	if err != nil {
-		fail(err)
-		return
+		return fail(err)
 	}
 	defer rows.Close()
-
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w) // Encode terminates every value with \n
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
+	if err := snk.Header(rows.Columns(), cached); err != nil {
+		return true
 	}
-	if err := enc.Encode(wire.Header{Columns: rows.Columns(), Cached: cached}); err != nil {
-		s.met.record(time.Since(start), true)
-		return
-	}
-	flush() // first bytes (and shortly after, the first row) leave now
-
-	trailer := wire.Trailer{}
-	wroteErr := false
-	row := make([]any, 0, len(rows.Columns()))
+	var frame []byte
+	n, truncated, errMsg := 0, false, ""
 	for rows.Next() {
-		if s.maxRows > 0 && trailer.RowCount >= s.maxRows {
-			trailer.Truncated = true
+		if s.maxRows > 0 && n >= s.maxRows {
+			truncated = true
 			break
 		}
-		row = row[:0]
-		for _, v := range rows.Tuple() {
-			row = append(row, fdb.GoValue(v))
-		}
-		if err := enc.Encode(row); err != nil {
-			var uv *json.UnsupportedValueError
-			if errors.As(err, &uv) {
-				// A non-finite float has no JSON encoding. Encode wrote
-				// nothing, so the trailer can still end the stream.
-				trailer.Error = err.Error()
-				break
-			}
-			// The client went away mid-stream (possibly mid-row): stop
-			// enumerating and write nothing further — a trailer after a
-			// partial row would corrupt the line protocol for any proxy
-			// still reading.
-			wroteErr = true
+		if frame, err = wire.AppendTuple(frame[:0], rows.Tuple()); err != nil {
+			// A non-finite float has no JSON encoding: the query fails.
+			errMsg = err.Error()
 			break
 		}
-		trailer.RowCount++
-		if trailer.RowCount%flushEvery == 0 {
-			flush()
+		if err := snk.Row(frame); err != nil {
+			// The client went away, possibly mid-row: write nothing
+			// further, since a trailer after a partial row would corrupt
+			// the line protocol for any proxy still reading.
+			return true
 		}
+		n++
 	}
-	if wroteErr {
-		s.met.record(time.Since(start), true)
-		return
+	if err := rows.Err(); err != nil && errMsg == "" {
+		errMsg = err.Error()
 	}
-	if err := rows.Err(); err != nil {
-		trailer.Error = err.Error()
-	}
-	trailer.ElapsedMillis = float64(time.Since(start)) / float64(time.Millisecond)
-	_ = enc.Encode(trailer)
-	flush()
-	s.met.record(time.Since(start), trailer.Error != "")
-}
-
-// runQuery resolves the plan (through the cache) and enumerates the
-// result into a response whose rows are backed by the pooled scratch.
-//
-// Execution goes through ExecShared: the server's relations are
-// immutable by contract, so each cached plan keeps an arena-store
-// snapshot of its factorised base relations instead of re-sorting the
-// base data per query. An operator-free plan enumerates that snapshot
-// itself; a plan with operators runs on a slab copy of it in a pooled
-// store that Result.Close recycles after enumeration.
-func (s *Server) runQuery(r *http.Request, d *database, sqlText string, sc *rowScratch) (*QueryResponse, error) {
-	prep, cached, err := s.prepared(d, sqlText)
-	if err != nil {
-		return nil, err
-	}
-	res, err := prep.ExecSharedContext(r.Context(), d.data())
-	if err != nil {
-		return nil, err
-	}
-	defer res.Close()
-	rows, err := res.Rows(r.Context())
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	resp := &QueryResponse{Columns: res.Schema(), Cached: cached, Rows: sc.rows[:0]}
-	for rows.Next() {
-		t := rows.Tuple()
-		if s.maxRows > 0 && len(resp.Rows) >= s.maxRows {
-			resp.Truncated = true
-			break
-		}
-		row := sc.row(len(t))
-		for i, v := range t {
-			row[i] = fdb.GoValue(v)
-		}
-		resp.Rows = append(resp.Rows, row)
-	}
-	if err := rows.Err(); err != nil {
-		return nil, err
-	}
-	sc.rows = resp.Rows
-	resp.RowCount = len(resp.Rows)
-	return resp, nil
+	snk.Done(n, truncated, errMsg)
+	return errMsg != ""
 }
 
 // prepared returns the cached plan for the statement, compiling and
@@ -796,13 +674,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	n := len(s.dbs)
 	s.dbMu.RUnlock()
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":    "draining",
 			"databases": n,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"databases": n,
 	})
@@ -830,25 +708,25 @@ type SnapshotResponse struct {
 // consistent without pausing queries.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+		wire.WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
 		return
 	}
 	if !s.begin() {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
+		wire.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
 		return
 	}
 	defer s.end()
 	var req SnapshotRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON body: " + err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid JSON body: " + err.Error()})
 		return
 	}
 	targets := make(map[string]string)
 	if req.DB != "" {
 		path, ok := s.snapshots[req.DB]
 		if !ok {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no snapshot path configured for database %q", req.DB)})
+			wire.WriteJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no snapshot path configured for database %q", req.DB)})
 			return
 		}
 		targets[req.DB] = path
@@ -858,7 +736,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(targets) == 0 {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no snapshot paths configured"})
+		wire.WriteJSON(w, http.StatusNotFound, errorResponse{Error: "no snapshot paths configured"})
 		return
 	}
 	start := time.Now()
@@ -866,17 +744,17 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	for name, path := range targets {
 		d, _, ok := s.lookup(name)
 		if !ok {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown database %q", name)})
+			wire.WriteJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown database %q", name)})
 			return
 		}
 		if err := fdb.SaveCatalogFile(path, name, d.data()); err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+			wire.WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 			return
 		}
 		resp.Snapshots[name] = path
 	}
 	resp.ElapsedMillis = float64(time.Since(start)) / float64(time.Millisecond)
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // ShardInstallResponse is the POST /shard/install success body.
@@ -902,15 +780,15 @@ type ShardInstallResponse struct {
 // populated before failover.
 func (s *Server) handleShardInstall(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+		wire.WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
 		return
 	}
 	if s.shardDir == "" {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "shard installs not enabled (no shard directory configured)"})
+		wire.WriteJSON(w, http.StatusNotFound, errorResponse{Error: "shard installs not enabled (no shard directory configured)"})
 		return
 	}
 	if !s.begin() {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
+		wire.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
 		return
 	}
 	defer s.end()
@@ -922,7 +800,7 @@ func (s *Server) handleShardInstall(w http.ResponseWriter, r *http.Request) {
 	// the mmap stays valid across the rename (same inode).
 	tmp, err := os.CreateTemp(s.shardDir, "install.tmp*")
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		wire.WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
 	tmpName := tmp.Name()
@@ -934,21 +812,21 @@ func (s *Server) handleShardInstall(w http.ResponseWriter, r *http.Request) {
 	}()
 	if _, err := io.Copy(tmp, http.MaxBytesReader(w, r.Body, 1<<31)); err != nil {
 		tmp.Close()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "reading snapshot body: " + err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "reading snapshot body: " + err.Error()})
 		return
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		wire.WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
 	if err := tmp.Close(); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		wire.WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
 	cat, err := fdb.LoadCatalogFile(tmpName, true)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid snapshot: " + err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "invalid snapshot: " + err.Error()})
 		return
 	}
 	name := r.URL.Query().Get("db")
@@ -957,13 +835,13 @@ func (s *Server) handleShardInstall(w http.ResponseWriter, r *http.Request) {
 	}
 	if name == "" {
 		cat.Close()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "snapshot has no name; pass ?db="})
+		wire.WriteJSON(w, http.StatusBadRequest, errorResponse{Error: "snapshot has no name; pass ?db="})
 		return
 	}
 	final := filepath.Join(s.shardDir, name+".fdbcat")
 	if err := os.Rename(tmpName, final); err != nil {
 		cat.Close()
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		wire.WriteJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
 	removeTmp = false
@@ -976,7 +854,7 @@ func (s *Server) handleShardInstall(w http.ResponseWriter, r *http.Request) {
 	if old, ok := s.dbs[name]; ok && old.mut != nil {
 		s.dbMu.Unlock()
 		cat.Close()
-		writeJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf("database %q is mutable; refusing to overwrite it with a shard", name)})
+		wire.WriteJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf("database %q is mutable; refusing to overwrite it with a shard", name)})
 		return
 	} else if ok && old.cat != nil {
 		s.retired = append(s.retired, old.cat)
@@ -987,7 +865,7 @@ func (s *Server) handleShardInstall(w http.ResponseWriter, r *http.Request) {
 	}
 	s.dbMu.Unlock()
 	s.installs.Add(1)
-	writeJSON(w, http.StatusOK, ShardInstallResponse{
+	wire.WriteJSON(w, http.StatusOK, ShardInstallResponse{
 		DB:            name,
 		Relations:     len(cat.DB),
 		Rows:          rows,
@@ -1072,5 +950,5 @@ func (s *Server) Stats() StatsResponse {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	wire.WriteJSON(w, http.StatusOK, s.Stats())
 }

@@ -24,6 +24,11 @@
 // any other object is a trailer (or, on a non-200 response, an error
 // body). This keeps the protocol self-describing for proxies — the
 // coordinator stitches worker streams without tracking position.
+//
+// The package is also the one response writer: the serial server and
+// the coordinator encode values with AppendValue and write every
+// response through the Sink NewSink selects, so the bytes they send
+// cannot drift apart.
 package wire
 
 import (
