@@ -4,7 +4,10 @@
 // workers over POST /shard/install (Ship), fans each query out over the
 // NDJSON wire protocol of docs/PROTOCOL.md, and stitches the shard
 // streams back together so the distributed response is byte-identical
-// to the serial server's.
+// to the serial server's. All shard streams of a query open at once;
+// their rows travel as lines, forwarded verbatim, and only the columns
+// the merge compares or folds are parsed, by a scanner for the grammar
+// wire.AppendValue emits (scan.go).
 //
 // The coordinator is itself an http.Handler speaking the same protocol
 // as internal/server: POST /query (streaming NDJSON or buffered JSON),

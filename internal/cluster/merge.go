@@ -2,119 +2,70 @@ package cluster
 
 // The stitcher: k-way merges shard row streams back into serial output
 // order. The invariant the whole cluster package exists to uphold is
-// that a distributed query's byte stream equals the serial server's:
-// rows forward the exact bytes a shard produced (wire.Row keeps raw
-// JSON), aggregate partials fold with ftree's table of monoids,
-// and ties across shards break by shard index — which under contiguous
-// ascending partition ranges is exactly the serial enumeration order.
+// that a distributed query's byte stream equals the serial server's: a
+// shard's row line is forwarded verbatim, only the columns the merge
+// compares or folds are parsed (scan.go), aggregate partials fold with
+// ftree's table of monoids, and ties across shards break by shard index
+// — which under contiguous ascending partition ranges is exactly the
+// serial enumeration order.
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/values"
 	"github.com/factordb/fdb/internal/wire"
 )
 
-// parseVal decodes one raw JSON column value into an engine value, the
-// inverse of wire.AppendValue. Numbers without a fraction or exponent
-// decode as Int — matching how integer-valued results encode — so merge
-// arithmetic and comparisons run in the same domain the serial engine
-// used.
-func parseVal(raw json.RawMessage) (values.Value, error) {
-	t := bytes.TrimSpace(raw)
-	if len(t) == 0 {
-		return values.Value{}, fmt.Errorf("cluster: empty column value")
-	}
-	switch t[0] {
-	case '"':
-		var s string
-		if err := json.Unmarshal(t, &s); err != nil {
-			return values.Value{}, err
-		}
-		return values.NewString(s), nil
-	case 't', 'f':
-		var b bool
-		if err := json.Unmarshal(t, &b); err != nil {
-			return values.Value{}, err
-		}
-		return values.NewBool(b), nil
-	case 'n':
-		if !bytes.Equal(t, []byte("null")) {
-			return values.Value{}, fmt.Errorf("cluster: bad value %q", t)
-		}
-		return values.NullValue(), nil
-	case '[':
-		var elems []json.RawMessage
-		if err := json.Unmarshal(t, &elems); err != nil {
-			return values.Value{}, err
-		}
-		vs := make([]values.Value, len(elems))
-		for i, e := range elems {
-			v, err := parseVal(e)
-			if err != nil {
-				return values.Value{}, err
-			}
-			vs[i] = v
-		}
-		return values.NewVec(vs), nil
-	default:
-		if !bytes.ContainsAny(t, ".eE") {
-			var i int64
-			if err := json.Unmarshal(t, &i); err == nil {
-				return values.NewInt(i), nil
-			}
-		}
-		var f float64
-		if err := json.Unmarshal(t, &f); err != nil {
-			return values.Value{}, fmt.Errorf("cluster: bad value %q: %w", t, err)
-		}
-		return values.NewFloat(f), nil
-	}
-}
-
-// mrow is one shard row staged at the merge front: the raw bytes to
-// forward, the parsed comparator key, and (aggregate modes) the parsed
-// partial columns ready for the merge algebra.
+// mrow is one shard row staged at the merge front: the frame to
+// forward, its column spans, the parsed comparator key, and (aggregate
+// modes) the parsed partial columns ready for the merge algebra. Each
+// shard owns one mrow that every refill overwrites, so a staged row is
+// valid only until its shard's next refill.
 type mrow struct {
-	raw      wire.Row
+	line     []byte
+	cols     []span
 	key      []values.Value
 	partials []values.Value
 	shard    int
 }
 
-func newMrow(st *strategy, row wire.Row, shard int) (*mrow, error) {
+// col returns the raw JSON of column c.
+func (mr *mrow) col(c int) []byte { return mr.line[mr.cols[c].off:mr.cols[c].end] }
+
+// stage parses the columns of a freshly read row that the merge needs.
+func (st *strategy) stage(mr *mrow) error {
 	if st.mode != modeStream {
-		if want := st.nGroup + len(st.low.Fields()); len(row) != want {
-			return nil, fmt.Errorf("cluster: shard %d row has %d columns, want %d", shard, len(row), want)
+		if want := st.nGroup + len(st.low.Fields()); len(mr.cols) != want {
+			return fmt.Errorf("cluster: shard %d row has %d columns, want %d", mr.shard, len(mr.cols), want)
 		}
 	}
-	mr := &mrow{raw: row, shard: shard, key: make([]values.Value, len(st.cmp))}
-	for j, k := range st.cmp {
-		if k.col < 0 || k.col >= len(row) {
-			return nil, fmt.Errorf("cluster: shard %d row has no column %d", shard, k.col)
+	mr.key = mr.key[:0]
+	for _, k := range st.cmp {
+		if k.col < 0 || k.col >= len(mr.cols) {
+			return fmt.Errorf("cluster: shard %d row has no column %d", mr.shard, k.col)
 		}
-		v, err := parseVal(row[k.col])
+		v, err := parseVal(mr.col(k.col))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		mr.key[j] = v
+		mr.key = append(mr.key, v)
 	}
 	if st.mode != modeStream {
-		mr.partials = make([]values.Value, len(st.low.Fields()))
+		mr.partials = mr.partials[:0]
 		for j := range st.low.Fields() {
-			v, err := parseVal(row[st.nGroup+j])
+			v, err := parseVal(mr.col(st.nGroup + j))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			mr.partials[j] = v
+			mr.partials = append(mr.partials, v)
 		}
 	}
-	return mr, nil
+	return nil
 }
 
 // less orders merge-front rows: comparator keys first (respecting
@@ -134,10 +85,10 @@ func (st *strategy) less(a, b *mrow) bool {
 	return a.shard < b.shard
 }
 
-// sameKey reports whether two merge-front rows carry the same group key.
-func (st *strategy) sameKey(a, b *mrow) bool {
-	for j := range st.cmp {
-		if values.Compare(a.key[j], b.key[j]) != 0 {
+// sameKey reports whether two comparator keys are the same group key.
+func sameKey(a, b []values.Value) bool {
+	for j := range a {
+		if values.Compare(a[j], b[j]) != 0 {
 			return false
 		}
 	}
@@ -149,30 +100,65 @@ func (st *strategy) sameKey(a, b *mrow) bool {
 type merger struct {
 	st      *strategy
 	streams []*shardStream
-	heads   []*mrow
+	heads   []*mrow // nil = exhausted
+	rows    []mrow  // each shard's staging row
+
+	// mergeGroup's scratch, reused across groups.
+	lead   []values.Value // the comparator key of the group being folded
+	acc    []values.Value
+	finals []values.Value
+	frame  []byte
+}
+
+func (co *Coordinator) newMerger(ctx context.Context, st *strategy, db string) *merger {
+	n := len(co.groups)
+	m := &merger{st: st, streams: make([]*shardStream, n), heads: make([]*mrow, n), rows: make([]mrow, n)}
+	for i := range m.streams {
+		m.streams[i] = &shardStream{co: co, ctx: ctx, shard: i, db: db, st: st}
+		m.rows[i].shard = i
+	}
+	if st.mode != modeStream {
+		m.acc = make([]values.Value, len(st.low.Fields()))
+		m.finals = make([]values.Value, len(st.columns)-st.nGroup)
+	}
+	return m
 }
 
 // refill advances stream i to its next row (nil head = exhausted).
 func (m *merger) refill(i int) error {
 	m.heads[i] = nil
-	row, err := m.streams[i].next()
-	if err != nil || row == nil {
+	mr := &m.rows[i]
+	line, cols, err := m.streams[i].next(mr.cols[:0])
+	mr.cols = cols
+	if err != nil || line == nil {
 		return err
 	}
-	mr, err := newMrow(m.st, row, i)
-	if err != nil {
+	mr.line = line
+	if err := m.st.stage(mr); err != nil {
 		return err
 	}
 	m.heads[i] = mr
 	return nil
 }
 
-// prime opens every shard stream and stages its first row. An error
-// here happens before the response header is committed, so it can still
-// travel as an HTTP error status.
+// prime opens every shard stream and stages its first row, all shards
+// at once: opening waits for the shard to run the statement, so opening
+// them in turn would serialise the scatter. An error here happens
+// before the response header is committed, so it can still travel as
+// an HTTP error status; of several, the lowest shard's wins.
 func (m *merger) prime() error {
+	errs := make([]error, len(m.streams))
+	var wg sync.WaitGroup
 	for i := range m.streams {
-		if err := m.refill(i); err != nil {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = m.refill(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
@@ -205,48 +191,56 @@ func (m *merger) close() {
 // mergeGroup pops the smallest group from the merge front, folding the
 // partials of every shard that contributed a row for it (streams arrive
 // sorted by group key, so all contributors are at the front together).
-// It returns the finalised output row (group keys forwarded raw from
-// the lowest contributing shard, aggregates re-encoded after the merge)
-// plus the finalised aggregate values for HAVING and ORDER BY, or a nil
-// row when the merge front is empty.
-func (m *merger) mergeGroup() ([]json.RawMessage, []values.Value, error) {
+// It returns the finalised output frame — the group-key columns as the
+// lowest contributing shard sent them, then the aggregates encoded
+// after the merge — plus the finalised aggregate values for HAVING and
+// ORDER BY, or a nil frame when the merge front is empty. Both are
+// valid until the next call.
+func (m *merger) mergeGroup() ([]byte, []values.Value, error) {
 	st := m.st
 	i := m.minHead()
 	if i < 0 {
 		return nil, nil, nil
 	}
+	// Refilling shard i overwrites its staged row, so what the group
+	// still needs of it — the key and the group-key bytes — is copied
+	// out first.
 	lead := m.heads[i]
-	fields := st.low.Fields()
-	acc := make([]values.Value, len(fields))
-	for k, f := range fields {
-		acc[k] = f.Fn.Identity()
+	m.lead = append(m.lead[:0], lead.key...)
+	m.frame = append(m.frame[:0], '[')
+	if st.nGroup > 0 {
+		m.frame = append(m.frame, lead.line[lead.cols[0].off:lead.cols[st.nGroup-1].end]...)
 	}
-	frep.MergePartials(fields, acc, lead.partials)
+	fields := st.low.Fields()
+	for k, f := range fields {
+		m.acc[k] = f.Fn.Identity()
+	}
+	frep.MergePartials(fields, m.acc, lead.partials)
 	if err := m.refill(i); err != nil {
 		return nil, nil, err
 	}
 	for {
 		j := m.minHead()
-		if j < 0 || !st.sameKey(m.heads[j], lead) {
+		if j < 0 || !sameKey(m.heads[j].key, m.lead) {
 			break
 		}
-		frep.MergePartials(fields, acc, m.heads[j].partials)
+		frep.MergePartials(fields, m.acc, m.heads[j].partials)
 		if err := m.refill(j); err != nil {
 			return nil, nil, err
 		}
 	}
-	finals := make([]values.Value, len(st.columns)-st.nGroup)
-	st.low.FinalInto(finals, acc)
-	out := make([]json.RawMessage, 0, len(st.columns))
-	out = append(out, lead.raw[:st.nGroup]...)
-	for _, v := range finals {
-		b, err := wire.AppendValue(nil, v)
-		if err != nil {
+	st.low.FinalInto(m.finals, m.acc)
+	for k, v := range m.finals {
+		if k > 0 || st.nGroup > 0 {
+			m.frame = append(m.frame, ',')
+		}
+		var err error
+		if m.frame, err = wire.AppendValue(m.frame, v); err != nil {
 			return nil, nil, err
 		}
-		out = append(out, b)
 	}
-	return out, finals, nil
+	m.frame = append(m.frame, ']', '\n')
+	return m.frame, m.finals, nil
 }
 
 // keep evaluates the coordinator-held HAVING clauses over a group's
@@ -265,35 +259,37 @@ func (st *strategy) keep(finals []values.Value) bool {
 // limit stops cleanly, the cap marks the response truncated.
 type emitter struct {
 	snk       wire.Sink
-	frame     []byte
 	offset    int
 	limit     int
 	maxRows   int
 	skipped   int
 	emitted   int
 	truncated bool
+	// gone is set when the sink's client went away: nothing further may
+	// be written, the trailer included.
+	gone bool
 }
 
-// emit forwards one row, returning false when no further rows are
-// wanted; a non-nil error means the sink's client went away.
-func (e *emitter) emit(row []json.RawMessage) (bool, error) {
+// emit forwards one row frame, returning false when no further rows
+// are wanted or the client is gone.
+func (e *emitter) emit(frame []byte) bool {
 	if e.skipped < e.offset {
 		e.skipped++
-		return true, nil
+		return true
 	}
 	if e.limit > 0 && e.emitted >= e.limit {
-		return false, nil
+		return false
 	}
 	if e.maxRows > 0 && e.emitted >= e.maxRows {
 		e.truncated = true
-		return false, nil
+		return false
 	}
-	e.frame = wire.AppendRow(e.frame[:0], row)
-	if err := e.snk.Row(e.frame); err != nil {
-		return false, err
+	if err := e.snk.Row(frame); err != nil {
+		e.gone = true
+		return false
 	}
 	e.emitted++
-	return true, nil
+	return true
 }
 
 // gather fans the compiled strategy out over the shard groups and
@@ -302,11 +298,7 @@ func (e *emitter) emit(row []json.RawMessage) (bool, error) {
 // those into an HTTP error status); later failures travel in the
 // trailer, like the serial server's.
 func (co *Coordinator) gather(ctx context.Context, st *strategy, db string, cached bool, snk wire.Sink) error {
-	n := len(co.groups)
-	m := &merger{st: st, streams: make([]*shardStream, n), heads: make([]*mrow, n)}
-	for i := range m.streams {
-		m.streams[i] = &shardStream{co: co, ctx: ctx, shard: i, db: db, st: st}
-	}
+	m := co.newMerger(ctx, st, db)
 	defer m.close()
 	if err := m.prime(); err != nil {
 		return err
@@ -325,119 +317,96 @@ func (co *Coordinator) gather(ctx context.Context, st *strategy, db string, cach
 	if err := snk.Header(cols, cached); err != nil {
 		return nil
 	}
-
 	em := &emitter{snk: snk, offset: st.offset, limit: st.limit, maxRows: co.maxRows}
-	var streamErr error
-loop:
-	switch st.mode {
-	case modeStream:
-		for {
-			i := m.minHead()
-			if i < 0 {
-				break loop
-			}
-			h := m.heads[i]
-			cont, werr := em.emit(h.raw)
-			if werr != nil {
-				return nil
-			}
-			if !cont {
-				break loop
-			}
-			if err := m.refill(i); err != nil {
-				streamErr = err
-				break loop
-			}
-		}
-	case modeGroupStream:
-		for {
-			out, finals, err := m.mergeGroup()
-			if err != nil {
-				streamErr = err
-				break loop
-			}
-			if out == nil {
-				break loop
-			}
-			if !st.keep(finals) {
-				continue
-			}
-			cont, werr := em.emit(out)
-			if werr != nil {
-				return nil
-			}
-			if !cont {
-				break loop
-			}
-		}
-	case modeBuffered:
-		type brow struct {
-			raw  []json.RawMessage
-			sort []values.Value
-		}
-		var rows []brow
-		for {
-			out, finals, err := m.mergeGroup()
-			if err != nil {
-				streamErr = err
-				break
-			}
-			if out == nil {
-				break
-			}
-			if !st.keep(finals) {
-				continue
-			}
-			key := make([]values.Value, len(st.orderBy))
-			for j, k := range st.orderBy {
-				if k.col < st.nGroup {
-					v, err := parseVal(out[k.col])
-					if err != nil {
-						streamErr = err
-						break
-					}
-					key[j] = v
-				} else {
-					key[j] = finals[k.col-st.nGroup]
-				}
-			}
-			if streamErr != nil {
-				break
-			}
-			rows = append(rows, brow{raw: out, sort: key})
-		}
-		if streamErr != nil {
-			break loop
-		}
-		// Rows arrive in the serial base order; a stable sort by the
-		// ORDER BY list over that order reproduces the serial stable
-		// sort exactly, DESC ties included.
-		sort.SliceStable(rows, func(a, b int) bool {
-			for j, k := range st.orderBy {
-				c := values.Compare(rows[a].sort[j], rows[b].sort[j])
-				if k.desc {
-					c = -c
-				}
-				if c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		})
-		for _, r := range rows {
-			cont, werr := em.emit(r.raw)
-			if werr != nil {
-				return nil
-			}
-			if !cont {
-				break
-			}
-		}
+	streamErr := m.stitch(em)
+	if em.gone {
+		return nil
 	}
 	errMsg := ""
 	if streamErr != nil {
 		errMsg = streamErr.Error()
 	}
 	snk.Done(em.emitted, em.truncated, errMsg)
+	return nil
+}
+
+// stitch merges the primed streams into em in the strategy's mode,
+// returning the error that ended the merge early, if any.
+func (m *merger) stitch(em *emitter) error {
+	st := m.st
+	switch st.mode {
+	case modeStream:
+		for {
+			i := m.minHead()
+			if i < 0 || !em.emit(m.heads[i].line) {
+				return nil
+			}
+			if err := m.refill(i); err != nil {
+				return err
+			}
+		}
+	case modeGroupStream:
+		for {
+			frame, finals, err := m.mergeGroup()
+			if err != nil || frame == nil {
+				return err
+			}
+			if st.keep(finals) && !em.emit(frame) {
+				return nil
+			}
+		}
+	}
+	// modeBuffered: ORDER BY keys are group columns, whose values the
+	// merge already parsed into the comparator key, or aggregates.
+	type brow struct {
+		frame []byte
+		sort  []values.Value
+	}
+	var rows []brow
+	for {
+		frame, finals, err := m.mergeGroup()
+		if err != nil {
+			return err
+		}
+		if frame == nil {
+			break
+		}
+		if !st.keep(finals) {
+			continue
+		}
+		key := make([]values.Value, len(st.orderBy))
+		for j, k := range st.orderBy {
+			if k.col >= st.nGroup {
+				key[j] = finals[k.col-st.nGroup]
+				continue
+			}
+			for c, kc := range st.cmp {
+				if kc.col == k.col {
+					key[j] = m.lead[c]
+				}
+			}
+		}
+		rows = append(rows, brow{frame: bytes.Clone(frame), sort: key})
+	}
+	// Rows arrive in the serial base order; a stable sort by the ORDER
+	// BY list over that order reproduces the serial stable sort exactly,
+	// DESC ties included.
+	sort.SliceStable(rows, func(a, b int) bool {
+		for j, k := range st.orderBy {
+			c := values.Compare(rows[a].sort[j], rows[b].sort[j])
+			if k.desc {
+				c = -c
+			}
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
+	for _, r := range rows {
+		if !em.emit(r.frame) {
+			break
+		}
+	}
 	return nil
 }

@@ -21,11 +21,13 @@ type queryError struct{ msg string }
 
 func (e *queryError) Error() string { return e.msg }
 
-// frameReader decodes one replica's NDJSON response: header first, then
-// rows until the trailer.
+// frameReader reads one replica's NDJSON response: header first, then
+// rows until the trailer. Lines are read in place from br's buffer; one
+// longer than that buffer accumulates in long.
 type frameReader struct {
 	body   io.ReadCloser
 	br     *bufio.Reader
+	long   []byte
 	header wire.Header
 	base   string // replica base URL, for failure attribution
 	// cancel, when set, releases the per-attempt context a hedged open
@@ -33,33 +35,54 @@ type frameReader struct {
 	cancel context.CancelFunc
 }
 
-// next returns the next row, or (nil, nil) at a clean trailer. A
-// trailer carrying an execution error surfaces as a *queryError; a torn
-// stream (transport drop before the trailer) surfaces as a transport
-// error the caller may fail over from.
-func (fr *frameReader) next() (wire.Row, error) {
-	line, err := fr.br.ReadBytes('\n')
+// readLine returns the next line, '\n' included. It is valid until the
+// next call, which may overwrite it.
+func (fr *frameReader) readLine() ([]byte, error) {
+	line, err := fr.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
+	}
+	fr.long = append(fr.long[:0], line...)
+	for err == bufio.ErrBufferFull {
+		line, err = fr.br.ReadSlice('\n')
+		fr.long = append(fr.long, line...)
+	}
+	return fr.long, err
+}
+
+// next returns the next row frame, "[…]\n" as the replica sent it, with
+// its column spans appended to cols; or a nil frame at a clean trailer.
+// The frame is valid until the next call. A trailer carrying an
+// execution error surfaces as a *queryError; a torn stream (transport
+// drop before the trailer) surfaces as a transport error the caller may
+// fail over from.
+func (fr *frameReader) next(cols []span) ([]byte, []span, error) {
+	line, err := fr.readLine()
 	if err != nil {
-		return nil, fmt.Errorf("stream torn before trailer: %w", err)
+		return nil, cols, fmt.Errorf("stream torn before trailer: %w", err)
 	}
 	kind, err := wire.Classify(line)
 	if err != nil {
-		return nil, err
+		return nil, cols, err
 	}
 	switch kind {
 	case wire.KindRow:
-		return wire.DecodeRow(line)
+		cols, err = scanRow(line, cols)
+		if err != nil {
+			return nil, cols, err
+		}
+		return line, cols, nil
 	case wire.KindTrailer:
 		tr, err := wire.DecodeTrailer(line)
 		if err != nil {
-			return nil, err
+			return nil, cols, err
 		}
 		if tr.Error != "" {
-			return nil, &queryError{msg: tr.Error}
+			return nil, cols, &queryError{msg: tr.Error}
 		}
-		return nil, nil
+		return nil, cols, nil
 	default:
-		return nil, fmt.Errorf("unexpected frame mid-stream: %.80s", line)
+		return nil, cols, fmt.Errorf("unexpected frame mid-stream: %.80s", line)
 	}
 }
 
@@ -105,8 +128,14 @@ func (co *Coordinator) openReplica(ctx context.Context, base, db, sqlText string
 		}
 		return nil, fmt.Errorf("replica %s: status %d: %s", base, resp.StatusCode, msg)
 	}
-	fr := &frameReader{body: resp.Body, br: bufio.NewReaderSize(resp.Body, 64<<10), base: base}
-	line, err := fr.br.ReadBytes('\n')
+	return newFrameReader(resp.Body, base)
+}
+
+// newFrameReader reads the stream header from a 200 response body; a
+// body that opens with an error frame instead yields a *queryError.
+func newFrameReader(body io.ReadCloser, base string) (*frameReader, error) {
+	fr := &frameReader{body: body, br: bufio.NewReaderSize(body, 64<<10), base: base}
+	line, err := fr.readLine()
 	if err != nil {
 		fr.close()
 		return nil, fmt.Errorf("replica %s: reading header: %w", base, err)
@@ -118,12 +147,10 @@ func (co *Coordinator) openReplica(ctx context.Context, base, db, sqlText string
 		}
 		return nil, fmt.Errorf("replica %s: expected header, got %.80s", base, line)
 	}
-	h, err := wire.DecodeHeader(line)
-	if err != nil {
+	if fr.header, err = wire.DecodeHeader(line); err != nil {
 		fr.close()
 		return nil, err
 	}
-	fr.header = h
 	return fr, nil
 }
 
@@ -143,47 +170,49 @@ type shardStream struct {
 	done     bool
 }
 
-// next returns the shard's next row, (nil, nil) when the stream is
-// exhausted, or an error after all replicas failed.
-func (ss *shardStream) next() (wire.Row, error) {
+// next returns the shard's next row frame with its column spans
+// appended to cols, a nil frame when the stream is exhausted, or an
+// error after all replicas failed. The frame is valid until the next
+// call.
+func (ss *shardStream) next(cols []span) ([]byte, []span, error) {
 	for {
 		if ss.done {
-			return nil, nil
+			return nil, cols, nil
 		}
 		if ss.fr == nil {
 			if ss.st.pushdown > 0 && ss.consumed >= ss.st.pushdown {
 				// The pushed-down LIMIT is spent; nothing left to fetch.
 				ss.done = true
-				return nil, nil
+				return nil, cols, nil
 			}
 			fr, err := ss.open()
 			if err != nil {
 				ss.done = true
-				return nil, err
+				return nil, cols, err
 			}
 			ss.fr = fr
 			if ss.header.Columns == nil {
 				ss.header = fr.header
 			}
 		}
-		row, err := ss.fr.next()
+		line, got, err := ss.fr.next(cols)
 		if err == nil {
-			if row == nil {
+			if line == nil {
 				ss.done = true
 				ss.fr.close()
 				ss.fr = nil
-				return nil, nil
+				return nil, got, nil
 			}
 			ss.consumed++
 			ss.co.shardStat(ss.shard).Rows.Add(1)
-			return row, nil
+			return line, got, nil
 		}
 		var qe *queryError
 		if errors.As(err, &qe) || ss.ctx.Err() != nil {
 			ss.done = true
 			ss.fr.close()
 			ss.fr = nil
-			return nil, err
+			return nil, cols, err
 		}
 		// Transport drop mid-stream: fail over to another replica,
 		// resuming at the first undelivered row via OFFSET.

@@ -67,9 +67,10 @@ type Header struct {
 	Cached bool `json:"cached"`
 }
 
-// Row is one result row: a JSON array with one value per column. The
-// elements stay raw so a relay (the coordinator) can forward the exact
-// bytes it received — stitching must be byte-preserving.
+// Row is one result row decoded by DecodeRow: a JSON array with one
+// value per column, each kept as its raw bytes. The coordinator does
+// not use it: it relays row lines verbatim and scans only the columns
+// it merges on (internal/cluster).
 type Row []json.RawMessage
 
 // Trailer is the last frame of a streaming response. An error after
