@@ -132,10 +132,11 @@ type Database = engine.DB
 // Engine is the FDB query engine: it plans and executes queries over
 // flat relations (Run, Prepare) or materialised factorised views
 // (RunOnView), always on the arena-backed factorised representation.
-// The zero value disables partial aggregation; use NewEngine for the
-// paper's default configuration. An Engine memoises plans by query
-// shape (see engine.Engine.Prepare), so it must not be copied after
-// first use.
+// Every restructuring, ordering by an aggregate included, is planned as
+// an f-plan operator; enumerating a Result runs none. The zero value
+// disables partial aggregation; use NewEngine for the paper's default
+// configuration. An Engine memoises plans by query shape (see
+// engine.Engine.Prepare), so it must not be copied after first use.
 type Engine = engine.Engine
 
 // NewEngine returns an engine with eager partial aggregation enabled and

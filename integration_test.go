@@ -48,9 +48,8 @@ func TestWorkloadAllEnginesScale2(t *testing.T) {
 	cat := d.Catalog()
 
 	engines := map[string]*engine.Engine{
-		"eager":       {PartialAgg: true},
-		"lazy":        {PartialAgg: false},
-		"materialise": {PartialAgg: true, Materialise: true},
+		"eager": {PartialAgg: true},
+		"lazy":  {PartialAgg: false},
 	}
 	queries := map[string]*query.Query{
 		"Q1": workload.Q1(), "Q2": workload.Q2(), "Q3": workload.Q3(),

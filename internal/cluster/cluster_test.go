@@ -239,6 +239,15 @@ func goldenQueries() map[string]string {
 		Aggregates: allFns("v"),
 		OrderBy:    []query.OrderItem{{Attr: "a", Desc: true}},
 	}
+	// ORDER BY one aggregate of two: groups that tie on it (many share a
+	// minimum price, over differing counts) break the tie by the group
+	// base, never by the other aggregate.
+	qs["two_aggs_by_one"] = &query.Query{
+		Relations:  []string{"R1"},
+		GroupBy:    []string{"customer"},
+		Aggregates: []query.Aggregate{{Fn: query.Min, Arg: "price", As: "lo"}, {Fn: query.Count, As: "n"}},
+		OrderBy:    []query.OrderItem{{Attr: "lo"}},
+	}
 	qs["count_star"] = &query.Query{
 		Relations:  []string{"R1"},
 		Aggregates: []query.Aggregate{{Fn: query.Count, As: "n"}},

@@ -24,6 +24,10 @@ import (
 type DB map[string]*relation.Relation
 
 // Engine evaluates queries over flat relations or factorised views.
+// Every restructuring a query needs is an operator of its f-plan,
+// including the γ/ρ/χ steps of an ORDER BY over an aggregate output
+// (plan.AggregateOrder), so the planner costs them and plan templates
+// cache them; enumerating a Result runs no operator.
 type Engine struct {
 	// PartialAgg enables eager partial aggregation (on by default via
 	// New); disabling it is the lazy-aggregation ablation.
@@ -31,10 +35,6 @@ type Engine struct {
 	// Exhaustive uses the Dijkstra planner instead of the greedy
 	// heuristic.
 	Exhaustive bool
-	// Materialise forces the final aggregate to be materialised as a
-	// single attribute even when on-the-fly combination at enumeration
-	// time (Example 1, scenario 3) would avoid it.
-	Materialise bool
 	// Parallelism bounds the intra-query parallelism: f-plan operators
 	// below a root fan their occurrence loops over contiguous segments
 	// of the root union, and a flat projection with no OFFSET and no

@@ -70,38 +70,6 @@ func TestRunOnViewRejectsEqualities(t *testing.T) {
 	}
 }
 
-func TestMaterialiseEnginePath(t *testing.T) {
-	// Force the materialised final-aggregate path and compare against
-	// the on-the-fly path on the same query.
-	view, cat := pizzeriaView(t)
-	q := &query.Query{
-		Relations:  []string{"R"},
-		GroupBy:    []string{"customer"},
-		Aggregates: []query.Aggregate{{Fn: query.Sum, Arg: "price", As: "revenue"}},
-		OrderBy:    []query.OrderItem{{Attr: "customer"}},
-	}
-	onTheFly, err := New().RunOnView(q, view, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := onTheFly.Relation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat := &Engine{PartialAgg: true, Materialise: true}
-	res, err := mat.RunOnView(q, view, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := res.Relation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relation.EqualAsSets(a, b) {
-		t.Fatalf("materialised path differs:\n%v\nvs\n%v", a, b)
-	}
-}
-
 func TestOrderByAggregateMultiBranchFallback(t *testing.T) {
 	// Group-by attributes in different branches (date and package-like):
 	// ordering by the aggregate falls back to a flat sort and must still

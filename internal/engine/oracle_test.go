@@ -55,22 +55,30 @@ func diffOrdered(t *testing.T, name string, want, got *relation.Relation) {
 }
 
 // checkOracle asserts that got answers q as the flat baseline does over
-// flat: the same rows (over the baseline's columns — a factorised view
-// flattens merged classes to one column per member), in an order the
+// flat; see oracleErr.
+func checkOracle(t *testing.T, q *query.Query, got *relation.Relation, flat rdb.DB) {
+	t.Helper()
+	if err := oracleErr(q, got, flat); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// oracleErr reports how got fails to answer q as the flat baseline does
+// over flat: the same rows (over the baseline's columns — a factorised
+// view flattens merged classes to one column per member), in an order the
 // query's ORDER BY admits, and under LIMIT/OFFSET exactly the page whose
 // sort keys the baseline's sorted answer puts there. Rows that tie on
 // every ORDER BY key may appear in either order, as in SQL.
-func checkOracle(t *testing.T, q *query.Query, got *relation.Relation, flat rdb.DB) {
-	t.Helper()
+func oracleErr(q *query.Query, got *relation.Relation, flat rdb.DB) error {
 	unpaged := *q
 	unpaged.Limit, unpaged.Offset = 0, 0
 	want, err := rdb.New().Run(&unpaged, flat)
 	if err != nil {
-		t.Fatalf("rdb: %v", err)
+		return fmt.Errorf("rdb: %w", err)
 	}
 	cols, err := columnIndices(got.Attrs, want.Attrs)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	lo, hi := q.Offset, len(want.Tuples)
 	if lo > hi {
@@ -80,12 +88,12 @@ func checkOracle(t *testing.T, q *query.Query, got *relation.Relation, flat rdb.
 		hi = lo + q.Limit
 	}
 	if len(got.Tuples) != hi-lo {
-		t.Fatalf("%d rows, baseline page [%d,%d) has %d", len(got.Tuples), lo, hi, hi-lo)
+		return fmt.Errorf("%d rows, baseline page [%d,%d) has %d", len(got.Tuples), lo, hi, hi-lo)
 	}
 	keys := make([]int, len(q.OrderBy))
 	for i, o := range q.OrderBy {
 		if keys[i] = want.ColIndex(o.Attr); keys[i] < 0 {
-			t.Fatalf("order attribute %q not in baseline schema %v", o.Attr, want.Attrs)
+			return fmt.Errorf("order attribute %q not in baseline schema %v", o.Attr, want.Attrs)
 		}
 	}
 	left := map[string]int{}
@@ -99,13 +107,14 @@ func checkOracle(t *testing.T, q *query.Query, got *relation.Relation, flat rdb.
 		}
 		for _, k := range keys {
 			if w := want.Tuples[lo+i][k]; values.Compare(row[k], w) != 0 {
-				t.Fatalf("row %d: sort key %s = %v, baseline has %v", i, want.Attrs[k], row[k], w)
+				return fmt.Errorf("row %d: sort key %s = %v, baseline has %v", i, want.Attrs[k], row[k], w)
 			}
 		}
 		if left[row.Key()]--; left[row.Key()] < 0 {
-			t.Fatalf("row %d: %v is not in the baseline answer (or repeats)", i, row)
+			return fmt.Errorf("row %d: %v is not in the baseline answer (or repeats)", i, row)
 		}
 	}
+	return nil
 }
 
 // paperQuery is one query of the paper's experimental set; r3 marks

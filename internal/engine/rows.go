@@ -19,6 +19,7 @@ import (
 
 	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/ftree"
+	"github.com/factordb/fdb/internal/plan"
 	"github.com/factordb/fdb/internal/query"
 	"github.com/factordb/fdb/internal/relation"
 	"github.com/factordb/fdb/internal/values"
@@ -307,23 +308,27 @@ func GoValue(v values.Value) any {
 
 // newCursor builds the enumeration cursor for the query's path: flat
 // projection for SPJ queries, on-the-fly grouped aggregation when the
-// order is by group attributes, and the materialised-aggregate path
-// (with its flat-sort fallback) when ordering by an aggregate output.
-// fanOut permits the flat-projection path to fan out across segment
-// workers; see fanOutWindow.
+// order is by group attributes, the aggregate node the f-plan ordered
+// when ordering by an aggregate output (plan.AggregateOrder), and the
+// flat sort when the plan could not. fanOut permits the flat-projection
+// path to fan out across segment workers; see fanOutWindow.
 func (r *Result) newCursor(fanOut bool) (rowCursor, error) {
+	q := r.Query
 	if r.fastCount != nil {
 		// Bare COUNT(*) answered from the ranked root counts; the
 		// aggregation plan never executed (see fastCountValue).
 		return &sliceCursor{rows: []relation.Tuple{{values.NewInt(*r.fastCount)}}}, nil
 	}
-	if !r.Query.IsAggregate() {
+	if !q.IsAggregate() {
 		return r.newSPJCursor(fanOut)
 	}
-	if orderOnAggregate(r.Query) || r.eng.Materialise {
-		return r.newMaterialisedCursor()
+	if node, _, _, order := plan.AggregateOrder(q, r.Tree()); node != nil {
+		return r.newAggOrderCursor(node, order)
 	}
-	return r.newGroupedCursor(true)
+	if len(q.GroupBy) > 0 && orderOnAggregate(q) {
+		return r.newSortedCursor()
+	}
+	return r.newGroupedCursor()
 }
 
 // enumerator is what enumCursor drives: frep's grouped enumerator, and
@@ -437,27 +442,27 @@ func (r *Result) newSPJCursor(fanOut bool) (rowCursor, error) {
 }
 
 // newGroupedCursor builds the on-the-fly grouped aggregation cursor
-// (Example 1, scenario 3). applyOrder false drops the ORDER BY specs
-// (used by the sort fallback, which re-orders afterwards).
-func (r *Result) newGroupedCursor(applyOrder bool) (*enumCursor, error) {
+// (Example 1, scenario 3), ordered by the ORDER BY items that are group
+// attributes (the sort fallback re-orders by the rest afterwards).
+func (r *Result) newGroupedCursor() (*enumCursor, error) {
 	q := r.Query
 	low, err := query.Lower(q.Aggregates)
 	if err != nil {
 		return nil, err
 	}
-	// Group slots: order-by attributes first (all within GroupBy on this
-	// path), then remaining group attributes in tree DFS order.
-	var specs []frep.OrderSpec
-	seen := map[string]bool{}
-	if applyOrder {
-		for _, o := range q.OrderBy {
-			specs = append(specs, frep.OrderSpec{Attr: o.Attr, Desc: o.Desc})
-			seen[o.Attr] = true
-		}
-	}
 	inG := map[string]bool{}
 	for _, g := range q.GroupBy {
 		inG[g] = true
+	}
+	// Group slots: order-by attributes first, then remaining group
+	// attributes in tree DFS order.
+	var specs []frep.OrderSpec
+	seen := map[string]bool{}
+	for _, o := range q.OrderBy {
+		if inG[o.Attr] {
+			specs = append(specs, frep.OrderSpec{Attr: o.Attr, Desc: o.Desc})
+			seen[o.Attr] = true
+		}
 	}
 	for _, n := range r.Tree().Nodes() {
 		if n.IsAgg() {

@@ -47,6 +47,21 @@ var templateShapes = []struct {
 
 var joinFilterAttrs = []string{"price", "date", "customer"}
 
+// aggOrderShapes order by aggregate outputs: the cluster golden
+// Q3_mixed, whose sibling aggregates take the flat sort, and two
+// aggregates ordered as one node, planned as γ and χ with no ρ. The agg
+// workload's a7 (one aggregate: γ, ρ and χ) has no filter; it is
+// aggOrderA7.
+var aggOrderShapes = []struct {
+	text  string
+	attrs []string
+}{
+	{`SELECT date, package, SUM(price) AS total` + paperJoin + `%s GROUP BY date, package ORDER BY total DESC, date`, joinFilterAttrs},
+	{`SELECT customer, SUM(price) AS revenue, COUNT(*) AS n` + paperJoin + `%s GROUP BY customer ORDER BY n DESC, revenue DESC, customer`, joinFilterAttrs},
+}
+
+const aggOrderA7 = `SELECT customer, SUM(price) AS revenue FROM Orders, Packages, Items WHERE package = package2 AND item = item2 GROUP BY customer ORDER BY revenue DESC, customer LIMIT 10`
+
 // templateConsts are the filter constants per attribute at scale 1: two
 // inside the generated domain, one past it, and a String against the
 // Int attribute.
@@ -100,14 +115,16 @@ func checkBinding(t *testing.T, warm *Engine, text string, db DB) {
 
 // TestTemplateMatchesFreshPlan walks every shape × filtered attribute ×
 // operator × constant through one warm engine, rotating the page (no
-// LIMIT, LIMIT 10, LIMIT 10 OFFSET 7), then a grouped shape whose HAVING
-// constant changes between bindings.
+// LIMIT, LIMIT 10, LIMIT 10 OFFSET 7), then a7 twice and a grouped shape
+// whose HAVING constant changes between bindings.
 func TestTemplateMatchesFreshPlan(t *testing.T) {
 	db := DB(workload.Generate(workload.Config{Scale: 1}).DB())
 	warm := New()
 	pages := []string{"", " LIMIT 10", " LIMIT 10 OFFSET 7"}
-	n, shapes := 0, 0
-	for _, sh := range templateShapes {
+	n, shapes := 2, 1
+	checkBinding(t, warm, aggOrderA7, db)
+	checkBinding(t, warm, aggOrderA7, db)
+	for _, sh := range append(templateShapes, aggOrderShapes...) {
 		for _, attr := range sh.attrs {
 			shapes++
 			for _, op := range cmpOps {

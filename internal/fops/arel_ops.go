@@ -400,15 +400,10 @@ func (ar *ARel) Rename(attr, to string) error {
 // aggregation functions (composite aggregates, Section 3.2.4); their
 // values are stored as a vector.
 func (ar *ARel) Gamma(attr string, fields []ftree.AggField) error {
-	n := ar.Tree.ResolveAttr(attr)
-	if n == nil {
+	u := ar.Tree.ResolveAttr(attr)
+	if u == nil {
 		return fmt.Errorf("fops: γ: unknown attribute %q", attr)
 	}
-	return ar.GammaNode(n, fields)
-}
-
-// GammaNode is Gamma addressing the subtree root node directly.
-func (ar *ARel) GammaNode(u *ftree.Node, fields []ftree.AggField) error {
 	plan, err := ftree.PlanAgg(ar.Tree, u, fields)
 	if err != nil {
 		return err

@@ -34,11 +34,6 @@ func (ar *ARel) Swap(attr string) error {
 	if b == nil {
 		return fmt.Errorf("fops: swap: unknown attribute %q", attr)
 	}
-	return ar.SwapNode(b)
-}
-
-// SwapNode is Swap addressing the f-tree node directly.
-func (ar *ARel) SwapNode(b *ftree.Node) error {
 	plan, err := ftree.PlanSwap(b)
 	if err != nil {
 		return err

@@ -365,7 +365,7 @@ func TestGammaPaperQueryP(t *testing.T) {
 		if v == nil {
 			break
 		}
-		if err := fr.SwapNode(v); err != nil {
+		if err := fr.Swap(v.Attrs[0]); err != nil {
 			t.Fatal(err)
 		}
 		if err := fr.Check(); err != nil {
@@ -380,11 +380,7 @@ func TestGammaPaperQueryP(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Step 4: γ_sum_price over the pizza subtree.
-	pizzaNode := fr.Tree.AttrNode("pizza")
-	if pizzaNode == nil {
-		t.Fatalf("pizza node missing:\n%s", fr.Tree)
-	}
-	if err := fr.GammaNode(pizzaNode, []ftree.AggField{{Fn: ftree.Sum, Arg: "price"}}); err != nil {
+	if err := fr.Gamma("pizza", []ftree.AggField{{Fn: ftree.Sum, Arg: "price"}}); err != nil {
 		t.Fatal(err)
 	}
 	// Rename to revenue.
@@ -499,7 +495,7 @@ func TestRandomOpPipelineProperty(t *testing.T) {
 				if nd.Parent == nil {
 					continue
 				}
-				if err := fr.SwapNode(nd); err != nil {
+				if err := fr.Swap(nd.Attrs[0]); err != nil {
 					return false
 				}
 			case 2: // selection with constant

@@ -92,7 +92,11 @@ func (p *Planner) planExhaustive(t *ftree.Forest, q *query.Query, req []ftree.Ag
 			return nil, errSearchSpace
 		}
 		if p.isGoal(st, group, order) {
-			return &Plan{Ops: st.ops, Cost: st.cost}, nil
+			tail := &greedyState{p: p, sim: st.tree, q: q, ops: st.ops, cost: st.cost}
+			if err := tail.orderByAggregate(); err != nil {
+				return nil, err
+			}
+			return &Plan{Ops: tail.ops, Cost: tail.cost}, nil
 		}
 		for _, succ := range p.successors(st, q, req, group) {
 			if !visited[stateKey(succ)] {

@@ -110,11 +110,95 @@ func attrOf(n *ftree.Node) string {
 	return n.Attrs[0]
 }
 
+// AggregateOrder decides whether q's ORDER BY over aggregate outputs can
+// be served in the factorised domain (Section 4, Example 1 scenario 2):
+// by one aggregate node whose fields put the ordered aggregates first, so
+// that its vector order is their order, moved by χ to where the order
+// needs it. That holds when the ordered aggregates are storable,
+// contiguous in the ORDER BY list with one direction, and lower to the
+// node's full field list, and t has exactly one maximal non-group
+// subtree. It returns that subtree's root u, the node's fields, the name
+// the node carries once planned (the sole aggregate's output name, else
+// its label), and the ORDER BY list with each aggregate replaced by that
+// name. u is nil when the rule does not hold.
+//
+// Both planners end with the γ/ρ/χ steps this implies; the cursor asks
+// again on the planned tree, where the node is the only non-group node
+// wherever χ moved it, and gets the same answer.
+func AggregateOrder(q *query.Query, t *ftree.Forest) (u *ftree.Node, fields []ftree.AggField, name string, order []string) {
+	inG := func(a string) bool { return slices.Contains(q.GroupBy, a) }
+	var ordered []query.Aggregate
+	first := -1
+	for i, o := range q.OrderBy {
+		if inG(o.Attr) {
+			continue
+		}
+		if first < 0 {
+			first = i
+		}
+		k := slices.IndexFunc(q.Aggregates, func(a query.Aggregate) bool { return a.OutName() == o.Attr })
+		if k < 0 || !q.Aggregates[k].Fn.Storable() || i != first+len(ordered) || o.Desc != q.OrderBy[first].Desc {
+			return nil, nil, "", nil
+		}
+		ordered = append(ordered, q.Aggregates[k])
+	}
+	if len(ordered) == 0 || len(q.GroupBy) == 0 {
+		return nil, nil, "", nil
+	}
+	all := slices.Clip(ordered)
+	for _, a := range q.Aggregates {
+		if !slices.Contains(ordered, a) {
+			all = append(all, a)
+		}
+	}
+	own, err := query.Lower(ordered)
+	if err != nil {
+		return nil, nil, "", nil
+	}
+	if full, err := query.Lower(all); err != nil || len(full.Fields()) != len(own.Fields()) {
+		return nil, nil, "", nil
+	}
+	// Group nodes form the top of a grouped tree (Theorem 1), so a
+	// maximal non-group subtree is rooted where a non-group node is a
+	// root or hangs below a group node.
+	isGroup := func(n *ftree.Node) bool { return !n.IsAgg() && slices.ContainsFunc(n.Attrs, inG) }
+	for _, n := range t.Nodes() {
+		if !isGroup(n) && (n.Parent == nil || isGroup(n.Parent)) {
+			if u != nil {
+				return nil, nil, "", nil
+			}
+			u = n
+		}
+	}
+	if u == nil {
+		return nil, nil, "", nil
+	}
+	fields = own.Fields()
+	// The label γ_fields(u) gives the node, or u's own when u is that node
+	// already; on the planned tree χ may have put group nodes below it.
+	name = (&ftree.Agg{Fields: fields, Over: u.SubtreeAttrs()}).Label()
+	if u.IsAgg() && slices.Equal(u.Agg.Fields, fields) && !slices.ContainsFunc(u.Children, func(c *ftree.Node) bool { return !isGroup(c) }) {
+		name = u.Agg.Label()
+	}
+	if len(q.Aggregates) == 1 {
+		name = q.Aggregates[0].OutName()
+	}
+	for _, o := range q.OrderBy {
+		if inG(o.Attr) {
+			order = append(order, o.Attr)
+		} else {
+			order = append(order, name)
+		}
+	}
+	return u, fields, name, order
+}
+
 // Plan computes an f-plan implementing the query's selections,
 // aggregation (as partial γ operators plus restructuring) and
-// group/order restructuring over the input f-tree. Constant selections
-// come first; the engine finalises ordering by aggregate outputs, HAVING
-// and limits after executing the plan.
+// group/order restructuring over the input f-tree, including the γ/ρ/χ
+// steps of an ORDER BY over aggregate outputs (AggregateOrder). Constant
+// selections come first; the engine applies HAVING and limits while
+// enumerating.
 func (p *Planner) Plan(t *ftree.Forest, q *query.Query) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -194,10 +278,12 @@ func (p *Planner) planGreedy(t *ftree.Forest, q *query.Query, req []ftree.AggFie
 			break
 		}
 	}
+	finish := st.orderByAggregate
 	if !st.q.IsAggregate() {
-		if err := st.projectAndOrder(); err != nil {
-			return nil, err
-		}
+		finish = st.projectAndOrder
+	}
+	if err := finish(); err != nil {
+		return nil, err
 	}
 	return &Plan{Ops: st.ops, Cost: st.cost}, nil
 }
@@ -506,11 +592,40 @@ func (st *greedyState) projectAndOrder() error {
 			}
 		}
 	}
+	return st.placeOrder(st.order)
+}
+
+// orderByAggregate is both planners' tail for an ORDER BY over aggregate
+// outputs that AggregateOrder serves: γ into one node with the ordered
+// fields first (unless it is that node already), ρ to the sole
+// aggregate's output name, and χ until the order holds.
+func (st *greedyState) orderByAggregate() error {
+	u, fields, name, order := AggregateOrder(st.q, st.sim)
+	if u == nil {
+		return nil
+	}
+	if !(u.IsLeaf() && u.IsAgg() && slices.Equal(u.Agg.Fields, fields)) {
+		if err := st.emit(GammaOp{Attr: attrOf(u), Fields: fields}); err != nil {
+			return err
+		}
+		u, _, _, _ = AggregateOrder(st.q, st.sim) // the node γ left
+	}
+	if label := u.Agg.Label(); label != name {
+		if err := st.emit(RenameOp{From: label, To: name}); err != nil {
+			return err
+		}
+	}
+	return st.placeOrder(order)
+}
+
+// placeOrder is step 5's loop: χ until the tree supports the order
+// (Theorem 2).
+func (st *greedyState) placeOrder(order []string) error {
 	for i := 0; ; i++ {
 		if i > 1000 {
 			return fmt.Errorf("plan: order restructuring did not converge")
 		}
-		v := st.sim.OrderViolation(st.order)
+		v := st.sim.OrderViolation(order)
 		if v == nil {
 			return nil
 		}
