@@ -19,9 +19,10 @@
 //	// 3. Wrap a catalogue in a Connector (no global state at all).
 //	db := sql.OpenDB(driver.NewConnector(fdb.Database{...}))
 //
-// The catalogue's relations must not be modified once queries run: the
-// driver shares one factorised snapshot of each queried relation across
-// all connections (the engine's ExecShared contract). Statements are
+// The catalogue's relations must not be modified once queries run: a
+// registered or connector-wrapped catalogue registers its relations
+// (fdb.Register), so each is factorised once per path order and shared
+// by every connection. Statements are
 // the engine's SELECT subset — joins, filters, aggregates, GROUP BY,
 // HAVING, ORDER BY, LIMIT and OFFSET; placeholder parameters are not
 // supported. Registered catalogues are read-only: ExecContext and
@@ -39,8 +40,8 @@
 // UPSERT INTO ... VALUES; it returns once the statement's WAL record is
 // group-committed, and RowsAffected reports the rows actually changed.
 // Queries on the same handle always see the catalogue's latest published
-// view — the engine detects stale shared snapshots by relation pointer
-// identity and rebuilds them.
+// view: every write publishes new relations, each carrying its own
+// factorisations.
 //
 // Plans are cached per catalogue in an LRU keyed by the normalised
 // statement text, so repeated statements skip parsing and optimisation
@@ -76,9 +77,10 @@ const planCacheSize = 256
 var registry sync.Map // name → *catalog
 
 // Register makes a catalogue available to sql.Open("fdb", name),
-// replacing any previous catalogue under the same name. The relations
-// must not be modified after the first query against them.
+// replacing any previous catalogue under the same name. Its relations
+// are registered (fdb.Register) and must not be modified afterwards.
 func Register(name string, db fdb.Database) {
+	fdb.Register(db)
 	registry.Store(name, newCatalog(db))
 }
 
@@ -147,7 +149,7 @@ func (c *catalog) query(ctx context.Context, text string) (*rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.ExecSharedContext(ctx, c.data())
+	res, err := p.ExecContext(ctx, c.data())
 	if err != nil {
 		return nil, err
 	}
@@ -224,8 +226,9 @@ func (Driver) OpenConnector(dsn string) (driver.Connector, error) {
 
 // NewConnector wraps an in-process catalogue as a driver.Connector for
 // sql.OpenDB, bypassing the name registry. Each Connector has its own
-// engine and plan cache.
+// engine and plan cache, and registers the relations (fdb.Register).
 func NewConnector(db fdb.Database) driver.Connector {
+	fdb.Register(db)
 	return &connector{cat: newCatalog(db)}
 }
 

@@ -28,8 +28,8 @@
 // straight over the constant-delay enumerators, honouring a
 // context.Context for cancellation and skipping LIMIT/OFFSET pages
 // inside the enumerator. Engine.RunContext, Engine.PrepareContext and
-// PreparedQuery.ExecContext/ExecSharedContext thread the same context
-// through planning and execution. The top-level package driver wraps
+// PreparedQuery.ExecContext thread the same context through planning
+// and execution. The top-level package driver wraps
 // all of this in a registered "fdb" database/sql driver.
 //
 // For read-optimised workloads, materialise a view once as a
@@ -129,6 +129,13 @@ var ParseSQL = sql.Parse
 // Database is a catalogue of named flat relations.
 type Database = engine.DB
 
+// Register registers a database's relations as shared: every query
+// over them then reads one factorisation per path order, made on first
+// demand and kept as long as the relation, instead of factorising the
+// relations per execution. Registered relations must not be modified.
+// Loaded and mutable catalogues register their own relations.
+var Register = engine.Register
+
 // Engine is the FDB query engine: it plans and executes queries over
 // flat relations (Run, Prepare) or materialised factorised views
 // (RunOnView), always on the arena-backed factorised representation.
@@ -174,8 +181,11 @@ var GoValue = engine.GoValue
 // many times with Exec; a PreparedQuery is immutable and safe for
 // concurrent Exec calls, which is the basis of fdbserver's plan cache.
 // Statements of one shape that differ only in filter constants,
-// operators, HAVING, LIMIT or OFFSET share one plan template and one
-// ExecShared base snapshot.
+// operators, HAVING, LIMIT or OFFSET share one plan template. A
+// PreparedQuery holds no data: a registered relation (see Register;
+// catalogues register theirs) is factorised once per path order and
+// shared by every execution, while any other relation is factorised per
+// execution.
 type PreparedQuery = engine.Prepared
 
 // NormalizeSQL canonicalises a SQL statement's spelling (whitespace,
@@ -242,10 +252,10 @@ func MaterialiseView(e *Engine, q *Query, db Database) (*Factorisation, error) {
 }
 
 // Catalog is a database loaded from a catalogue snapshot: the flat
-// relations plus prebuilt factorised base relations that the engine
-// grafts instead of re-sorting (see SaveCatalog / LoadCatalogFile).
-// Close releases the snapshot's backing bytes and unregisters the
-// factorisations; mmap-loaded catalogues must not be used after Close.
+// relations plus their stored factorisations, which executions read in
+// place whenever a plan keeps a relation's stored path order (see
+// SaveCatalog / LoadCatalogFile). Close releases the snapshot's backing
+// bytes; mmap-loaded catalogues must not be used after Close.
 type Catalog = engine.Catalog
 
 // SaveCatalog factorises every relation of db and writes a versioned,

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -199,6 +200,35 @@ func shardStreamBytes(cols string, keys []int, rest string) []byte {
 	}
 	fmt.Fprintf(&b, `{"rowCount":%d,"elapsedMillis":0}`+"\n", len(keys))
 	return b.Bytes()
+}
+
+// TestMergeStreamBytes pins the bytes relaying a 2-shard query
+// allocates: each shard stream reads through a 64 KiB line buffer taken
+// from a pool, so a warm merge allocates a few KiB, not two fresh
+// buffers per query.
+func TestMergeStreamBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers on purpose")
+	}
+	st := mustPlan(t, `SELECT * FROM R`)
+	streams := [][]byte{
+		shardStreamBytes(`["a","b","c"]`, []int{0, 2, 4, 6}, ",1,2"),
+		shardStreamBytes(`["a","b","c"]`, []int{1, 3, 5, 7}, ",1,2"),
+	}
+	mergeInMemory(t, st, streams)
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		mergeInMemory(t, st, streams)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes allocated per 2-shard merge", per)
+	const ceiling = 16 << 10
+	if per > ceiling {
+		t.Fatalf("%d bytes allocated per 2-shard merge, ceiling %d", per, ceiling)
+	}
 }
 
 // TestMergeStreamAllocs pins the merge's allocations over in-memory

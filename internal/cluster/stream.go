@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"github.com/factordb/fdb/internal/wire"
@@ -21,9 +22,15 @@ type queryError struct{ msg string }
 
 func (e *queryError) Error() string { return e.msg }
 
+// readerPool recycles the 64 KiB line buffers of frameReaders: a query
+// opens one stream per shard, and a fresh buffer each time would be
+// most of what relaying a query allocates.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
 // frameReader reads one replica's NDJSON response: header first, then
-// rows until the trailer. Lines are read in place from br's buffer; one
-// longer than that buffer accumulates in long.
+// rows until the trailer. Lines are read in place from br's buffer, a
+// pooled one that close returns; one longer than that buffer
+// accumulates in long.
 type frameReader struct {
 	body   io.ReadCloser
 	br     *bufio.Reader
@@ -36,7 +43,7 @@ type frameReader struct {
 }
 
 // readLine returns the next line, '\n' included. It is valid until the
-// next call, which may overwrite it.
+// next call, which may overwrite it, or until close.
 func (fr *frameReader) readLine() ([]byte, error) {
 	line, err := fr.br.ReadSlice('\n')
 	if err != bufio.ErrBufferFull {
@@ -86,7 +93,16 @@ func (fr *frameReader) next(cols []span) ([]byte, []span, error) {
 	}
 }
 
+// close releases the stream: the body, the hedge's attempt context, and
+// the pooled buffer, so no line read from it may be used afterwards.
+// Callers close at the trailer, on failover and at merger close, once
+// the stream's last staged row has been forwarded or copied out.
 func (fr *frameReader) close() {
+	if fr.br != nil {
+		fr.br.Reset(nil)
+		readerPool.Put(fr.br)
+		fr.br = nil
+	}
 	if fr.body != nil {
 		fr.body.Close()
 		fr.body = nil
@@ -134,24 +150,33 @@ func (co *Coordinator) openReplica(ctx context.Context, base, db, sqlText string
 // newFrameReader reads the stream header from a 200 response body; a
 // body that opens with an error frame instead yields a *queryError.
 func newFrameReader(body io.ReadCloser, base string) (*frameReader, error) {
-	fr := &frameReader{body: body, br: bufio.NewReaderSize(body, 64<<10), base: base}
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(body)
+	fr := &frameReader{body: body, br: br, base: base}
 	line, err := fr.readLine()
+	if err == nil {
+		fr.header, err = decodeHeader(line, base)
+	} else {
+		err = fmt.Errorf("replica %s: reading header: %w", base, err)
+	}
 	if err != nil {
-		fr.close()
-		return nil, fmt.Errorf("replica %s: reading header: %w", base, err)
-	}
-	if kind, err := wire.Classify(line); err != nil || kind != wire.KindHeader {
-		fr.close()
-		if eb, err := wire.DecodeError(line); err == nil && eb.Error != "" {
-			return nil, &queryError{msg: eb.Error}
-		}
-		return nil, fmt.Errorf("replica %s: expected header, got %.80s", base, line)
-	}
-	if fr.header, err = wire.DecodeHeader(line); err != nil {
 		fr.close()
 		return nil, err
 	}
 	return fr, nil
+}
+
+// decodeHeader decodes a stream's first line, which must be a header;
+// an error frame in its place yields a *queryError. Nothing it returns
+// aliases line.
+func decodeHeader(line []byte, base string) (wire.Header, error) {
+	if kind, err := wire.Classify(line); err != nil || kind != wire.KindHeader {
+		if eb, err := wire.DecodeError(line); err == nil && eb.Error != "" {
+			return wire.Header{}, &queryError{msg: eb.Error}
+		}
+		return wire.Header{}, fmt.Errorf("replica %s: expected header, got %.80s", base, line)
+	}
+	return wire.DecodeHeader(line)
 }
 
 // shardStream is one logical shard's row stream with retry, hedging and

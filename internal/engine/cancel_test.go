@@ -85,7 +85,8 @@ func TestCancelBeforePlan(t *testing.T) {
 }
 
 // TestCancelDuringExec asserts a context cancelled before execution
-// returns the pooled store exactly once.
+// returns the pooled store exactly once, and that a cancelled on-demand
+// base build is not kept: the next execution builds it.
 func TestCancelDuringExec(t *testing.T) {
 	db := bigDB(t, 100)
 	eng := New()
@@ -104,15 +105,31 @@ func TestCancelDuringExec(t *testing.T) {
 		t.Fatalf("store returned %d times on cancelled Exec, want exactly 1", d)
 	}
 
-	// A cancelled shared-snapshot build must not poison the Prepared.
-	if _, err := prep.ExecSharedContext(ctx, db); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExecSharedContext(cancelled) = %v, want context.Canceled", err)
+	// Over registered relations the cancellation stops the first base
+	// build before any store is taken, and caches nothing.
+	shared := sharedCopy(t, db)
+	before = storeReturns.Load()
+	if _, err := prep.ExecContext(ctx, shared); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ExecContext(cancelled) over registered relations = %v, want context.Canceled", err)
 	}
-	res, err := prep.ExecSharedContext(context.Background(), db)
+	if d := storeReturns.Load() - before; d != 0 {
+		t.Fatalf("store returned %d times on a cancelled base build, want 0", d)
+	}
+	for i, name := range prep.Query.Relations {
+		if madeBase(shared[name], prep.Orders[i]) != nil {
+			t.Fatalf("cancelled build of %s was cached", name)
+		}
+	}
+	res, err := prep.ExecContext(context.Background(), shared)
 	if err != nil {
-		t.Fatalf("ExecSharedContext after cancelled build = %v", err)
+		t.Fatalf("ExecContext after cancelled build = %v", err)
 	}
 	res.Close()
+	for i, name := range prep.Query.Relations {
+		if madeBase(shared[name], prep.Orders[i]) == nil {
+			t.Fatalf("no base of %s after a completed execution", name)
+		}
+	}
 }
 
 // cancelMidStream runs the query, reads a few rows, cancels, drains,
@@ -221,10 +238,11 @@ func TestCancelMidEnumerationView(t *testing.T) {
 }
 
 // TestCancelConcurrent exercises cancellation racing a running
-// enumeration (meaningful under -race): one goroutine streams, another
-// cancels shortly after, repeated across several queries concurrently.
+// enumeration and the first build of a registered relation's base
+// (meaningful under -race): one goroutine streams, another cancels
+// shortly after, repeated across several queries concurrently.
 func TestCancelConcurrent(t *testing.T) {
-	db := bigDB(t, 20000)
+	db := sharedCopy(t, bigDB(t, 20000))
 	eng := New()
 	prep, err := eng.Prepare(spjQuery(), db)
 	if err != nil {
@@ -236,7 +254,7 @@ func TestCancelConcurrent(t *testing.T) {
 		go func(w int) {
 			for i := 0; i < 5; i++ {
 				ctx, cancel := context.WithCancel(context.Background())
-				res, err := prep.ExecSharedContext(ctx, db)
+				res, err := prep.ExecContext(ctx, db)
 				if err != nil {
 					cancel()
 					errc <- err

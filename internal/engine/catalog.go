@@ -1,21 +1,27 @@
 package engine
 
-// Catalogue persistence: saving a database as a disk snapshot and
-// loading it back without re-sorting or re-factorising the base data.
-// A loaded catalogue also registers its factorised base relations in a
-// process-wide fact registry keyed by relation identity, so the first
-// ExecShared of a prepared statement whose chosen path order matches a
-// stored factorisation grafts the prebuilt slabs instead of rebuilding
-// from flat tuples.
+// Base factorisations and catalogue persistence. A registered relation
+// carries its own base factorisations, so they go when it goes: one
+// frozen store — ranked and column-indexed — per path order a plan has
+// asked for (a bounded number of orders), made on first demand and
+// shared by every execution. The order a catalogue stores is the
+// catalogue's own store, never copied. A write publishes a new
+// relation, with bases of its own, so no base is ever stale. The rest
+// of the file saves a database as a disk snapshot and loads it back
+// without re-sorting or re-factorising the base data.
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"github.com/factordb/fdb/internal/catalog"
 	"github.com/factordb/fdb/internal/frep"
+	"github.com/factordb/fdb/internal/ftree"
 	"github.com/factordb/fdb/internal/relation"
 )
 
@@ -33,31 +39,113 @@ type Catalog struct {
 	once sync.Once
 }
 
-// facts is the process-wide registry of prebuilt base-relation
-// factorisations, keyed by relation identity (pointer) — unambiguous
-// across databases even when names collide. Entries are added when a
-// catalogue is loaded and dropped when it is closed; the stores are
-// frozen and read-only, so any number of queries may graft from one
-// entry concurrently.
-var facts sync.Map // *relation.Relation → *catalog.Fact
+// baseBuilds counts bases factorised from flat tuples, for tests.
+var baseBuilds atomic.Int64
 
-// factFor returns the registered factorisation of rel in the given path
-// order, or nil.
-func factFor(rel *relation.Relation, order []string) *catalog.Fact {
-	v, ok := facts.Load(rel)
-	if !ok {
-		return nil
+// maxBaseOrders bounds the bases a relation keeps. Clients' ORDER BY
+// and GROUP BY lists choose the orders, so past the bound the base
+// unused longest is dropped.
+const maxBaseOrders = 8
+
+// baseSet is what a registered relation carries (relation.Share): the
+// factorisation its catalogue stores (nil when none) and the bases made
+// so far, published copy-on-write under mu. It lives exactly as long
+// as the relation.
+type baseSet struct {
+	stored *catalog.Fact
+	mu     sync.Mutex
+	built  atomic.Pointer[[]*base]
+	epoch  atomic.Int64 // counts builds
+}
+
+// base is one frozen factorisation of a relation, ranked and
+// column-indexed, with the epoch of its last use.
+type base struct {
+	*catalog.Fact
+	used atomic.Int64
+}
+
+// Register registers db's relations as bases: executions over them
+// share one factorisation per path order, made on first demand, instead
+// of factorising them per call. The factorisations live as long as the
+// relations, which must not be modified once registered. Registering a
+// relation again does nothing.
+func Register(db DB) {
+	for _, rel := range db {
+		register(rel, nil)
 	}
-	f := v.(*catalog.Fact)
-	if len(f.Order) != len(order) {
-		return nil
+}
+
+// register registers rel, whose catalogue stores the factorisation
+// stored (nil when none). It builds nothing.
+func register(rel *relation.Relation, stored *catalog.Fact) {
+	s := &baseSet{stored: stored}
+	s.built.Store(new([]*base))
+	rel.Share(s)
+}
+
+// baseFor returns rel's base in the given path order, or nil when rel
+// is not registered. A missing base is made under the set's lock: the
+// stored order from the catalogue's own store, any other by factorising
+// the flat tuples. A cancelled or failed build is not kept.
+func baseFor(ctx context.Context, rel *relation.Relation, order []string) (*catalog.Fact, error) {
+	s, _ := rel.Shared().(*baseSet)
+	if s == nil {
+		return nil, nil
 	}
-	for i := range order {
-		if f.Order[i] != order[i] {
-			return nil
+	if b := s.find(order); b != nil {
+		return b, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if b := s.find(order); b != nil {
+		return b, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	b := &base{Fact: &catalog.Fact{Order: order}}
+	if s.stored != nil && slices.Equal(s.stored.Order, order) {
+		b.Store, b.Root = s.stored.Store.Snapshot(), s.stored.Root
+	} else {
+		b.Store = frep.NewStore()
+		f := ftree.New()
+		f.NewRelationPath(order...)
+		roots, err := frep.BuildStoreUnchecked(b.Store, rel, f)
+		if err != nil {
+			return nil, err
+		}
+		b.Root = roots[0]
+		baseBuilds.Add(1)
+	}
+	if !b.Store.HasRanks() {
+		if err := b.Store.BuildRanks(); err != nil {
+			return nil, err
 		}
 	}
-	return f
+	b.Store.BuildCols()
+	b.used.Store(s.epoch.Add(1))
+	next := append(slices.Clip(*s.built.Load()), b)
+	if len(next) > maxBaseOrders {
+		lru := slices.MinFunc(next, func(x, y *base) int { return cmp.Compare(x.used.Load(), y.used.Load()) })
+		next = slices.DeleteFunc(next, func(x *base) bool { return x == lru })
+	}
+	s.built.Store(&next)
+	return b.Fact, nil
+}
+
+// find returns the base made in the given order, or nil, and marks it
+// used in the current epoch.
+func (s *baseSet) find(order []string) *catalog.Fact {
+	for _, b := range *s.built.Load() {
+		if slices.Equal(b.Order, order) {
+			if e := s.epoch.Load(); b.used.Load() != e {
+				b.used.Store(e)
+			}
+			return b.Fact
+		}
+	}
+	return nil
 }
 
 // SaveCatalog factorises every relation of db over its attribute path
@@ -85,8 +173,8 @@ func SaveCatalogFile(path, name string, db DB) error {
 }
 
 // LoadCatalog reads a catalogue snapshot from r and returns the loaded
-// database with its factorised base relations registered for ExecShared
-// reuse. Each relation's tuples are flattened from its factorisation,
+// database with its relations registered as bases, each serving its
+// stored order from the snapshot's own factorisation. Each relation's tuples are flattened from its factorisation,
 // so they come back in path order with duplicates collapsed.
 func LoadCatalog(r io.Reader) (*Catalog, error) {
 	b, err := io.ReadAll(r)
@@ -118,44 +206,18 @@ func LoadCatalogFile(path string, mmap bool) (*Catalog, error) {
 }
 
 func wrapCatalog(c *catalog.Catalog) *Catalog {
-	out := &Catalog{Name: c.Name, DB: DB{}, cat: c}
 	for _, r := range c.Relations {
-		out.DB[r.Rel.Name] = r.Rel
-		if r.Fact != nil {
-			facts.Store(r.Rel, r.Fact)
-		}
+		register(r.Rel, r.Fact)
 	}
-	return out
+	return &Catalog{Name: c.Name, DB: c.DB(), cat: c}
 }
 
-// Close unregisters the catalogue's factorisations and releases the
-// snapshot's backing bytes (the mmap, when one is used). The catalogue's
-// relations — and any query results still aliasing its strings — must
-// not be used afterwards. Close is idempotent.
+// Close releases the snapshot's backing bytes (the mmap, when one is
+// used). The catalogue's relations — and any query results still
+// aliasing its strings — must not be used afterwards. Close is
+// idempotent.
 func (c *Catalog) Close() error {
 	var err error
-	c.once.Do(func() {
-		for _, r := range c.cat.Relations {
-			facts.Delete(r.Rel)
-		}
-		err = c.cat.Close()
-	})
+	c.once.Do(func() { err = c.cat.Close() })
 	return err
-}
-
-// factGrafts counts base-relation builds served by grafting a prebuilt
-// catalogue factorisation instead of re-sorting flat tuples; tests (and
-// FactGrafts) observe it.
-var factGrafts atomic.Int64
-
-// FactGrafts returns the cumulative number of base-relation builds
-// served from catalogue factorisations.
-func FactGrafts() int64 { return factGrafts.Load() }
-
-// graftFact appends the prebuilt factorisation into st and returns the
-// remapped root.
-func graftFact(st *frep.Store, f *catalog.Fact) frep.NodeID {
-	factGrafts.Add(1)
-	remap := st.Graft(f.Store)
-	return remap(f.Root)
 }

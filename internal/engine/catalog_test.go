@@ -2,18 +2,26 @@ package engine
 
 // Golden persistence suite: a catalogue saved to bytes and loaded back
 // must answer the whole workload query set byte-identically to the
-// original in-memory database — through Run (fresh build per query) and
-// through Prepare/ExecShared (which grafts the loaded factorisations).
+// original in-memory database — through Run on the flat database and on
+// the loaded one, whose registered bases serve its stored orders from
+// the loaded factorisations.
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"github.com/factordb/fdb/internal/catalog"
+	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/query"
+	"github.com/factordb/fdb/internal/rdb"
 	"github.com/factordb/fdb/internal/relation"
+	"github.com/factordb/fdb/internal/sql"
 	"github.com/factordb/fdb/internal/workload"
 )
 
@@ -119,20 +127,64 @@ func TestCatalogGoldenWorkload(t *testing.T) {
 		if !bytes.Equal(want, got) {
 			t.Errorf("%s: load-then-query differs from build-then-query\nwant:\n%s\ngot:\n%s", name, want, got)
 		}
-		// The prepared/shared path must agree too — this is the route
-		// that grafts the loaded factorisations.
+		// The prepared path must agree too — this is the route that
+		// reads the loaded factorisations as bases.
 		p, err := eng.Prepare(mk(), cat.DB)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		shared := renderRows(t, func() (*Result, error) { return p.ExecShared(cat.DB) })
+		shared := renderRows(t, func() (*Result, error) { return p.Exec(cat.DB) })
 		if !bytes.Equal(want, shared) {
-			t.Errorf("%s: ExecShared on loaded catalogue differs", name)
+			t.Errorf("%s: Exec on loaded catalogue differs", name)
 		}
 	}
 }
 
-func TestCatalogGraftPathUsed(t *testing.T) {
+// baseSetOf returns the bases rel carries, or nil when it is not
+// registered.
+func baseSetOf(rel *relation.Relation) *baseSet {
+	s, _ := rel.Shared().(*baseSet)
+	return s
+}
+
+// madeBase returns the base of rel in the given order if one has been
+// made, or nil.
+func madeBase(rel *relation.Relation, order []string) *catalog.Fact {
+	if s := baseSetOf(rel); s != nil {
+		return s.find(order)
+	}
+	return nil
+}
+
+// sameSlab reports whether union x of store a and union y of store b
+// read one value slab in place.
+func sameSlab(a *frep.Store, x frep.NodeID, b *frep.Store, y frep.NodeID) bool {
+	return a.Len(x) > 0 && &a.Vals(x)[0] == &b.Vals(y)[0]
+}
+
+// plainCopy returns db with every relation under a new, unregistered
+// pointer: Exec over it factorises each relation per call.
+func plainCopy(db DB) DB {
+	out := make(DB, len(db))
+	for name, rel := range db {
+		out[name] = &relation.Relation{Name: rel.Name, Attrs: rel.Attrs, Tuples: rel.Tuples}
+	}
+	return out
+}
+
+// sharedCopy is plainCopy registered as bases for the rest of the test:
+// Exec over it reads shared, ranked bases, while Exec over db (if
+// unregistered) factorises per call.
+func sharedCopy(t testing.TB, db DB) DB {
+	out := plainCopy(db)
+	Register(out)
+	return out
+}
+
+// TestCatalogServesStoredOrder: a plan whose path keeps a loaded
+// relation's declared order runs from the catalogue's own factorisation
+// with no build.
+func TestCatalogServesStoredOrder(t *testing.T) {
 	db := workloadDB(t)
 	var snap bytes.Buffer
 	if _, err := SaveCatalog(&snap, "workload", db); err != nil {
@@ -144,37 +196,94 @@ func TestCatalogGraftPathUsed(t *testing.T) {
 	}
 	defer cat.Close()
 
-	eng := New()
 	// Q13 orders R3 by its declared attributes, so its path keeps the
-	// relation's own attribute order, which is exactly the order the
-	// catalogue stores — the build must be served by a graft.
-	p, err := eng.Prepare(workload.Q13(0), cat.DB)
+	// order the catalogue stores.
+	p, err := New().Prepare(workload.Q13(0), cat.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := FactGrafts()
-	res, err := p.Exec(cat.DB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Close()
-	if FactGrafts() == before {
-		t.Fatal("loaded catalogue did not serve the base-relation build via graft")
-	}
-
-	// After Close the registry entry is gone: the same query rebuilds
-	// from flat tuples and still answers identically.
+	rel := cat.DB["R3"]
+	builds := baseBuilds.Load()
 	want := renderRows(t, func() (*Result, error) { return p.Exec(cat.DB) })
-	if err := cat.Close(); err != nil {
+	if d := baseBuilds.Load() - builds; d != 0 {
+		t.Fatalf("the stored order took %d builds, want 0", d)
+	}
+	fact := cat.cat.Relations[slices.IndexFunc(cat.cat.Relations, func(r *catalog.Relation) bool { return r.Rel == rel })].Fact
+	if b := madeBase(rel, p.Orders[0]); b == nil || !sameSlab(b.Store, b.Root, fact.Store, fact.Root) {
+		t.Fatal("the stored order is not served from the catalogue's own store")
+	}
+	if got := renderRows(t, func() (*Result, error) { return p.Exec(plainCopy(cat.DB)) }); !bytes.Equal(want, got) {
+		t.Fatal("an unregistered copy answers differently")
+	}
+	if d := baseBuilds.Load() - builds; d != 0 {
+		t.Fatalf("an unregistered relation made %d bases", d)
+	}
+}
+
+// TestBaseSharedAcrossShapes: statements of different shapes over one
+// loaded relation share one base per path order. The catalogue's stored
+// order is its own store, with zero builds; another order is built
+// once, by whichever shape asks first, and both shapes then run from
+// that one frozen store.
+func TestBaseSharedAcrossShapes(t *testing.T) {
+	db := workloadDB(t)
+	var snap bytes.Buffer
+	if _, err := SaveCatalog(&snap, "workload", db); err != nil {
 		t.Fatal(err)
 	}
-	before = FactGrafts()
-	got := renderRows(t, func() (*Result, error) { return p.Exec(cat.DB) })
-	if FactGrafts() != before {
-		t.Fatal("closed catalogue still serving grafts")
+	cat, err := LoadCatalog(bytes.NewReader(snap.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(want, got) {
-		t.Fatal("post-Close rebuild differs from grafted execution")
+	defer cat.Close()
+	rel := cat.DB["R3"]
+	stored := rel.Attrs
+	byDate := []string{"date", "customer", "package"}
+	eng := New()
+	for _, c := range []struct {
+		text   string
+		order  []string
+		builds int64 // bases this statement's execution builds
+	}{
+		{`SELECT customer, date, package FROM R3 ORDER BY customer, date, package`, stored, 0},
+		{`SELECT customer, COUNT(*) AS n FROM R3 GROUP BY customer ORDER BY customer`, stored, 0},
+		{`SELECT date, customer, package FROM R3 ORDER BY date, customer, package`, byDate, 1},
+		{`SELECT date, COUNT(*) AS n FROM R3 GROUP BY date ORDER BY date`, byDate, 0},
+	} {
+		q, err := sql.Parse(c.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := eng.Prepare(q, cat.DB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(p.Orders[0], c.order) {
+			t.Fatalf("%s: path %v, want %v", c.text, p.Orders[0], c.order)
+		}
+		builds := baseBuilds.Load()
+		res, err := p.Exec(cat.DB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := madeBase(rel, c.order)
+		if b == nil {
+			t.Fatalf("%s: no base registered for %v", c.text, c.order)
+		}
+		if len(p.Plan.Ops) == 0 && !sameSlab(res.ARel.Store, res.ARel.Roots[0], b.Store, b.Root) {
+			t.Fatalf("%s: the operator-free plan does not read the base in place", c.text)
+		}
+		checkOracle(t, q, collectRows(t, func() (*Result, error) { return res, nil }), rdb.DB(db))
+		if d := baseBuilds.Load() - builds; d != c.builds {
+			t.Fatalf("%s: %d builds, want %d", c.text, d, c.builds)
+		}
+	}
+	if n := len(*baseSetOf(rel).built.Load()); n != 2 {
+		t.Fatalf("%d bases for R3, want one per order (2)", n)
+	}
+	fact := cat.cat.Relations[slices.IndexFunc(cat.cat.Relations, func(r *catalog.Relation) bool { return r.Rel == rel })].Fact
+	if b := madeBase(rel, stored); !sameSlab(b.Store, b.Root, fact.Store, fact.Root) {
+		t.Fatal("the stored order is not served from the catalogue's own store")
 	}
 }
 
@@ -210,4 +319,72 @@ func TestCatalogFileRoundTrip(t *testing.T) {
 	if _, err := LoadCatalogFile(filepath.Join(t.TempDir(), "absent.fdbcat"), false); err == nil {
 		t.Fatal("loading a missing file did not error")
 	}
+}
+
+// TestBaseOrdersBounded: however many path orders clients' statements
+// pick over one registered relation, it keeps at most maxBaseOrders
+// bases, dropping the one unused longest, and every statement still
+// answers correctly.
+func TestBaseOrdersBounded(t *testing.T) {
+	db := workloadDB(t)
+	var snap bytes.Buffer
+	if _, err := SaveCatalog(&snap, "workload", db); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := LoadCatalog(bytes.NewReader(snap.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cat.Close()
+	rel := cat.DB["R1"]
+	eng := New()
+	orders := map[string]bool{}
+	hot := slices.Clone(rel.Attrs)
+	slices.Reverse(hot)
+	if _, err := baseFor(context.Background(), rel, hot); err != nil {
+		t.Fatal(err)
+	}
+	for _, perm := range permutations(rel.Attrs) {
+		text := fmt.Sprintf("SELECT %[1]s FROM R1 ORDER BY %[1]s", strings.Join(perm, ", "))
+		q, err := sql.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := eng.Prepare(q, cat.DB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOracle(t, q, collectRows(t, func() (*Result, error) { return p.Exec(cat.DB) }), rdb.DB(db))
+		orders[strings.Join(p.Orders[0], ",")] = true
+		// The hot order is asked for between every two builds, so it is
+		// never the one unused longest: it is never built again.
+		builds := baseBuilds.Load()
+		if _, err := baseFor(context.Background(), rel, hot); err != nil {
+			t.Fatal(err)
+		}
+		if baseBuilds.Load() != builds {
+			t.Fatal("the base in use between builds was dropped")
+		}
+		if n := len(*baseSetOf(rel).built.Load()); n > maxBaseOrders {
+			t.Fatalf("%d bases, want at most %d", n, maxBaseOrders)
+		}
+	}
+	if len(orders) <= maxBaseOrders {
+		t.Fatalf("only %d distinct orders ran; the bound was not reached", len(orders))
+	}
+}
+
+// permutations returns every ordering of xs.
+func permutations(xs []string) [][]string {
+	if len(xs) <= 1 {
+		return [][]string{slices.Clone(xs)}
+	}
+	var out [][]string
+	for i := range xs {
+		rest := append(slices.Clone(xs[:i]), xs[i+1:]...)
+		for _, p := range permutations(rest) {
+			out = append(out, append([]string{xs[i]}, p...))
+		}
+	}
+	return out
 }

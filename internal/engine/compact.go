@@ -143,8 +143,7 @@ func (m *MutableCatalog) Compact(ctx context.Context) error {
 			continue // unmutated, or written during the rewrite
 		}
 		// The publication is what snap-E holds for the relation and is
-		// already registered under its relation pointer.
-		facts.Delete(mr.base.Rel)
+		// already registered.
 		mr.base, mr.pub, mr.pubGen = mr.pub, nil, 0
 		mr.ov = mr.base.Fact.Store.Overlay()
 		mr.root = mr.base.Fact.Root

@@ -5,7 +5,7 @@ package engine
 // after every statement against the plain tuple-set mirror of
 // golden_dml_test.go — rows affected, the published view and its
 // factorisations (byte-identical to catalog.Build's), and two queries
-// through ExecShared against the flat baseline over the mirror. The
+// through Exec against the flat baseline over the mirror. The
 // compacted snapshot must equal SaveCatalog of the view, and the
 // directory must reopen to the same view. FuzzMutableDML drives the
 // same generator from fuzz bytes.
@@ -328,7 +328,7 @@ func runDMLOracle(t *testing.T, tc dmlOracleCase, rng *rand.Rand) {
 		flat := rdb.DB(mi.db(attrs))
 		view := m.View()
 		for _, prep := range preps {
-			res := collectRows(t, func() (*Result, error) { return prep.ExecShared(view) })
+			res := collectRows(t, func() (*Result, error) { return prep.Exec(view) })
 			checkOracle(t, prep.Query, res, flat)
 		}
 	}

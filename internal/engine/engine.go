@@ -117,8 +117,8 @@ func (r *Result) Singletons() int { return r.ARel.Singletons() }
 
 // Close releases pooled per-query resources (the arena store backing
 // ARel, when it was copied into one from the engine's pool; an
-// operator-free ExecShared reads the shared snapshot and pools
-// nothing). The Result — including ARel and open Rows — must not be
+// operator-free execution over one registered relation reads its base
+// and pools nothing). The Result — including ARel and open Rows — must not be
 // used afterwards: enumeration APIs return ErrClosed once Close has
 // run, because the recycled store may already back another query.
 // Close is idempotent — any call after the first is a no-op — and

@@ -76,7 +76,7 @@ func TestExplainPathOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = p.ExecShared(db)
+	res, err = p.Exec(db)
 	if err != nil {
 		t.Fatal(err)
 	}

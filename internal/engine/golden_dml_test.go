@@ -2,7 +2,7 @@ package engine
 
 // Golden DML suite: after an interleaving of INSERT/DELETE/UPSERT
 // against the workload dataset, every query family — flat Q1–Q5 across
-// Run/ExecShared, serial and parallel, and the view queries Q1–Q13 over
+// Run/Exec, serial and parallel, and the view queries Q1–Q13 over
 // factorisations built from the mutated relations — must produce results
 // identical to a from-scratch rebuild of the same data.
 
@@ -152,7 +152,7 @@ func TestGoldenDMLInterleaving(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return prep.ExecShared(view)
+				return prep.Exec(view)
 			},
 		}
 		for name, run := range runs {

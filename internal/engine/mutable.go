@@ -18,11 +18,10 @@ package engine
 //   - each write bumps the catalogue generation and the next View()
 //     publishes the relation in the catalogue's own form: the live
 //     nodes copied out of the overlay (Store.CopyReachable) and ranked,
-//     byte-identical to what catalog.Build stores, registered in the
-//     process-wide fact registry under a fresh relation pointer
-//     flattened from it. Queries graft only live nodes, cached plans
-//     detect staleness by pointer identity, and no overlay leaves the
-//     writer.
+//     byte-identical to what catalog.Build stores, and registered as
+//     the stored factorisation of a fresh relation flattened from it.
+//     Queries read only live nodes, a new relation carries bases of its
+//     own, so no base is ever stale, and no overlay leaves the writer.
 //
 // Durability: every acknowledged mutation is appended to the WAL and
 // group-committed before Apply returns. Crash anywhere, reopen the
@@ -69,8 +68,8 @@ type manifest struct {
 // mrel is the per-relation write state.
 type mrel struct {
 	// base is the relation as the current snapshot holds it (loaded, or
-	// published and then compacted): View serves it while unwritten, and
-	// its registered factorisation backs ov.
+	// published and then compacted): View serves it while unwritten, it
+	// is registered as a base, and its factorisation backs ov.
 	base *catalog.Relation
 	// ov is the writer's private overlay over the base factorisation;
 	// every node a write creates is appended here, so it also keeps the
@@ -88,7 +87,7 @@ type mrel struct {
 	// 0 means unmutated (View serves base directly).
 	gen uint64
 	// pub is the relation published at generation pubGen, in catalogue
-	// form, with its factorisation registered in the fact registry.
+	// form, registered as a base.
 	pub    *catalog.Relation
 	pubGen uint64
 }
@@ -266,11 +265,11 @@ func newMutable(name, dir string, cat *catalog.Catalog, log *wal.Log, epoch uint
 	return m
 }
 
-// newMrel wires one catalogued relation into the write path: its frozen
-// factorisation is registered for grafting and becomes the base tier of
-// the writer's overlay, which never leaves the mrel.
+// newMrel wires one catalogued relation into the write path: it is
+// registered as a base, and its frozen factorisation becomes the base
+// tier of the writer's overlay, which never leaves the mrel.
 func newMrel(cr *catalog.Relation) *mrel {
-	facts.Store(cr.Rel, cr.Fact)
+	register(cr.Rel, cr.Fact)
 	forest := ftree.New()
 	forest.NewRelationPath(cr.Rel.Attrs...)
 	return &mrel{
@@ -295,7 +294,7 @@ func (m *MutableCatalog) Generation() uint64 { return m.genA.Load() }
 // View returns an immutable database snapshot at the current
 // generation. Unmutated relations are the frozen base pointers (no
 // write-path overhead whatsoever); mutated relations are flattened from
-// their current factorisations, which are registered for grafting. The
+// their current factorisations, which are registered as bases. The
 // map and its relations must not be modified; they stay valid (and
 // consistent) however many writes follow.
 func (m *MutableCatalog) View() DB {
@@ -334,12 +333,9 @@ func (mr *mrel) current() *catalog.Relation {
 
 // publish copies the relation's live factorisation out of the overlay
 // into the form catalog.Build stores — the reachable nodes in
-// post-order, ranked — flattens it into a new relation pointer and
-// registers it there, retiring the previous generation's registration.
+// post-order, ranked — flattens it into a new relation and registers
+// it as that relation's stored factorisation.
 func (mr *mrel) publish() {
-	if mr.pub != nil {
-		facts.Delete(mr.pub.Rel)
-	}
 	name := mr.base.Rel.Name
 	st, roots := mr.ov.CopyReachable([]frep.NodeID{mr.root})
 	// The forest is the relation's own path and the copy a tree of
@@ -358,7 +354,7 @@ func (mr *mrel) publish() {
 		Store: st,
 		Root:  roots[0],
 	}}
-	facts.Store(rel, mr.pub.Fact)
+	register(rel, mr.pub.Fact)
 	mr.pubGen = mr.gen
 }
 
@@ -627,10 +623,9 @@ func (m *MutableCatalog) Stats() MutableStats {
 	return s
 }
 
-// Close stops background compaction, flushes and closes the WAL, and
-// unregisters the catalogue's published factorisations. Relations from
-// earlier Views stay readable (their memory is GC-managed), but no
-// further writes are accepted.
+// Close stops background compaction and flushes and closes the WAL.
+// Relations from earlier Views stay readable (their memory, bases
+// included, is GC-managed), but no further writes are accepted.
 func (m *MutableCatalog) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -646,12 +641,6 @@ func (m *MutableCatalog) Close() error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, mr := range m.rels {
-		facts.Delete(mr.base.Rel)
-		if mr.pub != nil {
-			facts.Delete(mr.pub.Rel)
-		}
-	}
 	if m.log != nil {
 		return m.log.Close()
 	}

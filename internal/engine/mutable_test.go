@@ -51,8 +51,8 @@ func diffRelations(t *testing.T, name string, got, want *relation.Relation) {
 }
 
 // diffViews asserts the mutable catalogue's view matches a reference
-// database both as flat relations and as registered factorisations:
-// each relation's fact must be the catalogue's own form, byte-identical
+// database both as flat relations and as registered bases: each
+// relation's stored factorisation must be the catalogue's own form, byte-identical
 // (as a snapshot, with the same root) to catalog.Build of the relation.
 func diffViews(t *testing.T, m *MutableCatalog, want DB) {
 	t.Helper()
@@ -66,10 +66,11 @@ func diffViews(t *testing.T, m *MutableCatalog, want DB) {
 			t.Fatalf("view is missing %s", name)
 		}
 		diffRelations(t, name, vrel, wrel)
-		fact := factFor(vrel, vrel.Attrs)
-		if fact == nil {
-			t.Fatalf("%s: no registered factorisation for the view relation", name)
+		bs := baseSetOf(vrel)
+		if bs == nil || bs.stored == nil {
+			t.Fatalf("%s: the view relation is not registered with its factorisation", name)
 		}
+		fact := bs.stored
 		ref, err := catalog.Build("ref", DB{name: vrel})
 		if err != nil {
 			t.Fatal(err)

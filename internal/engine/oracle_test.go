@@ -1,8 +1,8 @@
 package engine
 
 // Oracle suite: every query of the paper's experimental set is executed
-// on every execution surface of the engine — Run, Prepared.Exec and
-// Prepared.ExecShared over the flat base relations, RunOnView over the
+// on every execution surface of the engine — Run and Prepared.Exec over
+// unregistered and registered base relations, RunOnView over the
 // materialised views R1/R3 — and its answer is checked against the flat
 // relational baseline (internal/rdb) evaluating the same query on the
 // flat join. The baseline shares no code with the factorised path, so
@@ -168,10 +168,13 @@ func flatViews(t *testing.T, ds *workload.Dataset) rdb.DB {
 }
 
 // TestOracleFlatQueries runs Q1–Q5 with the R1 join inlined through
-// Run, Exec and (repeatedly, from one Prepared) ExecShared.
+// Run and Exec over unregistered relations, and (repeatedly, from one
+// Prepared: the first execution builds the bases, the second reuses
+// them) Exec over registered ones.
 func TestOracleFlatQueries(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 1})
 	db := DB(ds.DB())
+	shared := sharedCopy(t, db)
 	eng := New()
 	for i := 1; i <= 5; i++ {
 		q, err := workload.FlatAggQuery(i)
@@ -183,10 +186,10 @@ func TestOracleFlatQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, run := range map[string]func() (*Result, error){
-			"Run":         func() (*Result, error) { return eng.Run(q, db) },
-			"Exec":        func() (*Result, error) { return prep.Exec(db) },
-			"ExecShared1": func() (*Result, error) { return prep.ExecShared(db) },
-			"ExecShared2": func() (*Result, error) { return prep.ExecShared(db) },
+			"Run":              func() (*Result, error) { return eng.Run(q, db) },
+			"Exec":             func() (*Result, error) { return prep.Exec(db) },
+			"Exec/registered1": func() (*Result, error) { return prep.Exec(shared) },
+			"Exec/registered2": func() (*Result, error) { return prep.Exec(shared) },
 		} {
 			t.Run(fmt.Sprintf("Q%d/%s", i, name), func(t *testing.T) {
 				checkOracle(t, q, collectRows(t, run), rdb.DB(db))
@@ -246,7 +249,7 @@ func TestOracleViewQueries(t *testing.T) {
 // argument is only NULL (inserted through a mutable catalogue), a group
 // mixing NULLs with numbers, and filters that reject every tuple, so a
 // global aggregate sees no tuples (COUNT 0, the rest NULL) and a grouped
-// one has no groups. Each query runs through Run and ExecShared after a
+// one has no groups. Each query runs through Run and Exec after a
 // plan-template hit, over the ordered-by-aggregate path (vector order,
 // AVG finalised from its fields) and the sort fallback (ORDER BY a
 // composite), and must answer as internal/rdb does.
@@ -292,10 +295,10 @@ func TestOracleAggregateEdgeCases(t *testing.T) {
 			t.Fatalf("%s: %v", text, err)
 		}
 		eng := New()
-		for _, mode := range []string{"Run", "ExecShared"} {
+		for _, mode := range []string{"Run", "Exec"} {
 			t.Run(mode+"/"+text, func(t *testing.T) {
 				run := func() (*Result, error) { return eng.Run(q, db) }
-				if mode == "ExecShared" {
+				if mode == "Exec" {
 					hits := eng.PlanTemplateStats().Hits
 					prep, err := eng.Prepare(q, db)
 					if err != nil {
@@ -304,7 +307,7 @@ func TestOracleAggregateEdgeCases(t *testing.T) {
 					if eng.PlanTemplateStats().Hits == hits {
 						t.Fatal("Prepare after Run missed the plan template")
 					}
-					run = func() (*Result, error) { return prep.ExecShared(db) }
+					run = func() (*Result, error) { return prep.Exec(db) }
 				}
 				checkOracle(t, q, collectRows(t, run), rdb.DB(db))
 			})
@@ -314,8 +317,9 @@ func TestOracleAggregateEdgeCases(t *testing.T) {
 
 // TestOracleRotatedPathOrders runs the served statements whose path orders
 // lead with their ORDER BY (or GROUP BY) attributes through Prepare and
-// ExecShared — twice each: the first execution builds the template's
-// base snapshot, the second reuses it — and checks them against the
+// Exec over registered relations — twice each: the first execution
+// builds the rotated bases, the second reuses them — and checks them
+// against the
 // baseline: the ordered aggregate a9, the streams s1 and s12, the orders o10 and o12 at
 // offset 0, at a deep offset and descending, and the fan-out shapes over
 // R3, which is declared customer-first but ordered by date. The date-led
@@ -328,6 +332,7 @@ func TestOracleRotatedPathOrders(t *testing.T) {
 		t.Fatal(err)
 	}
 	db["R3"] = r3
+	shared := sharedCopy(t, db)
 	const r1Join = ` FROM Orders, Packages, Items WHERE package = package2 AND item = item2`
 	r2Order := func(a, b, c, dir string) string {
 		return fmt.Sprintf(`SELECT %[1]s, %[2]s, %[3]s, customer, price%[5]s ORDER BY %[1]s%[4]s, %[2]s%[4]s, %[3]s%[4]s, customer%[4]s`, a, b, c, dir, r1Join)
@@ -366,8 +371,8 @@ func TestOracleRotatedPathOrders(t *testing.T) {
 			t.Fatalf("%s: %v", text, err)
 		}
 		for i := 1; i <= 2; i++ {
-			t.Run(fmt.Sprintf("%s/ExecShared%d", text, i), func(t *testing.T) {
-				checkOracle(t, q, collectRows(t, func() (*Result, error) { return prep.ExecShared(db) }), rdb.DB(db))
+			t.Run(fmt.Sprintf("%s/Exec%d", text, i), func(t *testing.T) {
+				checkOracle(t, q, collectRows(t, func() (*Result, error) { return prep.Exec(shared) }), rdb.DB(db))
 			})
 		}
 	}
@@ -384,7 +389,7 @@ func TestOracleRotatedPathOrders(t *testing.T) {
 		t.Fatalf("date-led scan of R3: path %v, plan %s; want the date-led path and no operators", prep.Orders[0], prep.Plan)
 	}
 	seeks := SeekSkipStats().SeekOffsets
-	checkOracle(t, page, collectRows(t, func() (*Result, error) { return prep.ExecShared(db) }), rdb.DB(db))
+	checkOracle(t, page, collectRows(t, func() (*Result, error) { return prep.Exec(shared) }), rdb.DB(db))
 	if SeekSkipStats().SeekOffsets == seeks {
 		t.Fatal("the date-led page skipped linearly instead of seeking")
 	}
@@ -394,7 +399,7 @@ func TestOracleRotatedPathOrders(t *testing.T) {
 // workload (GROUP BY date and GROUP BY customer over R3) and the
 // aggregates a4/a5 (SUM(price) by package and in total over the R1
 // join) on a catalogue written to a file and loaded back, through
-// ExecShared, whose base snapshot is ranked, at P=1 and, with the
+// Exec, whose registered bases are ranked, at P=1 and, with the
 // fan-out floors dropped, at P=2 inside operator workers. Each must answer as internal/rdb
 // does, and each must have read at least one count from the ranked
 // index instead of walking the subtree.
@@ -443,7 +448,7 @@ func TestOracleRankedCounts(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("P=%d/%s", par, text), func(t *testing.T) {
 				frep.ResetKernelStats()
-				checkOracle(t, q, collectRows(t, func() (*Result, error) { return prep.ExecShared(cat.DB) }), rdb.DB(db))
+				checkOracle(t, q, collectRows(t, func() (*Result, error) { return prep.Exec(cat.DB) }), rdb.DB(db))
 				if st := frep.ReadKernelStats(); st.AggRanked == 0 {
 					t.Fatalf("no count was read from the ranked index: %+v", st)
 				}

@@ -232,13 +232,13 @@ func TestParallelWindowUnwindowedFansOut(t *testing.T) {
 }
 
 // TestParallelConcurrentSegmentWorkers runs parallel queries from many
-// goroutines against one shared snapshot (the server's shape), under
+// goroutines against one registered base (the server's shape), under
 // -race, and balances the store pool: the filtered query's σ copies the
-// snapshot into a pooled store per execution, the operator-free query
-// reads the snapshot itself and pools nothing.
+// base into a pooled store per execution, the operator-free query reads
+// the base itself and pools nothing.
 func TestParallelConcurrentSegmentWorkers(t *testing.T) {
 	forceParallelThresholds(t)
-	db := bigDB(t, 8000)
+	db := sharedCopy(t, bigDB(t, 8000))
 	eng := &Engine{PartialAgg: true, Parallelism: 4}
 	filtered := spjQuery()
 	filtered.Filters = []query.Filter{{Attr: "v", Op: fops.GE, Const: values.NewInt(0)}}
@@ -266,7 +266,7 @@ func TestParallelConcurrentSegmentWorkers(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < reps; i++ {
-					res, err := prep.ExecShared(db)
+					res, err := prep.Exec(db)
 					if err != nil {
 						errc <- err
 						return

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/factordb/fdb/internal/catalog"
 	"github.com/factordb/fdb/internal/fops"
 	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/ftree"
@@ -42,15 +43,14 @@ func putStore(s *frep.Store) {
 // the basis of the server's plan cache.
 //
 // A Prepared may be a binding of a plan template (see Engine.Prepare):
-// it then shares Orders, Plan.Cost and the ExecShared base snapshot with
-// every other statement of its query shape, and owns only Query and a
-// copy of Plan.Ops carrying its own filter constants.
+// it then shares Orders and Plan.Cost with every other statement of its
+// query shape, and owns only Query and a copy of Plan.Ops carrying its
+// own filter constants. It holds no data: the base factorisations it
+// executes over belong to the registered relations (see Register).
 //
-// A Prepared is immutable after Prepare (apart from the internal shared
-// base snapshot, which is built lazily under a mutex) and safe for
-// concurrent Exec/ExecShared calls: f-plan operators address f-tree
-// nodes by attribute name and every execution builds its own factorised
-// representation, so no state is shared between concurrent executions.
+// A Prepared is immutable after Prepare and safe for concurrent Exec
+// calls: f-plan operators address f-tree nodes by attribute name and
+// every execution with operators works in a store of its own.
 type Prepared struct {
 	// Query is the validated logical query.
 	Query *query.Query
@@ -61,25 +61,6 @@ type Prepared struct {
 	Plan *plan.Plan
 
 	eng *Engine
-
-	// shared caches the factorised base relations for ExecShared, one
-	// per plan template, so every binding of a shape reads the same one.
-	shared *baseSnapshot
-}
-
-// baseSnapshot is the factorised base relations of one plan template
-// (one frozen arena store) for ExecShared. A failed build (including one
-// cancelled by its caller's context) is not cached; the next call
-// retries. rels records the exact relation pointers the snapshot was
-// built from: mutable catalogues publish a fresh relation pointer per
-// write, so a pointer mismatch on a later call detects a stale snapshot
-// and forces a rebuild (the stale-plan guard) for every binding at once.
-type baseSnapshot struct {
-	mu    sync.Mutex
-	built bool
-	store *frep.Store
-	roots []frep.NodeID
-	rels  []*relation.Relation
 }
 
 // resolveRelations looks up the query's relations in the database,
@@ -154,14 +135,14 @@ func (e *Engine) PrepareContext(ctx context.Context, q *query.Query, db DB) (*Pr
 	// A template whose selections do not line up with q's filters stays
 	// as it is; q keeps the plan of its own.
 	if t == nil {
-		e.templates.lru().Put(key, &planTemplate{rels: rels, orders: p.Orders, plan: p.Plan, base: p.shared})
+		e.templates.lru().Put(key, &planTemplate{rels: rels, orders: p.Orders, plan: p.Plan})
 	}
 	return p, nil
 }
 
 // search runs the path-order search and the f-plan optimiser for q, and
-// returns a Prepared with a base snapshot of its own together with the
-// relations it was planned against.
+// returns the Prepared together with the relations it was planned
+// against.
 func (e *Engine) search(ctx context.Context, q *query.Query, db DB) (*Prepared, []*relation.Relation, error) {
 	rels, cat, err := resolveRelations(q, db)
 	if err != nil {
@@ -180,153 +161,90 @@ func (e *Engine) search(ctx context.Context, q *query.Query, db DB) (*Prepared, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Prepared{Query: q, Orders: orders, Plan: fplan, eng: e, shared: &baseSnapshot{}}, rels, nil
+	return &Prepared{Query: q, Orders: orders, Plan: fplan, eng: e}, rels, nil
 }
 
-// buildForest factorises the query's relations in the prepared path
-// orders into the store, returning the fresh forest and one root per
-// relation. A relation whose catalogue snapshot carries a prebuilt
-// factorisation in the required order is grafted (three slab copies)
-// instead of re-sorted from flat tuples — the cold-start fast path for
-// databases loaded with LoadCatalog. The context is checked between
-// relations so huge base-data builds honour cancellation.
-func (p *Prepared) buildForest(ctx context.Context, db DB, st *frep.Store) (*ftree.Forest, []frep.NodeID, error) {
-	f := ftree.New()
-	var roots []frep.NodeID
-	for i, name := range p.Query.Relations {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		rel, ok := db[name]
-		if !ok {
-			return nil, nil, fmt.Errorf("engine: unknown relation %q", name)
-		}
-		f.NewRelationPath(p.Orders[i]...)
-		if fact := factFor(rel, p.Orders[i]); fact != nil {
-			roots = append(roots, graftFact(st, fact))
-			continue
-		}
-		sub := ftree.New()
-		sub.NewRelationPath(p.Orders[i]...)
-		rs, err := frep.BuildStoreUnchecked(st, rel, sub)
-		if err != nil {
-			return nil, nil, err
-		}
-		roots = append(roots, rs[0])
-	}
-	return f, roots, nil
-}
-
-// Exec runs the prepared plan against the database: each relation is
-// factorised as a linear path in the prepared order into a pooled arena
-// store and the cached f-plan is executed, skipping validation and
-// optimisation. Exec may be called concurrently from multiple
-// goroutines. Call Result.Close when done with the result to recycle
-// its store.
+// Exec runs the prepared plan against the database, skipping validation
+// and optimisation. A registered relation (see Register: loaded and
+// mutable catalogues and the server's databases are) is immutable and
+// read from its base in the prepared path order, factorised once and
+// shared by every execution; an unregistered relation is factorised per
+// execution, so it may be modified in place between calls. One
+// registered relation with no f-plan operators is enumerated on its
+// base itself, with no pooled store; otherwise the first base is copied
+// into a pooled store, later ones grafted after it, and the operators
+// run there. Exec is safe for concurrent use. Call Result.Close when
+// done with the result to recycle its store.
 func (p *Prepared) Exec(db DB) (*Result, error) {
 	return p.ExecContext(context.Background(), db)
 }
 
-// ExecContext is Exec with cancellation: the context is checked while
-// the base relations are factorised and between f-plan operators, and
-// the pooled store is returned before the error surfaces, so a
-// cancelled execution leaks nothing.
+// ExecContext is Exec with cancellation: the context is checked before
+// each base is built and between f-plan operators, and the pooled store
+// is returned before the error surfaces, so a cancelled execution leaks
+// nothing and caches no base.
 func (p *Prepared) ExecContext(ctx context.Context, db DB) (*Result, error) {
-	st := getStore()
-	f, roots, err := p.buildForest(ctx, db, st)
-	if err != nil {
-		putStore(st)
-		return nil, err
-	}
-	// One pass over the fresh base slab makes every operator's value
-	// windows kernel-eligible (the column index is a prefix property, so
-	// nodes the operators append later simply fall back to scalar).
-	st.BuildCols()
-	ar := &fops.ARel{Tree: f, Store: st, Roots: roots}
-	return p.finish(ctx, ar, true)
-}
-
-// ExecShared is Exec for databases whose relations do not change between
-// calls (the server's contract): the factorised base relations are built
-// once, kept as an immutable store snapshot shared by every binding of
-// the Prepared's plan template, and each execution starts from a slab
-// copy of that snapshot instead of re-sorting the base relations. A plan
-// with no operators copies nothing: it enumerates (and seeks) on the
-// snapshot itself, and its Result holds no pooled store. Replacing a
-// relation by a new pointer (what a mutable catalogue does on a write)
-// rebuilds the snapshot on the next call; mutating a relation in place
-// is not supported — use Exec for that.
-func (p *Prepared) ExecShared(db DB) (*Result, error) {
-	return p.ExecSharedContext(context.Background(), db)
-}
-
-// ExecSharedContext is ExecShared with cancellation; see ExecContext.
-// The shared base snapshot is built with the first caller's context: a
-// cancellation during that build is not cached, so the next call
-// rebuilds it.
-func (p *Prepared) ExecSharedContext(ctx context.Context, db DB) (*Result, error) {
-	b := p.shared
-	b.mu.Lock()
-	if b.built {
-		// Stale-plan guard: if any relation in db is a different pointer
-		// from the one the snapshot captured (a mutable catalogue
-		// published a new generation), drop the snapshot and rebuild.
-		// The match path costs len(Relations) map lookups and pointer
-		// compares — no allocations.
-		for i, name := range p.Query.Relations {
-			if db[name] != b.rels[i] {
-				b.built = false
-				b.store = nil
-				b.roots = nil
-				b.rels = nil
-				break
-			}
-		}
-	}
-	if !b.built {
-		bst := frep.NewStore()
-		_, roots, err := p.buildForest(ctx, db, bst)
-		if err != nil {
-			// Not cached: a cancelled (or otherwise failed) snapshot build
-			// must not poison the Prepared for later callers.
-			b.mu.Unlock()
-			return nil, err
-		}
-		// Rank the shared base once: every execution clones the snapshot,
-		// so ranked OFFSET seeks, COUNT(*) fast paths and weighted
-		// parallel splits come for free on all of them.
-		if err := bst.BuildRanks(); err != nil {
-			b.mu.Unlock()
-			return nil, err
-		}
-		// Likewise the column index: built once here, shared by pointer
-		// into every per-execution clone.
-		bst.BuildCols()
-		b.store = bst.Snapshot()
-		b.roots = roots
-		rels := make([]*relation.Relation, len(p.Query.Relations))
-		for i, name := range p.Query.Relations {
-			rels[i] = db[name]
-		}
-		b.rels = rels
-		b.built = true
-	}
-	sharedStore, sharedRoots := b.store, b.roots
-	b.mu.Unlock()
+	n := len(p.Query.Relations)
 	f := ftree.New()
-	for i := range p.Query.Relations {
+	bs := make([]*catalog.Fact, n)
+	for i, name := range p.Query.Relations {
+		rel, ok := db[name]
+		if !ok {
+			return nil, fmt.Errorf("engine: unknown relation %q", name)
+		}
 		f.NewRelationPath(p.Orders[i]...)
+		b, err := baseFor(ctx, rel, p.Orders[i])
+		if err != nil {
+			return nil, err
+		}
+		bs[i] = b
 	}
-	roots := append([]frep.NodeID{}, sharedRoots...)
-	if len(p.Plan.Ops) == 0 {
+	if n == 1 && bs[0] != nil && len(p.Plan.Ops) == 0 {
 		// No operator writes into the store, so the execution reads the
-		// shared snapshot itself: an O(1) view whose capacity-clamped
-		// slabs copy out on any stray append. It is not pooled.
-		return p.finish(ctx, &fops.ARel{Tree: f, Store: sharedStore.Snapshot(), Roots: roots}, false)
+		// base itself: an O(1) view whose capacity-clamped slabs copy out
+		// on any stray append. It is not pooled.
+		return p.finish(ctx, &fops.ARel{Tree: f, Store: bs[0].Store.Snapshot(), Roots: []frep.NodeID{bs[0].Root}}, false)
 	}
 	st := getStore()
-	sharedStore.CloneInto(st)
+	roots := make([]frep.NodeID, n)
+	built := false
+	for i, b := range bs {
+		switch {
+		case b == nil:
+			if err := ctx.Err(); err != nil {
+				putStore(st)
+				return nil, err
+			}
+			sub := ftree.New()
+			sub.NewRelationPath(p.Orders[i]...)
+			rs, err := frep.BuildStoreUnchecked(st, db[p.Query.Relations[i]], sub)
+			if err != nil {
+				putStore(st)
+				return nil, err
+			}
+			roots[i], built = rs[0], true
+		case i == 0:
+			b.Store.CloneInto(st)
+			roots[i] = b.Root
+		default:
+			roots[i] = st.Graft(b.Store)(b.Root)
+		}
+	}
+	if built {
+		// One pass over the fresh slab makes every operator's value
+		// windows kernel-eligible (the column index is a prefix property,
+		// so nodes the operators append later simply fall back to scalar).
+		st.BuildCols()
+	}
 	return p.finish(ctx, &fops.ARel{Tree: f, Store: st, Roots: roots}, true)
+}
+
+// ExecShared is Exec, kept for callers of the name.
+func (p *Prepared) ExecShared(db DB) (*Result, error) { return p.Exec(db) }
+
+// ExecSharedContext is ExecContext, kept for callers of the name.
+func (p *Prepared) ExecSharedContext(ctx context.Context, db DB) (*Result, error) {
+	return p.ExecContext(ctx, db)
 }
 
 // finish executes the prepared plan over the freshly built arena

@@ -152,9 +152,10 @@ func operatorFreeQueries() []string {
 	}
 }
 
-// TestPreparedSharedOperatorFree: an operator-free ExecShared reads the
-// template's base snapshot in place, so N executions return no store to
-// the pool, and its rows are byte-identical to the copied path's.
+// TestPreparedSharedOperatorFree: an operator-free execution over a
+// registered relation reads its base in place, so N executions return
+// no store to the pool, and its rows are byte-identical to the copied
+// path's over the unregistered relation.
 func TestPreparedSharedOperatorFree(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 2})
 	r3, err := ds.R3()
@@ -162,6 +163,7 @@ func TestPreparedSharedOperatorFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := DB{"R3": r3}
+	shared := sharedCopy(t, db)
 	eng := New()
 	for _, text := range operatorFreeQueries() {
 		q, err := sql.Parse(text)
@@ -179,7 +181,7 @@ func TestPreparedSharedOperatorFree(t *testing.T) {
 		const n = 5
 		before := StorePoolReturns()
 		for i := 0; i < n; i++ {
-			if got := renderRows(t, func() (*Result, error) { return p.ExecShared(db) }); !bytes.Equal(got, want) {
+			if got := renderRows(t, func() (*Result, error) { return p.Exec(shared) }); !bytes.Equal(got, want) {
 				t.Fatalf("%s: execution %d differs from the copied path\nwant:\n%s\ngot:\n%s", text, i, want, got)
 			}
 		}
@@ -189,12 +191,12 @@ func TestPreparedSharedOperatorFree(t *testing.T) {
 	}
 }
 
-// TestPreparedSharedOperatorFreeConcurrent races operator-free
-// ExecShared readers at P=2, fanned out over segment workers, against a
-// mutable-catalogue writer whose every insert publishes a new Orders
-// and so forces the template to re-snapshot. Each reader's rows must
-// equal the copied path's over the same view, and only the copied
-// executions return pooled stores.
+// TestPreparedSharedOperatorFreeConcurrent races operator-free readers
+// at P=2, fanned out over segment workers, against a mutable-catalogue
+// writer whose every insert publishes a new Orders, a new registry key.
+// Each reader's rows must equal the copied path's over an unregistered
+// copy of the same view, and only the copied executions return pooled
+// stores.
 func TestPreparedSharedOperatorFreeConcurrent(t *testing.T) {
 	forceParallelThresholds(t)
 	m := newTestMutable(t)
@@ -244,12 +246,12 @@ func TestPreparedSharedOperatorFreeConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < reps; i++ {
 				db := m.View()
-				got, err := rows(func() (*Result, error) { return p.ExecShared(db) })
+				got, err := rows(func() (*Result, error) { return p.Exec(db) })
 				if err != nil {
 					errs <- err
 					return
 				}
-				want, err := rows(func() (*Result, error) { return p.Exec(db) })
+				want, err := rows(func() (*Result, error) { return p.Exec(plainCopy(db)) })
 				if err != nil {
 					errs <- err
 					return

@@ -129,12 +129,13 @@ func TestGoldenRankedSeekViewQueries(t *testing.T) {
 }
 
 // TestGoldenRankedSeekFlatQueries: flat Q1–Q5 (joins included) with
-// OFFSET boundaries, comparing plain Exec (unranked pooled build, linear
-// skip) against ExecShared (ranked shared snapshot, seek route) at
-// P ∈ {1, 2, 8}.
+// OFFSET boundaries, comparing Exec over unregistered relations
+// (unranked pooled build, linear skip) against Exec over registered
+// ones (ranked shared bases, seek route) at P ∈ {1, 2, 8}.
 func TestGoldenRankedSeekFlatQueries(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 1})
 	db := DB(ds.DB())
+	shared := sharedCopy(t, db)
 	oldEnum, oldFan := minParallelEnumRows, maxEnumFanout
 	minParallelEnumRows = 16
 	maxEnumFanout = 64
@@ -160,20 +161,21 @@ func TestGoldenRankedSeekFlatQueries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				shared := collectRows(t, func() (*Result, error) { return prep2.ExecShared(db) })
-				diffOrdered(t, name, base, shared)
+				got := collectRows(t, func() (*Result, error) { return prep2.Exec(shared) })
+				diffOrdered(t, name, base, got)
 			}
 		}
 	}
 }
 
-// TestGoldenCountStarViaRanks: a bare COUNT(*) on the ranked
-// shared-snapshot path must take the fast path (no plan execution) and
-// agree with the enumerated count — the relation's cardinality — for
-// every workload relation, and with the unranked path's answer.
+// TestGoldenCountStarViaRanks: a bare COUNT(*) over registered, ranked
+// bases must take the fast path (no plan execution) and agree with the
+// enumerated count — the relation's cardinality — for every workload
+// relation, and with the unranked path's answer.
 func TestGoldenCountStarViaRanks(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 1})
 	db := DB(ds.DB())
+	shared := sharedCopy(t, db)
 	eng := New()
 	countOf := func(t *testing.T, res *Result, err error, wantFast bool) int64 {
 		t.Helper()
@@ -202,14 +204,14 @@ func TestGoldenCountStarViaRanks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := prep.ExecShared(db)
+		res, err := prep.Exec(shared)
 		got := countOf(t, res, err, true)
 		if want := int64(rel.Cardinality()); got != want {
 			t.Fatalf("%s: ranked COUNT(*) = %d, want cardinality %d", name, got, want)
 		}
 		res2, err2 := prep.Exec(db)
 		if slow := countOf(t, res2, err2, false); slow != got {
-			t.Fatalf("%s: Exec COUNT(*) = %d, ExecShared = %d", name, slow, got)
+			t.Fatalf("%s: unregistered COUNT(*) = %d, registered = %d", name, slow, got)
 		}
 	}
 	// A relation product: the fast path multiplies root counts.
@@ -227,7 +229,7 @@ func TestGoldenCountStarViaRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prep.ExecShared(db)
+	res, err := prep.Exec(shared)
 	if got := countOf(t, res, err, true); got != card {
 		t.Fatalf("product COUNT(*) = %d, want %d", got, card)
 	}

@@ -17,15 +17,13 @@ import (
 const templateCapacity = 64
 
 // planTemplate is the constant-free part of a Prepared: the path orders
-// and f-plan one query shape got against one generation of relations,
-// and the base snapshot every binding of the shape executes from. The
-// plan's SelectConstOps carry the constants of the statement that was
-// planned; a binding replaces them.
+// and f-plan one query shape got against one generation of relations.
+// The plan's SelectConstOps carry the constants of the statement that
+// was planned; a binding replaces them.
 type planTemplate struct {
 	rels   []*relation.Relation
 	orders [][]string
 	plan   *plan.Plan
-	base   *baseSnapshot
 }
 
 // templateMemo is the engine's bounded LRU of plan templates, keyed by
@@ -63,8 +61,8 @@ func (m *templateMemo) lookup(key string, q *query.Query, db DB) *planTemplate {
 	return t
 }
 
-// bind returns a Prepared for q that shares t's path orders, plan cost
-// and base snapshot, with q's filter operators and constants in the
+// bind returns a Prepared for q that shares t's path orders and plan
+// cost, with q's filter operators and constants in the
 // plan's constant selections. Both planners emit one SelectConstOp per
 // filter, in filter order; bind returns nil when t's plan does not line
 // up with q's filters that way.
@@ -85,13 +83,7 @@ func (t *planTemplate) bind(e *Engine, q *query.Query) *Prepared {
 	if k != len(q.Filters) {
 		return nil
 	}
-	return &Prepared{
-		Query:  q,
-		Orders: t.orders,
-		Plan:   &plan.Plan{Ops: ops, Cost: t.plan.Cost},
-		eng:    e,
-		shared: t.base,
-	}
+	return &Prepared{Query: q, Orders: t.orders, Plan: &plan.Plan{Ops: ops, Cost: t.plan.Cost}, eng: e}
 }
 
 // templateKey renders what the planner reads of q under e's settings:

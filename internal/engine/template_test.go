@@ -83,9 +83,10 @@ func mustParse(t testing.TB, text string) *query.Query {
 }
 
 // checkBinding prepares text on the warm engine and on a fresh one and
-// asserts equal path orders and plans, and identical rows from Exec and
-// ExecShared of both, which must be the baseline's answer.
-func checkBinding(t *testing.T, warm *Engine, text string, db DB) {
+// asserts equal path orders and plans, and identical rows from Exec of
+// both over db and over shared (db registered as bases), which must be
+// the baseline's answer.
+func checkBinding(t *testing.T, warm *Engine, text string, db, shared DB) {
 	t.Helper()
 	q := mustParse(t, text)
 	pw, err := warm.Prepare(q, db)
@@ -105,9 +106,9 @@ func checkBinding(t *testing.T, warm *Engine, text string, db DB) {
 	want := collectRows(t, func() (*Result, error) { return pf.Exec(db) })
 	checkOracle(t, q, want, rdb.DB(db))
 	for name, run := range map[string]func() (*Result, error){
-		"fresh ExecShared": func() (*Result, error) { return pf.ExecShared(db) },
-		"bound Exec":       func() (*Result, error) { return pw.Exec(db) },
-		"bound ExecShared": func() (*Result, error) { return pw.ExecShared(db) },
+		"fresh Exec, registered": func() (*Result, error) { return pf.Exec(shared) },
+		"bound Exec":             func() (*Result, error) { return pw.Exec(db) },
+		"bound Exec, registered": func() (*Result, error) { return pw.Exec(shared) },
 	} {
 		diffOrdered(t, text+": "+name, want, collectRows(t, run))
 	}
@@ -122,8 +123,9 @@ func TestTemplateMatchesFreshPlan(t *testing.T) {
 	warm := New()
 	pages := []string{"", " LIMIT 10", " LIMIT 10 OFFSET 7"}
 	n, shapes := 2, 1
-	checkBinding(t, warm, aggOrderA7, db)
-	checkBinding(t, warm, aggOrderA7, db)
+	shared := sharedCopy(t, db)
+	checkBinding(t, warm, aggOrderA7, db, shared)
+	checkBinding(t, warm, aggOrderA7, db, shared)
 	for _, sh := range append(templateShapes, aggOrderShapes...) {
 		for _, attr := range sh.attrs {
 			shapes++
@@ -131,7 +133,7 @@ func TestTemplateMatchesFreshPlan(t *testing.T) {
 				for _, c := range templateConsts[attr] {
 					text := fmt.Sprintf(sh.text, attr+" "+op+" "+c) + pages[n%len(pages)]
 					n++
-					checkBinding(t, warm, text, db)
+					checkBinding(t, warm, text, db, shared)
 				}
 			}
 		}
@@ -141,7 +143,7 @@ func TestTemplateMatchesFreshPlan(t *testing.T) {
 	having := fmt.Sprintf(templateShapes[1].text, "price > 2") + " HAVING revenue > %d"
 	for _, c := range []int{0, 40, 1 << 20} {
 		n++
-		checkBinding(t, warm, fmt.Sprintf(having, c), db)
+		checkBinding(t, warm, fmt.Sprintf(having, c), db, shared)
 	}
 	st := warm.PlanTemplateStats()
 	if st.Size != shapes || st.Misses != uint64(shapes) || st.Hits != uint64(n-shapes) {
@@ -150,15 +152,15 @@ func TestTemplateMatchesFreshPlan(t *testing.T) {
 }
 
 // TestTemplateServesEachDatabaseItsOwnData alternates one shape between
-// two databases of one schema through one engine: each statement
-// replaces the other database's template and answers from its own data.
+// two registered databases of one schema through one engine: each
+// statement replaces the other database's template and answers from
+// its own data, through bases of its own relations.
 func TestTemplateServesEachDatabaseItsOwnData(t *testing.T) {
 	dbs := []DB{
-		DB(workload.Generate(workload.Config{Scale: 1, Seed: 1}).DB()),
-		DB(workload.Generate(workload.Config{Scale: 1, Seed: 2}).DB()),
+		sharedCopy(t, DB(workload.Generate(workload.Config{Scale: 1, Seed: 1}).DB())),
+		sharedCopy(t, DB(workload.Generate(workload.Config{Scale: 1, Seed: 2}).DB())),
 	}
 	eng := New()
-	var prev *Prepared
 	for i := 0; i < 6; i++ {
 		db := dbs[i%2]
 		q := mustParse(t, fmt.Sprintf(templateShapes[1].text, fmt.Sprintf("price > %d", i)))
@@ -166,11 +168,12 @@ func TestTemplateServesEachDatabaseItsOwnData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prev != nil && p.shared == prev.shared {
-			t.Fatalf("statement %d shares the other database's base snapshot", i)
+		checkOracle(t, q, collectRows(t, func() (*Result, error) { return p.Exec(db) }), rdb.DB(db))
+		for j, name := range q.Relations {
+			if madeBase(db[name], p.Orders[j]) == nil {
+				t.Fatalf("statement %d: no base of its own database's %s", i, name)
+			}
 		}
-		prev = p
-		checkOracle(t, q, collectRows(t, func() (*Result, error) { return p.ExecShared(db) }), rdb.DB(db))
 	}
 	if st := eng.PlanTemplateStats(); st.Hits != 0 || st.Size != 1 {
 		t.Fatalf("template stats %+v, want 0 hits and one entry", st)
@@ -256,8 +259,8 @@ func TestTemplateMisalignedFallsBack(t *testing.T) {
 			if got.Plan.String() != want.Plan.String() {
 				t.Fatalf("plan %s, want %s", got.Plan, want.Plan)
 			}
-			if got.shared == tmpl.base {
-				t.Fatal("the fallback shares the misaligned template's snapshot")
+			if &got.Orders[0] == &tmpl.orders[0] {
+				t.Fatal("the fallback is a binding of the misaligned template")
 			}
 			if v, _ := eng.templates.lru().Get(eng.templateKey(q)); v != tmpl {
 				t.Fatal("the fallback replaced the template entry")
@@ -267,7 +270,7 @@ func TestTemplateMisalignedFallsBack(t *testing.T) {
 			}
 			diffOrdered(t, "fallback",
 				collectRows(t, func() (*Result, error) { return want.Exec(db) }),
-				collectRows(t, func() (*Result, error) { return got.ExecShared(db) }))
+				collectRows(t, func() (*Result, error) { return got.Exec(sharedCopy(t, db)) }))
 		})
 	}
 }
@@ -275,9 +278,9 @@ func TestTemplateMisalignedFallsBack(t *testing.T) {
 // TestTemplateConcurrentBindings races eight goroutines, each preparing
 // and executing statements of one shape with its own constants from a
 // cold memo, against a writer streaming inserts into the catalogue: the
-// first snapshot build, template replacement and the stale guard all
-// race. Every result must equal a fresh engine's answer over the view
-// it was executed on.
+// first base builds, template replacement and the writer's publishes all
+// race. Every result must equal a fresh engine's answer over an
+// unregistered copy of the view it was executed on.
 func TestTemplateConcurrentBindings(t *testing.T) {
 	m := newTestMutable(t)
 	eng := New()
@@ -320,12 +323,12 @@ func TestTemplateConcurrentBindings(t *testing.T) {
 					errs <- err
 					return
 				}
-				got, err := rows(func() (*Result, error) { return p.ExecSharedContext(ctx, view) })
+				got, err := rows(func() (*Result, error) { return p.ExecContext(ctx, view) })
 				if err != nil {
 					errs <- err
 					return
 				}
-				want, err := rows(func() (*Result, error) { return New().RunContext(ctx, q, view) })
+				want, err := rows(func() (*Result, error) { return New().RunContext(ctx, q, plainCopy(view)) })
 				if err != nil {
 					errs <- err
 					return

@@ -18,7 +18,9 @@ package frep
 //
 // The index is immutable once built and shared by pointer across
 // CloneInto and Snapshot; Reset drops the pointer (never truncates the
-// shared slices), and a Graft leaves it covering the pre-graft prefix.
+// shared slices). A Graft of an indexed store into an indexed store
+// appends the grafted store's index as a further segment, so a store
+// assembled from indexed bases stays kernel-eligible without a rebuild.
 
 import (
 	"math"
@@ -89,15 +91,23 @@ func ReadKernelStats() KernelStats {
 	}
 }
 
-// colIndex is the kind-run index over the leading nVals entries of the
-// value slab: every value's raw payload, plus the slab partitioned into
-// maximal runs of equal kind (runEnds[i] is the absolute end offset of
-// run i, runKinds[i] its kind). Immutable once built.
+// colIndex is the kind-run index over nVals consecutive entries of a
+// value slab: every value's raw payload, plus the window partitioned
+// into maximal runs of equal kind (runEnds[i] is the end offset of run
+// i relative to the window, runKinds[i] its kind). Immutable once built.
 type colIndex struct {
 	pay      []int64
 	runEnds  []uint32
 	runKinds []values.Kind
 	nVals    uint32
+}
+
+// colSeg places a column index at value-slab offset off. A store's
+// segments are contiguous from offset 0 and never modified in place:
+// the slice holding them is capacity-clamped wherever it is shared.
+type colSeg struct {
+	off uint32
+	*colIndex
 }
 
 // colOwner resolves the store holding the column index: overlays read
@@ -117,7 +127,8 @@ func (s *Store) HasCols() bool {
 	if s.base != nil {
 		return false
 	}
-	return s.cols != nil && int(s.cols.nVals) == len(s.vals)
+	n := len(s.cols)
+	return n > 0 && int(s.cols[n-1].off+s.cols[n-1].nVals) == len(s.vals)
 }
 
 // BuildCols computes the column index over the store's current value
@@ -148,17 +159,23 @@ func (s *Store) BuildCols() {
 		c.runEnds = append(c.runEnds, uint32(n))
 		c.runKinds = append(c.runKinds, cur)
 	}
-	s.cols = c
+	s.cols = []colSeg{{0, c}}
 }
 
 // colRun returns the kind and payload slice of the value-slab window
 // [off, off+n) when the column index covers it and the window lies
 // inside one kind run. n must be > 0.
 func (s *Store) colRun(off, n uint32) (values.Kind, []int64, bool) {
-	c := s.colOwner().cols
-	if c == nil || uint64(off)+uint64(n) > uint64(c.nVals) {
+	segs := s.colOwner().cols
+	i := len(segs) - 1
+	for i >= 0 && segs[i].off > off {
+		i--
+	}
+	if i < 0 || uint64(off-segs[i].off)+uint64(n) > uint64(segs[i].nVals) {
 		return 0, nil, false
 	}
+	c := segs[i]
+	off -= c.off
 	ri := sort.Search(len(c.runEnds), func(i int) bool { return c.runEnds[i] > off })
 	if c.runEnds[ri] < off+n {
 		return 0, nil, false // window spans a kind change

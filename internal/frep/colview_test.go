@@ -363,3 +363,44 @@ func FuzzKernelSelect(f *testing.F) {
 		}
 	})
 }
+
+// TestGraftCarriesCols: a store assembled like an execution's working
+// store — CloneInto of one column-indexed base, then a Graft of another
+// — answers ColRun for every node exactly as a fresh BuildCols over the
+// assembled slab does, so joins over several bases stay kernel-eligible
+// without re-indexing.
+func TestGraftCarriesCols(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	mkBase := func() *Store {
+		s := NewStore()
+		for i := 0; i < 12; i++ {
+			vs := make([]values.Value, 1+rng.Intn(6))
+			for j := range vs {
+				vs[j] = mixedValuePool(rng)
+			}
+			buildSortedLeaf(s, vs)
+		}
+		s.BuildCols()
+		return s
+	}
+	first, second := mkBase(), mkBase()
+	dst := NewStore()
+	first.CloneInto(dst)
+	dst.Graft(second)
+	if !dst.HasCols() {
+		t.Fatal("graft of an indexed base into an indexed store lost the column index")
+	}
+	ref := dst.Clone()
+	ref.BuildCols()
+	for id := NodeID(1); int(id) < dst.NodeCount(); id++ {
+		gk, gp, gok := dst.ColRun(id)
+		wk, wp, wok := ref.ColRun(id)
+		if gok != wok || gk != wk || fmt.Sprint(gp) != fmt.Sprint(wp) {
+			t.Fatalf("node %d: ColRun = (%v, %v, %v), fresh BuildCols gives (%v, %v, %v)", id, gk, gp, gok, wk, wp, wok)
+		}
+	}
+	// The sources are untouched: the graft shares their indexes.
+	if !first.HasCols() || !second.HasCols() {
+		t.Fatal("graft modified a source's column index")
+	}
+}

@@ -61,11 +61,12 @@ type Store struct {
 	ranks      []uint64
 	rankedKids uint32
 
-	// Column index (see colview.go): raw payloads and kind runs over the
-	// leading cols.nVals entries of the value slab, enabling vectorised
-	// kernels. Immutable once built; shared by pointer across CloneInto
-	// and Snapshot; nil when no index has been built.
-	cols *colIndex
+	// Column index (see colview.go): raw payloads and kind runs over a
+	// prefix of the value slab, one segment per indexed store a graft
+	// brought in, enabling vectorised kernels. Immutable once built;
+	// shared across CloneInto and Snapshot; nil when no index has been
+	// built.
+	cols []colSeg
 
 	// dirtyVals is the high-water mark of value-slab entries that may
 	// hold non-zero data beyond the current length: CloneInto is the only
@@ -303,7 +304,7 @@ func (s *Store) CloneInto(dst *Store) {
 	dst.kids = append(dst.kids[:0], s.kids...)
 	dst.ranks = append(dst.ranks[:0], s.ranks...)
 	dst.rankedKids = s.rankedKids
-	dst.cols = s.cols
+	dst.cols = s.cols[:len(s.cols):len(s.cols)]
 }
 
 // Snapshot returns an O(1) immutable view of the store's current
@@ -324,7 +325,7 @@ func (s *Store) Snapshot() *Store {
 		kids:       s.kids[:len(s.kids):len(s.kids)],
 		ranks:      s.ranks[:len(s.ranks):len(s.ranks)],
 		rankedKids: s.rankedKids,
-		cols:       s.cols,
+		cols:       s.cols[:len(s.cols):len(s.cols)],
 		frozen:     s.frozen,
 	}
 }
@@ -424,9 +425,9 @@ func (s *Store) ViewOf(id NodeID, lo, hi int) NodeID {
 
 // Graft appends the contents of other into s and returns a remapping
 // function from other's node ids to s's. Used by Product when the two
-// factorised relations live in different stores, and by query builds
-// grafting a catalogued factorisation into their working store. other
-// is unchanged; neither side may be an overlay.
+// factorised relations live in different stores, and by executions
+// assembling their working store from several base factorisations.
+// other is unchanged; neither side may be an overlay.
 func (s *Store) Graft(other *Store) func(NodeID) NodeID {
 	if s.base != nil || other.base != nil {
 		panic("frep: Graft into or from an overlay store")
@@ -436,11 +437,12 @@ func (s *Store) Graft(other *Store) func(NodeID) NodeID {
 		len(s.kids)+len(other.kids) > math.MaxUint32 {
 		panic("frep: Store slab overflow (2^32 entries)")
 	}
-	// When both sides carry a complete ranked index, the graft extends
-	// it (grafted windows keep their internal sums, shifted by s's
-	// running total), so fact roots grafted out of ranked catalogues
-	// stay directly seekable.
+	// When both sides carry a complete ranked (column) index, the graft
+	// extends it (grafted windows keep their internal sums, shifted by
+	// s's running total; grafted payloads keep their index as a further
+	// segment), so grafted bases stay seekable and kernel-eligible.
 	extendRanks := s.HasRanks() && other.HasRanks()
+	extendCols := s.HasCols() && other.HasCols()
 	nodeBase := uint32(len(s.nodes))
 	valBase := uint32(len(s.vals))
 	kidBase := uint32(len(s.kids))
@@ -464,6 +466,11 @@ func (s *Store) Graft(other *Store) func(NodeID) NodeID {
 	}
 	if extendRanks {
 		s.extendRanksForGraft(other)
+	}
+	if extendCols {
+		for _, c := range other.cols {
+			s.cols = append(s.cols, colSeg{c.off + valBase, c.colIndex})
+		}
 	}
 	return remap
 }

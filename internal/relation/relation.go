@@ -14,6 +14,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"github.com/factordb/fdb/internal/values"
 )
@@ -66,7 +67,22 @@ type Relation struct {
 	Name   string
 	Attrs  []string
 	Tuples []Tuple
+
+	// shared is the state a shared relation carries (see Share).
+	shared atomic.Value
 }
+
+// Share marks r as shared by attaching v to it, unless r is shared
+// already, and returns the attached state. The state lives exactly as
+// long as r; a shared relation must not be modified. The engine
+// attaches the factorisations every query over r reads.
+func (r *Relation) Share(v any) any {
+	r.shared.CompareAndSwap(nil, v)
+	return r.shared.Load()
+}
+
+// Shared returns the state attached by Share, or nil.
+func (r *Relation) Shared() any { return r.shared.Load() }
 
 // New creates a relation and validates that attribute names are unique and
 // all tuples have the right arity.

@@ -4,7 +4,7 @@ package server
 // client abort mid-row must still return the pooled store and must not
 // emit a trailer after a partial row, and the plan cache must never
 // conflate statements differing in LIMIT/OFFSET literals nor share
-// ExecShared base snapshots across databases.
+// base factorisations across databases.
 
 import (
 	"bytes"
@@ -76,7 +76,7 @@ func bigServer(t *testing.T, rows int, cfg Config) *Server {
 // through a row: the handler must close the cursor (returning the
 // pooled store exactly once) and must not write a trailer after the
 // partial row. The filtered statement's σ runs on a pooled copy of the
-// base snapshot; the operator-free one reads the snapshot itself, so it
+// registered base; the operator-free one reads the base itself, so it
 // returns no store.
 func TestNDJSONAbortMidRowReturnsStore(t *testing.T) {
 	s := bigServer(t, 20000, Config{})
@@ -170,8 +170,8 @@ func TestPlanCacheKeysLimitOffsetLiterals(t *testing.T) {
 
 // TestPlanCacheNotSharedAcrossDatabases primes the same (identically
 // normalising) statement on two databases: each must serve its own
-// data — a shared ExecShared snapshot would leak one catalogue's rows
-// into the other.
+// data — a base shared by name would leak one catalogue's rows into
+// the other.
 func TestPlanCacheNotSharedAcrossDatabases(t *testing.T) {
 	mk := func(price int) fdb.Database {
 		rel, err := fdb.ReadCSV("Items", strings.NewReader(fmt.Sprintf("item2,price\nx,%d\n", price)))
@@ -199,6 +199,6 @@ func TestPlanCacheNotSharedAcrossDatabases(t *testing.T) {
 		}
 	}
 	check("a", 1)
-	check("b", 2) // must not see a's snapshot despite the identical key
+	check("b", 2) // must not see a's base despite the identical key
 	check("a", 1) // and a must still see its own after b primed
 }

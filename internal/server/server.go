@@ -6,12 +6,13 @@
 // The hot path is lock-free with respect to the data: base relations are
 // never mutated, f-plan operators build new factorisation structure
 // rather than rewriting inputs, and every request enumerates its own
-// result, so any number of readers can share one store. Each cached
-// plan keeps an immutable arena-store snapshot of its factorised base
-// relations (Prepared.ExecShared): a plan with f-plan operators starts
-// from a slab copy of that snapshot in a pooled store and returns it
-// when done (Result.Close), while an operator-free plan enumerates the
-// shared snapshot itself and pools nothing. Each row is encoded once,
+// result, so any number of readers can share one store. Every served
+// relation is registered (fdb.Register; catalogues register their
+// own): it is factorised once per path order and shared by every
+// query. A plan with f-plan operators starts from a slab copy of its
+// bases in a pooled store and returns it when done (Result.Close),
+// while an operator-free plan over one relation enumerates its base
+// itself and pools nothing. Each row is encoded once,
 // from its values into bytes (wire.AppendTuple), and handed to the
 // response sink the request's transport selects (wire.NewSink) — the
 // same encoder and sinks the cluster coordinator uses, so the two
@@ -253,6 +254,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	for name, db := range cfg.Databases {
 		s.dbs[name] = &database{name: name, db: db, plans: cache.New(cacheSize)}
+		fdb.Register(db)
 	}
 	for name, mut := range cfg.Mutables {
 		s.dbs[name] = &database{name: name, mut: mut, plans: cache.New(cacheSize)}
@@ -582,18 +584,12 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// query runs the statement through ExecShared and writes its rows to
+// query runs the statement through Exec and writes its rows to
 // the sink r's Accept header selects, one encoded frame per row straight
 // off the engine's cursor; it reports whether the query failed. Errors
 // before the header are answered with the 400 error body; later ones
 // end the response through the sink, and a client that went away ends
 // it without another byte.
-//
-// The server's relations are immutable by contract, so each cached plan
-// keeps an arena-store snapshot of its factorised base relations
-// instead of re-sorting the base data per query. An operator-free plan
-// enumerates that snapshot itself; a plan with operators runs on a slab
-// copy of it in a pooled store that Result.Close recycles.
 func (s *Server) query(w http.ResponseWriter, r *http.Request, d *database, sqlText string) bool {
 	ctx, snk := r.Context(), wire.NewSink(w, r)
 	fail := func(err error) bool {
@@ -604,7 +600,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request, d *database, sqlT
 	if err != nil {
 		return fail(err)
 	}
-	res, err := prep.ExecSharedContext(ctx, d.data())
+	res, err := prep.ExecContext(ctx, d.data())
 	if err != nil {
 		return fail(err)
 	}
