@@ -159,6 +159,7 @@ func (sh *shell) exec(line string) error {
 		if err != nil {
 			return err
 		}
+		defer res.Close()
 		fmt.Print(res.Explain())
 		return nil
 	default:
@@ -167,6 +168,7 @@ func (sh *shell) exec(line string) error {
 		if err != nil {
 			return err
 		}
+		defer res.Close()
 		rel, err := res.Relation()
 		if err != nil {
 			return err

@@ -19,14 +19,13 @@
 //	// 3. Wrap a catalogue in a Connector (no global state at all).
 //	db := sql.OpenDB(driver.NewConnector(fdb.Database{...}))
 //
-// The catalogue's relations must not be modified once queries run: a
-// registered or connector-wrapped catalogue registers its relations
-// (fdb.Register), so each is factorised once per path order and shared
-// by every connection. Statements are
-// the engine's SELECT subset — joins, filters, aggregates, GROUP BY,
-// HAVING, ORDER BY, LIMIT and OFFSET; placeholder parameters are not
-// supported. Registered catalogues are read-only: ExecContext and
-// transactions return errors.
+// The catalogue's relations must not be modified once a query has read
+// them: each is factorised once per path order, on first use, and
+// shared by every connection. Statements are the engine's SELECT
+// subset — joins, filters, aggregates, GROUP BY, HAVING, ORDER BY,
+// LIMIT and OFFSET; placeholder parameters are not supported.
+// Registered catalogues are read-only: ExecContext and transactions
+// return errors.
 //
 // To write, serve a mutable catalogue (fdb.OpenMutable) instead:
 //
@@ -78,9 +77,8 @@ var registry sync.Map // name → *catalog
 
 // Register makes a catalogue available to sql.Open("fdb", name),
 // replacing any previous catalogue under the same name. Its relations
-// are registered (fdb.Register) and must not be modified afterwards.
+// must not be modified once a query has read them.
 func Register(name string, db fdb.Database) {
-	fdb.Register(db)
 	registry.Store(name, newCatalog(db))
 }
 
@@ -226,9 +224,9 @@ func (Driver) OpenConnector(dsn string) (driver.Connector, error) {
 
 // NewConnector wraps an in-process catalogue as a driver.Connector for
 // sql.OpenDB, bypassing the name registry. Each Connector has its own
-// engine and plan cache, and registers the relations (fdb.Register).
+// engine and plan cache; the relations must not be modified once a
+// query has read them.
 func NewConnector(db fdb.Database) driver.Connector {
-	fdb.Register(db)
 	return &connector{cat: newCatalog(db)}
 }
 

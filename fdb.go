@@ -126,15 +126,11 @@ const (
 // Query.
 var ParseSQL = sql.Parse
 
-// Database is a catalogue of named flat relations.
+// Database is a catalogue of named flat relations. A query reads each
+// relation through one factorisation per path order, made on first
+// demand and kept as long as the relation, so a relation must not be
+// modified once a query has read it.
 type Database = engine.DB
-
-// Register registers a database's relations as shared: every query
-// over them then reads one factorisation per path order, made on first
-// demand and kept as long as the relation, instead of factorising the
-// relations per execution. Registered relations must not be modified.
-// Loaded and mutable catalogues register their own relations.
-var Register = engine.Register
 
 // Engine is the FDB query engine: it plans and executes queries over
 // flat relations (Run, Prepare) or materialised factorised views
@@ -152,11 +148,11 @@ func NewEngine() *Engine { return engine.New() }
 
 // Result is an evaluated query; stream it with Rows (the cursor API),
 // enumerate it with ForEach, or materialise it with Relation. The
-// factorised output ("FDB f/o") is Result.ARel; its store is pooled, so
-// it is valid only until Close (Clone it to keep it — MaterialiseView
-// does). Call Result.Close when done to recycle the query's store;
-// Close is idempotent, and using a Result after Close returns
-// ErrResultClosed.
+// factorised output ("FDB f/o") is Result.ARel; when operators ran,
+// over relations or a view, its store is pooled, so it is valid only
+// until Close (Clone it to keep it — MaterialiseView does). Call
+// Result.Close when done to recycle the query's store; Close is
+// idempotent, and using a Result after Close returns ErrResultClosed.
 type Result = engine.Result
 
 // Rows is a streaming, pull-based cursor over a query result
@@ -182,10 +178,10 @@ var GoValue = engine.GoValue
 // concurrent Exec calls, which is the basis of fdbserver's plan cache.
 // Statements of one shape that differ only in filter constants,
 // operators, HAVING, LIMIT or OFFSET share one plan template. A
-// PreparedQuery holds no data: a registered relation (see Register;
-// catalogues register theirs) is factorised once per path order and
-// shared by every execution, while any other relation is factorised per
-// execution.
+// PreparedQuery holds no data: each relation is factorised once per
+// path order, on the first execution that asks for it (a catalogue's
+// stored order is its own store), and shared by every execution, so a
+// relation must not be modified once a query has read it.
 type PreparedQuery = engine.Prepared
 
 // NormalizeSQL canonicalises a SQL statement's spelling (whitespace,
@@ -218,7 +214,7 @@ var SeekSkipStats = engine.SeekSkipStats
 // by one root node per f-tree root (Roots); see ARCHITECTURE.md's
 // "Storage layout". Obtain one with Factorise, MaterialiseView or
 // ReadView, and query it with Engine.RunOnView, which never modifies
-// it.
+// it; it must not be modified once a query has read it.
 type Factorisation = fops.ARel
 
 // FTree is a factorisation tree: the schema and nesting structure of a

@@ -17,10 +17,7 @@ package catalog
 // so the coordinator's planner can decide whether a query distributes.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"github.com/factordb/fdb/internal/frep"
@@ -42,10 +39,10 @@ type ShardRelation struct {
 	Rows []int `json:"rows"`
 }
 
-// ShardManifest is the routing contract written next to a set of shard
-// files: which catalogue was cut, into how many shards, and how each
-// relation was distributed. It is JSON on disk so operators can inspect
-// a deployment with standard tools.
+// ShardManifest is the routing contract of a set of shards: which
+// catalogue was cut, into how many shards, and how each relation was
+// distributed. Its JSON form lets operators inspect a deployment with
+// standard tools.
 type ShardManifest struct {
 	Catalog   string          `json:"catalog"`
 	Shards    int             `json:"shards"`
@@ -165,96 +162,4 @@ func partitionRelation(r *Relation, n int) ([][]relation.Tuple, string, error) {
 		parts[w] = append(parts[w], t)
 	}
 	return parts, partAttr, nil
-}
-
-// ShardFileName returns the canonical file name for shard i of n of the
-// named catalogue.
-func ShardFileName(name string, i, n int) string {
-	return fmt.Sprintf("%s.shard%dof%d.fdbcat", name, i, n)
-}
-
-// ManifestFileName returns the canonical manifest file name for the
-// named catalogue.
-func ManifestFileName(name string) string {
-	return name + ".manifest.json"
-}
-
-// WriteShardFiles persists the shard catalogues and their manifest into
-// dir using the canonical names, each write atomic (temp file, fsync,
-// rename). It returns the shard file paths in shard order.
-func WriteShardFiles(dir string, shards []*Catalog, m *ShardManifest) ([]string, error) {
-	if len(shards) != m.Shards {
-		return nil, fmt.Errorf("catalog: %d shard catalogues for a manifest of %d", len(shards), m.Shards)
-	}
-	paths := make([]string, len(shards))
-	for i, sc := range shards {
-		p := filepath.Join(dir, ShardFileName(m.Catalog, i, m.Shards))
-		if err := WriteFile(p, sc); err != nil {
-			return nil, err
-		}
-		paths[i] = p
-	}
-	b, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("catalog: encoding manifest: %w", err)
-	}
-	if err := writeFileAtomic(filepath.Join(dir, ManifestFileName(m.Catalog)), append(b, '\n')); err != nil {
-		return nil, err
-	}
-	return paths, nil
-}
-
-// ReadManifestFile loads and validates a shard manifest.
-func ReadManifestFile(path string) (*ShardManifest, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: %w", err)
-	}
-	var m ShardManifest
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("catalog: manifest %s: %w", path, err)
-	}
-	if m.Shards < 1 {
-		return nil, fmt.Errorf("catalog: manifest %s: implausible shard count %d", path, m.Shards)
-	}
-	for _, r := range m.Relations {
-		if len(r.Rows) != m.Shards {
-			return nil, fmt.Errorf("catalog: manifest %s: relation %q has %d row counts for %d shards", path, r.Name, len(r.Rows), m.Shards)
-		}
-	}
-	return &m, nil
-}
-
-// writeFileAtomic writes data to path via a temp file in the same
-// directory, fsyncing before the rename so readers never observe a
-// partial file.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return fmt.Errorf("catalog: writing %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("catalog: syncing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		tmp = nil
-		return fmt.Errorf("catalog: closing %s: %w", path, err)
-	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("catalog: %w", err)
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"encoding/json"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -180,44 +179,5 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if m.IsSplit("Dim") || !m.IsSplit("R1") || m.IsSplit("nope") {
 		t.Fatal("IsSplit misclassifies")
-	}
-}
-
-// TestWriteShardFiles: shard files and manifest land on disk under the
-// canonical names and load back to the same data.
-func TestWriteShardFiles(t *testing.T) {
-	db := workload.Generate(workload.Config{Scale: 1}).DB()
-	c, err := Build("shop", db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards, man, err := Split(c, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	paths, err := WriteShardFiles(dir, shards, man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 2 || filepath.Base(paths[0]) != "shop.shard0of2.fdbcat" {
-		t.Fatalf("paths %v", paths)
-	}
-	gotMan, err := ReadManifestFile(filepath.Join(dir, ManifestFileName("shop")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotMan, man) {
-		t.Fatalf("manifest file round trip differs:\n got %+v\nwant %+v", gotMan, man)
-	}
-	for i, p := range paths {
-		ld, err := Open(p, nil)
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		sameDB(t, shards[i].DB(), ld.DB())
-		if err := ld.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -66,17 +66,19 @@ type Config struct {
 	MaxRows int
 	// CacheSize bounds the distribution-strategy cache; defaults to 256.
 	CacheSize int
-	// Retries is the number of additional full replica passes after the
-	// first failed one; defaults to 2. Negative disables retries.
-	Retries int
-	// RetryBackoff is the sleep before the first retry pass, doubling
-	// each pass; defaults to 25ms.
-	RetryBackoff time.Duration
-	// HedgeDelay is how long the first replica may stay silent before a
-	// hedge request races a second one; 0 picks the 150ms default,
-	// negative disables hedging.
-	HedgeDelay time.Duration
 }
+
+// Shard-query robustness: after a failed pass over a shard's replicas
+// the coordinator makes retryPasses more, sleeping retryBackoff before
+// the first and doubling it each pass, and the first open of each query
+// races a second replica once the first has been silent for hedgeDelay.
+// A Coordinator's retries, backoff and hedgeDelay fields start at these
+// (a hedgeDelay of 0 disables hedging).
+const (
+	retryPasses  = 2
+	retryBackoff = 25 * time.Millisecond
+	hedgeDelay   = 150 * time.Millisecond
+)
 
 // ShardStat is one shard's fan-out accounting in the /stats response.
 type ShardStat struct {
@@ -131,13 +133,9 @@ type Coordinator struct {
 	distributed    atomic.Uint64
 	localFallbacks atomic.Uint64
 
-	// Drain bookkeeping, same shape as internal/server: a mutex-guarded
-	// in-flight counter (begin may race a waiting Drain, which is the
-	// pattern sync.WaitGroup forbids).
-	draining atomic.Bool
-	drainMu  sync.Mutex
-	inflight int
-	idle     chan struct{}
+	// gate admits fan-outs until StartDrain/Drain, and Drain waits them
+	// out.
+	gate wire.Gate
 }
 
 // New builds a Coordinator from the configuration.
@@ -162,26 +160,13 @@ func New(cfg Config) (*Coordinator, error) {
 		local:      cfg.Local,
 		client:     cfg.Client,
 		maxRows:    cfg.MaxRows,
-		retries:    cfg.Retries,
-		backoff:    cfg.RetryBackoff,
-		hedgeDelay: cfg.HedgeDelay,
+		retries:    retryPasses,
+		backoff:    retryBackoff,
+		hedgeDelay: hedgeDelay,
 		stats:      make([]shardStats, len(cfg.Groups)),
 	}
 	if co.client == nil {
 		co.client = &http.Client{}
-	}
-	if co.retries == 0 {
-		co.retries = 2
-	} else if co.retries < 0 {
-		co.retries = 0
-	}
-	if co.backoff == 0 {
-		co.backoff = 25 * time.Millisecond
-	}
-	if co.hedgeDelay == 0 {
-		co.hedgeDelay = 150 * time.Millisecond
-	} else if co.hedgeDelay < 0 {
-		co.hedgeDelay = 0
 	}
 	size := cfg.CacheSize
 	if size == 0 {
@@ -228,58 +213,23 @@ func (co *Coordinator) candidates(shard int) []string {
 	return append(out, cooling...)
 }
 
-// begin registers an in-flight request unless the coordinator is
-// draining; end must be called when it completes.
-func (co *Coordinator) begin() bool {
-	co.drainMu.Lock()
-	defer co.drainMu.Unlock()
-	if co.draining.Load() {
-		return false
-	}
-	co.inflight++
-	return true
-}
-
-func (co *Coordinator) end() {
-	co.drainMu.Lock()
-	co.inflight--
-	if co.inflight == 0 && co.idle != nil {
-		close(co.idle)
-		co.idle = nil
-	}
-	co.drainMu.Unlock()
-}
-
 // StartDrain refuses new queries with 503 and turns /healthz unhealthy,
 // without waiting for in-flight fan-outs.
-func (co *Coordinator) StartDrain() { co.draining.Store(true) }
+func (co *Coordinator) StartDrain() { co.gate.StartDrain() }
 
 // Drain is StartDrain plus the wait: it blocks until every in-flight
 // fan-out — shard streams included — has completed or ctx expires.
 // Workers are drained separately (they own their snapshots); the
 // coordinator holds no state that outlives its requests.
 func (co *Coordinator) Drain(ctx context.Context) error {
-	co.drainMu.Lock()
-	co.draining.Store(true)
-	if co.inflight == 0 {
-		co.drainMu.Unlock()
-		return nil
+	if err := co.gate.Drain(ctx); err != nil {
+		return fmt.Errorf("cluster: drain: %w", err)
 	}
-	if co.idle == nil {
-		co.idle = make(chan struct{})
-	}
-	idle := co.idle
-	co.drainMu.Unlock()
-	select {
-	case <-idle:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("cluster: drain: %w", ctx.Err())
-	}
+	return nil
 }
 
 // Draining reports whether StartDrain or Drain has been called.
-func (co *Coordinator) Draining() bool { return co.draining.Load() }
+func (co *Coordinator) Draining() bool { return co.gate.Draining() }
 
 // Stats returns a snapshot of the fan-out counters.
 func (co *Coordinator) Stats() StatsResponse {
@@ -289,7 +239,7 @@ func (co *Coordinator) Stats() StatsResponse {
 		Distributed:    co.distributed.Load(),
 		LocalFallbacks: co.localFallbacks.Load(),
 		StrategyCache:  co.strategies.Stats(),
-		Draining:       co.draining.Load(),
+		Draining:       co.gate.Draining(),
 	}
 	for i := range co.stats {
 		s := &co.stats[i]
@@ -312,7 +262,7 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 func (co *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status := "ok"
 	code := http.StatusOK
-	if co.draining.Load() {
+	if co.gate.Draining() {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
@@ -351,11 +301,11 @@ func (co *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		wire.WriteJSON(w, http.StatusMethodNotAllowed, wire.ErrorBody{Error: "use POST"})
 		return
 	}
-	if !co.begin() {
+	if !co.gate.Begin() {
 		wire.WriteJSON(w, http.StatusServiceUnavailable, wire.ErrorBody{Error: "coordinator is shutting down"})
 		return
 	}
-	defer co.end()
+	defer co.gate.End()
 	co.queries.Add(1)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {

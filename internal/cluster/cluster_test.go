@@ -104,7 +104,8 @@ type testCluster struct {
 // newTestCluster builds the topology, ships the shards and returns the
 // cluster. proxy, when non-nil, wraps each shard's first replica URL
 // (after shipping, so installs bypass it) — used to interpose tearing
-// or slow replicas.
+// or slow replicas. hedge is the coordinator's hedge delay, 0 for no
+// hedging; retry passes back off from 1ms.
 func newTestCluster(t *testing.T, shards, replicas int, hedge time.Duration, proxy func(shard int, base string) string) *testCluster {
 	t.Helper()
 	db, cat := testData(t)
@@ -140,15 +141,14 @@ func newClusterOver(t *testing.T, db fdb.Database, cat *catalog.Catalog, shards,
 		}
 	}
 	tc.co, err = New(Config{
-		Groups:       groups,
-		Manifest:     man,
-		Local:        local,
-		HedgeDelay:   hedge,
-		RetryBackoff: time.Millisecond,
+		Groups:   groups,
+		Manifest: man,
+		Local:    local,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tc.co.hedgeDelay, tc.co.backoff = hedge, time.Millisecond
 	return tc
 }
 
@@ -378,7 +378,7 @@ func TestScatterGatherGolden(t *testing.T) {
 	queries := goldenQueries()
 	for _, shards := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			tc := newTestCluster(t, shards, 1, -1, nil)
+			tc := newTestCluster(t, shards, 1, 0, nil)
 			for name, sqlText := range queries {
 				compareNDJSON(t, name, post(t, tc.serial, sqlText, true), post(t, tc.co, sqlText, true))
 				compareBuffered(t, name, post(t, tc.serial, sqlText, false), post(t, tc.co, sqlText, false))
@@ -445,7 +445,7 @@ func (p *tearingProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // stays byte-identical, with no duplicated or dropped rows.
 func TestFailoverMidStream(t *testing.T) {
 	proxies := map[int]*tearingProxy{}
-	tc := newTestCluster(t, 2, 2, -1, func(shard int, base string) string {
+	tc := newTestCluster(t, 2, 2, 0, func(shard int, base string) string {
 		p := &tearingProxy{h: mustReverse(t, base), rows: 7}
 		ts := httptest.NewServer(p)
 		t.Cleanup(ts.Close)
@@ -521,7 +521,7 @@ func TestDeadReplicaRouting(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
 	dead.Close()
-	tc := newTestCluster(t, 2, 2, -1, func(shard int, base string) string { return deadURL })
+	tc := newTestCluster(t, 2, 2, 0, func(shard int, base string) string { return deadURL })
 	sqlText := sql.Render(workload.Q2())
 	compareNDJSON(t, "dead-primary", post(t, tc.serial, sqlText, true), post(t, tc.co, sqlText, true))
 	// The dead replica is now in cooldown: the next query routes around
@@ -559,7 +559,7 @@ func TestHedgedRead(t *testing.T) {
 // TestCoordinatorDrain: a draining coordinator refuses queries with 503
 // and reports unhealthy, while its stats survive.
 func TestCoordinatorDrain(t *testing.T) {
-	tc := newTestCluster(t, 2, 1, -1, nil)
+	tc := newTestCluster(t, 2, 1, 0, nil)
 	sqlText := sql.Render(workload.Q5())
 	if rec := post(t, tc.co, sqlText, true); rec.Code != http.StatusOK {
 		t.Fatalf("pre-drain query: %d", rec.Code)
@@ -582,7 +582,7 @@ func TestCoordinatorDrain(t *testing.T) {
 
 // TestCoordinatorStats: the /stats endpoint accounts queries per shard.
 func TestCoordinatorStats(t *testing.T) {
-	tc := newTestCluster(t, 2, 1, -1, nil)
+	tc := newTestCluster(t, 2, 1, 0, nil)
 	sqlText := sql.Render(workload.Q2())
 	post(t, tc.co, sqlText, true)
 	rec := httptest.NewRecorder()
@@ -630,7 +630,7 @@ func TestNonFiniteResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := newClusterOver(t, db, cat, 2, 1, 0, nil)
+	tc := newClusterOver(t, db, cat, 2, 1, hedgeDelay, nil)
 	for _, q := range []struct{ name, sql, value string }{
 		{"shard NaN", `SELECT k, x FROM F ORDER BY k`, "NaN"},
 		{"merged +Inf", `SELECT SUM(y) AS s FROM H`, "+Inf"},

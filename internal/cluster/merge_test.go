@@ -37,7 +37,7 @@ func TestLongRowRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := newClusterOver(t, db, cat, 2, 1, -1, nil)
+	tc := newClusterOver(t, db, cat, 2, 1, 0, nil)
 	queries := map[string]string{
 		"stream":       `SELECT k, s, v FROM L ORDER BY k`,
 		"group-stream": `SELECT s, SUM(v) AS t, COUNT(*) AS n FROM L GROUP BY s ORDER BY s`,
@@ -76,15 +76,14 @@ func stubReplica(t *testing.T, wait func() bool, rows ...int) string {
 func stubCoordinator(t *testing.T, shard0, shard1 string) *Coordinator {
 	t.Helper()
 	co, err := New(Config{
-		Groups:     [][]string{{shard0}, {shard1}},
-		Manifest:   testManifest(),
-		Local:      http.NotFoundHandler(),
-		Retries:    -1,
-		HedgeDelay: -1,
+		Groups:   [][]string{{shard0}, {shard1}},
+		Manifest: testManifest(),
+		Local:    http.NotFoundHandler(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	co.retries, co.hedgeDelay = 0, 0
 	return co
 }
 

@@ -17,8 +17,8 @@ import (
 // /shard/install. Workers validate, persist and mmap the snapshot
 // before swapping it in, so a failed ship leaves them serving whatever
 // they served before. Ship returns the manifest the coordinator needs
-// to plan distribution; persist it with catalog.WriteShardFiles (or its
-// JSON form) so a restarted coordinator can skip re-sharding.
+// to plan distribution; persist its JSON form so a restarted
+// coordinator can skip re-sharding.
 func Ship(ctx context.Context, client *http.Client, groups [][]string, cat *catalog.Catalog) (*catalog.ShardManifest, error) {
 	if client == nil {
 		client = &http.Client{}

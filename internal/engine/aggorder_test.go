@@ -47,12 +47,11 @@ func viewOf(t *testing.T, db DB, name string) (*Engine, func(q *query.Query) (*R
 // two, by both in either order, and by both with mixed directions. An
 // ordered aggregate whose node also stores another aggregate must not
 // let that one break its ties; those shapes take the flat sort. Every
-// shape runs through Run, Exec over registered relations after a
-// template hit and RunOnView, serially and at two workers, under both
-// planners, and must equal the baseline row for row.
+// shape runs through Run, Exec after a template hit and RunOnView,
+// serially and at two workers, under both planners, and must equal the
+// baseline row for row.
 func TestOrderByAggregateBesideAnotherAggregate(t *testing.T) {
 	db := tiesDB()
-	shared := sharedCopy(t, db)
 	const sel = `SELECT c, SUM(p) AS s, COUNT(*) AS n FROM T GROUP BY c ORDER BY `
 	for _, order := range []string{"s, c", "n, s DESC", "s DESC, n", "s, n", "n DESC, s DESC", "c, s", "s"} {
 		q := mustParse(t, sel+order)
@@ -66,9 +65,9 @@ func TestOrderByAggregateBesideAnotherAggregate(t *testing.T) {
 				veng, view := viewOf(t, db, "T")
 				veng.Exhaustive, veng.Parallelism = exhaustive, par
 				modes := map[string]func() (*Result, error){
-					"Run":             func() (*Result, error) { return eng.Run(q, db) },
-					"Exec registered": func() (*Result, error) { return execAfterHit(t, eng, q, shared) },
-					"RunOnView":       func() (*Result, error) { return view(q) },
+					"Run":            func() (*Result, error) { return eng.Run(q, db) },
+					"Exec after hit": func() (*Result, error) { return execAfterHit(t, eng, q, db) },
+					"RunOnView":      func() (*Result, error) { return view(q) },
 				}
 				for mode, run := range modes {
 					name := fmt.Sprintf("ORDER BY %s (%s, P=%d, exhaustive=%v)", order, mode, par, exhaustive)

@@ -45,6 +45,15 @@ func spjQuery() *query.Query {
 	}
 }
 
+// filteredQuery is spjQuery with a selection every row passes: the
+// same stream, but the σ is an operator, so the execution copies the
+// base into a pooled store.
+func filteredQuery() *query.Query {
+	q := spjQuery()
+	q.Filters = []query.Filter{{Attr: "v", Op: fops.GE, Const: values.NewInt(0)}}
+	return q
+}
+
 func groupedQuery() *query.Query {
 	return &query.Query{
 		Relations:  []string{"Big"},
@@ -84,51 +93,56 @@ func TestCancelBeforePlan(t *testing.T) {
 	}
 }
 
-// TestCancelDuringExec asserts a context cancelled before execution
-// returns the pooled store exactly once, and that a cancelled on-demand
-// base build is not kept: the next execution builds it.
+// TestCancelDuringExec asserts that a cancelled on-demand base build is
+// not kept — no store is taken and the next execution builds it — and
+// that a context cancelled before the operators of an execution over
+// built bases returns the pooled store exactly once.
 func TestCancelDuringExec(t *testing.T) {
 	db := bigDB(t, 100)
 	eng := New()
-	prep, err := eng.Prepare(spjQuery(), db)
+	prep, err := eng.Prepare(filteredQuery(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(prep.Plan.Ops) == 0 {
+		t.Fatal("the query runs no operator; the pooled path is not exercised")
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	before := storeReturns.Load()
-	_, err = prep.ExecContext(ctx, db)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExecContext = %v, want context.Canceled", err)
-	}
-	if d := storeReturns.Load() - before; d != 1 {
-		t.Fatalf("store returned %d times on cancelled Exec, want exactly 1", d)
-	}
 
-	// Over registered relations the cancellation stops the first base
-	// build before any store is taken, and caches nothing.
-	shared := sharedCopy(t, db)
-	before = storeReturns.Load()
-	if _, err := prep.ExecContext(ctx, shared); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ExecContext(cancelled) over registered relations = %v, want context.Canceled", err)
+	// The cancellation stops the first base build before any store is
+	// taken, and caches nothing.
+	before := storeReturns.Load()
+	if _, err := prep.ExecContext(ctx, db); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ExecContext(cancelled) before any base = %v, want context.Canceled", err)
 	}
 	if d := storeReturns.Load() - before; d != 0 {
 		t.Fatalf("store returned %d times on a cancelled base build, want 0", d)
 	}
 	for i, name := range prep.Query.Relations {
-		if madeBase(shared[name], prep.Orders[i]) != nil {
+		if madeBase(db[name], prep.Orders[i]) != nil {
 			t.Fatalf("cancelled build of %s was cached", name)
 		}
 	}
-	res, err := prep.ExecContext(context.Background(), shared)
+	res, err := prep.ExecContext(context.Background(), db)
 	if err != nil {
 		t.Fatalf("ExecContext after cancelled build = %v", err)
 	}
 	res.Close()
 	for i, name := range prep.Query.Relations {
-		if madeBase(shared[name], prep.Orders[i]) == nil {
+		if madeBase(db[name], prep.Orders[i]) == nil {
 			t.Fatalf("no base of %s after a completed execution", name)
 		}
+	}
+
+	// Over built bases the store is taken, and the cancellation before
+	// the first operator hands it back exactly once.
+	before = storeReturns.Load()
+	if _, err := prep.ExecContext(ctx, db); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ExecContext(cancelled) over built bases = %v, want context.Canceled", err)
+	}
+	if d := storeReturns.Load() - before; d != 1 {
+		t.Fatalf("store returned %d times on cancelled Exec, want exactly 1", d)
 	}
 }
 
@@ -182,7 +196,7 @@ func TestCancelMidEnumeration(t *testing.T) {
 		name string
 		mk   func() *query.Query
 	}{
-		{"flat-ordered", spjQuery},
+		{"flat-ordered", filteredQuery},
 		{"grouped", groupedQuery},
 		{"agg-ordered", aggOrderedQuery},
 	}
@@ -238,11 +252,11 @@ func TestCancelMidEnumerationView(t *testing.T) {
 }
 
 // TestCancelConcurrent exercises cancellation racing a running
-// enumeration and the first build of a registered relation's base
+// enumeration and the first build of a relation's base
 // (meaningful under -race): one goroutine streams, another cancels
 // shortly after, repeated across several queries concurrently.
 func TestCancelConcurrent(t *testing.T) {
-	db := sharedCopy(t, bigDB(t, 20000))
+	db := bigDB(t, 20000)
 	eng := New()
 	prep, err := eng.Prepare(spjQuery(), db)
 	if err != nil {

@@ -1,14 +1,14 @@
 package engine
 
-// Base factorisations and catalogue persistence. A registered relation
-// carries its own base factorisations, so they go when it goes: one
-// frozen store — ranked and column-indexed — per path order a plan has
-// asked for (a bounded number of orders), made on first demand and
-// shared by every execution. The order a catalogue stores is the
-// catalogue's own store, never copied. A write publishes a new
-// relation, with bases of its own, so no base is ever stale. The rest
-// of the file saves a database as a disk snapshot and loads it back
-// without re-sorting or re-factorising the base data.
+// Base factorisations and catalogue persistence. Every relation a query
+// reads carries its own base factorisations, attached on first use, so
+// they go when it goes: one frozen store — ranked and column-indexed —
+// per path order a plan has asked for (a bounded number of orders),
+// made on first demand and shared by every execution. The order a
+// catalogue stores is the catalogue's own store, never copied. A write
+// publishes a new relation, with bases of its own, so no base is ever
+// stale. The rest of the file saves a database as a disk snapshot and
+// loads it back without re-sorting or re-factorising the base data.
 
 import (
 	"cmp"
@@ -47,10 +47,10 @@ var baseBuilds atomic.Int64
 // unused longest is dropped.
 const maxBaseOrders = 8
 
-// baseSet is what a registered relation carries (relation.Share): the
-// factorisation its catalogue stores (nil when none) and the bases made
-// so far, published copy-on-write under mu. It lives exactly as long
-// as the relation.
+// baseSet is what a relation carries once a query has read it
+// (relation.Share): the factorisation its catalogue stores (nil when
+// none) and the bases made so far, published copy-on-write under mu. It
+// lives exactly as long as the relation.
 type baseSet struct {
 	stored *catalog.Fact
 	mu     sync.Mutex
@@ -62,36 +62,28 @@ type baseSet struct {
 // column-indexed, with the epoch of its last use.
 type base struct {
 	*catalog.Fact
+	in   input // the store and its one root, as executions read them
 	used atomic.Int64
 }
 
-// Register registers db's relations as bases: executions over them
-// share one factorisation per path order, made on first demand, instead
-// of factorising them per call. The factorisations live as long as the
-// relations, which must not be modified once registered. Registering a
-// relation again does nothing.
-func Register(db DB) {
-	for _, rel := range db {
-		register(rel, nil)
-	}
-}
-
-// register registers rel, whose catalogue stores the factorisation
-// stored (nil when none). It builds nothing.
-func register(rel *relation.Relation, stored *catalog.Fact) {
+// register attaches to rel the base set of a catalogue that stores the
+// factorisation stored. It builds nothing, and must run before any
+// query reads rel.
+func register(rel *relation.Relation, stored *catalog.Fact) *baseSet {
 	s := &baseSet{stored: stored}
 	s.built.Store(new([]*base))
-	rel.Share(s)
+	return rel.Share(s).(*baseSet)
 }
 
-// baseFor returns rel's base in the given path order, or nil when rel
-// is not registered. A missing base is made under the set's lock: the
-// stored order from the catalogue's own store, any other by factorising
-// the flat tuples. A cancelled or failed build is not kept.
-func baseFor(ctx context.Context, rel *relation.Relation, order []string) (*catalog.Fact, error) {
+// baseFor returns rel's base in the given path order, attaching an
+// empty base set to rel on its first use. A missing base is made under
+// the set's lock: the stored order from the catalogue's own store, any
+// other by factorising the flat tuples. A cancelled or failed build is
+// not kept.
+func baseFor(ctx context.Context, rel *relation.Relation, order []string) (*base, error) {
 	s, _ := rel.Shared().(*baseSet)
 	if s == nil {
-		return nil, nil
+		s = register(rel, nil)
 	}
 	if b := s.find(order); b != nil {
 		return b, nil
@@ -124,6 +116,7 @@ func baseFor(ctx context.Context, rel *relation.Relation, order []string) (*cata
 		}
 	}
 	b.Store.BuildCols()
+	b.in = input{store: b.Store, roots: []frep.NodeID{b.Root}}
 	b.used.Store(s.epoch.Add(1))
 	next := append(slices.Clip(*s.built.Load()), b)
 	if len(next) > maxBaseOrders {
@@ -131,18 +124,18 @@ func baseFor(ctx context.Context, rel *relation.Relation, order []string) (*cata
 		next = slices.DeleteFunc(next, func(x *base) bool { return x == lru })
 	}
 	s.built.Store(&next)
-	return b.Fact, nil
+	return b, nil
 }
 
 // find returns the base made in the given order, or nil, and marks it
 // used in the current epoch.
-func (s *baseSet) find(order []string) *catalog.Fact {
+func (s *baseSet) find(order []string) *base {
 	for _, b := range *s.built.Load() {
 		if slices.Equal(b.Order, order) {
 			if e := s.epoch.Load(); b.used.Load() != e {
 				b.used.Store(e)
 			}
-			return b.Fact
+			return b
 		}
 	}
 	return nil
@@ -173,9 +166,10 @@ func SaveCatalogFile(path, name string, db DB) error {
 }
 
 // LoadCatalog reads a catalogue snapshot from r and returns the loaded
-// database with its relations registered as bases, each serving its
-// stored order from the snapshot's own factorisation. Each relation's tuples are flattened from its factorisation,
-// so they come back in path order with duplicates collapsed.
+// database, each relation serving its stored order from the snapshot's
+// own factorisation. Each relation's tuples are flattened from its
+// factorisation, so they come back in path order with duplicates
+// collapsed.
 func LoadCatalog(r io.Reader) (*Catalog, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {

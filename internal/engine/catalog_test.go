@@ -140,8 +140,8 @@ func TestCatalogGoldenWorkload(t *testing.T) {
 	}
 }
 
-// baseSetOf returns the bases rel carries, or nil when it is not
-// registered.
+// baseSetOf returns the bases rel carries, or nil when no query has
+// read it.
 func baseSetOf(rel *relation.Relation) *baseSet {
 	s, _ := rel.Shared().(*baseSet)
 	return s
@@ -149,7 +149,7 @@ func baseSetOf(rel *relation.Relation) *baseSet {
 
 // madeBase returns the base of rel in the given order if one has been
 // made, or nil.
-func madeBase(rel *relation.Relation, order []string) *catalog.Fact {
+func madeBase(rel *relation.Relation, order []string) *base {
 	if s := baseSetOf(rel); s != nil {
 		return s.find(order)
 	}
@@ -162,22 +162,13 @@ func sameSlab(a *frep.Store, x frep.NodeID, b *frep.Store, y frep.NodeID) bool {
 	return a.Len(x) > 0 && &a.Vals(x)[0] == &b.Vals(y)[0]
 }
 
-// plainCopy returns db with every relation under a new, unregistered
-// pointer: Exec over it factorises each relation per call.
+// plainCopy returns db with every relation under a new pointer that no
+// query has read: its bases are built afresh from the flat tuples.
 func plainCopy(db DB) DB {
 	out := make(DB, len(db))
 	for name, rel := range db {
 		out[name] = &relation.Relation{Name: rel.Name, Attrs: rel.Attrs, Tuples: rel.Tuples}
 	}
-	return out
-}
-
-// sharedCopy is plainCopy registered as bases for the rest of the test:
-// Exec over it reads shared, ranked bases, while Exec over db (if
-// unregistered) factorises per call.
-func sharedCopy(t testing.TB, db DB) DB {
-	out := plainCopy(db)
-	Register(out)
 	return out
 }
 
@@ -213,10 +204,10 @@ func TestCatalogServesStoredOrder(t *testing.T) {
 		t.Fatal("the stored order is not served from the catalogue's own store")
 	}
 	if got := renderRows(t, func() (*Result, error) { return p.Exec(plainCopy(cat.DB)) }); !bytes.Equal(want, got) {
-		t.Fatal("an unregistered copy answers differently")
+		t.Fatal("a copy under a fresh pointer answers differently")
 	}
-	if d := baseBuilds.Load() - builds; d != 0 {
-		t.Fatalf("an unregistered relation made %d bases", d)
+	if d := baseBuilds.Load() - builds; d != 1 {
+		t.Fatalf("a copy under a fresh pointer made %d bases, want 1 from its flat tuples", d)
 	}
 }
 
@@ -322,7 +313,7 @@ func TestCatalogFileRoundTrip(t *testing.T) {
 }
 
 // TestBaseOrdersBounded: however many path orders clients' statements
-// pick over one registered relation, it keeps at most maxBaseOrders
+// pick over one relation, it keeps at most maxBaseOrders
 // bases, dropping the one unused longest, and every statement still
 // answers correctly.
 func TestBaseOrdersBounded(t *testing.T) {

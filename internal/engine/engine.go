@@ -20,7 +20,9 @@ import (
 	"github.com/factordb/fdb/internal/relation"
 )
 
-// DB is a catalogue of named flat relations.
+// DB is a catalogue of named flat relations. A query attaches its base
+// factorisations to each relation it reads (see Prepared.Exec), so a
+// relation must not be modified once a query has read it.
 type DB map[string]*relation.Relation
 
 // Engine evaluates queries over flat relations or factorised views.
@@ -72,8 +74,9 @@ type Result struct {
 	Query *query.Query
 	// ARel is the factorised result ("FDB f/o" output). For aggregation
 	// queries it contains the group-by attributes and (possibly several)
-	// partial-aggregate leaves. When the store is pooled it is valid only
-	// until Close; Clone it to keep it longer.
+	// partial-aggregate leaves. When operators ran, or several inputs
+	// were assembled, its store is pooled — over relations and views
+	// alike — and valid only until Close; Clone it to keep it longer.
 	ARel *fops.ARel
 	// Plan is the executed f-plan.
 	Plan *plan.Plan
@@ -94,8 +97,9 @@ type Result struct {
 	// over a view.
 	orders [][]string
 	// fastCount, when set, is the precomputed answer of a bare COUNT(*)
-	// query taken from the ranked root counts; enumeration yields this
-	// single row and the aggregation plan was never executed.
+	// query taken from the inputs' ranked root counts (countStar);
+	// enumeration yields this single row and the aggregation plan was
+	// never executed.
 	fastCount *int64
 }
 
@@ -117,8 +121,9 @@ func (r *Result) Singletons() int { return r.ARel.Singletons() }
 
 // Close releases pooled per-query resources (the arena store backing
 // ARel, when it was copied into one from the engine's pool; an
-// operator-free execution over one registered relation reads its base
-// and pools nothing). The Result — including ARel and open Rows — must not be
+// operator-free execution over one relation or view, and a bare
+// COUNT(*) answered from one input's ranks, read the input itself and
+// pool nothing). The Result — including ARel and open Rows — must not be
 // used afterwards: enumeration APIs return ErrClosed once Close has
 // run, because the recycled store may already back another query.
 // Close is idempotent — any call after the first is a no-op — and
@@ -303,10 +308,13 @@ func pathCandidates(attrs []string, joinAttr map[string]bool, lead []string) [][
 }
 
 // RunOnView evaluates a query (no joins) against a materialised
-// factorised view. The view's store is snapshotted in O(1); operators
-// append into the private snapshot, so the view is shared untouched
-// across any number of concurrent queries. cat supplies relation sizes
-// for the cost model and may be nil.
+// factorised view. The view is an input like a relation's base (see
+// Engine.run): a query with operators copies it into a pooled store and
+// runs them there, one without reads it through an O(1) snapshot, and a
+// bare COUNT(*) over a ranked view reads its totals. The view is never
+// modified, so it is shared untouched across any number of concurrent
+// queries; it must not be modified once a query has read it. cat
+// supplies relation sizes for the cost model and may be nil.
 func (e *Engine) RunOnView(q *query.Query, view *fops.ARel, cat []ftree.CatalogRelation) (*Result, error) {
 	return e.RunOnViewContext(context.Background(), q, view, cat)
 }
@@ -322,20 +330,13 @@ func (e *Engine) RunOnViewContext(ctx context.Context, q *query.Query, view *fop
 	if len(q.Equalities) > 0 {
 		return nil, fmt.Errorf("engine: RunOnView does not support equality selections; materialise them into the view")
 	}
-	ar := view.Snapshot()
+	tree, _ := view.Tree.Clone()
 	pl := &plan.Planner{Catalog: cat, PartialAgg: e.PartialAgg, Exhaustive: e.Exhaustive, Ctx: ctx}
-	fplan, err := pl.Plan(ar.Tree, q)
+	fplan, err := pl.Plan(tree, q)
 	if err != nil {
 		return nil, err
 	}
-	if n, ok := fastCountValue(q, ar); ok {
-		return &Result{Query: q, ARel: ar, Plan: fplan, eng: e, fastCount: &n}, nil
-	}
-	if err := fplan.ExecuteParallel(ctx, ar, e.par()); err != nil {
-		return nil, err
-	}
-	noteParallelExec(ar)
-	return &Result{Query: q, ARel: ar, Plan: fplan, eng: e}, nil
+	return e.run(ctx, q, fplan, tree, []input{{store: view.Store, roots: view.Roots}}, nil)
 }
 
 // orderOnAggregate reports whether some order item references an

@@ -2,7 +2,7 @@ package engine
 
 // Oracle suite: every query of the paper's experimental set is executed
 // on every execution surface of the engine — Run and Prepared.Exec over
-// unregistered and registered base relations, RunOnView over the
+// base relations, building and reusing their bases, RunOnView over the
 // materialised views R1/R3 — and its answer is checked against the flat
 // relational baseline (internal/rdb) evaluating the same query on the
 // flat join. The baseline shares no code with the factorised path, so
@@ -168,13 +168,13 @@ func flatViews(t *testing.T, ds *workload.Dataset) rdb.DB {
 }
 
 // TestOracleFlatQueries runs Q1–Q5 with the R1 join inlined through
-// Run and Exec over unregistered relations, and (repeatedly, from one
-// Prepared: the first execution builds the bases, the second reuses
-// them) Exec over registered ones.
+// Run and Exec. "Exec" reads fresh copies of the relations, whose bases
+// attach on that first use; "Exec/registered1" and "Exec/registered2"
+// read the same relations as Run, from one Prepared: whichever of the
+// three runs first attaches their bases, the others reuse them.
 func TestOracleFlatQueries(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 1})
 	db := DB(ds.DB())
-	shared := sharedCopy(t, db)
 	eng := New()
 	for i := 1; i <= 5; i++ {
 		q, err := workload.FlatAggQuery(i)
@@ -187,9 +187,9 @@ func TestOracleFlatQueries(t *testing.T) {
 		}
 		for name, run := range map[string]func() (*Result, error){
 			"Run":              func() (*Result, error) { return eng.Run(q, db) },
-			"Exec":             func() (*Result, error) { return prep.Exec(db) },
-			"Exec/registered1": func() (*Result, error) { return prep.Exec(shared) },
-			"Exec/registered2": func() (*Result, error) { return prep.Exec(shared) },
+			"Exec":             func() (*Result, error) { return prep.Exec(plainCopy(db)) },
+			"Exec/registered1": func() (*Result, error) { return prep.Exec(db) },
+			"Exec/registered2": func() (*Result, error) { return prep.Exec(db) },
 		} {
 			t.Run(fmt.Sprintf("Q%d/%s", i, name), func(t *testing.T) {
 				checkOracle(t, q, collectRows(t, run), rdb.DB(db))
@@ -317,12 +317,11 @@ func TestOracleAggregateEdgeCases(t *testing.T) {
 
 // TestOracleRotatedPathOrders runs the served statements whose path orders
 // lead with their ORDER BY (or GROUP BY) attributes through Prepare and
-// Exec over registered relations — twice each: the first execution
-// builds the rotated bases, the second reuses them — and checks them
-// against the
-// baseline: the ordered aggregate a9, the streams s1 and s12, the orders o10 and o12 at
-// offset 0, at a deep offset and descending, and the fan-out shapes over
-// R3, which is declared customer-first but ordered by date. The date-led
+// Exec — twice each: the first execution builds the rotated bases, the
+// second reuses them — and checks them against the baseline: the
+// ordered aggregate a9, the streams s1 and s12, the orders o10 and o12
+// at offset 0, at a deep offset and descending, and the fan-out shapes
+// over R3, which is declared customer-first but ordered by date. The date-led
 // scan of R3 needs no operator, and its deep page is a ranked seek.
 func TestOracleRotatedPathOrders(t *testing.T) {
 	ds := workload.Generate(workload.Config{Scale: 2})
@@ -332,7 +331,6 @@ func TestOracleRotatedPathOrders(t *testing.T) {
 		t.Fatal(err)
 	}
 	db["R3"] = r3
-	shared := sharedCopy(t, db)
 	const r1Join = ` FROM Orders, Packages, Items WHERE package = package2 AND item = item2`
 	r2Order := func(a, b, c, dir string) string {
 		return fmt.Sprintf(`SELECT %[1]s, %[2]s, %[3]s, customer, price%[5]s ORDER BY %[1]s%[4]s, %[2]s%[4]s, %[3]s%[4]s, customer%[4]s`, a, b, c, dir, r1Join)
@@ -372,7 +370,7 @@ func TestOracleRotatedPathOrders(t *testing.T) {
 		}
 		for i := 1; i <= 2; i++ {
 			t.Run(fmt.Sprintf("%s/Exec%d", text, i), func(t *testing.T) {
-				checkOracle(t, q, collectRows(t, func() (*Result, error) { return prep.Exec(shared) }), rdb.DB(db))
+				checkOracle(t, q, collectRows(t, func() (*Result, error) { return prep.Exec(db) }), rdb.DB(db))
 			})
 		}
 	}
@@ -389,7 +387,7 @@ func TestOracleRotatedPathOrders(t *testing.T) {
 		t.Fatalf("date-led scan of R3: path %v, plan %s; want the date-led path and no operators", prep.Orders[0], prep.Plan)
 	}
 	seeks := SeekSkipStats().SeekOffsets
-	checkOracle(t, page, collectRows(t, func() (*Result, error) { return prep.Exec(shared) }), rdb.DB(db))
+	checkOracle(t, page, collectRows(t, func() (*Result, error) { return prep.Exec(db) }), rdb.DB(db))
 	if SeekSkipStats().SeekOffsets == seeks {
 		t.Fatal("the date-led page skipped linearly instead of seeking")
 	}
@@ -399,7 +397,7 @@ func TestOracleRotatedPathOrders(t *testing.T) {
 // workload (GROUP BY date and GROUP BY customer over R3) and the
 // aggregates a4/a5 (SUM(price) by package and in total over the R1
 // join) on a catalogue written to a file and loaded back, through
-// Exec, whose registered bases are ranked, at P=1 and, with the
+// Exec, whose bases are ranked, at P=1 and, with the
 // fan-out floors dropped, at P=2 inside operator workers. Each must answer as internal/rdb
 // does, and each must have read at least one count from the ranked
 // index instead of walking the subtree.

@@ -16,7 +16,6 @@ import (
 	"github.com/factordb/fdb/internal/fops"
 	"github.com/factordb/fdb/internal/query"
 	"github.com/factordb/fdb/internal/relation"
-	"github.com/factordb/fdb/internal/values"
 	"github.com/factordb/fdb/internal/workload"
 )
 
@@ -232,22 +231,20 @@ func TestParallelWindowUnwindowedFansOut(t *testing.T) {
 }
 
 // TestParallelConcurrentSegmentWorkers runs parallel queries from many
-// goroutines against one registered base (the server's shape), under
+// goroutines against one shared base (the server's shape), under
 // -race, and balances the store pool: the filtered query's σ copies the
 // base into a pooled store per execution, the operator-free query reads
 // the base itself and pools nothing.
 func TestParallelConcurrentSegmentWorkers(t *testing.T) {
 	forceParallelThresholds(t)
-	db := sharedCopy(t, bigDB(t, 8000))
+	db := bigDB(t, 8000)
 	eng := &Engine{PartialAgg: true, Parallelism: 4}
-	filtered := spjQuery()
-	filtered.Filters = []query.Filter{{Attr: "v", Op: fops.GE, Const: values.NewInt(0)}}
 	for _, tc := range []struct {
 		name    string
 		q       *query.Query
 		returns int64
 	}{
-		{"filtered", filtered, 1},
+		{"filtered", filteredQuery(), 1},
 		{"operator-free", spjQuery(), 0},
 	} {
 		prep, err := eng.Prepare(tc.q, db)
@@ -307,7 +304,7 @@ func TestParallelCancelMidMerge(t *testing.T) {
 		name string
 		mk   func() *query.Query
 	}{
-		{"flat-ordered", spjQuery},
+		{"flat-ordered", filteredQuery},
 		{"grouped", groupedQuery},
 		{"agg-ordered", aggOrderedQuery},
 	}
@@ -328,7 +325,7 @@ func TestParallelResultCloseJoinsWorkers(t *testing.T) {
 	forceParallelThresholds(t)
 	db := bigDB(t, 20000)
 	eng := &Engine{PartialAgg: true, Parallelism: 4}
-	prep, err := eng.Prepare(spjQuery(), db)
+	prep, err := eng.Prepare(filteredQuery(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +365,7 @@ func TestParallelEarlyStopJoinsWorkers(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
 		eng := &Engine{PartialAgg: true, Parallelism: par}
 		before := storeReturns.Load()
-		res, err := eng.Run(spjQuery(), db)
+		res, err := eng.Run(filteredQuery(), db)
 		if err != nil {
 			t.Fatal(err)
 		}

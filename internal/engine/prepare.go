@@ -3,10 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"github.com/factordb/fdb/internal/catalog"
 	"github.com/factordb/fdb/internal/fops"
 	"github.com/factordb/fdb/internal/frep"
 	"github.com/factordb/fdb/internal/ftree"
@@ -46,7 +46,7 @@ func putStore(s *frep.Store) {
 // it then shares Orders and Plan.Cost with every other statement of its
 // query shape, and owns only Query and a copy of Plan.Ops carrying its
 // own filter constants. It holds no data: the base factorisations it
-// executes over belong to the registered relations (see Register).
+// executes over belong to the relations (see Exec).
 //
 // A Prepared is immutable after Prepare and safe for concurrent Exec
 // calls: f-plan operators address f-tree nodes by attribute name and
@@ -165,16 +165,14 @@ func (e *Engine) search(ctx context.Context, q *query.Query, db DB) (*Prepared, 
 }
 
 // Exec runs the prepared plan against the database, skipping validation
-// and optimisation. A registered relation (see Register: loaded and
-// mutable catalogues and the server's databases are) is immutable and
-// read from its base in the prepared path order, factorised once and
-// shared by every execution; an unregistered relation is factorised per
-// execution, so it may be modified in place between calls. One
-// registered relation with no f-plan operators is enumerated on its
-// base itself, with no pooled store; otherwise the first base is copied
-// into a pooled store, later ones grafted after it, and the operators
-// run there. Exec is safe for concurrent use. Call Result.Close when
-// done with the result to recycle its store.
+// and optimisation. Every relation is read from its base in the
+// prepared path order: factorised once, on the first execution that
+// asks for that order (a loaded or mutable catalogue's stored order is
+// the catalogue's own store), and shared by every later execution. A
+// relation must therefore not be modified once a query has read it.
+// How the bases reach the operators is decided by Engine.run. Exec is
+// safe for concurrent use. Call Result.Close when done with the result
+// to recycle its store.
 func (p *Prepared) Exec(db DB) (*Result, error) {
 	return p.ExecContext(context.Background(), db)
 }
@@ -184,9 +182,8 @@ func (p *Prepared) Exec(db DB) (*Result, error) {
 // is returned before the error surfaces, so a cancelled execution leaks
 // nothing and caches no base.
 func (p *Prepared) ExecContext(ctx context.Context, db DB) (*Result, error) {
-	n := len(p.Query.Relations)
 	f := ftree.New()
-	bs := make([]*catalog.Fact, n)
+	ins := make([]input, len(p.Query.Relations))
 	for i, name := range p.Query.Relations {
 		rel, ok := db[name]
 		if !ok {
@@ -197,46 +194,9 @@ func (p *Prepared) ExecContext(ctx context.Context, db DB) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		bs[i] = b
+		ins[i] = b.in
 	}
-	if n == 1 && bs[0] != nil && len(p.Plan.Ops) == 0 {
-		// No operator writes into the store, so the execution reads the
-		// base itself: an O(1) view whose capacity-clamped slabs copy out
-		// on any stray append. It is not pooled.
-		return p.finish(ctx, &fops.ARel{Tree: f, Store: bs[0].Store.Snapshot(), Roots: []frep.NodeID{bs[0].Root}}, false)
-	}
-	st := getStore()
-	roots := make([]frep.NodeID, n)
-	built := false
-	for i, b := range bs {
-		switch {
-		case b == nil:
-			if err := ctx.Err(); err != nil {
-				putStore(st)
-				return nil, err
-			}
-			sub := ftree.New()
-			sub.NewRelationPath(p.Orders[i]...)
-			rs, err := frep.BuildStoreUnchecked(st, db[p.Query.Relations[i]], sub)
-			if err != nil {
-				putStore(st)
-				return nil, err
-			}
-			roots[i], built = rs[0], true
-		case i == 0:
-			b.Store.CloneInto(st)
-			roots[i] = b.Root
-		default:
-			roots[i] = st.Graft(b.Store)(b.Root)
-		}
-	}
-	if built {
-		// One pass over the fresh slab makes every operator's value
-		// windows kernel-eligible (the column index is a prefix property,
-		// so nodes the operators append later simply fall back to scalar).
-		st.BuildCols()
-	}
-	return p.finish(ctx, &fops.ARel{Tree: f, Store: st, Roots: roots}, true)
+	return p.eng.run(ctx, p.Query, p.Plan, f, ins, p.Orders)
 }
 
 // ExecShared is Exec, kept for callers of the name.
@@ -247,22 +207,62 @@ func (p *Prepared) ExecSharedContext(ctx context.Context, db DB) (*Result, error
 	return p.ExecContext(ctx, db)
 }
 
-// finish executes the prepared plan over the freshly built arena
-// representation and wraps the result. pooled marks a store taken from
-// the pool: it goes back on error, and on Result.Close.
-func (p *Prepared) finish(ctx context.Context, ar *fops.ARel, pooled bool) (*Result, error) {
+// input is one factorised input of an execution, never written to: a
+// relation's base, or a view's own store, with the roots it contributes
+// to the forest.
+type input struct {
+	store *frep.Store
+	roots []frep.NodeID
+}
+
+// run executes pl over the inputs, whose roots in turn are the roots of
+// tree, and wraps the result; it is the one body behind Exec and
+// RunOnView. A bare COUNT(*) is answered from the inputs' ranked
+// totals, so it runs no operator. A single input with no operator to
+// run is read through an O(1) snapshot whose capacity-clamped slabs
+// copy out on any stray append; it is not pooled. Otherwise the first
+// input is copied into a pooled store, later ones grafted after it, and
+// the operators run there; the store goes back on error, and on
+// Result.Close.
+func (e *Engine) run(ctx context.Context, q *query.Query, pl *plan.Plan, tree *ftree.Forest, ins []input, orders [][]string) (*Result, error) {
+	n, counted := countStar(q, ins)
+	ar := &fops.ARel{Tree: tree}
+	pooled := len(ins) > 1 || (!counted && len(pl.Ops) > 0)
+	if !pooled {
+		ar.Store, ar.Roots = ins[0].store.Snapshot(), slices.Clone(ins[0].roots)
+	} else {
+		st := getStore()
+		nr := 0
+		for _, in := range ins {
+			nr += len(in.roots)
+		}
+		ar.Store, ar.Roots = st, make([]frep.NodeID, 0, nr)
+		for i, in := range ins {
+			if i == 0 {
+				in.store.CloneInto(st)
+				ar.Roots = append(ar.Roots, in.roots...)
+				continue
+			}
+			remap := st.Graft(in.store)
+			for _, r := range in.roots {
+				ar.Roots = append(ar.Roots, remap(r))
+			}
+		}
+	}
 	if ar.IsEmpty() {
 		ar.MakeEmpty()
 	}
-	if n, ok := fastCountValue(p.Query, ar); ok {
-		return &Result{Query: p.Query, ARel: ar, Plan: p.Plan, eng: p.eng, pooled: pooled, orders: p.Orders, fastCount: &n}, nil
+	res := &Result{Query: q, ARel: ar, Plan: pl, eng: e, pooled: pooled, orders: orders}
+	if counted {
+		res.fastCount = &n
+		return res, nil
 	}
-	if err := p.Plan.ExecuteParallel(ctx, ar, p.eng.par()); err != nil {
+	if err := pl.ExecuteParallel(ctx, ar, e.par()); err != nil {
 		if pooled {
 			putStore(ar.Store)
 		}
 		return nil, err
 	}
 	noteParallelExec(ar)
-	return &Result{Query: p.Query, ARel: ar, Plan: p.Plan, eng: p.eng, pooled: pooled, orders: p.Orders}, nil
+	return res, nil
 }

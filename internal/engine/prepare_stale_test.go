@@ -118,7 +118,7 @@ func TestPreparedSharedSnapshotStableWithoutDML(t *testing.T) {
 
 // TestTemplateBindingsSeeWrites: two statements of one shape, prepared
 // before a write, are bindings of one template and run from the same
-// registered bases (the second builds none); both must see the write. A
+// bases (the second builds none); both must see the write. A
 // third statement prepared after the write meets relations the template
 // was not planned against, so it replaces the entry instead of adding
 // one.

@@ -316,7 +316,7 @@ func (r *Result) newCursor(fanOut bool) (rowCursor, error) {
 	q := r.Query
 	if r.fastCount != nil {
 		// Bare COUNT(*) answered from the ranked root counts; the
-		// aggregation plan never executed (see fastCountValue).
+		// aggregation plan never executed (see countStar).
 		return &sliceCursor{rows: []relation.Tuple{{values.NewInt(*r.fastCount)}}}, nil
 	}
 	if !q.IsAggregate() {

@@ -13,7 +13,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"github.com/factordb/fdb/internal/fops"
 	"github.com/factordb/fdb/internal/query"
 )
 
@@ -122,26 +121,28 @@ func fastCountQuery(q *query.Query) bool {
 		len(q.Filters) == 0 && len(q.Equalities) == 0
 }
 
-// fastCountValue answers a bare COUNT(*) from the ranked root counts of
-// the (unexecuted) input: the flat result of a forest is the
+// countStar answers a bare COUNT(*) from the ranked root counts of
+// the inputs, before any is copied: the flat result of a forest is the
 // product of its root subtree counts. It declines — and the normal
 // aggregation plan runs — when any root lacks the index or the product
 // overflows.
-func fastCountValue(q *query.Query, ar *fops.ARel) (int64, bool) {
-	if ar == nil || !fastCountQuery(q) {
+func countStar(q *query.Query, ins []input) (int64, bool) {
+	if !fastCountQuery(q) {
 		return 0, false
 	}
 	total := uint64(1)
-	for _, root := range ar.Roots {
-		t, ok := ar.Store.RankTotal(root)
-		if !ok {
-			return 0, false
+	for _, in := range ins {
+		for _, root := range in.roots {
+			t, ok := in.store.RankTotal(root)
+			if !ok {
+				return 0, false
+			}
+			hi, lo := bits.Mul64(total, uint64(t))
+			if hi != 0 {
+				return 0, false
+			}
+			total = lo
 		}
-		hi, lo := bits.Mul64(total, uint64(t))
-		if hi != 0 {
-			return 0, false
-		}
-		total = lo
 	}
 	if total > math.MaxInt64 {
 		return 0, false

@@ -84,9 +84,8 @@ func mustParse(t testing.TB, text string) *query.Query {
 
 // checkBinding prepares text on the warm engine and on a fresh one and
 // asserts equal path orders and plans, and identical rows from Exec of
-// both over db and over shared (db registered as bases), which must be
-// the baseline's answer.
-func checkBinding(t *testing.T, warm *Engine, text string, db, shared DB) {
+// both over db, which must be the baseline's answer.
+func checkBinding(t *testing.T, warm *Engine, text string, db DB) {
 	t.Helper()
 	q := mustParse(t, text)
 	pw, err := warm.Prepare(q, db)
@@ -105,13 +104,7 @@ func checkBinding(t *testing.T, warm *Engine, text string, db, shared DB) {
 	}
 	want := collectRows(t, func() (*Result, error) { return pf.Exec(db) })
 	checkOracle(t, q, want, rdb.DB(db))
-	for name, run := range map[string]func() (*Result, error){
-		"fresh Exec, registered": func() (*Result, error) { return pf.Exec(shared) },
-		"bound Exec":             func() (*Result, error) { return pw.Exec(db) },
-		"bound Exec, registered": func() (*Result, error) { return pw.Exec(shared) },
-	} {
-		diffOrdered(t, text+": "+name, want, collectRows(t, run))
-	}
+	diffOrdered(t, text+": bound Exec", want, collectRows(t, func() (*Result, error) { return pw.Exec(db) }))
 }
 
 // TestTemplateMatchesFreshPlan walks every shape × filtered attribute ×
@@ -123,9 +116,8 @@ func TestTemplateMatchesFreshPlan(t *testing.T) {
 	warm := New()
 	pages := []string{"", " LIMIT 10", " LIMIT 10 OFFSET 7"}
 	n, shapes := 2, 1
-	shared := sharedCopy(t, db)
-	checkBinding(t, warm, aggOrderA7, db, shared)
-	checkBinding(t, warm, aggOrderA7, db, shared)
+	checkBinding(t, warm, aggOrderA7, db)
+	checkBinding(t, warm, aggOrderA7, db)
 	for _, sh := range append(templateShapes, aggOrderShapes...) {
 		for _, attr := range sh.attrs {
 			shapes++
@@ -133,7 +125,7 @@ func TestTemplateMatchesFreshPlan(t *testing.T) {
 				for _, c := range templateConsts[attr] {
 					text := fmt.Sprintf(sh.text, attr+" "+op+" "+c) + pages[n%len(pages)]
 					n++
-					checkBinding(t, warm, text, db, shared)
+					checkBinding(t, warm, text, db)
 				}
 			}
 		}
@@ -143,7 +135,7 @@ func TestTemplateMatchesFreshPlan(t *testing.T) {
 	having := fmt.Sprintf(templateShapes[1].text, "price > 2") + " HAVING revenue > %d"
 	for _, c := range []int{0, 40, 1 << 20} {
 		n++
-		checkBinding(t, warm, fmt.Sprintf(having, c), db, shared)
+		checkBinding(t, warm, fmt.Sprintf(having, c), db)
 	}
 	st := warm.PlanTemplateStats()
 	if st.Size != shapes || st.Misses != uint64(shapes) || st.Hits != uint64(n-shapes) {
@@ -152,13 +144,13 @@ func TestTemplateMatchesFreshPlan(t *testing.T) {
 }
 
 // TestTemplateServesEachDatabaseItsOwnData alternates one shape between
-// two registered databases of one schema through one engine: each
+// two databases of one schema through one engine: each
 // statement replaces the other database's template and answers from
 // its own data, through bases of its own relations.
 func TestTemplateServesEachDatabaseItsOwnData(t *testing.T) {
 	dbs := []DB{
-		sharedCopy(t, DB(workload.Generate(workload.Config{Scale: 1, Seed: 1}).DB())),
-		sharedCopy(t, DB(workload.Generate(workload.Config{Scale: 1, Seed: 2}).DB())),
+		DB(workload.Generate(workload.Config{Scale: 1, Seed: 1}).DB()),
+		DB(workload.Generate(workload.Config{Scale: 1, Seed: 2}).DB()),
 	}
 	eng := New()
 	for i := 0; i < 6; i++ {
@@ -270,7 +262,7 @@ func TestTemplateMisalignedFallsBack(t *testing.T) {
 			}
 			diffOrdered(t, "fallback",
 				collectRows(t, func() (*Result, error) { return want.Exec(db) }),
-				collectRows(t, func() (*Result, error) { return got.Exec(sharedCopy(t, db)) }))
+				collectRows(t, func() (*Result, error) { return got.Exec(db) }))
 		})
 	}
 }
@@ -279,8 +271,9 @@ func TestTemplateMisalignedFallsBack(t *testing.T) {
 // and executing statements of one shape with its own constants from a
 // cold memo, against a writer streaming inserts into the catalogue: the
 // first base builds, template replacement and the writer's publishes all
-// race. Every result must equal a fresh engine's answer over an
-// unregistered copy of the view it was executed on.
+// race. Every result must equal a fresh engine's answer over a copy of
+// the view it was executed on under fresh pointers, whose bases are
+// built from the flat tuples.
 func TestTemplateConcurrentBindings(t *testing.T) {
 	m := newTestMutable(t)
 	eng := New()

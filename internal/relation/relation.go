@@ -62,7 +62,9 @@ func Compare(a, b Tuple) int {
 }
 
 // Relation is a named, ordered multiset of tuples over a fixed attribute
-// list. Attribute names are unique within a relation.
+// list. Attribute names are unique within a relation. The engine
+// attaches the factorisations its queries read to the relation (see
+// Share), so a relation must not be modified once a query has read it.
 type Relation struct {
 	Name   string
 	Attrs  []string
@@ -75,7 +77,8 @@ type Relation struct {
 // Share marks r as shared by attaching v to it, unless r is shared
 // already, and returns the attached state. The state lives exactly as
 // long as r; a shared relation must not be modified. The engine
-// attaches the factorisations every query over r reads.
+// attaches, on the first query that reads r, the factorisations every
+// query over r reads.
 func (r *Relation) Share(v any) any {
 	r.shared.CompareAndSwap(nil, v)
 	return r.shared.Load()

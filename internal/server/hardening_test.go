@@ -76,7 +76,7 @@ func bigServer(t *testing.T, rows int, cfg Config) *Server {
 // through a row: the handler must close the cursor (returning the
 // pooled store exactly once) and must not write a trailer after the
 // partial row. The filtered statement's σ runs on a pooled copy of the
-// registered base; the operator-free one reads the base itself, so it
+// relation's base; the operator-free one reads the base itself, so it
 // returns no store.
 func TestNDJSONAbortMidRowReturnsStore(t *testing.T) {
 	s := bigServer(t, 20000, Config{})

@@ -7,12 +7,13 @@
 // never mutated, f-plan operators build new factorisation structure
 // rather than rewriting inputs, and every request enumerates its own
 // result, so any number of readers can share one store. Every served
-// relation is registered (fdb.Register; catalogues register their
-// own): it is factorised once per path order and shared by every
-// query. A plan with f-plan operators starts from a slab copy of its
-// bases in a pooled store and returns it when done (Result.Close),
-// while an operator-free plan over one relation enumerates its base
-// itself and pools nothing. Each row is encoded once,
+// relation is factorised once per path order, on the first query that
+// asks for it (a catalogue's stored order is its own store), and
+// shared by every later query; a relation must not be modified once a
+// query has read it. A plan with f-plan operators starts from a slab
+// copy of its bases in a pooled store and returns it when done
+// (Result.Close), while an operator-free plan over one relation
+// enumerates its base itself and pools nothing. Each row is encoded once,
 // from its values into bytes (wire.AppendTuple), and handed to the
 // response sink the request's transport selects (wire.NewSink) — the
 // same encoder and sinks the cluster coordinator uses, so the two
@@ -176,19 +177,10 @@ type Server struct {
 	rowsWritten atomic.Int64
 	installs    atomic.Uint64
 
-	// draining refuses new work once StartDrain/Drain has been called;
-	// inflight counts requests (including streaming responses and
-	// snapshot writes) that Drain must wait out before the process may
-	// exit. A mutex-guarded counter rather than a sync.WaitGroup: the
-	// counter legitimately reaches zero while new begin() calls race a
-	// waiting Drain, which is exactly the Add-concurrent-with-Wait
-	// pattern WaitGroup forbids.
-	draining atomic.Bool
-	drainMu  sync.Mutex
-	inflight int
-	// idle is non-nil while a Drain waits for inflight to reach zero;
-	// the end() that takes the counter to zero closes it.
-	idle chan struct{}
+	// gate admits requests (including streaming responses and snapshot
+	// writes) until StartDrain/Drain, and Drain waits them out before
+	// the process may exit.
+	gate wire.Gate
 }
 
 // New builds a Server from the configuration.
@@ -254,7 +246,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	for name, db := range cfg.Databases {
 		s.dbs[name] = &database{name: name, db: db, plans: cache.New(cacheSize)}
-		fdb.Register(db)
 	}
 	for name, mut := range cfg.Mutables {
 		s.dbs[name] = &database{name: name, mut: mut, plans: cache.New(cacheSize)}
@@ -308,35 +299,12 @@ func (s *Server) lookup(name string) (*database, string, bool) {
 	return d, name, ok
 }
 
-// begin registers one unit of in-flight work unless the server is
-// draining; it reports whether the caller may proceed (and must call
-// end when done).
-func (s *Server) begin() bool {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	if s.draining.Load() {
-		return false
-	}
-	s.inflight++
-	return true
-}
-
-func (s *Server) end() {
-	s.drainMu.Lock()
-	s.inflight--
-	if s.inflight == 0 && s.idle != nil {
-		close(s.idle)
-		s.idle = nil
-	}
-	s.drainMu.Unlock()
-}
-
 // StartDrain transitions the server into shutdown without waiting: new
 // queries and snapshot writes are refused with 503 Service Unavailable
 // and /healthz turns unhealthy so load balancers stop routing. Call it
 // before closing the listener so clients on kept-alive connections get
 // a clean 503 instead of a reset; Drain calls it implicitly.
-func (s *Server) StartDrain() { s.draining.Store(true) }
+func (s *Server) StartDrain() { s.gate.StartDrain() }
 
 // Drain is StartDrain plus the wait: it blocks until every in-flight
 // request — including streaming responses holding open cursors and
@@ -345,25 +313,11 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // earlier would tear down enumerations mid-row. Drain is idempotent
 // and safe to call concurrently.
 func (s *Server) Drain(ctx context.Context) error {
-	s.drainMu.Lock()
-	s.draining.Store(true)
-	if s.inflight == 0 {
-		s.drainMu.Unlock()
-		s.closeOwned()
-		return nil
+	if err := s.gate.Drain(ctx); err != nil {
+		return fmt.Errorf("server: drain: %w", err)
 	}
-	if s.idle == nil {
-		s.idle = make(chan struct{})
-	}
-	idle := s.idle
-	s.drainMu.Unlock()
-	select {
-	case <-idle:
-		s.closeOwned()
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("server: drain: %w", ctx.Err())
-	}
+	s.closeOwned()
+	return nil
 }
 
 // closeOwned releases the mmap'd snapshots the server owns — installed
@@ -386,7 +340,7 @@ func (s *Server) closeOwned() {
 }
 
 // Draining reports whether StartDrain or Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool { return s.gate.Draining() }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -416,11 +370,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		wire.WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
 		return
 	}
-	if !s.begin() {
+	if !s.gate.Begin() {
 		wire.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
 		return
 	}
-	defer s.end()
+	defer s.gate.End()
 	var req QueryRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil {
@@ -476,11 +430,11 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		wire.WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
 		return
 	}
-	if !s.begin() {
+	if !s.gate.Begin() {
 		wire.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
 		return
 	}
-	defer s.end()
+	defer s.gate.End()
 	var req ExecRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<24))
 	if err := dec.Decode(&req); err != nil {
@@ -548,11 +502,11 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 		wire.WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
 		return
 	}
-	if !s.begin() {
+	if !s.gate.Begin() {
 		wire.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
 		return
 	}
-	defer s.end()
+	defer s.gate.End()
 	var req CompactRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
@@ -669,7 +623,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.dbMu.RLock()
 	n := len(s.dbs)
 	s.dbMu.RUnlock()
-	if s.draining.Load() {
+	if s.gate.Draining() {
 		wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":    "draining",
 			"databases": n,
@@ -707,11 +661,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		wire.WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
 		return
 	}
-	if !s.begin() {
+	if !s.gate.Begin() {
 		wire.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
 		return
 	}
-	defer s.end()
+	defer s.gate.End()
 	var req SnapshotRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
@@ -783,11 +737,11 @@ func (s *Server) handleShardInstall(w http.ResponseWriter, r *http.Request) {
 		wire.WriteJSON(w, http.StatusNotFound, errorResponse{Error: "shard installs not enabled (no shard directory configured)"})
 		return
 	}
-	if !s.begin() {
+	if !s.gate.Begin() {
 		wire.WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server is shutting down"})
 		return
 	}
-	defer s.end()
+	defer s.gate.End()
 	start := time.Now()
 
 	// Spool the snapshot to a temp file in the shard directory, fsync,

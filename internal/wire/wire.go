@@ -28,7 +28,8 @@
 // The package is also the one response writer: the serial server and
 // the coordinator encode values with AppendValue and write every
 // response through the Sink NewSink selects, so the bytes they send
-// cannot drift apart.
+// cannot drift apart. Both front ends also admit and drain their
+// requests through one Gate.
 package wire
 
 import (
